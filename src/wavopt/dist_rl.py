@@ -409,8 +409,7 @@ def actor_gradient(nets: PolicyNets, batch: TransitionBatch, signal: int = 0) ->
     actor, critic = nets.actor, nets.critic
     states = batch.states
     raw, actor_cache = nn.forward_batch_cached(actor.params, actor.scaled(states))
-    raw_a = raw[:, : actor.action_dim]
-    a = np.tanh(raw_a) if actor.squash else raw_a
+    a = np.tanh(raw) if actor.squash else raw
 
     x = critic.inputs(states, a)
     _, critic_cache = nn.forward_batch_cached(critic.params, x)
@@ -420,8 +419,6 @@ def actor_gradient(nets: PolicyNets, batch: TransitionBatch, signal: int = 0) ->
     _, d_input = nn.backward_batch(critic.params, critic_cache, upstream, reduce="mean")
     g_action = d_input[:, states.shape[1] :]
 
-    actor_upstream = np.zeros_like(raw)
     chain = (1.0 - a**2) if actor.squash else 1.0
-    actor_upstream[:, : actor.action_dim] = g_action * chain
-    grads, _ = nn.backward_batch(actor.params, actor_cache, actor_upstream, reduce="mean")
+    grads, _ = nn.backward_batch(actor.params, actor_cache, g_action * chain, reduce="mean")
     return grads

@@ -55,6 +55,7 @@ __all__ = [
     "ReturnTracker",
     "episode_return",
     "random_tabular_cmdp",
+    "ENVS",
     "make_env",
 ]
 
@@ -374,9 +375,10 @@ def random_tabular_cmdp(n_states: int, n_actions: int, n_constraints: int, seed,
     return cmdp
 
 
+ENVS = {"cartpole": CartpoleEnv, "acrobot": AcrobotEnv}
+
+
 def make_env(name: str, dt: float = 0.02, seed=0):
-    if name == "cartpole":
-        return CartpoleEnv(dt=dt, seed=seed)
-    if name == "acrobot":
-        return AcrobotEnv(dt=dt, seed=seed)
-    raise ValueError(f"unknown environment {name!r}")
+    if name not in ENVS:
+        raise ValueError(f"unknown environment {name!r}")
+    return ENVS[name](dt=dt, seed=seed)

@@ -16,13 +16,14 @@ reproducibility):
 
 The run loop is the adaptive constrained learner.  Behavior actions are
 sampled from a posterior over three candidates (full push left, full
-push right, the actor's choice), weighted by the inverse reward-operator
-image of their critic values after one variational transport step
-toward an optimistic target built from recent episode returns; decaying
-Gaussian noise is added on top.  Constraint decisions use the mean
-realized discounted utilities of the last few episodes, refreshed at
-episode boundaries only, so each curve row logs exactly the decision
-inputs that were live during that episode.
+push right, the actor's choice).  Each candidate's weight is the
+inverse reward-operator image of its critic value (the reward atom
+mean, clipped to the horizon's value bracket) times one safety
+likelihood per constraint utility; decaying Gaussian noise is added on
+top.  Constraint decisions use the mean realized discounted utilities
+of the last few episodes, refreshed at episode boundaries only, so each
+curve row logs exactly the decision inputs that were live during that
+episode.
 
 ``fit_rate`` estimates a power-law convergence exponent from a learning
 curve: gaps to the best smoothed value are regressed on log episode
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -42,15 +42,8 @@ from typing import Optional
 import numpy as np
 
 from . import nn
-from .envs import ReturnTracker, make_env
-from .inference import (
-    affine_family,
-    log_family,
-    optimality_likelihood,
-    sample_actions,
-    variational_step,
-)
-from .measures import DefiningFunction, DiscreteMeasure, SliceParameterSet
+from .envs import ENVS, ReturnTracker, make_env
+from .inference import log_family, optimality_likelihood, sample_actions
 from .nets import ActorNet, CriticNet, PolicyNets, init_policy_nets
 from .dist_rl import TransitionBatch
 from .safe_rl import ObjectiveEstimate, estimate_objectives, policy_update_step, tolerance_schedule
@@ -75,9 +68,7 @@ __all__ = [
     "synthetic_recovery_curve",
 ]
 
-CHECKPOINT_MAGIC = "wavopt-checkpoint 1"
-
-_SLICE_1D = SliceParameterSet([DefiningFunction.linear(np.array([1.0]))], [0.0])
+CHECKPOINT_MAGIC = "wavopt-checkpoint 2"
 
 
 class ConfigError(ValueError):
@@ -99,9 +90,6 @@ class TrainConfig:
     horizon_scale: float = 2.0
     hidden_width: int = 128
     hidden_layers: int = 2
-    slice_count: int = 8
-    slice_degree: int = 3
-    transport_order: float = 2.0
     bound: float = 60.0
     warmup_steps: int = 500
     update_every: int = 1
@@ -117,9 +105,6 @@ class TrainConfig:
     snapshot_margin: float = 10.0
     gate_margin: float = 2.0
     gate_episodes: int = 10
-    returns_window: int = 128
-    shift_every: int = 4
-    variational_step_size: float = 0.02
     eval_episodes: int = 5
     eval_every: int = 2
     probe_episodes: int = 2
@@ -130,14 +115,23 @@ class TrainConfig:
         return self.learning_rate if self.actor_learning_rate < 0 else self.actor_learning_rate
 
     def validate(self) -> "TrainConfig":
+        if self.env not in ENVS:
+            raise ConfigError(f"env must be one of {', '.join(ENVS)}, got {self.env!r}")
+        for f in dataclasses.fields(self):
+            if f.type in ("float", float) and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
         if self.episodes < 0:
             raise ConfigError("episodes must be >= 0")
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError("gamma must lie in [0, 1)")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.n_quantiles < 1:
             raise ConfigError("learning_rate, batch_size, n_quantiles must be positive")
-        if self.update_every < 1 or self.shift_every < 1:
-            raise ConfigError("cadence settings must be >= 1")
+        if self.hidden_width < 1 or self.hidden_layers < 0:
+            raise ConfigError("hidden_width must be >= 1 and hidden_layers >= 0")
+        if self.buffer_capacity < self.batch_size:
+            raise ConfigError("buffer_capacity must be >= batch_size")
+        if self.update_every < 1 or self.target_sync_updates < 1:
+            raise ConfigError("update_every and target_sync_updates must be >= 1")
         if self.updates_per_episode < 0:
             raise ConfigError("updates_per_episode must be >= 0")
         if self.tolerance_mode not in ("fixed", "scheduled"):
@@ -152,6 +146,8 @@ class TrainConfig:
             raise ConfigError("gate_episodes must be >= 1")
         if self.eval_episodes < 1 or self.probe_episodes < 1:
             raise ConfigError("eval_episodes and probe_episodes must be >= 1")
+        if self.dt <= 0:
+            raise ConfigError("dt must be > 0")
         if self.eval_every < 0:
             raise ConfigError("eval_every must be >= 0 (0 disables periodic evaluation)")
         return self
@@ -270,6 +266,8 @@ def write_curve(path, rows, n_constraints: int) -> None:
 
 def read_curve(path) -> dict:
     lines = Path(path).read_text().strip().splitlines()
+    if not lines:
+        raise ValueError("empty curve file")
     header = lines[0].split(",")
     data = {name: [] for name in header}
     for line in lines[1:]:
@@ -292,9 +290,6 @@ def write_checkpoint(path, nets: PolicyNets, env_name: str) -> None:
         f.write(f"action_dim {actor.action_dim}\n")
         f.write(f"n_signals {critic.n_signals}\n")
         f.write(f"n_quantiles {critic.n_quantiles}\n")
-        f.write(f"slice_count {actor.slice_count}\n")
-        f.write(f"slice_dim {actor.slice_dim}\n")
-        f.write(f"slice_degree {actor.slice_degree}\n")
         f.write(f"squash {1 if actor.squash else 0}\n")
         f.write("feature_scale " + " ".join(f"{v:.17g}" for v in np.atleast_1d(actor.feature_scale)) + "\n")
         f.write("section actor\n")
@@ -303,33 +298,44 @@ def write_checkpoint(path, nets: PolicyNets, env_name: str) -> None:
         nn.write_params(f, critic.params)
 
 
+def _read_section(f, name: str) -> nn.MlpParams:
+    try:
+        return nn.read_params(f)
+    except (ValueError, IndexError) as exc:
+        raise ValueError(f"checkpoint is truncated or damaged in section {name} ({exc})") from exc
+
+
 def read_checkpoint(path):
     """Rebuild the policy networks; returns (nets, meta dict)."""
     with open(path) as f:
-        if f.readline().strip() != CHECKPOINT_MAGIC:
+        magic = f.readline().strip()
+        if magic != CHECKPOINT_MAGIC:
+            kind, _, version = magic.partition(" ")
+            if kind == "wavopt-checkpoint":
+                raise ValueError(
+                    f"checkpoint format {version} is no longer supported; "
+                    f"this version reads {CHECKPOINT_MAGIC!r} (retrain to write one)"
+                )
             raise ValueError("not a policy checkpoint")
         meta = {}
         while True:
             line = f.readline()
             if not line:
-                raise ValueError("checkpoint ended before actor section")
+                raise ValueError("checkpoint is truncated in the header, before section actor")
             line = line.strip()
             if line == "section actor":
                 break
             key, val = line.split(" ", 1)
             meta[key] = val
-        actor_params = nn.read_params(f)
+        actor_params = _read_section(f, "actor")
         if f.readline().strip() != "section critic":
-            raise ValueError("checkpoint missing critic section")
-        critic_params = nn.read_params(f)
+            raise ValueError("checkpoint is truncated or damaged before section critic")
+        critic_params = _read_section(f, "critic")
 
     feature_scale = np.array([float(t) for t in meta["feature_scale"].split()])
     actor = ActorNet(
         actor_params,
         action_dim=int(meta["action_dim"]),
-        slice_count=int(meta["slice_count"]),
-        slice_dim=int(meta["slice_dim"]),
-        slice_degree=int(meta["slice_degree"]),
         feature_scale=feature_scale,
         squash=bool(int(meta["squash"])),
     )
@@ -375,33 +381,6 @@ class TrainResult:
     final_estimate: ObjectiveEstimate
 
 
-def _optimistic_target(returns) -> Optional[DiscreteMeasure]:
-    """Recent-return measure reweighted toward the best outcomes.
-
-    Returns are mapped to optimality weights by the inverse affine
-    operator over the observed return range, so mass concentrates on the
-    good episodes; the variational step pulls candidate value measures
-    toward this target.
-    """
-    arr = np.asarray(returns, dtype=float)
-    if arr.size < 2:
-        return None
-    lo, hi = float(arr.min()), float(arr.max())
-    if hi - lo < 1e-9:
-        return None
-    lik, _ = optimality_likelihood(affine_family(lo, hi), arr)
-    return DiscreteMeasure(arr[:, None], lik / lik.sum())
-
-
-def _shift_from_target(atoms_row: np.ndarray, target: DiscreteMeasure, k: float, step: float) -> float:
-    """Mean displacement of one variational step toward the target."""
-    atoms = np.sort(atoms_row)
-    n = atoms.size
-    q = DiscreteMeasure(atoms[:, None], np.full(n, 1.0 / n))
-    res = variational_step(q, target, _SLICE_1D, k=k, step_size=step, max_halvings=6)
-    return float(res.measure.atoms.mean() - atoms.mean())
-
-
 def run_training(config: TrainConfig, out_dir) -> TrainResult:
     """Train on the configured environment; write curve, checkpoint, summary.
 
@@ -431,9 +410,6 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
         hidden_layers=config.hidden_layers,
         n_quantiles=config.n_quantiles,
         n_signals=1 + p,
-        slice_count=config.slice_count,
-        slice_dim=env.state_dim,
-        slice_degree=config.slice_degree,
         rng=np.random.default_rng(s_init),
         feature_scale=env.feature_scale,
         use_target=True,
@@ -456,10 +432,7 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
     # reward and every constraint optimality variable
     util_family = log_family(0.0, horizon_value)
 
-    ret_hist = deque(maxlen=config.returns_window)
     constraint_est = np.zeros(p)
-    opt_target = None
-    shifts = np.zeros(3)
 
     rows = []
     episode_returns = []
@@ -511,8 +484,6 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
         est_used = constraint_est.copy()
         state = env.reset(rng=env_rng)
         tracker = ReturnTracker()
-        ep_reward_disc = 0.0
-        disc = 1.0
         done = False
         ep_updates = 0
 
@@ -521,16 +492,8 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
             cands = np.array([-1.0, 1.0, mu])
             states3 = np.repeat(state[None, :], 3, axis=0)
             blocks = nets.critic.forward_batch(states3, cands[:, None])
-            atoms3 = blocks[:, 0, :]
-            vals = atoms3.mean(axis=1)
-            if opt_target is not None and steps_total % config.shift_every == 0:
-                shifts = np.array(
-                    [
-                        _shift_from_target(row, opt_target, config.transport_order, config.variational_step_size)
-                        for row in atoms3
-                    ]
-                )
-            lik, _ = optimality_likelihood(value_family, np.clip(vals + shifts, 0.0, horizon_value))
+            vals = blocks[:, 0, :].mean(axis=1)
+            lik, _ = optimality_likelihood(value_family, np.clip(vals, 0.0, horizon_value))
             if p:
                 util_vals = blocks[:, 1:, :].mean(axis=2)
                 margins = np.clip(horizon_value - util_vals, 0.0, horizon_value)
@@ -543,8 +506,6 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
             next_state, r, g, done = env.step(action)
             replay.add(state, action, r, g, next_state, 1.0 if done else 0.0)
             tracker.update(r)
-            ep_reward_disc += disc * r
-            disc *= config.gamma
             state = next_state
             steps_total += 1
 
@@ -566,8 +527,6 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
                 do_update()
                 ep_updates += 1
 
-        ret_hist.append(ep_reward_disc)
-        opt_target = _optimistic_target(ret_hist)
         episode_returns.append(tracker.value)
         rows.append(
             CurveRow(ep, tracker.value, est_used, last_branch, last_delta, steps_total * config.dt)

@@ -1,10 +1,7 @@
 """Actor and critic containers built on the explicit-backprop MLP.
 
-The actor maps a (feature-scaled) state to a raw output vector laid out
-as ``[action (action_dim) | slice block]`` where the slice block holds
-``slice_count`` groups of ``num_monomials(slice_degree, slice_dim) + 1``
-values: raw slice coefficients followed by a scalar offset.  The action
-head may be tanh-squashed to (-1, 1); slice outputs are always linear.
+The actor maps a (feature-scaled) state to ``action_dim`` raw outputs,
+one per action coordinate, optionally tanh-squashed to (-1, 1).
 
 The critic maps ``[scaled state | action]`` to ``n_signals * n_quantiles``
 outputs, reshaped to one block of quantile atoms per signal (signal 0 is
@@ -18,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .measures import num_monomials
 
 __all__ = ["ActorNet", "CriticNet", "PolicyNets", "init_policy_nets"]
 
@@ -27,19 +23,8 @@ __all__ = ["ActorNet", "CriticNet", "PolicyNets", "init_policy_nets"]
 class ActorNet:
     params: nn.MlpParams
     action_dim: int
-    slice_count: int
-    slice_dim: int
-    slice_degree: int
     feature_scale: np.ndarray
     squash: bool = True
-
-    @property
-    def coeffs_per_slice(self) -> int:
-        return num_monomials(self.slice_degree, self.slice_dim)
-
-    @property
-    def slice_width(self) -> int:
-        return self.coeffs_per_slice + 1
 
     def scaled(self, states: np.ndarray) -> np.ndarray:
         return np.atleast_2d(states) * self.feature_scale
@@ -48,28 +33,14 @@ class ActorNet:
         return nn.forward_batch(self.params, self.scaled(states))
 
     def act_batch(self, states: np.ndarray) -> np.ndarray:
-        raw = self.raw_forward(states)[:, : self.action_dim]
+        raw = self.raw_forward(states)
         return np.tanh(raw) if self.squash else raw
 
     def act(self, state) -> np.ndarray:
         return self.act_batch(np.asarray(state, dtype=float)[None, :])[0]
 
-    def slice_block(self, state) -> np.ndarray:
-        """Raw (unnormalized) slice outputs for one state: (slice_count, width)."""
-        raw = self.raw_forward(np.asarray(state, dtype=float)[None, :])[0]
-        block = raw[self.action_dim :]
-        return block.reshape(self.slice_count, self.slice_width)
-
     def copy(self) -> "ActorNet":
-        return ActorNet(
-            self.params.copy(),
-            self.action_dim,
-            self.slice_count,
-            self.slice_dim,
-            self.slice_degree,
-            self.feature_scale,
-            self.squash,
-        )
+        return ActorNet(self.params.copy(), self.action_dim, self.feature_scale, self.squash)
 
 
 @dataclass(eq=False)
@@ -127,9 +98,6 @@ def init_policy_nets(
     hidden_layers: int,
     n_quantiles: int,
     n_signals: int,
-    slice_count: int,
-    slice_dim: int,
-    slice_degree: int,
     rng,
     feature_scale=None,
     use_target: bool = False,
@@ -142,13 +110,9 @@ def init_policy_nets(
     if scale.shape != (state_dim,):
         raise ValueError("feature_scale must have one entry per state dimension")
     hidden = [hidden_width] * hidden_layers
-    actor_out = action_dim + slice_count * (num_monomials(slice_degree, slice_dim) + 1)
     actor = ActorNet(
-        params=nn.init_mlp([state_dim] + hidden + [actor_out], rng),
+        params=nn.init_mlp([state_dim] + hidden + [action_dim], rng),
         action_dim=action_dim,
-        slice_count=slice_count,
-        slice_dim=slice_dim,
-        slice_degree=slice_degree,
         feature_scale=scale,
         squash=squash,
     )

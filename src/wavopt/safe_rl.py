@@ -34,8 +34,7 @@ from . import nn
 from .cmdp import TabularCmdp, exact_objective, exact_q_values, value_iteration
 from .dist_rl import TransitionBatch, actor_gradient, critic_gradient_all
 from .inference import RewardOperatorFamily
-from .measures import DefiningFunction, SliceParameterSet
-from .nets import ActorNet, PolicyNets
+from .nets import PolicyNets
 
 __all__ = [
     "C_CAL",
@@ -44,7 +43,6 @@ __all__ = [
     "estimate_objectives",
     "UpdateInfo",
     "policy_update_step",
-    "emit_slice_params",
     "ImprovementReport",
     "exact_improvement_report",
     "optimality_probabilities",
@@ -154,9 +152,9 @@ def policy_update_step(
     the non-strict test J_g^i <= b_i + tolerance for every i.
 
     ``raw_penalty`` > 0 additionally shrinks the actor's pre-squash
-    action output (0.5 * c * raw^2 per sample, action columns only), so
-    the tanh never saturates past the point where its gradient can pull
-    the action back.  When optimizer states are supplied the steps are
+    action output (0.5 * c * raw^2 per sample), so the tanh never
+    saturates past the point where its gradient can pull the action
+    back.  When optimizer states are supplied the steps are
     adaptive (Adam); otherwise plain SGD at the given rates.
     """
     bounds = np.asarray(bounds, dtype=float)
@@ -184,9 +182,7 @@ def policy_update_step(
     if raw_penalty > 0.0:
         actor = nets.actor
         raw, cache = nn.forward_batch_cached(actor.params, actor.scaled(batch.states))
-        upstream = np.zeros_like(raw)
-        upstream[:, : actor.action_dim] = raw_penalty * raw[:, : actor.action_dim]
-        pgrads, _ = nn.backward_batch(actor.params, cache, upstream, reduce="mean")
+        pgrads, _ = nn.backward_batch(actor.params, cache, raw_penalty * raw, reduce="mean")
         descent.add_(pgrads)
 
     if actor_opt is not None:
@@ -195,27 +191,6 @@ def policy_update_step(
         nn.sgd_step(nets.actor.params, descent, actor_lr, sign=-1, in_place=True)
 
     return UpdateInfo(branch, total_loss, td_delta, branch == 0)
-
-
-def emit_slice_params(actor: ActorNet, state: np.ndarray) -> SliceParameterSet:
-    """Adaptive slice parameters from the actor's slice head at one state.
-
-    Each slice row is (coefficients..., offset); coefficients are
-    normalized to a unit defining function (degenerate rows fall back to
-    the first coordinate direction).
-    """
-    if actor.slice_count == 0:
-        raise ValueError("actor has no slice head")
-    block = actor.slice_block(state)
-    kind = "linear" if actor.slice_degree == 1 else "poly"
-    fns = []
-    offsets = []
-    for row in block:
-        fns.append(
-            DefiningFunction.normalized(kind, actor.slice_dim, row[:-1], degree=actor.slice_degree)
-        )
-        offsets.append(float(row[-1]))
-    return SliceParameterSet(fns, offsets)
 
 
 # -- exact desk-scale improvement oracle ------------------------------------------

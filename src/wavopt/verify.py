@@ -242,13 +242,23 @@ def _rel_gap(a, b):
     return float(np.max(np.abs(a - b) / scale))
 
 
-def _kink_safe_mlp(seed, sizes=(4, 8, 8, 3), margin=1e-3):
+# Central differences with step 1e-5 are only valid where every ReLU
+# pre-activation stays clear of zero, so instances are resampled (bounded
+# retries) until all of them clear this margin.
+_KINK_MARGIN = 1e-3
+
+
+def _clears_kinks(params, x) -> bool:
+    _, (_, pres) = nn.forward_batch_cached(params, x)
+    return all(np.min(np.abs(p)) > _KINK_MARGIN for p in pres)
+
+
+def _kink_safe_mlp(seed, sizes=(4, 8, 8, 3)):
     for attempt in range(200):
         rng = np.random.default_rng(seed * 1000 + attempt)
         params = nn.init_mlp(list(sizes), rng)
         x = rng.normal(size=(3, sizes[0]))
-        _, (_, pres) = nn.forward_batch_cached(params, x)
-        if all(np.min(np.abs(p)) > margin for p in pres[:-1]):
+        if _clears_kinks(params, x):
             return params, x, rng
     raise RuntimeError("no kink-safe instance found")
 
@@ -283,9 +293,6 @@ def _small_nets(seed):
         hidden_layers=1,
         n_quantiles=4,
         n_signals=2,
-        slice_count=0,
-        slice_dim=3,
-        slice_degree=3,
         rng=np.random.default_rng(seed),
         use_target=True,
     )
@@ -302,10 +309,30 @@ def _random_batch(rng, b=4):
     )
 
 
+def _kink_safe_policy(seed, batch_seed):
+    """Small nets and a batch that clear the kink margin everywhere the checks look.
+
+    That is every actor pre-activation at the batch states and every
+    critic pre-activation at (s, a) and at (s, pi(s)).  Attempt 0 is
+    (seed, batch_seed) itself; each retry moves both by a fixed stride.
+    """
+    for attempt in range(200):
+        shift = attempt * 1_000_003
+        nets = _small_nets(seed + shift)
+        batch = _random_batch(np.random.default_rng(batch_seed + shift))
+        actor, critic = nets.actor, nets.critic
+        policy_actions = actor.act_batch(batch.states)
+        if (
+            _clears_kinks(actor.params, actor.scaled(batch.states))
+            and _clears_kinks(critic.params, critic.inputs(batch.states, batch.actions))
+            and _clears_kinks(critic.params, critic.inputs(batch.states, policy_actions))
+        ):
+            return nets, batch
+    raise RuntimeError("no kink-safe instance found")
+
+
 def _fd_critic_check(seed) -> float:
-    nets = _small_nets(seed)
-    rng = np.random.default_rng(seed + 7777)
-    batch = _random_batch(rng)
+    nets, batch = _kink_safe_policy(seed, seed + 7777)
     targets = td_targets(nets, batch, 0, 0.95)
     from .dist_rl import quantile_match_grad, quantile_match_loss
 
@@ -327,9 +354,7 @@ def _fd_critic_check(seed) -> float:
 
 
 def _fd_actor_check(seed) -> float:
-    nets = _small_nets(seed)
-    rng = np.random.default_rng(seed + 3333)
-    batch = _random_batch(rng)
+    nets, batch = _kink_safe_policy(seed, seed + 3333)
 
     def objective():
         a = nets.actor.act_batch(batch.states)

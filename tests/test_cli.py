@@ -13,7 +13,6 @@ seed = 4
 batch_size = 16
 n_quantiles = 8
 hidden_width = 8
-slice_count = 4
 warmup_steps = 20
 updates_per_episode = 2
 eval_episodes = 1
@@ -56,6 +55,29 @@ def test_train_bad_config_exits_2(tmp_path, capsys):
 
 def test_train_invalid_override_exits_2(fast_config, tmp_path):
     assert main(["train", "--config", str(fast_config), "--episodes", "-2"]) == 2
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        "env = pendulum",
+        "hidden_width = 0",
+        "hidden_layers = -1",
+        "buffer_capacity = 10",
+        "learning_rate = inf",
+        "noise_start = nan",
+        "target_sync_updates = 0",
+        "dt = 0",
+    ],
+)
+def test_train_rejects_invalid_config_without_traceback(tmp_path, capsys, bad_line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(FAST_CONFIG.replace("batch_size = 16", "batch_size = 64") + bad_line + "\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_zero_episodes_writes_header_only_curve(fast_config, tmp_path):
@@ -116,6 +138,9 @@ def test_rate_missing_or_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n")
     assert main(["rate", str(bad)]) == 2
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main(["rate", str(empty)]) == 2
 
 
 def test_interpret_writes_series(tmp_path, capsys):

@@ -219,9 +219,6 @@ def _small_nets(seed, state_dim=3, action_dim=1, n=4, n_signals=2, squash=True):
         hidden_layers=2,
         n_quantiles=n,
         n_signals=n_signals,
-        slice_count=2,
-        slice_dim=1,
-        slice_degree=3,
         rng=seed,
         squash=squash,
     )
@@ -340,7 +337,7 @@ class TestActorGradient:
         # critic Q(s, a) = 2a, actor a = w s with w = 0.7, s = 1:
         # d/dw mean Z = dQ/da * s = 2
         actor_params = nn.MlpParams([np.array([[0.7]])], [np.zeros(1)])
-        actor = ActorNet(actor_params, 1, 0, 1, 1, np.ones(1), squash=False)
+        actor = ActorNet(actor_params, 1, np.ones(1), squash=False)
         critic_params = nn.MlpParams([np.array([[0.0, 2.0]])], [np.zeros(1)])
         critic = CriticNet(critic_params, 1, 1, np.ones(1))
         nets = PolicyNets(actor, critic)

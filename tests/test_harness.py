@@ -1,6 +1,7 @@
 """Config parsing, replay, file formats, rate fitting, and the training loop."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -187,9 +188,6 @@ def _tiny_nets(seed=5):
         hidden_layers=2,
         n_quantiles=6,
         n_signals=3,
-        slice_count=4,
-        slice_dim=4,
-        slice_degree=3,
         rng=np.random.default_rng(seed),
         feature_scale=np.array([0.5, 1.0, 2.0, 1.0]),
         use_target=True,
@@ -218,6 +216,25 @@ def test_checkpoint_rejects_other_files(tmp_path):
     path = tmp_path / "not_ckpt.txt"
     path.write_text("something else\n")
     with pytest.raises(ValueError, match="not a policy checkpoint"):
+        read_checkpoint(path)
+
+
+def test_checkpoint_rejects_format_1(tmp_path):
+    path = tmp_path / "old.txt"
+    path.write_text("wavopt-checkpoint 1\nenv cartpole\nslice_count 8\n")
+    with pytest.raises(ValueError, match="format 1 is no longer supported"):
+        read_checkpoint(path)
+
+
+@pytest.mark.parametrize("section", ["actor", "critic"])
+def test_checkpoint_truncation_names_the_section(tmp_path, section):
+    path = tmp_path / "ckpt.txt"
+    write_checkpoint(path, _tiny_nets(), "cartpole")
+    lines = path.read_text().splitlines(keepends=True)
+    start = lines.index(f"section {section}\n")
+    end = lines.index("section critic\n") if section == "actor" else len(lines)
+    path.write_text("".join(lines[: (start + end) // 2]))
+    with pytest.raises(ValueError, match=f"truncated or damaged in section {section}"):
         read_checkpoint(path)
 
 
@@ -271,7 +288,6 @@ def _fast_config(**overrides):
         n_quantiles=8,
         hidden_width=8,
         hidden_layers=2,
-        slice_count=4,
         warmup_steps=20,
         updates_per_episode=3,
         target_sync_updates=10,
@@ -315,6 +331,22 @@ def test_run_training_byte_identical_across_runs(tmp_path):
     assert r1.curve_path.read_bytes() == r2.curve_path.read_bytes()
     assert r1.checkpoint_path.read_bytes() == r2.checkpoint_path.read_bytes()
     assert r1.summary_path.read_bytes() == r2.summary_path.read_bytes()
+
+
+# Golden bytes of the fast run.  A change that alters them must update
+# both hashes and give the cause plus a multi-seed metric comparison in
+# CHANGES.md.  Pinned with numpy 2.4 on OpenBLAS 0.3.31 (Haswell kernels)
+# at one and at two BLAS threads.
+GOLDEN_SHA256 = {
+    "curve.csv": "3e4ce3dcf05efa7fc0d7772226cf1a08b2527b8be3b5fa33ede53194a9280282",
+    "summary.txt": "e5fdca867e3a5c85e7a92c59509c6bd2c76d70b1b4b68b85b376a7e93e4da7e9",
+}
+
+
+def test_run_training_matches_golden_bytes(tmp_path):
+    result = run_training(_fast_config(), tmp_path / "run")
+    for path in (result.curve_path, result.summary_path):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[path.name], path.name
 
 
 def test_run_training_seed_changes_the_curve(tmp_path):

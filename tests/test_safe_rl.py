@@ -6,11 +6,8 @@ from wavopt.dist_rl import TransitionBatch
 from wavopt.envs import CartpoleEnv, TabularEnv, random_tabular_cmdp
 from wavopt.inference import RewardOperatorFamily, affine_family, log_family
 from wavopt.nets import init_policy_nets
-from wavopt.ot import agswd
-from wavopt.measures import DiscreteMeasure
 from wavopt.safe_rl import (
     C_CAL,
-    emit_slice_params,
     estimate_objectives,
     exact_improvement_report,
     optimality_probabilities,
@@ -23,7 +20,7 @@ TRIANGLE = RewardOperatorFamily(
 )
 
 
-def _nets(seed=0, n_signals=3, slice_count=0, use_target=True):
+def _nets(seed=0, n_signals=3, use_target=True):
     return init_policy_nets(
         state_dim=4,
         action_dim=1,
@@ -31,9 +28,6 @@ def _nets(seed=0, n_signals=3, slice_count=0, use_target=True):
         hidden_layers=2,
         n_quantiles=8,
         n_signals=n_signals,
-        slice_count=slice_count,
-        slice_dim=4,
-        slice_degree=3,
         rng=np.random.default_rng(seed),
         use_target=use_target,
     )
@@ -186,38 +180,6 @@ def test_update_shape_validation():
         policy_update_step(nets, _batch(rng), np.zeros(3), np.zeros(3), 0.1, 1e-3, 1e-3, 0.99)
     with pytest.raises(ValueError):
         policy_update_step(nets, _batch(rng), np.zeros(2), np.zeros(3), 0.1, 1e-3, 1e-3, 0.99)
-
-
-# -- adaptive slice emission --------------------------------------------------------
-
-
-def test_emit_slice_params_normalized():
-    nets = _nets(seed=21, slice_count=5)
-    state = np.array([0.3, -0.2, 0.1, 0.6])
-    slices = emit_slice_params(nets.actor, state)
-    assert len(slices) == 5
-    for f, offset in slices:
-        assert f.dim == 4
-        assert f.degree == 3
-        assert np.linalg.norm(f.coefficients) == pytest.approx(1.0, abs=1e-9)
-        assert isinstance(offset, float)
-
-
-def test_emit_slice_params_usable_for_sliced_distance():
-    nets = _nets(seed=23, slice_count=4)
-    slices = emit_slice_params(nets.actor, np.zeros(4))
-    rng = np.random.default_rng(2)
-    mu = DiscreteMeasure(rng.normal(size=(5, 4)), np.full(5, 0.2))
-    nu = DiscreteMeasure(rng.normal(size=(5, 4)), np.full(5, 0.2))
-    d = agswd(mu, nu, 2.0, slices)
-    assert d >= 0.0
-    assert agswd(mu, mu, 2.0, slices) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_emit_slice_params_requires_head():
-    nets = _nets(seed=25, slice_count=0)
-    with pytest.raises(ValueError):
-        emit_slice_params(nets.actor, np.zeros(4))
 
 
 # -- exact improvement oracle ---------------------------------------------------------
