@@ -307,7 +307,7 @@ def quantile_match_loss(critic, states, actions, targets: np.ndarray, signal: in
 
 
 def quantile_match_grad(critic, states, actions, targets: np.ndarray, signal: int):
-    """(loss, critic parameter grads, per-sample sup gap) for the matching loss."""
+    """(loss, critic parameter gradient, per-sample sup gap) for the matching loss."""
     x = critic.inputs(states, actions)
     out_flat, cache = nn.forward_batch_cached(critic.params, x)
     b = out_flat.shape[0]
@@ -322,13 +322,13 @@ def quantile_match_grad(critic, states, actions, targets: np.ndarray, signal: in
     np.put_along_axis(upstream_block, order, diff / n, axis=1)
     upstream = np.zeros_like(out_flat)
     upstream[:, signal * n : (signal + 1) * n] = upstream_block
-    grads, _ = nn.backward_batch(critic.params, cache, upstream, reduce="mean")
-    return loss, grads, sup_gap
+    grad, _ = nn.backward_batch(critic.params, cache, upstream, reduce="mean")
+    return loss, grad, sup_gap
 
 
 @dataclass(eq=False)
 class CriticEval:
-    grads: nn.MlpGrads
+    grad: np.ndarray
     loss: float
     delta_sup: float
 
@@ -342,15 +342,15 @@ def critic_gradient(
     returned gradient descends only through the current critic output.
     """
     targets = td_targets(nets, batch, signal, gamma, value_clip)
-    loss, grads, sup_gap = quantile_match_grad(
+    loss, grad, sup_gap = quantile_match_grad(
         nets.critic, batch.states, batch.actions, targets, signal
     )
-    return CriticEval(grads=grads, loss=loss, delta_sup=float(sup_gap.mean()))
+    return CriticEval(grad=grad, loss=loss, delta_sup=float(sup_gap.mean()))
 
 
 @dataclass(eq=False)
 class CriticEvalAll:
-    grads: nn.MlpGrads
+    grad: np.ndarray
     loss: float
     losses: np.ndarray
     delta_sups: np.ndarray
@@ -394,17 +394,18 @@ def critic_gradient_all(
 
     upstream = np.zeros_like(out)
     np.put_along_axis(upstream, order, diff / n, axis=2)
-    grads, _ = nn.backward_batch(critic.params, cache, upstream.reshape(b, -1), reduce="mean")
-    return CriticEvalAll(grads=grads, loss=float(losses.sum()), losses=losses, delta_sups=delta_sups)
+    grad, _ = nn.backward_batch(critic.params, cache, upstream.reshape(b, -1), reduce="mean")
+    return CriticEvalAll(grad=grad, loss=float(losses.sum()), losses=losses, delta_sups=delta_sups)
 
 
-def actor_gradient(nets: PolicyNets, batch: TransitionBatch, signal: int = 0) -> nn.MlpGrads:
+def actor_gradient(nets: PolicyNets, batch: TransitionBatch, signal: int = 0) -> np.ndarray:
     """Deterministic policy-gradient direction through the critic atom mean.
 
     d/d theta_mu (1/B) sum_b mean_atoms Z_signal(s_b, pi(s_b)): the critic's
     input gradient with respect to the action coordinates is chained
     through the actor (including the tanh action squash when enabled).
-    Ascent or descent is chosen by the caller via the SGD sign.
+    Returned in the layout of ``actor.params.flat``; ascent or descent
+    is chosen by the caller through the sign it applies.
     """
     actor, critic = nets.actor, nets.critic
     states = batch.states
@@ -420,5 +421,4 @@ def actor_gradient(nets: PolicyNets, batch: TransitionBatch, signal: int = 0) ->
     g_action = d_input[:, states.shape[1] :]
 
     chain = (1.0 - a**2) if actor.squash else 1.0
-    grads, _ = nn.backward_batch(actor.params, actor_cache, g_action * chain, reduce="mean")
-    return grads
+    return nn.backward_batch(actor.params, actor_cache, g_action * chain, reduce="mean")[0]

@@ -134,6 +134,12 @@ class TrainConfig:
             raise ConfigError("update_every and target_sync_updates must be >= 1")
         if self.updates_per_episode < 0:
             raise ConfigError("updates_per_episode must be >= 0")
+        if self.noise_start < 0 or self.noise_end < 0:
+            raise ConfigError("noise_start and noise_end must be >= 0")
+        if not 0.0 <= self.noise_decay_frac <= 1.0:
+            raise ConfigError("noise_decay_frac must lie in [0, 1]")
+        if self.raw_penalty < 0:
+            raise ConfigError("raw_penalty must be >= 0 (0 disables the penalty)")
         if self.tolerance_mode not in ("fixed", "scheduled"):
             raise ConfigError("tolerance_mode must be 'fixed' or 'scheduled'")
         if self.tolerance_fixed < 0:

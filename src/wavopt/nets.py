@@ -85,10 +85,11 @@ class PolicyNets:
         return self.target_actor if self.target_actor is not None else self.actor
 
     def sync_target(self) -> None:
+        """Copy the live parameters into the existing target vectors."""
         if self.target_critic is not None:
-            self.target_critic = self.critic.copy()
+            np.copyto(self.target_critic.params.flat, self.critic.params.flat)
         if self.target_actor is not None:
-            self.target_actor = self.actor.copy()
+            np.copyto(self.target_actor.params.flat, self.actor.params.flat)
 
 
 def init_policy_nets(

@@ -1,9 +1,11 @@
 """Minimal multilayer perceptrons with explicit forward/backward passes.
 
-ReLU hidden layers, identity output layer, plain SGD.  Parameters are
-plain numpy arrays; every routine is deterministic given its inputs (and
-the seeded generator used at init).  The ReLU subgradient at zero is
-taken to be zero.
+ReLU hidden layers, identity output layer.  Each network's parameters
+live in one float64 vector (``MlpParams.flat``) with per-layer views, so
+gradients are vectors of the same layout and the Adam and SGD updates
+are plain vector operations.  Every routine is deterministic given its
+inputs (and the seeded generator used at init).  The ReLU subgradient at
+zero is taken to be zero.
 
 The checkpoint format is a stable text layout (documented in
 ``write_params``) so trained parameters round-trip bit-exactly across
@@ -13,13 +15,11 @@ save/load.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "MlpParams",
-    "MlpGrads",
     "TrainingError",
     "init_mlp",
     "forward",
@@ -29,7 +29,6 @@ __all__ = [
     "backward_batch",
     "sgd_step",
     "AdamState",
-    "zeros_like_grads",
     "write_params",
     "read_params",
     "lipschitz_bound",
@@ -40,22 +39,47 @@ class TrainingError(RuntimeError):
     """Raised when an update would propagate non-finite values."""
 
 
-@dataclass(eq=False)
+def _layer_views(flat: np.ndarray, sizes) -> tuple:
+    """(weights, biases) views into a vector laid out as W0, b0, W1, b1, ..."""
+    weights, biases, i = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[i : i + fan_out * fan_in].reshape(fan_out, fan_in))
+        i += fan_out * fan_in
+        biases.append(flat[i : i + fan_out])
+        i += fan_out
+    return weights, biases
+
+
 class MlpParams:
-    """weights[l]: (fan_out, fan_in); biases[l]: (fan_out,)."""
+    """Parameters of one MLP as a single float64 vector.
 
-    weights: list
-    biases: list
+    ``flat`` holds W0 (row-major), b0, W1, b1, ... in checkpoint order;
+    ``weights[l]`` (fan_out, fan_in) and ``biases[l]`` (fan_out,) are
+    views into it, so writing either one writes the other.  Gradients
+    from ``backward_batch`` share this layout.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.weights) != len(self.biases) or not self.weights:
+    def __init__(self, weights: list, biases: list) -> None:
+        if len(weights) != len(biases) or not weights:
             raise ValueError("need matching, non-empty weight/bias lists")
-        for w, b in zip(self.weights, self.biases):
+        for w, b in zip(weights, biases):
             if w.ndim != 2 or b.shape != (w.shape[0],):
                 raise ValueError("layer shape mismatch")
-        for wa, wb in zip(self.weights[:-1], self.weights[1:]):
+        for wa, wb in zip(weights[:-1], weights[1:]):
             if wb.shape[1] != wa.shape[0]:
                 raise ValueError("consecutive layers do not compose")
+        sizes = [weights[0].shape[1]] + [w.shape[0] for w in weights]
+        layers = [a.ravel() for w, b in zip(weights, biases) for a in (w, b)]
+        self.flat = np.concatenate(layers, dtype=float)
+        self.weights, self.biases = _layer_views(self.flat, sizes)
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, sizes) -> "MlpParams":
+        """Wrap an existing float64 vector (no copy) laid out for ``sizes``."""
+        params = cls.__new__(cls)
+        params.flat = flat
+        params.weights, params.biases = _layer_views(flat, sizes)
+        return params
 
     @property
     def layer_sizes(self) -> list:
@@ -66,27 +90,7 @@ class MlpParams:
         return len(self.weights)
 
     def copy(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
-
-@dataclass(eq=False)
-class MlpGrads:
-    d_weights: list
-    d_biases: list
-
-    def scaled(self, c: float) -> "MlpGrads":
-        return MlpGrads([c * w for w in self.d_weights], [c * b for b in self.d_biases])
-
-    def add_(self, other: "MlpGrads") -> "MlpGrads":
-        for a, b in zip(self.d_weights, other.d_weights):
-            a += b
-        for a, b in zip(self.d_biases, other.d_biases):
-            a += b
-        return self
-
-    def max_abs(self) -> float:
-        vals = [np.max(np.abs(g)) if g.size else 0.0 for g in self.d_weights + self.d_biases]
-        return float(max(vals))
+        return MlpParams.from_flat(self.flat.copy(), self.layer_sizes)
 
 
 def init_mlp(layer_sizes, rng) -> MlpParams:
@@ -102,13 +106,6 @@ def init_mlp(layer_sizes, rng) -> MlpParams:
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(rng.uniform(-bound, bound, size=fan_out))
     return MlpParams(weights, biases)
-
-
-def zeros_like_grads(params: MlpParams) -> MlpGrads:
-    return MlpGrads(
-        [np.zeros_like(w) for w in params.weights],
-        [np.zeros_like(b) for b in params.biases],
-    )
 
 
 def forward_batch_cached(params: MlpParams, x: np.ndarray):
@@ -151,10 +148,11 @@ def forward(params: MlpParams, x) -> np.ndarray:
 def backward_batch(params: MlpParams, cache, upstream: np.ndarray, reduce: str = "mean"):
     """Backprop a batch of upstream output gradients through the network.
 
-    Returns ``(grads, d_input)``: parameter gradients of
-    sum_or_mean_b <upstream_b, f(x_b)> and the per-sample input gradient
-    (batch, fan_in).  ``reduce`` is "mean" or "sum" over the batch; the
-    input gradient is always per-sample.
+    Returns ``(grad, d_input)``: the parameter gradient of
+    sum_or_mean_b <upstream_b, f(x_b)> as one vector in the layout of
+    ``params.flat``, and the per-sample input gradient (batch, fan_in).
+    ``reduce`` is "mean" or "sum" over the batch; the input gradient is
+    always per-sample.
     """
     inputs, pre = cache
     delta = np.asarray(upstream, dtype=float)
@@ -163,86 +161,65 @@ def backward_batch(params: MlpParams, cache, upstream: np.ndarray, reduce: str =
     if reduce not in ("mean", "sum"):
         raise ValueError("reduce must be 'mean' or 'sum'")
     scale = 1.0 / delta.shape[0] if reduce == "mean" else 1.0
-    d_weights = [None] * params.n_layers
-    d_biases = [None] * params.n_layers
+    grad = np.empty_like(params.flat)
+    grad_w, grad_b = _layer_views(grad, params.layer_sizes)
     for l in range(params.n_layers - 1, -1, -1):
-        d_weights[l] = scale * (delta.T @ inputs[l])
-        d_biases[l] = scale * delta.sum(axis=0)
+        np.multiply(delta.T @ inputs[l], scale, out=grad_w[l])
+        np.multiply(delta.sum(axis=0), scale, out=grad_b[l])
         delta = delta @ params.weights[l]
         if l > 0:
             delta = delta * (pre[l - 1] > 0.0)
-    return MlpGrads(d_weights, d_biases), delta
+    return grad, delta
 
 
 def backward(params: MlpParams, x, upstream):
     """Single-sample gradients of <upstream, f(x)> w.r.t. parameters and input."""
     xb = np.asarray(x, dtype=float)[None, :]
     _, cache = forward_batch_cached(params, xb)
-    grads, d_in = backward_batch(params, cache, np.asarray(upstream, dtype=float)[None, :], reduce="sum")
-    return grads, d_in[0]
+    grad, d_in = backward_batch(params, cache, np.asarray(upstream, dtype=float)[None, :], reduce="sum")
+    return grad, d_in[0]
 
 
-def sgd_step(params: MlpParams, grads: MlpGrads, learning_rate: float, sign: int = 1, in_place: bool = False) -> MlpParams:
-    """params + sign * lr * grads (sign=+1 ascends, -1 descends).
+def _check_finite(grad: np.ndarray, where: str) -> None:
+    if not np.all(np.isfinite(grad)):
+        raise TrainingError(f"non-finite gradient in {where}")
+
+
+def sgd_step(params: MlpParams, grad: np.ndarray, learning_rate: float) -> None:
+    """In-place descent: params.flat -= lr * grad.
 
     Raises ``TrainingError`` on non-finite gradients so the harness can
     surface diverging runs instead of writing NaN checkpoints.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     if learning_rate < 0:
         raise ValueError("learning_rate must be non-negative")
-    step = sign * learning_rate
-    for g in grads.d_weights + grads.d_biases:
-        if not np.all(np.isfinite(g)):
-            raise TrainingError("non-finite gradient in sgd_step")
-    if in_place:
-        for w, gw in zip(params.weights, grads.d_weights):
-            w += step * gw
-        for b, gb in zip(params.biases, grads.d_biases):
-            b += step * gb
-        return params
-    return MlpParams(
-        [w + step * gw for w, gw in zip(params.weights, grads.d_weights)],
-        [b + step * gb for b, gb in zip(params.biases, grads.d_biases)],
-    )
+    _check_finite(grad, "sgd_step")
+    params.flat -= learning_rate * grad
 
 
 class AdamState:
-    """Per-parameter moment estimates for adaptive descent steps.
+    """Moment estimates for adaptive descent steps on one parameter vector.
 
-    One state object belongs to one parameter set; feeding it gradients
-    for different shapes raises.  ``step`` always descends (callers that
-    want ascent negate the gradient first).
+    One state object belongs to one parameter set.  ``step`` always
+    descends (callers that want ascent negate the gradient first).
     """
 
     def __init__(self, params: MlpParams, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m_w = [np.zeros_like(w) for w in params.weights]
-        self.v_w = [np.zeros_like(w) for w in params.weights]
-        self.m_b = [np.zeros_like(b) for b in params.biases]
-        self.v_b = [np.zeros_like(b) for b in params.biases]
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
 
-    def step(self, params: MlpParams, grads: MlpGrads, learning_rate: float) -> None:
-        for g in grads.d_weights + grads.d_biases:
-            if not np.all(np.isfinite(g)):
-                raise TrainingError("non-finite gradient in adam step")
+    def step(self, params: MlpParams, grad: np.ndarray, learning_rate: float) -> None:
+        _check_finite(grad, "adam step")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         corr = learning_rate * math.sqrt(1.0 - b2**self.t) / (1.0 - b1**self.t)
-        for w, g, m, v in zip(params.weights, grads.d_weights, self.m_w, self.v_w):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            w -= corr * m / (np.sqrt(v) + self.eps)
-        for b, g, m, v in zip(params.biases, grads.d_biases, self.m_b, self.v_b):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            b -= corr * m / (np.sqrt(v) + self.eps)
+        self.m *= b1
+        self.m += (1 - b1) * grad
+        self.v *= b2
+        self.v += (1 - b2) * grad * grad
+        params.flat -= corr * self.m / (np.sqrt(self.v) + self.eps)
 
 
 def lipschitz_bound(params: MlpParams) -> float:
@@ -268,21 +245,17 @@ def write_params(stream, params: MlpParams) -> None:
         mlp-text 1
         layers <L>
         sizes <s0> <s1> ... <sL>
-        <then for each layer: weight rows in row-major order, one value
-         per line, followed by the bias values>
+        <then params.flat, one value per line: for each layer the weight
+         rows in row-major order, followed by the bias values>
 
     Values use repr-exact %.17g formatting, so a load reproduces the
     arrays bit for bit.
     """
-    sizes = params.layer_sizes
     stream.write(_MAGIC + "\n")
     stream.write(f"layers {params.n_layers}\n")
-    stream.write("sizes " + " ".join(str(s) for s in sizes) + "\n")
-    for w, b in zip(params.weights, params.biases):
-        for v in w.ravel(order="C"):
-            stream.write(f"{v:.17g}\n")
-        for v in b:
-            stream.write(f"{v:.17g}\n")
+    stream.write("sizes " + " ".join(str(s) for s in params.layer_sizes) + "\n")
+    for v in params.flat:
+        stream.write(f"{v:.17g}\n")
 
 
 def read_params(stream) -> MlpParams:
@@ -291,16 +264,13 @@ def read_params(stream) -> MlpParams:
         raise ValueError(f"bad checkpoint header {header!r}")
     n_layers = int(stream.readline().split()[1])
     sizes = [int(t) for t in stream.readline().split()[1:]]
-    if len(sizes) != n_layers + 1:
-        raise ValueError("checkpoint size list does not match layer count")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w = np.empty(fan_out * fan_in)
-        for i in range(w.size):
-            w[i] = float(stream.readline())
-        b = np.empty(fan_out)
-        for i in range(fan_out):
-            b[i] = float(stream.readline())
-        weights.append(w.reshape(fan_out, fan_in))
-        biases.append(b)
-    return MlpParams(weights, biases)
+    if n_layers < 1 or len(sizes) != n_layers + 1 or min(sizes) < 1:
+        raise ValueError("checkpoint layer count or sizes are malformed")
+    flat = np.empty(sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes[:-1], sizes[1:])))
+    for i in range(flat.size):
+        line = stream.readline()
+        # a value cut short, even mid-number, has lost its newline
+        if not line.endswith("\n"):
+            raise ValueError(f"value {i} of {flat.size} is missing or cut short")
+        flat[i] = float(line)
+    return MlpParams.from_flat(flat, sizes)

@@ -168,27 +168,26 @@ def policy_update_step(
     ev = critic_gradient_all(nets, batch, gamma, value_clip)
     total_loss, td_delta = ev.loss, ev.delta_sup
     if critic_opt is not None:
-        critic_opt.step(nets.critic.params, ev.grads, critic_lr)
+        critic_opt.step(nets.critic.params, ev.grad, critic_lr)
     else:
-        nn.sgd_step(nets.critic.params, ev.grads, critic_lr, sign=-1, in_place=True)
+        nn.sgd_step(nets.critic.params, ev.grad, critic_lr)
 
     violated = np.flatnonzero(est > bounds + tolerance)
     if violated.size == 0:
         branch, sign = 0, 1
     else:
         branch, sign = int(violated[0]) + 1, -1  # lowest violated index
-    descent = actor_gradient(nets, batch, signal=branch).scaled(-sign)
+    descent = -sign * actor_gradient(nets, batch, signal=branch)
 
     if raw_penalty > 0.0:
         actor = nets.actor
         raw, cache = nn.forward_batch_cached(actor.params, actor.scaled(batch.states))
-        pgrads, _ = nn.backward_batch(actor.params, cache, raw_penalty * raw, reduce="mean")
-        descent.add_(pgrads)
+        descent += nn.backward_batch(actor.params, cache, raw_penalty * raw, reduce="mean")[0]
 
     if actor_opt is not None:
         actor_opt.step(nets.actor.params, descent, actor_lr)
     else:
-        nn.sgd_step(nets.actor.params, descent, actor_lr, sign=-1, in_place=True)
+        nn.sgd_step(nets.actor.params, descent, actor_lr)
 
     return UpdateInfo(branch, total_loss, td_delta, branch == 0)
 

@@ -56,6 +56,7 @@ __all__ = [
     "check_improvement",
     "check_reconstruction",
     "run_all",
+    "central_differences",
 ]
 
 
@@ -222,19 +223,23 @@ def check_projection_minimality(
     )
 
 
-def _flat(params):
-    return np.concatenate([a.ravel() for a in params.weights + params.biases])
+def central_differences(params, objective, eps: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of ``objective()`` over ``params.flat``.
 
-
-def _unflat(params, vec):
-    i = 0
-    for arr in params.weights + params.biases:
-        arr.flat[:] = vec[i : i + arr.size]
-        i += arr.size
-
-
-def _gvec(grads):
-    return np.concatenate([a.ravel() for a in grads.d_weights + grads.d_biases])
+    Each coordinate is moved in place by +eps, then by -2 eps, then
+    restored to its saved value.
+    """
+    flat = params.flat
+    fd = np.empty_like(flat)
+    for i in range(flat.size):
+        saved = flat[i]
+        flat[i] += eps
+        hi = objective()
+        flat[i] -= 2 * eps
+        lo = objective()
+        fd[i] = (hi - lo) / (2 * eps)
+        flat[i] = saved
+    return fd
 
 
 def _rel_gap(a, b):
@@ -266,23 +271,11 @@ def _kink_safe_mlp(seed, sizes=(4, 8, 8, 3)):
 def _fd_mlp_check(seed) -> float:
     params, x, rng = _kink_safe_mlp(seed)
     upstream = rng.normal(size=(3, params.layer_sizes[-1]))
-    grads, _ = nn.backward_batch(
+    grad, _ = nn.backward_batch(
         params, nn.forward_batch_cached(params, x)[1], upstream, reduce="sum"
     )
-    theta = _flat(params)
-    eps = 1e-5
-    fd = np.empty_like(theta)
-    for i in range(theta.size):
-        t = theta.copy()
-        t[i] += eps
-        _unflat(params, t)
-        hi = float((nn.forward_batch(params, x) * upstream).sum())
-        t[i] -= 2 * eps
-        _unflat(params, t)
-        lo = float((nn.forward_batch(params, x) * upstream).sum())
-        fd[i] = (hi - lo) / (2 * eps)
-        _unflat(params, theta)
-    return _rel_gap(_gvec(grads), fd)
+    fd = central_differences(params, lambda: float((nn.forward_batch(params, x) * upstream).sum()))
+    return _rel_gap(grad, fd)
 
 
 def _small_nets(seed):
@@ -336,21 +329,12 @@ def _fd_critic_check(seed) -> float:
     targets = td_targets(nets, batch, 0, 0.95)
     from .dist_rl import quantile_match_grad, quantile_match_loss
 
-    _, grads, _ = quantile_match_grad(nets.critic, batch.states, batch.actions, targets, 0)
-    theta = _flat(nets.critic.params)
-    eps = 1e-5
-    fd = np.empty_like(theta)
-    for i in range(theta.size):
-        t = theta.copy()
-        t[i] += eps
-        _unflat(nets.critic.params, t)
-        hi = quantile_match_loss(nets.critic, batch.states, batch.actions, targets, 0)
-        t[i] -= 2 * eps
-        _unflat(nets.critic.params, t)
-        lo = quantile_match_loss(nets.critic, batch.states, batch.actions, targets, 0)
-        fd[i] = (hi - lo) / (2 * eps)
-        _unflat(nets.critic.params, theta)
-    return _rel_gap(_gvec(grads), fd)
+    _, grad, _ = quantile_match_grad(nets.critic, batch.states, batch.actions, targets, 0)
+    fd = central_differences(
+        nets.critic.params,
+        lambda: quantile_match_loss(nets.critic, batch.states, batch.actions, targets, 0),
+    )
+    return _rel_gap(grad, fd)
 
 
 def _fd_actor_check(seed) -> float:
@@ -360,21 +344,7 @@ def _fd_actor_check(seed) -> float:
         a = nets.actor.act_batch(batch.states)
         return float(nets.critic.forward_batch(batch.states, a)[:, 0, :].mean(axis=1).mean())
 
-    grads = actor_gradient(nets, batch, 0)
-    theta = _flat(nets.actor.params)
-    eps = 1e-5
-    fd = np.empty_like(theta)
-    for i in range(theta.size):
-        t = theta.copy()
-        t[i] += eps
-        _unflat(nets.actor.params, t)
-        hi = objective()
-        t[i] -= 2 * eps
-        _unflat(nets.actor.params, t)
-        lo = objective()
-        fd[i] = (hi - lo) / (2 * eps)
-        _unflat(nets.actor.params, theta)
-    return _rel_gap(_gvec(grads), fd)
+    return _rel_gap(actor_gradient(nets, batch, 0), central_differences(nets.actor.params, objective))
 
 
 def _fd_variational_check(seed) -> float:

@@ -68,6 +68,11 @@ def test_train_invalid_override_exits_2(fast_config, tmp_path):
         "noise_start = nan",
         "target_sync_updates = 0",
         "dt = 0",
+        "noise_start = -0.5",
+        "noise_end = -1",
+        "noise_decay_frac = -2",
+        "noise_decay_frac = 5",
+        "raw_penalty = -0.1",
     ],
 )
 def test_train_rejects_invalid_config_without_traceback(tmp_path, capsys, bad_line):

@@ -28,6 +28,7 @@ from wavopt.dist_rl import (
 from wavopt.measures import one_d_measure
 from wavopt.nets import ActorNet, CriticNet, PolicyNets, init_policy_nets
 from wavopt.ot import wasserstein_1d
+from wavopt.verify import central_differences
 
 
 def _random_cmdp(rng, ns=3, na=2, p=1, gamma=0.9):
@@ -238,21 +239,6 @@ def _random_batch(rng, nets, b=6):
     )
 
 
-def _flat(params):
-    return np.concatenate([a.ravel() for a in params.weights + params.biases])
-
-
-def _unflat(params, vec):
-    i = 0
-    for arr in params.weights + params.biases:
-        arr[...] = vec[i : i + arr.size].reshape(arr.shape)
-        i += arr.size
-
-
-def _gvec(grads):
-    return np.concatenate([a.ravel() for a in grads.d_weights + grads.d_biases])
-
-
 def _rel_gap(a, b):
     scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
     return float(np.max(np.abs(a - b) / scale))
@@ -265,32 +251,23 @@ class TestCriticGradient:
         batch = _random_batch(rng, nets)
         out = nets.critic.forward_batch(batch.states, batch.actions)[:, 0, :]
         targets = np.sort(out, axis=1)
-        loss, grads, _ = quantile_match_grad(nets.critic, batch.states, batch.actions, targets, 0)
+        loss, grad, _ = quantile_match_grad(nets.critic, batch.states, batch.actions, targets, 0)
         assert loss == 0.0
-        assert grads.max_abs() == 0.0
+        assert np.max(np.abs(grad)) == 0.0
 
     def test_matches_finite_differences(self):
-        eps = 1e-5
         worst = 0.0
         for seed in range(8):
             nets = _small_nets(20 + seed)
             rng = np.random.default_rng(40 + seed)
             batch = _random_batch(rng, nets, b=3)
             targets = td_targets(nets, batch, 0, gamma=0.9)
-            _, grads, _ = quantile_match_grad(nets.critic, batch.states, batch.actions, targets, 0)
-            theta = _flat(nets.critic.params)
-            fd = np.empty_like(theta)
-            for i in range(theta.size):
-                t = theta.copy()
-                t[i] += eps
-                _unflat(nets.critic.params, t)
-                hi = quantile_match_loss(nets.critic, batch.states, batch.actions, targets, 0)
-                t[i] -= 2 * eps
-                _unflat(nets.critic.params, t)
-                lo = quantile_match_loss(nets.critic, batch.states, batch.actions, targets, 0)
-                fd[i] = (hi - lo) / (2 * eps)
-                _unflat(nets.critic.params, theta)
-            worst = max(worst, _rel_gap(_gvec(grads), fd))
+            _, grad, _ = quantile_match_grad(nets.critic, batch.states, batch.actions, targets, 0)
+            fd = central_differences(
+                nets.critic.params,
+                lambda: quantile_match_loss(nets.critic, batch.states, batch.actions, targets, 0),
+            )
+            worst = max(worst, _rel_gap(grad, fd))
         assert worst < 1e-5
 
     def test_duplicated_batch_gives_identical_gradient(self):
@@ -307,8 +284,7 @@ class TestCriticGradient:
         )
         g1 = critic_gradient(nets, batch, 0, 0.99)
         g2 = critic_gradient(nets, doubled, 0, 0.99)
-        for a, b in zip(g1.grads.d_weights, g2.grads.d_weights):
-            npt.assert_allclose(a, b, atol=1e-15)
+        npt.assert_allclose(g1.grad, g2.grad, atol=1e-15)
         assert g1.loss == pytest.approx(g2.loss, rel=1e-15)
 
     def test_terminal_transitions_bootstrap_zero(self):
@@ -349,12 +325,10 @@ class TestActorGradient:
             next_states=np.array([[1.0]]),
             done=np.zeros(1),
         )
-        grads = actor_gradient(nets, batch, 0)
-        assert grads.d_weights[0][0, 0] == pytest.approx(2.0, abs=1e-15)
+        grad = actor_gradient(nets, batch, 0)
+        assert grad[0] == pytest.approx(2.0, abs=1e-15)
 
     def test_matches_finite_differences_through_critic(self):
-        eps = 1e-5
-
         def objective(nets, states):
             a = nets.actor.act_batch(states)
             out = nets.critic.forward_batch(states, a)[:, 0, :]
@@ -365,20 +339,8 @@ class TestActorGradient:
             nets = _small_nets(50 + seed)
             rng = np.random.default_rng(70 + seed)
             batch = _random_batch(rng, nets, b=3)
-            grads = actor_gradient(nets, batch, 0)
-            theta = _flat(nets.actor.params)
-            fd = np.empty_like(theta)
-            for i in range(theta.size):
-                t = theta.copy()
-                t[i] += eps
-                _unflat(nets.actor.params, t)
-                hi = objective(nets, batch.states)
-                t[i] -= 2 * eps
-                _unflat(nets.actor.params, t)
-                lo = objective(nets, batch.states)
-                fd[i] = (hi - lo) / (2 * eps)
-                _unflat(nets.actor.params, theta)
-            worst = max(worst, _rel_gap(_gvec(grads), fd))
+            fd = central_differences(nets.actor.params, lambda: objective(nets, batch.states))
+            worst = max(worst, _rel_gap(actor_gradient(nets, batch, 0), fd))
         assert worst < 1e-4
 
     def test_constraint_signal_routes_through_matching_block(self):
@@ -386,8 +348,8 @@ class TestActorGradient:
         nets = _small_nets(60)
         rng = np.random.default_rng(61)
         batch = _random_batch(rng, nets, b=4)
-        g0 = _gvec(actor_gradient(nets, batch, 0))
-        g1 = _gvec(actor_gradient(nets, batch, 1))
+        g0 = actor_gradient(nets, batch, 0)
+        g1 = actor_gradient(nets, batch, 1)
         assert np.max(np.abs(g0 - g1)) > 1e-6
 
 
@@ -402,13 +364,9 @@ class TestFusedCriticGradient:
             fused = critic_gradient_all(nets, batch, 0.97)
 
             parts = [critic_gradient(nets, batch, s, 0.97) for s in range(3)]
-            summed = parts[0].grads
-            for p in parts[1:]:
-                summed.add_(p.grads)
-
+            f, s = fused.grad, sum(p.grad for p in parts)
             # one fused GEMM vs three summed GEMMs: identical up to
             # float summation order
-            f, s = _gvec(fused.grads), _gvec(summed)
             scale = max(1.0, float(np.max(np.abs(s))))
             assert np.max(np.abs(f - s)) <= 1e-13 * scale
             assert fused.loss == pytest.approx(sum(p.loss for p in parts), rel=1e-12)

@@ -226,14 +226,20 @@ def test_checkpoint_rejects_format_1(tmp_path):
         read_checkpoint(path)
 
 
-@pytest.mark.parametrize("section", ["actor", "critic"])
+@pytest.mark.parametrize("section", ["actor", "critic", "critic mid-number"])
 def test_checkpoint_truncation_names_the_section(tmp_path, section):
     path = tmp_path / "ckpt.txt"
     write_checkpoint(path, _tiny_nets(), "cartpole")
-    lines = path.read_text().splitlines(keepends=True)
-    start = lines.index(f"section {section}\n")
-    end = lines.index("section critic\n") if section == "actor" else len(lines)
-    path.write_text("".join(lines[: (start + end) // 2]))
+    text = path.read_text()
+    if section == "critic mid-number":
+        # cut inside the last value: what is left still parses as a float
+        path.write_text(text[:-8])
+        section = "critic"
+    else:
+        lines = text.splitlines(keepends=True)
+        start = lines.index(f"section {section}\n")
+        end = lines.index("section critic\n") if section == "actor" else len(lines)
+        path.write_text("".join(lines[: (start + end) // 2]))
     with pytest.raises(ValueError, match=f"truncated or damaged in section {section}"):
         read_checkpoint(path)
 

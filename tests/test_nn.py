@@ -8,7 +8,8 @@ import numpy.testing as npt
 import pytest
 
 from wavopt.nn import (
-    MlpGrads,
+    AdamState,
+    MlpParams,
     TrainingError,
     backward,
     backward_batch,
@@ -21,23 +22,9 @@ from wavopt.nn import (
     sgd_step,
     write_params,
 )
+from wavopt.verify import central_differences
 
 EPS = 1e-5
-
-
-def _flatten(params):
-    return np.concatenate([a.ravel() for a in params.weights + params.biases])
-
-
-def _unflatten_into(params, vec):
-    i = 0
-    for arr in params.weights + params.biases:
-        arr[...] = vec[i : i + arr.size].reshape(arr.shape)
-        i += arr.size
-
-
-def _grad_vec(grads):
-    return np.concatenate([a.ravel() for a in grads.d_weights + grads.d_biases])
 
 
 def _min_preactivation_margin(params, x):
@@ -70,22 +57,9 @@ class TestGradients:
         worst = 0.0
         for seed in range(20):
             params, x, u = _safe_instance(100 + seed, [4, 8, 8, 3])
-            grads, _ = backward(params, x, u)
-            theta = _flatten(params)
-            fd = np.empty_like(theta)
-            probe = params.copy()
-            for i in range(theta.size):
-                for s, out in ((EPS, 0), (-EPS, 1)):
-                    t = theta.copy()
-                    t[i] += s
-                    _unflatten_into(probe, t)
-                    y = forward(probe, x) @ u
-                    if out == 0:
-                        hi = y
-                    else:
-                        lo = y
-                fd[i] = (hi - lo) / (2 * EPS)
-            worst = max(worst, _relative_gap(_grad_vec(grads), fd))
+            grad, _ = backward(params, x, u)
+            fd = central_differences(params, lambda: forward(params, x) @ u, EPS)
+            worst = max(worst, _relative_gap(grad, fd))
         assert worst < 1e-5
 
     def test_input_gradient_matches_central_differences(self):
@@ -105,14 +79,9 @@ class TestGradients:
         xs = rng.standard_normal((4, 3))
         us = rng.standard_normal((4, 2))
         _, cache = forward_batch_cached(params, xs)
-        batch_grads, _ = backward_batch(params, cache, us, reduce="mean")
-        acc = None
-        for x, u in zip(xs, us):
-            g, _ = backward(params, x, u)
-            acc = g if acc is None else acc.add_(g)
-        avg = acc.scaled(1.0 / 4.0)
-        for a, b in zip(batch_grads.d_weights, avg.d_weights):
-            npt.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+        batch_grad, _ = backward_batch(params, cache, us, reduce="mean")
+        avg = sum(backward(params, x, u)[0] for x, u in zip(xs, us)) / 4.0
+        npt.assert_allclose(batch_grad, avg, rtol=1e-12, atol=1e-14)
 
     def test_relu_subgradient_at_zero_is_zero(self):
         # a unit that is exactly at the kink contributes no gradient
@@ -121,9 +90,9 @@ class TestGradients:
         params.biases[0][...] = 0.0
         params.weights[1][...] = 1.0
         params.biases[1][...] = 0.0
-        grads, d_in = backward(params, np.array([0.0]), np.array([1.0]))
+        grad, d_in = backward(params, np.array([0.0]), np.array([1.0]))
         assert d_in[0] == 0.0
-        assert grads.d_weights[0][0, 0] == 0.0
+        assert grad[0] == 0.0
 
 
 class TestDeterminismAndUpdates:
@@ -140,24 +109,19 @@ class TestDeterminismAndUpdates:
         assert np.max(np.abs(params.weights[0])) <= 1.0 / 4.0
         assert np.max(np.abs(params.weights[1])) <= 1.0 / math.sqrt(8)
 
-    def test_sgd_step_signs(self):
+    def test_sgd_step_descends(self):
         params = init_mlp([2, 3, 1], 3)
-        grads, _ = backward(params, np.array([0.3, -0.2]), np.array([1.0]))
-        up = sgd_step(params, grads, 0.1, sign=1)
-        down = sgd_step(params, grads, 0.1, sign=-1)
-        delta_up = up.weights[0] - params.weights[0]
-        delta_down = down.weights[0] - params.weights[0]
-        npt.assert_allclose(delta_up, -delta_down, atol=1e-16)
-        npt.assert_allclose(delta_up, 0.1 * grads.d_weights[0], atol=1e-16)
+        grad, _ = backward(params, np.array([0.3, -0.2]), np.array([1.0]))
+        before = params.flat.copy()
+        sgd_step(params, grad, 0.1)
+        npt.assert_allclose(before - params.flat, 0.1 * grad, atol=1e-16)
 
     def test_sgd_step_rejects_non_finite(self):
         params = init_mlp([2, 2, 1], 4)
-        grads = MlpGrads(
-            [np.full_like(w, np.nan) for w in params.weights],
-            [np.zeros_like(b) for b in params.biases],
-        )
+        grad = np.zeros_like(params.flat)
+        grad[: params.weights[0].size] = np.nan
         with pytest.raises(TrainingError):
-            sgd_step(params, grads, 0.01)
+            sgd_step(params, grad, 0.01)
 
     def test_lipschitz_bound_holds(self):
         rng = np.random.default_rng(9)
@@ -178,6 +142,35 @@ class TestDeterminismAndUpdates:
             npt.assert_allclose(batch[i], forward(params, xs[i]), atol=1e-15)
 
 
+class TestFlatLayout:
+    def test_flat_holds_layers_in_checkpoint_order(self):
+        w0, b0 = np.arange(6.0).reshape(2, 3), np.array([6.0, 7.0])
+        w1, b1 = np.array([[8.0, 9.0]]), np.array([10.0])
+        params = MlpParams([w0, w1], [b0, b1])
+        npt.assert_array_equal(params.flat, np.arange(11.0))
+        assert not np.shares_memory(params.flat, w0)
+        params.weights[1][0, 1] = -1.0
+        assert params.flat[9] == -1.0
+
+    def test_views_share_flat_and_copy_shares_none(self):
+        params = init_mlp([3, 5, 2], 11)
+        for view in params.weights + params.biases:
+            assert np.shares_memory(view, params.flat)
+        clone = params.copy()
+        npt.assert_array_equal(clone.flat, params.flat)
+        for arr in [clone.flat] + clone.weights + clone.biases:
+            assert not np.shares_memory(arr, params.flat)
+
+    def test_adam_holds_one_vector_per_moment(self):
+        params = init_mlp([3, 5, 2], 12)
+        opt = AdamState(params)
+        assert opt.m.shape == opt.v.shape == params.flat.shape
+        grad = np.zeros_like(params.flat)
+        grad[-1] = np.inf
+        with pytest.raises(TrainingError):
+            opt.step(params, grad, 1e-3)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self):
         params = init_mlp([5, 13, 13, 4], 2024)
@@ -190,5 +183,6 @@ class TestCheckpoint:
             assert np.array_equal(a, b)
 
     def test_bad_header_rejected(self):
-        with pytest.raises(ValueError):
-            read_params(io.StringIO("something else\n"))
+        for text in ("something else\n", "mlp-text 1\nlayers 0\nsizes 4\n"):
+            with pytest.raises(ValueError):
+                read_params(io.StringIO(text))

@@ -6,6 +6,7 @@ from wavopt.dist_rl import TransitionBatch
 from wavopt.envs import CartpoleEnv, TabularEnv, random_tabular_cmdp
 from wavopt.inference import RewardOperatorFamily, affine_family, log_family
 from wavopt.nets import init_policy_nets
+from wavopt.nn import AdamState
 from wavopt.safe_rl import (
     C_CAL,
     estimate_objectives,
@@ -125,13 +126,33 @@ def test_update_branch_selection():
 def test_update_moves_both_networks():
     rng = np.random.default_rng(3)
     nets = _nets(seed=5)
-    w_actor = [w.copy() for w in nets.actor.params.weights]
-    w_critic = [w.copy() for w in nets.critic.params.weights]
+    actor0, critic0 = nets.actor.params.flat.copy(), nets.critic.params.flat.copy()
     policy_update_step(
         nets, _batch(rng), np.zeros(2), np.zeros(2), 0.1, 1e-2, 1e-2, 0.99
     )
-    assert any(not np.array_equal(a, b) for a, b in zip(w_actor, nets.actor.params.weights))
-    assert any(not np.array_equal(a, b) for a, b in zip(w_critic, nets.critic.params.weights))
+    assert not np.array_equal(actor0, nets.actor.params.flat)
+    assert not np.array_equal(critic0, nets.critic.params.flat)
+
+
+def test_sync_target_copies_without_aliasing():
+    rng = np.random.default_rng(4)
+    nets = _nets(seed=6)
+    opts = dict(critic_opt=AdamState(nets.critic.params), actor_opt=AdamState(nets.actor.params))
+    args = (np.zeros(2), np.zeros(2), 0.1, 1e-2, 1e-2, 0.99)
+    policy_update_step(nets, _batch(rng), *args, **opts)
+    nets.sync_target()
+    pairs = [
+        (nets.actor.params.flat, nets.target_actor.params.flat),
+        (nets.critic.params.flat, nets.target_critic.params.flat),
+    ]
+    for live, target in pairs:
+        assert np.array_equal(live, target) and not np.shares_memory(live, target)
+    synced = [target.copy() for _, target in pairs]
+    # an Adam step after the sync moves only the live networks
+    policy_update_step(nets, _batch(rng), *args, **opts)
+    for (live, target), before in zip(pairs, synced):
+        assert not np.array_equal(live, before)
+        assert np.array_equal(target, before)
 
 
 def test_update_critic_loss_decreases_frozen_targets():
