@@ -3,7 +3,7 @@
 Layers, bottom to top:
 
 * ``measures`` / ``ot``  - discrete measures, slice projections, exact 1-D
-  Wasserstein distances, sliced distances (SWD / GSWD / adaptive GSWD).
+  Wasserstein distances, sliced distances (SWD / GSWD) on one batched engine.
 * ``nn``                 - minimal MLPs with explicit forward/backward.
 * ``cmdp`` / ``envs``    - tabular constrained MDPs and physics benchmarks
   (constrained cartpole, acrobot).

@@ -50,9 +50,9 @@ def _as_weights(weights, n: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.shape != (n,):
         raise ValueError(f"weights must have shape ({n},), got {w.shape}")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
-    if np.any(w < 0.0):
+    if (w < 0.0).any():
         raise ValueError("weights must be non-negative")
     if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {w.sum()!r}")
@@ -108,9 +108,9 @@ class OneDMeasure:
             raise ValueError("positions must be a non-empty 1-D array")
         if self.weights.shape != self.positions.shape:
             raise ValueError("positions and weights must have matching shape")
-        if np.any(np.diff(self.positions) < 0):
+        if (self.positions[1:] < self.positions[:-1]).any():
             raise ValueError("positions must be sorted ascending (use one_d_measure)")
-        if np.any(self.weights <= 0):
+        if (self.weights <= 0).any():
             raise ValueError("canonical weights must be strictly positive")
         if abs(self.weights.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError("weights must sum to 1")
@@ -137,6 +137,39 @@ class OneDMeasure:
         return float(self.positions @ self.weights)
 
 
+def _merge_runs(pos: np.ndarray, w: np.ndarray):
+    """Merge the runs of sorted ``pos``: positions and summed weights per run.
+
+    A run is the first atom plus every later atom within ``MERGE_TOL`` of
+    that first atom.  Gaps above the tolerance cut the sorted support into
+    chains; a chain whose whole span is within the tolerance is one run,
+    and only a wider chain needs the greedy walk.  ``bincount`` adds each
+    run's weights in index order, onto 0, so every sum is rounded exactly
+    as the sequential merge rounds it.
+    """
+    apart = pos[1:] - pos[:-1] > MERGE_TOL
+    if apart.all():
+        return pos, w
+    first = np.concatenate(([True], apart))
+    run = np.cumsum(first) - 1
+    heads = pos[first]
+    beyond = pos - heads[run] > MERGE_TOL
+    if beyond.any():
+        wide = np.unique(run[beyond])
+        chain = np.flatnonzero(first)
+        chain_end = np.append(chain[1:], pos.size)
+        for s, e in zip(chain[wide], chain_end[wide]):
+            while True:
+                far = np.flatnonzero(pos[s:e] - pos[s] > MERGE_TOL)
+                if far.size == 0:
+                    break
+                s += int(far[0])
+                first[s] = True
+        run = np.cumsum(first) - 1
+        heads = pos[first]
+    return heads, np.bincount(run, weights=w)
+
+
 def one_d_measure(positions, weights=None) -> OneDMeasure:
     """Canonicalize raw 1-D support: sort, merge within ``MERGE_TOL``, drop zeros.
 
@@ -146,23 +179,14 @@ def one_d_measure(positions, weights=None) -> OneDMeasure:
     pos = np.asarray(positions, dtype=float).ravel()
     if pos.size == 0:
         raise ValueError("measure needs at least one atom")
-    if not np.all(np.isfinite(pos)):
+    if not np.isfinite(pos).all():
         raise ValueError("positions must be finite")
     w = _as_weights(weights, pos.size)
 
     order = np.argsort(pos, kind="stable")
     pos, w = pos[order], w[order]
 
-    keep_pos: list[float] = [pos[0]]
-    keep_w: list[float] = [w[0]]
-    for p, wt in zip(pos[1:], w[1:]):
-        if p - keep_pos[-1] <= MERGE_TOL:
-            keep_w[-1] += wt
-        else:
-            keep_pos.append(p)
-            keep_w.append(wt)
-    out_p = np.asarray(keep_pos)
-    out_w = np.asarray(keep_w)
+    out_p, out_w = _merge_runs(pos, w)
     mask = out_w > 0.0
     if not mask.any():
         raise ValueError("all atoms have zero weight")
@@ -269,27 +293,40 @@ class DefiningFunction:
             return DefiningFunction.linear(c)
         return DefiningFunction.polynomial(degree, c, dim)
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """beta(points): (n, d) -> (n,)."""
+    def _points(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.shape[1] != self.dim:
             raise ValueError(f"points have dim {pts.shape[1]}, slice expects {self.dim}")
+        return pts
+
+    def features(self, points: np.ndarray) -> np.ndarray:
+        """Feature rows (M, n) with ``beta(points) = coefficients @ features``.
+
+        Linear slices use the coordinates themselves; polynomial slices use
+        the monomials of ``monomial_exponents(degree, dim)``, gathered from
+        a per-coordinate power table.
+        """
+        pts = self._points(points)
+        if self.kind == "linear":
+            return pts.T
+        return _monomials(_power_table(pts, self.degree), self._exponents)
+
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """beta(points): (n, d) -> (n,)."""
+        pts = self._points(points)
         if self.kind == "linear":
             return pts @ self.coefficients
-        monoms = np.prod(pts[:, None, :] ** self._exponents[None, :, :], axis=2)
-        return monoms @ self.coefficients
+        return self.coefficients @ self.features(pts)
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
         """grad beta(points): (n, d) -> (n, d)."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
+        pts = self._points(points)
         if self.kind == "linear":
             return np.broadcast_to(self.coefficients, pts.shape).copy()
-        n = pts.shape[0]
-        grad = np.zeros((n, self.dim))
+        table = _power_table(pts, self.degree)
+        grad = np.zeros(pts.shape)
         exps = self._exponents
         for j in range(self.dim):
             ej = exps[:, j]
@@ -298,9 +335,26 @@ class DefiningFunction:
                 continue
             lowered = exps[active].copy()
             lowered[:, j] -= 1
-            monoms = np.prod(pts[:, None, :] ** lowered[None, :, :], axis=2)
-            grad[:, j] = monoms @ (self.coefficients[active] * ej[active])
+            grad[:, j] = (self.coefficients[active] * ej[active]) @ _monomials(table, lowered)
         return grad
+
+
+def _power_table(pts: np.ndarray, degree: int) -> np.ndarray:
+    """(d, degree + 1, n) table with ``table[j, e] = pts[:, j] ** e``, by repeated products."""
+    table = np.empty((pts.shape[1], degree + 1, pts.shape[0]))
+    table[:, 0] = 1.0
+    table[:, 1] = pts.T
+    for e in range(2, degree + 1):
+        np.multiply(table[:, e - 1], pts.T, out=table[:, e])
+    return table
+
+
+def _monomials(table: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """(M, n) monomials ``prod_j x_j ** exponents[:, j]`` from a power table."""
+    out = table[0, exponents[:, 0]]
+    for j in range(1, exponents.shape[1]):
+        out *= table[j, exponents[:, j]]
+    return out
 
 
 @dataclass(eq=False)

@@ -21,7 +21,6 @@ from wavopt.measures import (
     project,
 )
 from wavopt.ot import (
-    agswd,
     check_pseudo_metric,
     gswd,
     random_linear_slices,
@@ -339,13 +338,6 @@ class TestSliced:
         no_off = SliceParameterSet(fns)
         with_off = SliceParameterSet(fns, offsets=rng.standard_normal(4))
         assert gswd(mu, nu, 2, no_off) == pytest.approx(gswd(mu, nu, 2, with_off), rel=1e-12)
-
-    def test_agswd_matches_gswd(self):
-        rng = np.random.default_rng(20)
-        mu = _random_discrete(rng, 4, 2)
-        nu = _random_discrete(rng, 4, 2)
-        slices = random_polynomial_slices(2, 7, rng)
-        assert agswd(mu, nu, 2, slices) == gswd(mu, nu, 2, slices)
 
     def test_empty_slice_set_rejected(self):
         with pytest.raises(ValueError):
