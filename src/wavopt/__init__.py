@@ -4,11 +4,13 @@ Layers, bottom to top:
 
 * ``measures`` / ``ot``  - discrete measures, slice projections, exact 1-D
   Wasserstein distances, sliced distances (SWD / GSWD) on one batched engine.
-* ``nn``                 - minimal MLPs with explicit forward/backward.
+* ``nn``                 - minimal MLPs with batched forward and backward
+  passes, the Adam step, and checkpoint text.
 * ``cmdp`` / ``envs``    - tabular constrained MDPs and physics benchmarks
   (constrained cartpole, acrobot).
 * ``dist_rl``            - quantile distributional RL: W1-optimal quantile
-  projection, distributional Bellman operators, TD and gradient rules.
+  projection, the projected evaluation operator, TD targets, and the
+  critic and actor gradients.
 * ``safe_rl``            - primal constrained policy optimization.
 * ``inference``          - control-as-inference: reward operator families,
   optimality likelihoods, variational slicing step, interpretation.

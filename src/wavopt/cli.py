@@ -92,7 +92,14 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _check_seed(args) -> None:
+    # numpy refuses a negative seed with a traceback
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+
+
 def _cmd_verify(args) -> int:
+    _check_seed(args)
     results = verify_mod.run_all(full=not args.quick, seed=args.seed)
     lines = [r.report_line() for r in results]
     for line in lines:
@@ -168,6 +175,9 @@ def _cmd_interpret(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    _check_seed(args)
+    if args.pairs < 1:
+        raise ConfigError(f"--pairs must be >= 1, got {args.pairs}")
     result = verify_mod.check_transport_vs_oracle(pairs=args.pairs, seed=args.seed)
     print(result.report_line())
     return 0 if result.passed else 1

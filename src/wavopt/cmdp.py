@@ -23,7 +23,6 @@ __all__ = [
     "exact_q_values",
     "exact_objective",
     "value_iteration",
-    "greedy_from_q",
 ]
 
 _ROW_TOL = 1e-12
@@ -145,8 +144,3 @@ def value_iteration(cmdp: TabularCmdp, tol: float = 1e-12, max_iter: int = 1_000
         v = v_next
     q = cmdp.rewards + cmdp.gamma * cmdp.transitions @ v
     return v, q
-
-
-def greedy_from_q(q: np.ndarray) -> np.ndarray:
-    """Greedy deterministic policy; ties resolve to the lowest action index."""
-    return np.argmax(q, axis=1)

@@ -6,28 +6,21 @@ maps an arbitrary discrete measure to this family by evaluating its
 generalized inverse CDF at the midpoints, which is the W1-optimal N-atom
 uniform approximation.
 
-Tabular operators act on ``QuantileMap`` tables of shape (nS, nA, N),
-one table per signal (reward or utility):
+``bellman_eval`` is the tabular distributional policy-evaluation operator
+on ``QuantileMap`` tables of shape (nS, nA, N), one table per signal
+(reward or utility): the next-state mixture of shifted/scaled atom sets
+is built exhaustively and re-projected.  Projection-after-operator is a
+gamma-contraction in the sup-Wasserstein metric ``dbar`` (projection is
+a W_inf non-expansion, the operator itself contracts), which the
+property suite checks.
 
-* ``bellman_eval`` - distributional policy-evaluation operator followed
-  by the quantile projection: the next-state mixture of shifted/scaled
-  atom sets is built exhaustively and re-projected.
-* ``bellman_opt``  - same, bootstrapping from the greedy action of the
-  atom means (ties to the lowest index).
-* ``td_update``    - single-transition stochastic version: atoms move a
-  fraction l_td toward the projected one-sample target; the logged Delta
-  is the sup distance between projected target and current atoms.
-
-The composition projection-after-operator is a gamma-contraction in the
-sup-Wasserstein metric ``dbar`` (projection is a W_inf non-expansion,
-the operator itself contracts), which the property suite checks.
-
-Network routines (``critic_gradient``, ``actor_gradient``) provide the
-gradients used by the constrained policy updates: the critic descends a
-quantile-matching discrepancy (mean squared difference between its
-sorted atoms and the projected TD target, whose minimizer over the
-N-atom family is exactly the W1 projection of the target), and the actor
-chain-rules the critic's atom mean through the action input.
+The network routines give the gradients of the constrained policy
+update.  ``critic_gradient_all`` descends a quantile-matching
+discrepancy summed over every signal: the mean squared difference
+between the critic's sorted atoms and the frozen projected TD targets of
+``td_targets``, whose minimizer over the N-atom family is exactly the W1
+projection of the target.  ``actor_gradient`` chain-rules the critic's
+atom mean for one signal through the action input.
 """
 
 from __future__ import annotations
@@ -50,15 +43,9 @@ __all__ = [
     "quantile_projection",
     "dbar",
     "bellman_eval",
-    "bellman_opt",
-    "td_update",
     "td_targets",
-    "quantile_match_loss",
-    "quantile_match_grad",
-    "critic_gradient",
     "critic_gradient_all",
     "actor_gradient",
-    "CriticEval",
     "CriticEvalAll",
 ]
 
@@ -84,16 +71,6 @@ class QuantileDistribution:
             raise ValueError("atoms must be finite")
         if np.any(np.diff(self.atoms) < 0):
             raise ValueError("atoms must be sorted ascending")
-
-    @property
-    def n(self) -> int:
-        return self.atoms.size
-
-    def mean(self) -> float:
-        return float(self.atoms.mean())
-
-    def to_measure(self) -> OneDMeasure:
-        return one_d_measure(self.atoms)
 
 
 def quantile_projection(m: OneDMeasure, n: int) -> QuantileDistribution:
@@ -121,15 +98,6 @@ class QuantileMap:
     @property
     def n_quantiles(self) -> int:
         return self.atoms.shape[2]
-
-    def get(self, s: int, a: int) -> QuantileDistribution:
-        return QuantileDistribution(self.atoms[s, a].copy())
-
-    def means(self) -> np.ndarray:
-        return self.atoms.mean(axis=2)
-
-    def copy(self) -> "QuantileMap":
-        return QuantileMap(self.atoms.copy())
 
 
 def _as_map_list(z) -> list:
@@ -188,46 +156,6 @@ def bellman_eval(z: QuantileMap, policy, cmdp: TabularCmdp, signal: int = 0) -> 
     return QuantileMap(out)
 
 
-def bellman_opt(z: QuantileMap, cmdp: TabularCmdp) -> QuantileMap:
-    """Projected distributional optimality operator (reward signal).
-
-    Bootstraps each next state from its mean-greedy action; argmax ties
-    resolve to the lowest action index.
-    """
-    greedy = np.argmax(z.means(), axis=1)
-    h = cmdp.rewards
-    n = z.n_quantiles
-    out = np.empty_like(z.atoms)
-    for s in range(cmdp.n_states):
-        for a in range(cmdp.n_actions):
-            mix = _mixture_target(z, cmdp, h, greedy, s, a)
-            out[s, a] = quantile_projection(mix, n).atoms
-    return QuantileMap(out)
-
-
-def td_update(zeta: QuantileMap, transition, signal: int, l_td: float, cmdp: TabularCmdp, policy):
-    """One stochastic TD move on a single observed transition (s, a, s').
-
-    The one-sample target is h(s, a) + gamma * zeta(s', pi(s')) (already an
-    N-atom uniform set, so its quantile projection is itself); atoms step
-    a fraction ``l_td`` toward it.  Returns the updated map and the logged
-    Delta = sup_j |target_j - atom_j| (the W_inf gap between the projected
-    target and the current projected distribution).
-    """
-    if not 0.0 <= l_td <= 1.0:
-        raise ValueError("l_td must lie in [0, 1]")
-    s, a, s_next = (int(v) for v in transition)
-    pol = np.asarray(policy, dtype=int)
-    h = cmdp.signal_matrix(signal)
-    target = h[s, a] + cmdp.gamma * zeta.atoms[s_next, pol[s_next], :]
-    current = zeta.atoms[s, a, :]
-    delta = float(np.max(np.abs(target - current)))
-    out = zeta.copy()
-    # convex combination of two sorted vectors, entrywise: stays sorted
-    out.atoms[s, a, :] = current + l_td * (target - current)
-    return out, delta
-
-
 # ---------------------------------------------------------------------------
 # Network gradients
 # ---------------------------------------------------------------------------
@@ -264,88 +192,24 @@ class TransitionBatch:
     def size(self) -> int:
         return self.states.shape[0]
 
-    def signal_values(self, signal: int) -> np.ndarray:
-        if signal == 0:
-            return self.rewards
-        return self.utilities[:, signal - 1]
 
+def td_targets(nets: PolicyNets, batch: TransitionBatch, gamma: float, value_clip=None) -> np.ndarray:
+    """Projected one-sample TD targets (B, n_signals, N), frozen w.r.t. the critic update.
 
-def td_targets(
-    nets: PolicyNets, batch: TransitionBatch, signal: int, gamma: float, value_clip=None
-) -> np.ndarray:
-    """Projected one-sample TD targets (B, N), frozen w.r.t. the critic update.
-
-    Bootstraps from the target critic (and target actor) when present,
-    else the live networks; terminal transitions bootstrap zero.  When
-    the per-step signal range is known, ``value_clip=(lo, hi)`` projects
-    targets into the attainable value bracket, which removes the
-    unbounded self-bootstrap drift mode.
+    Signal 0 is the reward, signal i >= 1 utility i.  Bootstraps from the
+    target critic at the target actor's next action; terminal
+    transitions bootstrap zero.  When the per-step signal range is known,
+    ``value_clip=(lo, hi)`` projects targets into the attainable value
+    bracket, which removes the unbounded self-bootstrap drift mode.
     """
-    boot = nets.bootstrap_critic()
-    next_a = nets.bootstrap_actor().act_batch(batch.next_states)
-    nxt = boot.forward_batch(batch.next_states, next_a)[:, signal, :]
-    nxt = np.sort(nxt, axis=1)
-    h = batch.signal_values(signal)
-    cont = 1.0 - batch.done
-    t = h[:, None] + gamma * cont[:, None] * nxt
+    next_a = nets.target_actor.act_batch(batch.next_states)
+    nxt = np.sort(nets.target_critic.forward_batch(batch.next_states, next_a), axis=2)
+    cont = (gamma * (1.0 - batch.done))[:, None, None]
+    h = np.column_stack([batch.rewards, batch.utilities])
+    targets = h[:, :, None] + cont * nxt
     if value_clip is not None:
-        t = np.clip(t, value_clip[0], value_clip[1])
-    return t
-
-
-def quantile_match_loss(critic, states, actions, targets: np.ndarray, signal: int) -> float:
-    """Batch-mean quantile discrepancy against frozen projected targets.
-
-    Per sample: (1 / 2N) * sum_j (sort(q)_j - T_j)^2.  The minimizer over
-    N-atom uniform distributions is the W1-optimal quantile projection of
-    the target, attained exactly when the sorted critic atoms equal the
-    target atoms.
-    """
-    out = critic.forward_batch(states, actions)[:, signal, :]
-    diff = np.sort(out, axis=1) - targets
-    return float(0.5 * (diff**2).mean(axis=1).mean())
-
-
-def quantile_match_grad(critic, states, actions, targets: np.ndarray, signal: int):
-    """(loss, critic parameter gradient, per-sample sup gap) for the matching loss."""
-    x = critic.inputs(states, actions)
-    out_flat, cache = nn.forward_batch_cached(critic.params, x)
-    b = out_flat.shape[0]
-    n = critic.n_quantiles
-    out = out_flat.reshape(b, critic.n_signals, n)[:, signal, :]
-    order = np.argsort(out, axis=1)
-    diff = np.take_along_axis(out, order, axis=1) - targets
-    loss = float(0.5 * (diff**2).mean(axis=1).mean())
-    sup_gap = np.max(np.abs(diff), axis=1)
-
-    upstream_block = np.zeros_like(out)
-    np.put_along_axis(upstream_block, order, diff / n, axis=1)
-    upstream = np.zeros_like(out_flat)
-    upstream[:, signal * n : (signal + 1) * n] = upstream_block
-    grad, _ = nn.backward_batch(critic.params, cache, upstream, reduce="mean")
-    return loss, grad, sup_gap
-
-
-@dataclass(eq=False)
-class CriticEval:
-    grad: np.ndarray
-    loss: float
-    delta_sup: float
-
-
-def critic_gradient(
-    nets: PolicyNets, batch: TransitionBatch, signal: int, gamma: float, value_clip=None
-) -> CriticEval:
-    """Semi-gradient of the quantile-matching TD loss for one signal.
-
-    Targets are computed once (frozen) from the bootstrap critic, so the
-    returned gradient descends only through the current critic output.
-    """
-    targets = td_targets(nets, batch, signal, gamma, value_clip)
-    loss, grad, sup_gap = quantile_match_grad(
-        nets.critic, batch.states, batch.actions, targets, signal
-    )
-    return CriticEval(grad=grad, loss=loss, delta_sup=float(sup_gap.mean()))
+        targets = np.clip(targets, value_clip[0], value_clip[1])
+    return targets
 
 
 @dataclass(eq=False)
@@ -363,25 +227,17 @@ class CriticEvalAll:
 def critic_gradient_all(
     nets: PolicyNets, batch: TransitionBatch, gamma: float, value_clip=None
 ) -> CriticEvalAll:
-    """Summed quantile-matching semi-gradient over every signal at once.
+    """Semi-gradient of the quantile-matching TD loss, summed over every signal.
 
-    Mathematically identical to summing ``critic_gradient`` over
-    signals (the backward pass is linear in the upstream), but the
-    bootstrap forward, actor forward, live forward, and backward each
-    run once instead of once per signal.
+    Per sample and signal the loss is (1 / 2N) * sum_j (sort(q)_j - T_j)^2
+    against the frozen ``td_targets`` T; ``losses`` holds its batch mean
+    per signal and ``loss`` their sum.  The gradient descends only
+    through the current critic output.
     """
     critic = nets.critic
-    boot = nets.bootstrap_critic()
     n, n_signals = critic.n_quantiles, critic.n_signals
     b = batch.size
-
-    next_a = nets.bootstrap_actor().act_batch(batch.next_states)
-    nxt = np.sort(boot.forward_batch(batch.next_states, next_a), axis=2)
-    cont = (gamma * (1.0 - batch.done))[:, None, None]
-    h = np.stack([batch.signal_values(s) for s in range(n_signals)], axis=1)
-    targets = h[:, :, None] + cont * nxt
-    if value_clip is not None:
-        targets = np.clip(targets, value_clip[0], value_clip[1])
+    targets = td_targets(nets, batch, gamma, value_clip)
 
     x = critic.inputs(batch.states, batch.actions)
     out_flat, cache = nn.forward_batch_cached(critic.params, x)

@@ -1,4 +1,4 @@
-"""Benchmark environments: constrained cartpole, acrobot, tabular CMDPs.
+"""Benchmark environments: constrained cartpole, acrobot, random tabular CMDPs.
 
 Both physics tasks expose a pure single-step function (state in, state
 out, no hidden mutable state) plus a thin episode wrapper that adds the
@@ -35,7 +35,7 @@ over a full episode is checked in the test suite against a 1% budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,13 +47,10 @@ __all__ = [
     "cartpole_zone_penalty",
     "cartpole_angle_penalty",
     "acrobot_step",
-    "acrobot_energy",
     "acrobot_tip_height",
     "CartpoleEnv",
     "AcrobotEnv",
-    "TabularEnv",
     "ReturnTracker",
-    "episode_return",
     "random_tabular_cmdp",
     "ENVS",
     "make_env",
@@ -168,18 +165,6 @@ def acrobot_tip_height(state: np.ndarray) -> float:
     return -math.cos(th1) - math.cos(th1 + th2)
 
 
-def acrobot_energy(state: np.ndarray) -> float:
-    """Total mechanical energy; constant along unactuated trajectories."""
-    th1, th2, dth1, dth2 = (float(v) for v in state)
-    m, l1, lc, inert, grav = LINK_MASS, LINK_LENGTH, LINK_COM, LINK_INERTIA, GRAVITY
-    d1 = m * lc**2 + m * (l1**2 + lc**2 + 2 * l1 * lc * math.cos(th2)) + 2 * inert
-    d2 = m * (lc**2 + l1 * lc * math.cos(th2)) + inert
-    m22 = m * lc**2 + inert
-    kinetic = 0.5 * d1 * dth1**2 + d2 * dth1 * dth2 + 0.5 * m22 * dth2**2
-    potential = -(m * lc + m * l1) * grav * math.cos(th1) - m * lc * grav * math.cos(th1 + th2)
-    return kinetic + potential
-
-
 def acrobot_step(state: np.ndarray, action: int, dt: float = 0.02):
     """One RK4 step of the acrobot.
 
@@ -223,9 +208,6 @@ class _EpisodeEnv:
         self._rng = np.random.default_rng(seed)
         self._state = None
         self._steps = 0
-
-    def seed(self, seed) -> None:
-        self._rng = np.random.default_rng(seed)
 
     def reset(self, rng=None) -> np.ndarray:
         if rng is None:
@@ -296,44 +278,6 @@ class AcrobotEnv(_EpisodeEnv):
         return acrobot_step(state, discrete, self.dt)
 
 
-class TabularEnv:
-    """Sampled episodes from a tabular CMDP, horizon-truncated for discounting."""
-
-    def __init__(self, cmdp: TabularCmdp, horizon: int = None, seed=0):
-        self.cmdp = cmdp
-        if horizon is None:
-            # truncate once the discounted tail is below 1e-10
-            horizon = max(1, int(math.ceil(math.log(1e-10) / math.log(max(cmdp.gamma, 1e-12)))))
-        self.max_steps = horizon
-        self.n_constraints = cmdp.n_utilities
-        self.state_dim = 1
-        self._rng = np.random.default_rng(seed)
-        self._state = None
-        self._steps = 0
-
-    def seed(self, seed) -> None:
-        self._rng = np.random.default_rng(seed)
-
-    def reset(self, rng=None) -> int:
-        if rng is None:
-            rng = self._rng
-        elif not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
-        self._this_rng = rng
-        self._state = int(rng.choice(self.cmdp.n_states, p=self.cmdp.initial_dist))
-        self._steps = 0
-        return self._state
-
-    def step(self, action: int):
-        s, a = self._state, int(action)
-        r = float(self.cmdp.rewards[s, a])
-        g = self.cmdp.utilities[:, s, a].copy()
-        nxt = int(self._this_rng.choice(self.cmdp.n_states, p=self.cmdp.transitions[s, a]))
-        self._state = nxt
-        self._steps += 1
-        return nxt, r, g, self._steps >= self.max_steps
-
-
 # -- returns and generators ----------------------------------------------------
 
 
@@ -346,10 +290,6 @@ class ReturnTracker:
     def update(self, reward: float) -> float:
         self.value += float(reward)
         return self.value
-
-
-def episode_return(rewards, start: float = RETURN_START) -> float:
-    return float(start + np.sum(np.asarray(rewards, dtype=float)))
 
 
 def random_tabular_cmdp(n_states: int, n_actions: int, n_constraints: int, seed, gamma: float = 0.9) -> TabularCmdp:

@@ -122,6 +122,8 @@ class TrainConfig:
                 raise ConfigError(f"{f.name} must be finite")
         if self.episodes < 0:
             raise ConfigError("episodes must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError("gamma must lie in [0, 1)")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.n_quantiles < 1:
@@ -276,8 +278,11 @@ def read_curve(path) -> dict:
         raise ValueError("empty curve file")
     header = lines[0].split(",")
     data = {name: [] for name in header}
-    for line in lines[1:]:
-        for name, tok in zip(header, line.split(",")):
+    for lineno, line in enumerate(lines[1:], start=2):
+        toks = line.split(",")
+        if len(toks) != len(header):
+            raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(toks)}")
+        for name, tok in zip(header, toks):
             data[name].append(tok)
     out = {}
     for name, toks in data.items():
@@ -351,8 +356,7 @@ def read_checkpoint(path):
         n_quantiles=int(meta["n_quantiles"]),
         feature_scale=feature_scale,
     )
-    nets = PolicyNets(actor, critic, target_critic=critic.copy(), target_actor=actor.copy())
-    return nets, meta
+    return PolicyNets(actor, critic), meta
 
 
 def write_summary(path, items: dict) -> None:
@@ -382,7 +386,6 @@ class TrainResult:
     curve_path: Path
     checkpoint_path: Path
     summary_path: Path
-    episode_returns: list
     updates: int
     final_estimate: ObjectiveEstimate
 
@@ -418,7 +421,6 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
         n_signals=1 + p,
         rng=np.random.default_rng(s_init),
         feature_scale=env.feature_scale,
-        use_target=True,
         squash=True,
     )
     replay = ReplayBuffer(config.buffer_capacity, env.state_dim, 1, p)
@@ -441,7 +443,6 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
     constraint_est = np.zeros(p)
 
     rows = []
-    episode_returns = []
     steps_total = 0
     updates = 0
     last_branch = 0
@@ -533,7 +534,6 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
                 do_update()
                 ep_updates += 1
 
-        episode_returns.append(tracker.value)
         rows.append(
             CurveRow(ep, tracker.value, est_used, last_branch, last_delta, steps_total * config.dt)
         )
@@ -621,7 +621,6 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
         curve_path=curve_path,
         checkpoint_path=ckpt_path,
         summary_path=summary_path,
-        episode_returns=episode_returns,
         updates=updates,
         final_estimate=final,
     )

@@ -1,5 +1,6 @@
 """Control-as-inference utilities: reward-to-optimality operators,
-variational transport steps, and trajectory posteriors.
+optimality likelihoods, variational transport steps, action sampling and
+likelihood-ratio interpretation.
 
 A *reward operator family* F_r maps an optimality probability p in
 (0, 1] to a reward value in [r_min, r_max].  Two stock constructions:
@@ -9,11 +10,11 @@ A *reward operator family* F_r maps an optimality probability p in
   F(eps) = r_min at the probability floor eps = 1e-6 (the classical
   exponential-of-reward model, inverted)
 
-``check_conditions`` verifies the two properties every admissible family
-needs: strict monotonicity on the probability domain and coverage of the
-full reward range.  ``optimality_likelihood`` inverts the operator,
-clipping out-of-range rewards (recorded, never silent) and flooring the
-returned probability at 1e-9 so downstream log-posteriors stay finite.
+An admissible family is strictly increasing on the probability domain
+and covers the full reward range.  ``optimality_likelihood`` inverts the
+operator, clipping out-of-range rewards (recorded, never silent) and
+flooring the returned probability at 1e-9 so downstream log-likelihoods
+stay finite.
 
 ``variational_step`` performs one backtracking gradient descent step on
 the k-th power of the sliced distance between a candidate measure and a
@@ -31,7 +32,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .cmdp import TabularCmdp
 from .measures import (
     DefiningFunction,
     DiscreteMeasure,
@@ -49,18 +49,13 @@ __all__ = [
     "RewardOperatorFamily",
     "affine_family",
     "log_family",
-    "ConditionsReport",
-    "check_conditions",
     "optimality_likelihood",
-    "greedy_by_operator",
     "VariationalStepResult",
     "variational_step",
     "sliced_power_objective",
     "sample_actions",
     "InterpretationFactor",
     "decompose_interpretation",
-    "PosteriorResult",
-    "trajectory_posterior",
 ]
 
 PROBABILITY_FLOOR = 1e-6
@@ -93,10 +88,6 @@ class RewardOperatorFamily:
             raise ValueError("reward range must have r_max > r_min")
         if not 0.0 < self.p_floor < 1.0:
             raise ValueError("probability floor must lie in (0, 1)")
-
-    @property
-    def span(self) -> float:
-        return self.r_max - self.r_min
 
     def __call__(self, p) -> np.ndarray:
         return self.fn(np.asarray(p, dtype=float))
@@ -142,45 +133,6 @@ def log_family(r_min: float, r_max: float, eps: float = PROBABILITY_FLOOR) -> Re
     )
 
 
-@dataclass
-class ConditionsReport:
-    """Admissibility check for a reward operator family."""
-
-    strictly_monotone: bool
-    reaches_min: bool
-    reaches_max: bool
-    min_attained: float
-    max_attained: float
-    grid_size: int
-
-    def passed(self) -> bool:
-        return self.strictly_monotone and self.reaches_min and self.reaches_max
-
-
-def check_conditions(family: RewardOperatorFamily, grid_size: int = 201, tol: float = 1e-9) -> ConditionsReport:
-    """Strict monotonicity on a probability grid plus reward-range coverage.
-
-    The low end of the range is checked with the value at the floor and
-    its linear extrapolation toward p = 0 (``2 F(eps) - F(2 eps)``), so
-    families that attain r_min only in the p -> 0 limit still pass.
-    """
-    eps = family.p_floor
-    grid = np.linspace(eps, 1.0, grid_size)
-    vals = family(grid)
-    monotone = bool(np.all(np.diff(vals) > 0.0))
-    extrap = 2.0 * float(family(eps)) - float(family(2.0 * eps))
-    lo = min(float(vals[0]), extrap)
-    hi = float(vals[-1])
-    return ConditionsReport(
-        strictly_monotone=monotone,
-        reaches_min=lo <= family.r_min + tol,
-        reaches_max=hi >= family.r_max - tol,
-        min_attained=lo,
-        max_attained=hi,
-        grid_size=grid_size,
-    )
-
-
 def optimality_likelihood(family: RewardOperatorFamily, reward):
     """Invert the operator: reward -> optimality probability.
 
@@ -197,17 +149,6 @@ def optimality_likelihood(family: RewardOperatorFamily, reward):
     if scalar:
         return float(p[0]), bool(clipped[0])
     return p, clipped
-
-
-def greedy_by_operator(family: RewardOperatorFamily, probabilities) -> int:
-    """Index of the largest operator value; ties break to the lowest index.
-
-    For any strictly increasing family this equals the argmax of the
-    probabilities themselves, which is what makes operator-based action
-    selection invariant across admissible families.
-    """
-    vals = family(np.asarray(probabilities, dtype=float))
-    return int(np.argmax(vals))
 
 
 # -- variational transport step ------------------------------------------------
@@ -361,16 +302,21 @@ def decompose_interpretation(
     (``ratio * probability == p_trajectory`` up to one rounding).
     The quotient of two estimated probabilities can exceed 1; the
     displayed value is capped there with a flag rather than silently
-    clipped, since p(traj|factor) is itself a probability.  Factor
-    probabilities must be strictly positive.
+    clipped, since p(traj|factor) is itself a probability.  Every input
+    must be a finite probability: p_trajectory in [0, 1] and each factor
+    probability in (0, 1].
     """
     probs = np.asarray(factor_probabilities, dtype=float)
     if names is None:
         names = [f"factor_{i}" for i in range(probs.size)]
     if len(names) != probs.size:
         raise ValueError("one name per factor required")
-    if np.any(probs <= 0.0):
-        raise ValueError("factor probabilities must be > 0")
+    if not (math.isfinite(p_trajectory) and np.isfinite(probs).all()):
+        raise ValueError("probabilities must be finite")
+    if not 0.0 <= p_trajectory <= 1.0:
+        raise ValueError(f"p_trajectory {p_trajectory!r} is outside [0, 1]")
+    if np.any(probs <= 0.0) or np.any(probs > 1.0):
+        raise ValueError("factor probabilities must lie in (0, 1]")
     out = []
     for name, pi in zip(names, probs):
         pi = float(pi)
@@ -378,67 +324,3 @@ def decompose_interpretation(
         capped = ratio > cap
         out.append(InterpretationFactor(name, pi, ratio, min(ratio, cap), capped))
     return out
-
-
-# -- trajectory posterior -------------------------------------------------------
-
-
-@dataclass
-class PosteriorResult:
-    log_posterior: float
-    finite: bool
-    clipped_steps: int
-
-
-def trajectory_posterior(
-    cmdp: TabularCmdp,
-    policy: np.ndarray,
-    states: Sequence[int],
-    actions: Sequence[int],
-    family: RewardOperatorFamily,
-    theta_log_prior: float = 0.0,
-) -> PosteriorResult:
-    """Log joint of a trajectory under the optimality model.
-
-    Sums the optimality log-likelihood of each reward (via the inverted
-    operator, floored at 1e-9), the initial-state log-probability, the
-    policy log-probabilities, the transition log-probabilities, and an
-    optional parameter log-prior.  A zero-probability initial state,
-    action, or transition makes the posterior -inf with ``finite`` False;
-    likelihood clipping is counted but never kills the posterior.
-    """
-    states = list(states)
-    actions = list(actions)
-    if len(states) != len(actions) + 1:
-        raise ValueError("need one more state than actions")
-    policy = np.asarray(policy, dtype=float)
-
-    lp = float(theta_log_prior)
-    finite = True
-    clipped_steps = 0
-
-    p0 = float(cmdp.initial_dist[states[0]])
-    if p0 > 0.0:
-        lp += math.log(p0)
-    else:
-        finite = False
-
-    for t, a in enumerate(actions):
-        s, s_next = states[t], states[t + 1]
-        lik, was_clipped = optimality_likelihood(family, float(cmdp.rewards[s, a]))
-        clipped_steps += int(was_clipped)
-        lp += math.log(lik)
-
-        pi = float(policy[s, a])
-        if pi > 0.0:
-            lp += math.log(pi)
-        else:
-            finite = False
-
-        pt = float(cmdp.transitions[s, a, s_next])
-        if pt > 0.0:
-            lp += math.log(pt)
-        else:
-            finite = False
-
-    return PosteriorResult(lp if finite else -math.inf, finite, clipped_steps)

@@ -60,36 +60,31 @@ class CriticNet:
         out = nn.forward_batch(self.params, self.inputs(states, actions))
         return out.reshape(out.shape[0], self.n_signals, self.n_quantiles)
 
-    def atoms(self, state, action, signal: int) -> np.ndarray:
-        s = np.asarray(state, dtype=float)[None, :]
-        a = np.atleast_1d(np.asarray(action, dtype=float))[None, :]
-        return self.forward_batch(s, a)[0, signal]
-
     def copy(self) -> "CriticNet":
         return CriticNet(self.params.copy(), self.n_signals, self.n_quantiles, self.feature_scale)
 
 
 @dataclass(eq=False)
 class PolicyNets:
-    """Actor/critic pair plus an optional frozen target critic."""
+    """Actor/critic pair plus frozen target copies of both.
+
+    The targets start as copies of the live networks; TD targets
+    bootstrap from them, and ``sync_target`` refreshes them.
+    """
 
     actor: ActorNet
     critic: CriticNet
-    target_critic: CriticNet = None
-    target_actor: ActorNet = None
+    target_critic: CriticNet = field(init=False)
+    target_actor: ActorNet = field(init=False)
 
-    def bootstrap_critic(self) -> CriticNet:
-        return self.target_critic if self.target_critic is not None else self.critic
-
-    def bootstrap_actor(self) -> ActorNet:
-        return self.target_actor if self.target_actor is not None else self.actor
+    def __post_init__(self) -> None:
+        self.target_critic = self.critic.copy()
+        self.target_actor = self.actor.copy()
 
     def sync_target(self) -> None:
         """Copy the live parameters into the existing target vectors."""
-        if self.target_critic is not None:
-            np.copyto(self.target_critic.params.flat, self.critic.params.flat)
-        if self.target_actor is not None:
-            np.copyto(self.target_actor.params.flat, self.actor.params.flat)
+        np.copyto(self.target_critic.params.flat, self.critic.params.flat)
+        np.copyto(self.target_actor.params.flat, self.actor.params.flat)
 
 
 def init_policy_nets(
@@ -101,7 +96,6 @@ def init_policy_nets(
     n_signals: int,
     rng,
     feature_scale=None,
-    use_target: bool = False,
     squash: bool = True,
 ) -> PolicyNets:
     """Seeded construction of both networks; deterministic given the generator."""
@@ -123,6 +117,4 @@ def init_policy_nets(
         n_quantiles=n_quantiles,
         feature_scale=scale,
     )
-    target = critic.copy() if use_target else None
-    target_actor = actor.copy() if use_target else None
-    return PolicyNets(actor=actor, critic=critic, target_critic=target, target_actor=target_actor)
+    return PolicyNets(actor=actor, critic=critic)

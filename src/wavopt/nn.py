@@ -2,8 +2,8 @@
 
 ReLU hidden layers, identity output layer.  Each network's parameters
 live in one float64 vector (``MlpParams.flat``) with per-layer views, so
-gradients are vectors of the same layout and the Adam and SGD updates
-are plain vector operations.  Every routine is deterministic given its
+gradients are vectors of the same layout and the Adam update is plain
+vector operations.  Every routine is deterministic given its
 inputs (and the seeded generator used at init).  The ReLU subgradient at
 zero is taken to be zero.
 
@@ -22,16 +22,12 @@ __all__ = [
     "MlpParams",
     "TrainingError",
     "init_mlp",
-    "forward",
     "forward_batch",
     "forward_batch_cached",
-    "backward",
     "backward_batch",
-    "sgd_step",
     "AdamState",
     "write_params",
     "read_params",
-    "lipschitz_bound",
 ]
 
 
@@ -139,12 +135,6 @@ def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return forward_batch_cached(params, x)[0]
 
 
-def forward(params: MlpParams, x) -> np.ndarray:
-    """Single-sample forward pass: (fan_in,) -> (fan_out,)."""
-    y = forward_batch(params, np.asarray(x, dtype=float)[None, :])
-    return y[0]
-
-
 def backward_batch(params: MlpParams, cache, upstream: np.ndarray, reduce: str = "mean"):
     """Backprop a batch of upstream output gradients through the network.
 
@@ -172,31 +162,6 @@ def backward_batch(params: MlpParams, cache, upstream: np.ndarray, reduce: str =
     return grad, delta
 
 
-def backward(params: MlpParams, x, upstream):
-    """Single-sample gradients of <upstream, f(x)> w.r.t. parameters and input."""
-    xb = np.asarray(x, dtype=float)[None, :]
-    _, cache = forward_batch_cached(params, xb)
-    grad, d_in = backward_batch(params, cache, np.asarray(upstream, dtype=float)[None, :], reduce="sum")
-    return grad, d_in[0]
-
-
-def _check_finite(grad: np.ndarray, where: str) -> None:
-    if not np.all(np.isfinite(grad)):
-        raise TrainingError(f"non-finite gradient in {where}")
-
-
-def sgd_step(params: MlpParams, grad: np.ndarray, learning_rate: float) -> None:
-    """In-place descent: params.flat -= lr * grad.
-
-    Raises ``TrainingError`` on non-finite gradients so the harness can
-    surface diverging runs instead of writing NaN checkpoints.
-    """
-    if learning_rate < 0:
-        raise ValueError("learning_rate must be non-negative")
-    _check_finite(grad, "sgd_step")
-    params.flat -= learning_rate * grad
-
-
 class AdamState:
     """Moment estimates for adaptive descent steps on one parameter vector.
 
@@ -211,7 +176,13 @@ class AdamState:
         self.v = np.zeros_like(params.flat)
 
     def step(self, params: MlpParams, grad: np.ndarray, learning_rate: float) -> None:
-        _check_finite(grad, "adam step")
+        """Descend in place; raises ``TrainingError`` on a non-finite gradient.
+
+        The check lets the harness surface a diverging run instead of
+        writing a NaN checkpoint.
+        """
+        if not np.all(np.isfinite(grad)):
+            raise TrainingError("non-finite gradient in adam step")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         corr = learning_rate * math.sqrt(1.0 - b2**self.t) / (1.0 - b1**self.t)
@@ -220,14 +191,6 @@ class AdamState:
         self.v *= b2
         self.v += (1 - b2) * grad * grad
         params.flat -= corr * self.m / (np.sqrt(self.v) + self.eps)
-
-
-def lipschitz_bound(params: MlpParams) -> float:
-    """Product of spectral norms; an upper Lipschitz bound since ReLU is 1-Lipschitz."""
-    out = 1.0
-    for w in params.weights:
-        out *= float(np.linalg.norm(w, 2))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -142,10 +142,11 @@ def policy_update_step(
     gamma: float,
     value_clip=None,
     raw_penalty: float = 0.0,
-    critic_opt: Optional[nn.AdamState] = None,
-    actor_opt: Optional[nn.AdamState] = None,
+    *,
+    critic_opt: nn.AdamState,
+    actor_opt: nn.AdamState,
 ) -> UpdateInfo:
-    """Critic TD descent on all signals, then one branched actor step.
+    """Adam descent of the critic TD loss on all signals, then one branched Adam actor step.
 
     ``constraint_estimates`` are the current J_g^i estimates (decision
     inputs; the caller controls how they were produced).  Feasibility is
@@ -154,8 +155,7 @@ def policy_update_step(
     ``raw_penalty`` > 0 additionally shrinks the actor's pre-squash
     action output (0.5 * c * raw^2 per sample), so the tanh never
     saturates past the point where its gradient can pull the action
-    back.  When optimizer states are supplied the steps are
-    adaptive (Adam); otherwise plain SGD at the given rates.
+    back.
     """
     bounds = np.asarray(bounds, dtype=float)
     est = np.asarray(constraint_estimates, dtype=float)
@@ -166,11 +166,7 @@ def policy_update_step(
         raise ValueError("need one bound per constraint signal")
 
     ev = critic_gradient_all(nets, batch, gamma, value_clip)
-    total_loss, td_delta = ev.loss, ev.delta_sup
-    if critic_opt is not None:
-        critic_opt.step(nets.critic.params, ev.grad, critic_lr)
-    else:
-        nn.sgd_step(nets.critic.params, ev.grad, critic_lr)
+    critic_opt.step(nets.critic.params, ev.grad, critic_lr)
 
     violated = np.flatnonzero(est > bounds + tolerance)
     if violated.size == 0:
@@ -184,12 +180,8 @@ def policy_update_step(
         raw, cache = nn.forward_batch_cached(actor.params, actor.scaled(batch.states))
         descent += nn.backward_batch(actor.params, cache, raw_penalty * raw, reduce="mean")[0]
 
-    if actor_opt is not None:
-        actor_opt.step(nets.actor.params, descent, actor_lr)
-    else:
-        nn.sgd_step(nets.actor.params, descent, actor_lr)
-
-    return UpdateInfo(branch, total_loss, td_delta, branch == 0)
+    actor_opt.step(nets.actor.params, descent, actor_lr)
+    return UpdateInfo(branch, ev.loss, ev.delta_sup, branch == 0)
 
 
 # -- exact desk-scale improvement oracle ------------------------------------------

@@ -22,7 +22,7 @@ from .dist_rl import (
     TransitionBatch,
     actor_gradient,
     bellman_eval,
-    critic_gradient,
+    critic_gradient_all,
     dbar,
     midpoint_levels,
     quantile_projection,
@@ -287,7 +287,6 @@ def _small_nets(seed):
         n_quantiles=4,
         n_signals=2,
         rng=np.random.default_rng(seed),
-        use_target=True,
     )
 
 
@@ -326,15 +325,16 @@ def _kink_safe_policy(seed, batch_seed):
 
 def _fd_critic_check(seed) -> float:
     nets, batch = _kink_safe_policy(seed, seed + 7777)
-    targets = td_targets(nets, batch, 0, 0.95)
-    from .dist_rl import quantile_match_grad, quantile_match_loss
+    targets = td_targets(nets, batch, 0.95)
 
-    _, grad, _ = quantile_match_grad(nets.critic, batch.states, batch.actions, targets, 0)
-    fd = central_differences(
-        nets.critic.params,
-        lambda: quantile_match_loss(nets.critic, batch.states, batch.actions, targets, 0),
-    )
-    return _rel_gap(grad, fd)
+    def loss():
+        # forward-only: batch mean over samples, summed over signals, of
+        # (1 / 2N) sum_j (sort(q)_j - T_j)^2
+        diff = np.sort(nets.critic.forward_batch(batch.states, batch.actions), axis=2) - targets
+        return float(0.5 * (diff**2).mean(axis=2).mean(axis=0).sum())
+
+    grad = critic_gradient_all(nets, batch, 0.95).grad
+    return _rel_gap(grad, central_differences(nets.critic.params, loss))
 
 
 def _fd_actor_check(seed) -> float:
@@ -377,8 +377,9 @@ def check_gradients(instances: int = 100, seed: int = 0, tol: float = 1e-4) -> C
     """Analytic gradients vs central finite differences.
 
     Instances are split across the four gradient paths: raw network
-    backward, critic quantile-matching loss, deterministic actor chain,
-    and the sliced variational transport gradient.
+    backward, critic quantile-matching loss over all signals,
+    deterministic actor chain, and the sliced variational transport
+    gradient.
     """
     per = max(1, instances // 4)
     worst = 0.0

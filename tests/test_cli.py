@@ -55,6 +55,24 @@ def test_train_bad_config_exits_2(tmp_path, capsys):
 
 def test_train_invalid_override_exits_2(fast_config, tmp_path):
     assert main(["train", "--config", str(fast_config), "--episodes", "-2"]) == 2
+    assert main(["train", "--config", str(fast_config), "--seed", "-1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--quick", "--seed", "-1"],
+        ["oracle", "--seed", "-1"],
+        ["oracle", "--pairs", "0"],
+        ["oracle", "--pairs", "-4"],
+    ],
+)
+def test_negative_seed_or_empty_oracle_exits_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "PASS" not in captured.out
 
 
 @pytest.mark.parametrize(
@@ -73,6 +91,7 @@ def test_train_invalid_override_exits_2(fast_config, tmp_path):
         "noise_decay_frac = -2",
         "noise_decay_frac = 5",
         "raw_penalty = -0.1",
+        "seed = -3",
     ],
 )
 def test_train_rejects_invalid_config_without_traceback(tmp_path, capsys, bad_line):
@@ -146,6 +165,11 @@ def test_rate_missing_or_malformed_file_exits_2(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     assert main(["rate", str(empty)]) == 2
+    short = tmp_path / "short.csv"
+    short.write_text("episode,cum_return,branch\n1,-240,0\n2,-230\n")
+    capsys.readouterr()
+    assert main(["rate", str(short)]) == 2
+    assert "line 3" in capsys.readouterr().err
 
 
 def test_interpret_writes_series(tmp_path, capsys):
@@ -175,6 +199,16 @@ def test_interpret_rejects_bad_header_and_zero_factor(tmp_path):
     zero = tmp_path / "zero.csv"
     zero.write_text("p_trajectory,wind\n0.3,0.0\n")
     assert main(["interpret", str(zero)]) == 2
+
+
+@pytest.mark.parametrize("row", ["nan,0.5,0.5", "-1,2,inf", "0.5,0.5,1.5", "1.2,0.5,0.5"])
+def test_interpret_rejects_impossible_probabilities(tmp_path, capsys, row):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"p_trajectory,wind,payload\n0.3,0.6,0.9\n{row}\n")
+    assert main(["interpret", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: trace row 1:")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_oracle_passes(capsys):

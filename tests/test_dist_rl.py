@@ -1,5 +1,5 @@
 """Quantile distributional RL: projection optimality, operator contraction,
-TD dynamics, and network gradients vs. finite differences."""
+TD targets, and network gradients vs. finite differences."""
 
 import math
 
@@ -8,22 +8,17 @@ import numpy.testing as npt
 import pytest
 
 from wavopt import nn
-from wavopt.cmdp import TabularCmdp, value_iteration
+from wavopt.cmdp import TabularCmdp
 from wavopt.dist_rl import (
-    QuantileDistribution,
     QuantileMap,
     TransitionBatch,
     actor_gradient,
     bellman_eval,
-    bellman_opt,
-    critic_gradient,
+    critic_gradient_all,
     dbar,
     midpoint_levels,
-    quantile_match_grad,
-    quantile_match_loss,
     quantile_projection,
     td_targets,
-    td_update,
 )
 from wavopt.measures import one_d_measure
 from wavopt.nets import ActorNet, CriticNet, PolicyNets, init_policy_nets
@@ -71,7 +66,7 @@ class TestQuantileProjection:
             w = rng.dirichlet(np.ones(sz))
             m = one_d_measure(rng.normal(size=sz) * 3, w)
             n = int(rng.integers(2, 6))
-            best = quantile_projection(m, n).to_measure()
+            best = one_d_measure(quantile_projection(m, n).atoms)
             d_best = wasserstein_1d(best, m, 1)
             for _ in range(200):
                 cand = one_d_measure(rng.normal(size=n) * 3)
@@ -107,7 +102,7 @@ class TestDbar:
     def test_accepts_lists_of_maps(self):
         rng = np.random.default_rng(4)
         a = [_random_map(rng, 2, 2, 3), _random_map(rng, 2, 2, 3)]
-        b = [m.copy() for m in a]
+        b = [QuantileMap(m.atoms.copy()) for m in a]
         b[1].atoms[0, 0, 0] -= 0.5  # keep sortedness: lowest atom lowered
         assert dbar(a, b, math.inf) == pytest.approx(0.5)
 
@@ -142,30 +137,6 @@ class TestBellmanOperators:
             z = bellman_eval(z, np.array([0]), cmdp, 0)
         npt.assert_allclose(z.atoms, 0.7 / 0.1, atol=1e-8)
 
-    def test_optimality_operator_matches_value_iteration_on_deterministic_mdp(self):
-        # deterministic transitions keep every mixture a single shifted atom
-        # set, so atom means follow scalar value iteration exactly
-        rng = np.random.default_rng(6)
-        ns, na = 2, 2
-        trans = np.zeros((ns, na, ns))
-        for s in range(ns):
-            for a in range(na):
-                trans[s, a, int(rng.integers(0, ns))] = 1.0
-        cmdp = TabularCmdp(trans, rng.uniform(0, 1, (ns, na)), np.zeros((0, ns, na)), np.zeros(0), 0.9)
-        z = QuantileMap.zeros(ns, na, 8)
-        for _ in range(160):
-            z = bellman_opt(z, cmdp)
-        _, q_star = value_iteration(cmdp, tol=1e-14)
-        npt.assert_allclose(z.means(), q_star, atol=1e-6)
-
-    def test_greedy_tie_breaks_to_lowest_action(self):
-        ns, na = 1, 3
-        trans = np.ones((ns, na, ns))
-        cmdp = TabularCmdp(trans, np.zeros((ns, na)), np.zeros((0, ns, na)), np.zeros(0), 0.5)
-        z = QuantileMap.zeros(ns, na, 4)  # all means tie at zero
-        out = bellman_opt(z, cmdp)
-        npt.assert_allclose(out.atoms, 0.0)  # bootstrapped from action 0
-
     def test_utility_signal_selects_matching_h(self):
         rng = np.random.default_rng(7)
         cmdp = _random_cmdp(rng, ns=2, na=2, p=2)
@@ -173,38 +144,6 @@ class TestBellmanOperators:
         policy = np.array([0, 1])
         out = bellman_eval(z, policy, cmdp, signal=2)
         npt.assert_allclose(out.atoms[:, :, 0], cmdp.utilities[1], atol=1e-12)
-
-
-class TestTdUpdate:
-    def test_geometric_convergence_on_single_state(self):
-        trans = np.ones((1, 1, 1))
-        cmdp = TabularCmdp(trans, np.array([[0.5]]), np.zeros((0, 1, 1)), np.zeros(0), 0.9)
-        z = QuantileMap.zeros(1, 1, 4)
-        policy = np.array([0])
-        fixed = 0.5 / 0.1
-        l_td = 0.1
-        errs = []
-        for _ in range(40):
-            z, _ = td_update(z, (0, 0, 0), 0, l_td, cmdp, policy)
-            errs.append(abs(z.atoms[0, 0, 0] - fixed))
-        ratios = [b / a for a, b in zip(errs, errs[1:])]
-        expected = 1.0 - l_td * (1.0 - cmdp.gamma)
-        npt.assert_allclose(ratios, expected, rtol=1e-10)
-
-    def test_delta_is_sup_gap_to_projected_target(self):
-        rng = np.random.default_rng(8)
-        cmdp = _random_cmdp(rng, ns=2, na=2)
-        z = _random_map(rng, 2, 2, 5)
-        policy = np.array([1, 0])
-        target = cmdp.rewards[0, 1] + cmdp.gamma * z.atoms[1, policy[1], :]
-        _, delta = td_update(z, (0, 1, 1), 0, 0.3, cmdp, policy)
-        assert delta == pytest.approx(np.max(np.abs(target - z.atoms[0, 1])), rel=1e-15)
-
-    def test_learning_rate_validated(self):
-        cmdp = TabularCmdp(np.ones((1, 1, 1)), np.zeros((1, 1)), np.zeros((0, 1, 1)), np.zeros(0), 0.5)
-        z = QuantileMap.zeros(1, 1, 2)
-        with pytest.raises(ValueError):
-            td_update(z, (0, 0, 0), 0, 1.5, cmdp, np.array([0]))
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +183,28 @@ def _rel_gap(a, b):
     return float(np.max(np.abs(a - b) / scale))
 
 
+def _matching_loss(critic, batch, targets):
+    # forward-only critic loss: batch mean, summed over signals, of
+    # (1 / 2N) sum_j (sort(q)_j - T_j)^2
+    diff = np.sort(critic.forward_batch(batch.states, batch.actions), axis=2) - targets
+    return float(0.5 * (diff**2).mean(axis=2).mean(axis=0).sum())
+
+
 class TestCriticGradient:
     def test_zero_gradient_when_output_equals_target(self):
+        # gamma = 0 makes every target atom the batch's constant signal
+        # value; a critic whose output layer emits exactly those values
+        # matches its targets, so loss and gradient vanish
         nets = _small_nets(10)
         rng = np.random.default_rng(11)
         batch = _random_batch(rng, nets)
-        out = nets.critic.forward_batch(batch.states, batch.actions)[:, 0, :]
-        targets = np.sort(out, axis=1)
-        loss, grad, _ = quantile_match_grad(nets.critic, batch.states, batch.actions, targets, 0)
-        assert loss == 0.0
-        assert np.max(np.abs(grad)) == 0.0
+        batch.rewards[:] = 0.25
+        batch.utilities[:] = 1.0
+        nets.critic.params.weights[-1][...] = 0.0
+        nets.critic.params.biases[-1][...] = np.repeat([0.25, 1.0], 4)
+        ev = critic_gradient_all(nets, batch, gamma=0.0)
+        assert ev.loss == 0.0
+        assert np.max(np.abs(ev.grad)) == 0.0
 
     def test_matches_finite_differences(self):
         worst = 0.0
@@ -261,11 +212,10 @@ class TestCriticGradient:
             nets = _small_nets(20 + seed)
             rng = np.random.default_rng(40 + seed)
             batch = _random_batch(rng, nets, b=3)
-            targets = td_targets(nets, batch, 0, gamma=0.9)
-            _, grad, _ = quantile_match_grad(nets.critic, batch.states, batch.actions, targets, 0)
+            targets = td_targets(nets, batch, gamma=0.9)
+            grad = critic_gradient_all(nets, batch, 0.9).grad
             fd = central_differences(
-                nets.critic.params,
-                lambda: quantile_match_loss(nets.critic, batch.states, batch.actions, targets, 0),
+                nets.critic.params, lambda: _matching_loss(nets.critic, batch, targets)
             )
             worst = max(worst, _rel_gap(grad, fd))
         assert worst < 1e-5
@@ -282,8 +232,8 @@ class TestCriticGradient:
             next_states=np.vstack([batch.next_states, batch.next_states]),
             done=np.concatenate([batch.done, batch.done]),
         )
-        g1 = critic_gradient(nets, batch, 0, 0.99)
-        g2 = critic_gradient(nets, doubled, 0, 0.99)
+        g1 = critic_gradient_all(nets, batch, 0.99)
+        g2 = critic_gradient_all(nets, doubled, 0.99)
         npt.assert_allclose(g1.grad, g2.grad, atol=1e-15)
         assert g1.loss == pytest.approx(g2.loss, rel=1e-15)
 
@@ -292,20 +242,22 @@ class TestCriticGradient:
         rng = np.random.default_rng(33)
         batch = _random_batch(rng, nets, b=5)
         batch.done[:] = 1.0
-        targets = td_targets(nets, batch, 0, gamma=0.97)
-        npt.assert_allclose(targets, np.broadcast_to(batch.rewards[:, None], targets.shape))
+        targets = td_targets(nets, batch, gamma=0.97)
+        assert targets.shape == (5, 2, 4)
+        npt.assert_array_equal(targets[:, 0, :], np.repeat(batch.rewards[:, None], 4, axis=1))
+        npt.assert_array_equal(targets[:, 1, :], np.repeat(batch.utilities, 4, axis=1))
 
     def test_target_critic_used_when_present(self):
         nets = _small_nets(34)
         rng = np.random.default_rng(35)
         batch = _random_batch(rng, nets, b=4)
-        nets.target_critic = nets.critic.copy()
-        t1 = td_targets(nets, batch, 0, 0.9)
-        # degrade the live critic: targets must not move
-        for w in nets.critic.params.weights:
-            w += 0.5
-        t2 = td_targets(nets, batch, 0, 0.9)
-        npt.assert_allclose(t1, t2, atol=1e-15)
+        t1 = td_targets(nets, batch, 0.9)
+        # degrade the live nets: targets must not move until a sync
+        nets.critic.params.flat += 0.5
+        nets.actor.params.flat += 0.5
+        npt.assert_array_equal(td_targets(nets, batch, 0.9), t1)
+        nets.sync_target()
+        assert np.max(np.abs(td_targets(nets, batch, 0.9) - t1)) > 1e-3
 
 
 class TestActorGradient:
@@ -355,27 +307,37 @@ class TestActorGradient:
 
 class TestFusedCriticGradient:
     def test_matches_per_signal_sum_exactly(self):
-        from wavopt.dist_rl import critic_gradient_all
-
+        # oracle: one backward per signal, upstream on that signal's block
         for seed in (0, 4, 9):
             nets = _small_nets(seed, n_signals=3)
             rng = np.random.default_rng(100 + seed)
             batch = _random_batch(rng, nets, b=5)
             fused = critic_gradient_all(nets, batch, 0.97)
 
-            parts = [critic_gradient(nets, batch, s, 0.97) for s in range(3)]
-            f, s = fused.grad, sum(p.grad for p in parts)
-            # one fused GEMM vs three summed GEMMs: identical up to
-            # float summation order
-            scale = max(1.0, float(np.max(np.abs(s))))
-            assert np.max(np.abs(f - s)) <= 1e-13 * scale
-            assert fused.loss == pytest.approx(sum(p.loss for p in parts), rel=1e-12)
-            assert fused.delta_sup == pytest.approx(max(p.delta_sup for p in parts), rel=1e-12)
-            assert fused.losses.shape == (3,)
+            targets = td_targets(nets, batch, 0.97)
+            critic = nets.critic
+            x = critic.inputs(batch.states, batch.actions)
+            out_flat, cache = nn.forward_batch_cached(critic.params, x)
+            out = out_flat.reshape(5, 3, 4)
+            grads, losses, sups = [], [], []
+            for s in range(3):
+                order = np.argsort(out[:, s, :], axis=1)
+                diff = np.take_along_axis(out[:, s, :], order, axis=1) - targets[:, s, :]
+                losses.append(0.5 * (diff**2).mean(axis=1).mean())
+                sups.append(np.abs(diff).max(axis=1).mean())
+                upstream = np.zeros_like(out)
+                np.put_along_axis(upstream[:, s, :], order, diff / 4, axis=1)
+                grads.append(nn.backward_batch(critic.params, cache, upstream.reshape(5, -1))[0])
+            # one fused backward vs three summed: identical up to float
+            # summation order
+            total = sum(grads)
+            scale = max(1.0, float(np.max(np.abs(total))))
+            assert np.max(np.abs(fused.grad - total)) <= 1e-13 * scale
+            npt.assert_allclose(fused.losses, losses, rtol=1e-12)
+            assert fused.loss == pytest.approx(sum(losses), rel=1e-12)
+            assert fused.delta_sup == pytest.approx(max(sups), rel=1e-12)
 
     def test_uses_target_critic_when_present(self):
-        from wavopt.dist_rl import critic_gradient_all
-
         nets = _small_nets(7, n_signals=2)
         rng = np.random.default_rng(8)
         batch = _random_batch(rng, nets, b=4)

@@ -68,6 +68,7 @@ def test_parse_config_rejects_bad_value_and_missing_equals():
     "field,value",
     [
         ("episodes", -1),
+        ("seed", -1),
         ("gamma", 1.0),
         ("gamma", -0.1),
         ("learning_rate", 0.0),
@@ -190,7 +191,6 @@ def _tiny_nets(seed=5):
         n_signals=3,
         rng=np.random.default_rng(seed),
         feature_scale=np.array([0.5, 1.0, 2.0, 1.0]),
-        use_target=True,
         squash=True,
     )
 
@@ -209,7 +209,7 @@ def test_checkpoint_round_trip(tmp_path):
         loaded.critic.forward_batch(states, acts), nets.critic.forward_batch(states, acts)
     )
     # restored targets start synced to the restored online nets
-    npt.assert_array_equal(loaded.bootstrap_actor().act_batch(states), loaded.actor.act_batch(states))
+    npt.assert_array_equal(loaded.target_actor.act_batch(states), loaded.actor.act_batch(states))
 
 
 def test_checkpoint_rejects_other_files(tmp_path):
@@ -346,12 +346,13 @@ def test_run_training_byte_identical_across_runs(tmp_path):
 GOLDEN_SHA256 = {
     "curve.csv": "3e4ce3dcf05efa7fc0d7772226cf1a08b2527b8be3b5fa33ede53194a9280282",
     "summary.txt": "e5fdca867e3a5c85e7a92c59509c6bd2c76d70b1b4b68b85b376a7e93e4da7e9",
+    "checkpoint.txt": "9ab7bf68d4e1d8965e15d7bfdaa6ae68814332cadf064ff48b2e3e49fafe56dd",
 }
 
 
 def test_run_training_matches_golden_bytes(tmp_path):
     result = run_training(_fast_config(), tmp_path / "run")
-    for path in (result.curve_path, result.summary_path):
+    for path in (result.curve_path, result.summary_path, result.checkpoint_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[path.name], path.name
 
 

@@ -11,15 +11,11 @@ from wavopt.nn import (
     AdamState,
     MlpParams,
     TrainingError,
-    backward,
     backward_batch,
-    forward,
     forward_batch,
     forward_batch_cached,
     init_mlp,
-    lipschitz_bound,
     read_params,
-    sgd_step,
     write_params,
 )
 from wavopt.verify import central_differences
@@ -34,14 +30,14 @@ def _min_preactivation_margin(params, x):
     return min(float(np.min(np.abs(z))) for z in pre)
 
 
-def _safe_instance(seed, sizes):
+def _safe_instance(seed, sizes, batch=3):
     # resample until every hidden pre-activation is safely away from the
     # ReLU kink, so +-EPS probes never flip an activation pattern
     for s in range(seed, seed + 50):
         rng = np.random.default_rng(s)
         params = init_mlp(sizes, rng)
-        x = rng.standard_normal(sizes[0])
-        u = rng.standard_normal(sizes[-1])
+        x = rng.standard_normal((batch, sizes[0]))
+        u = rng.standard_normal((batch, sizes[-1]))
         if _min_preactivation_margin(params, x) > 1e-3:
             return params, x, u
     raise AssertionError("could not find a kink-free instance")
@@ -52,25 +48,29 @@ def _relative_gap(a, b):
     return float(np.max(np.abs(a - b) / scale))
 
 
+def _summed_backward(params, x, u):
+    return backward_batch(params, forward_batch_cached(params, x)[1], u, reduce="sum")
+
+
 class TestGradients:
     def test_backward_matches_central_differences(self):
         worst = 0.0
         for seed in range(20):
             params, x, u = _safe_instance(100 + seed, [4, 8, 8, 3])
-            grad, _ = backward(params, x, u)
-            fd = central_differences(params, lambda: forward(params, x) @ u, EPS)
+            grad, _ = _summed_backward(params, x, u)
+            fd = central_differences(params, lambda: float((forward_batch(params, x) * u).sum()), EPS)
             worst = max(worst, _relative_gap(grad, fd))
         assert worst < 1e-5
 
     def test_input_gradient_matches_central_differences(self):
         params, x, u = _safe_instance(300, [5, 9, 2])
-        _, d_in = backward(params, x, u)
+        _, d_in = _summed_backward(params, x, u)
         fd = np.empty_like(x)
-        for i in range(x.size):
+        for idx in np.ndindex(*x.shape):
             xp, xm = x.copy(), x.copy()
-            xp[i] += EPS
-            xm[i] -= EPS
-            fd[i] = (forward(params, xp) @ u - forward(params, xm) @ u) / (2 * EPS)
+            xp[idx] += EPS
+            xm[idx] -= EPS
+            fd[idx] = ((forward_batch(params, xp) - forward_batch(params, xm)) * u).sum() / (2 * EPS)
         assert _relative_gap(d_in, fd) < 1e-5
 
     def test_batch_mean_reduction_matches_sample_average(self):
@@ -80,7 +80,7 @@ class TestGradients:
         us = rng.standard_normal((4, 2))
         _, cache = forward_batch_cached(params, xs)
         batch_grad, _ = backward_batch(params, cache, us, reduce="mean")
-        avg = sum(backward(params, x, u)[0] for x, u in zip(xs, us)) / 4.0
+        avg = sum(_summed_backward(params, xs[i : i + 1], us[i : i + 1])[0] for i in range(4)) / 4.0
         npt.assert_allclose(batch_grad, avg, rtol=1e-12, atol=1e-14)
 
     def test_relu_subgradient_at_zero_is_zero(self):
@@ -90,8 +90,8 @@ class TestGradients:
         params.biases[0][...] = 0.0
         params.weights[1][...] = 1.0
         params.biases[1][...] = 0.0
-        grad, d_in = backward(params, np.array([0.0]), np.array([1.0]))
-        assert d_in[0] == 0.0
+        grad, d_in = _summed_backward(params, np.array([[0.0]]), np.array([[1.0]]))
+        assert d_in[0, 0] == 0.0
         assert grad[0] == 0.0
 
 
@@ -109,29 +109,16 @@ class TestDeterminismAndUpdates:
         assert np.max(np.abs(params.weights[0])) <= 1.0 / 4.0
         assert np.max(np.abs(params.weights[1])) <= 1.0 / math.sqrt(8)
 
-    def test_sgd_step_descends(self):
+    def test_adam_step_descends(self):
+        # first step: m = (1 - b1) g and v = (1 - b2) g^2 after bias
+        # correction give a move of lr * g / (|g| + eps / sqrt(1 - b2))
         params = init_mlp([2, 3, 1], 3)
-        grad, _ = backward(params, np.array([0.3, -0.2]), np.array([1.0]))
+        grad, _ = _summed_backward(params, np.array([[0.3, -0.2]]), np.array([[1.0]]))
         before = params.flat.copy()
-        sgd_step(params, grad, 0.1)
-        npt.assert_allclose(before - params.flat, 0.1 * grad, atol=1e-16)
-
-    def test_sgd_step_rejects_non_finite(self):
-        params = init_mlp([2, 2, 1], 4)
-        grad = np.zeros_like(params.flat)
-        grad[: params.weights[0].size] = np.nan
-        with pytest.raises(TrainingError):
-            sgd_step(params, grad, 0.01)
-
-    def test_lipschitz_bound_holds(self):
-        rng = np.random.default_rng(9)
-        params = init_mlp([3, 10, 10, 2], rng)
-        bound = lipschitz_bound(params)
-        for _ in range(200):
-            x, y = rng.standard_normal((2, 3))
-            fx, fy = forward(params, x), forward(params, y)
-            lhs = np.linalg.norm(fx - fy)
-            assert lhs <= bound * np.linalg.norm(x - y) + 1e-12
+        opt = AdamState(params)
+        opt.step(params, grad, 0.1)
+        expected = 0.1 * grad / (np.abs(grad) + opt.eps / math.sqrt(1.0 - opt.beta2))
+        npt.assert_allclose(before - params.flat, expected, rtol=1e-12, atol=1e-16)
 
     def test_forward_batch_matches_single(self):
         rng = np.random.default_rng(10)
@@ -139,7 +126,7 @@ class TestDeterminismAndUpdates:
         xs = rng.standard_normal((6, 4))
         batch = forward_batch(params, xs)
         for i in range(6):
-            npt.assert_allclose(batch[i], forward(params, xs[i]), atol=1e-15)
+            npt.assert_allclose(batch[i], forward_batch(params, xs[i : i + 1])[0], atol=1e-15)
 
 
 class TestFlatLayout:

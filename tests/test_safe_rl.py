@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from wavopt.cmdp import TabularCmdp, exact_objective
-from wavopt.dist_rl import TransitionBatch
-from wavopt.envs import CartpoleEnv, TabularEnv, random_tabular_cmdp
+from wavopt.dist_rl import TransitionBatch, critic_gradient_all
+from wavopt.envs import CartpoleEnv, random_tabular_cmdp
 from wavopt.inference import RewardOperatorFamily, affine_family, log_family
 from wavopt.nets import init_policy_nets
 from wavopt.nn import AdamState
@@ -21,7 +23,7 @@ TRIANGLE = RewardOperatorFamily(
 )
 
 
-def _nets(seed=0, n_signals=3, use_target=True):
+def _nets(seed=0, n_signals=3):
     return init_policy_nets(
         state_dim=4,
         action_dim=1,
@@ -30,8 +32,11 @@ def _nets(seed=0, n_signals=3, use_target=True):
         n_quantiles=8,
         n_signals=n_signals,
         rng=np.random.default_rng(seed),
-        use_target=use_target,
     )
+
+
+def _opts(nets):
+    return dict(critic_opt=AdamState(nets.critic.params), actor_opt=AdamState(nets.actor.params))
 
 
 def _batch(rng, size=32, n_constraints=2):
@@ -64,6 +69,29 @@ def test_tolerance_monotone_decreasing():
 # -- objective estimation ---------------------------------------------------------
 
 
+class TabularEnv:
+    """Episodes sampled from a tabular CMDP, cut once the discounted tail is below 1e-10."""
+
+    def __init__(self, cmdp: TabularCmdp):
+        self.cmdp = cmdp
+        self.n_constraints = cmdp.n_utilities
+        self.max_steps = math.ceil(math.log(1e-10) / math.log(cmdp.gamma))
+
+    def reset(self, rng) -> int:
+        self._rng = rng
+        self._state = int(rng.choice(self.cmdp.n_states, p=self.cmdp.initial_dist))
+        self._steps = 0
+        return self._state
+
+    def step(self, action: int):
+        s, a = self._state, int(action)
+        r = float(self.cmdp.rewards[s, a])
+        g = self.cmdp.utilities[:, s, a].copy()
+        self._state = int(self._rng.choice(self.cmdp.n_states, p=self.cmdp.transitions[s, a]))
+        self._steps += 1
+        return self._state, r, g, self._steps >= self.max_steps
+
+
 def test_estimate_objectives_deterministic_cmdp():
     # one-hot transitions and a point initial distribution make the
     # rollout deterministic, so the Monte-Carlo estimate must match the
@@ -77,7 +105,7 @@ def test_estimate_objectives_deterministic_cmdp():
     cmdp = TabularCmdp(
         trans, rewards, utils, np.array([5.0]), 0.9, initial_dist=np.array([1.0, 0.0, 0.0])
     )
-    env = TabularEnv(cmdp, seed=0)
+    env = TabularEnv(cmdp)
     policy = np.zeros(3, dtype=int)
     est = estimate_objectives(env, lambda s: 0, episodes=3, gamma=0.9, seed=4)
     assert est.reward == pytest.approx(exact_objective(cmdp, policy, signal=0), abs=1e-8)
@@ -106,19 +134,19 @@ def test_update_branch_selection():
 
     nets = _nets(seed=2)
     info = policy_update_step(
-        nets, _batch(rng), bounds, np.array([1.5, 2.5]), tol, 1e-3, 1e-3, 0.99
+        nets, _batch(rng), bounds, np.array([1.5, 2.5]), tol, 1e-3, 1e-3, 0.99, **_opts(nets)
     )
     assert info.branch == 0 and info.feasible  # non-strict boundary
 
     nets = _nets(seed=2)
     info = policy_update_step(
-        nets, _batch(rng), bounds, np.array([1.6, 7.0]), tol, 1e-3, 1e-3, 0.99
+        nets, _batch(rng), bounds, np.array([1.6, 7.0]), tol, 1e-3, 1e-3, 0.99, **_opts(nets)
     )
     assert info.branch == 1 and not info.feasible  # lowest violated, not largest
 
     nets = _nets(seed=2)
     info = policy_update_step(
-        nets, _batch(rng), bounds, np.array([0.0, 2.51]), tol, 1e-3, 1e-3, 0.99
+        nets, _batch(rng), bounds, np.array([0.0, 2.51]), tol, 1e-3, 1e-3, 0.99, **_opts(nets)
     )
     assert info.branch == 2
 
@@ -128,7 +156,7 @@ def test_update_moves_both_networks():
     nets = _nets(seed=5)
     actor0, critic0 = nets.actor.params.flat.copy(), nets.critic.params.flat.copy()
     policy_update_step(
-        nets, _batch(rng), np.zeros(2), np.zeros(2), 0.1, 1e-2, 1e-2, 0.99
+        nets, _batch(rng), np.zeros(2), np.zeros(2), 0.1, 1e-2, 1e-2, 0.99, **_opts(nets)
     )
     assert not np.array_equal(actor0, nets.actor.params.flat)
     assert not np.array_equal(critic0, nets.critic.params.flat)
@@ -137,7 +165,7 @@ def test_update_moves_both_networks():
 def test_sync_target_copies_without_aliasing():
     rng = np.random.default_rng(4)
     nets = _nets(seed=6)
-    opts = dict(critic_opt=AdamState(nets.critic.params), actor_opt=AdamState(nets.actor.params))
+    opts = _opts(nets)
     args = (np.zeros(2), np.zeros(2), 0.1, 1e-2, 1e-2, 0.99)
     policy_update_step(nets, _batch(rng), *args, **opts)
     nets.sync_target()
@@ -156,14 +184,12 @@ def test_sync_target_copies_without_aliasing():
 
 
 def test_update_critic_loss_decreases_frozen_targets():
-    from wavopt.dist_rl import critic_gradient
-
     rng = np.random.default_rng(11)
-    nets = _nets(seed=7, use_target=True)
+    nets = _nets(seed=7)
     batch = _batch(rng)
-    before = sum(critic_gradient(nets, batch, s, 0.99).loss for s in range(3))
-    policy_update_step(nets, batch, np.zeros(2), np.ones(2), 0.1, 1e-3, 0.0, 0.99)
-    after = sum(critic_gradient(nets, batch, s, 0.99).loss for s in range(3))
+    before = critic_gradient_all(nets, batch, 0.99).loss
+    policy_update_step(nets, batch, np.zeros(2), np.ones(2), 0.1, 1e-3, 0.0, 0.99, **_opts(nets))
+    after = critic_gradient_all(nets, batch, 0.99).loss
     assert after < before
 
 
@@ -178,7 +204,7 @@ def test_actor_ascends_reward_when_feasible():
     nets = _nets(seed=9)
     batch = _batch(rng)
     before = _mean_critic_value(nets, batch.states, 0)
-    policy_update_step(nets, batch, np.ones(2), np.zeros(2), 0.0, 0.0, 1e-2, 0.99)
+    policy_update_step(nets, batch, np.ones(2), np.zeros(2), 0.0, 0.0, 1e-2, 0.99, **_opts(nets))
     assert _mean_critic_value(nets, batch.states, 0) > before
 
 
@@ -188,7 +214,7 @@ def test_actor_descends_violated_constraint():
     batch = _batch(rng)
     before = _mean_critic_value(nets, batch.states, 2)
     info = policy_update_step(
-        nets, batch, np.zeros(2), np.array([0.0, 9.0]), 0.0, 0.0, 1e-2, 0.99
+        nets, batch, np.zeros(2), np.array([0.0, 9.0]), 0.0, 0.0, 1e-2, 0.99, **_opts(nets)
     )
     assert info.branch == 2
     assert _mean_critic_value(nets, batch.states, 2) < before
@@ -198,9 +224,9 @@ def test_update_shape_validation():
     rng = np.random.default_rng(0)
     nets = _nets()
     with pytest.raises(ValueError):
-        policy_update_step(nets, _batch(rng), np.zeros(3), np.zeros(3), 0.1, 1e-3, 1e-3, 0.99)
+        policy_update_step(nets, _batch(rng), np.zeros(3), np.zeros(3), 0.1, 1e-3, 1e-3, 0.99, **_opts(nets))
     with pytest.raises(ValueError):
-        policy_update_step(nets, _batch(rng), np.zeros(2), np.zeros(3), 0.1, 1e-3, 1e-3, 0.99)
+        policy_update_step(nets, _batch(rng), np.zeros(2), np.zeros(3), 0.1, 1e-3, 1e-3, 0.99, **_opts(nets))
 
 
 # -- exact improvement oracle ---------------------------------------------------------
