@@ -20,7 +20,10 @@ discrepancy summed over every signal: the mean squared difference
 between the critic's sorted atoms and the frozen projected TD targets of
 ``td_targets``, whose minimizer over the N-atom family is exactly the W1
 projection of the target.  ``actor_gradient`` chain-rules the critic's
-atom mean for one signal through the action input.
+atom mean for one signal through the action input in closed form: the
+linear readout contributes one constant row, so only the critic's hidden
+layers run, with input gradients and no weight gradients.  The actor's
+raw-output penalty rides in the same single actor backward.
 """
 
 from __future__ import annotations
@@ -254,27 +257,44 @@ def critic_gradient_all(
     return CriticEvalAll(grad=grad, loss=float(losses.sum()), losses=losses, delta_sups=delta_sups)
 
 
-def actor_gradient(nets: PolicyNets, batch: TransitionBatch, signal: int = 0) -> np.ndarray:
-    """Deterministic policy-gradient direction through the critic atom mean.
+def actor_gradient(
+    nets: PolicyNets,
+    batch: TransitionBatch,
+    signal: int = 0,
+    sign: float = 1.0,
+    raw_penalty: float = 0.0,
+) -> np.ndarray:
+    """Gradient of the folded actor objective, in the layout of ``actor.params.flat``.
 
-    d/d theta_mu (1/B) sum_b mean_atoms Z_signal(s_b, pi(s_b)): the critic's
-    input gradient with respect to the action coordinates is chained
-    through the actor (including the tanh action squash when enabled).
-    Returned in the layout of ``actor.params.flat``; ascent or descent
-    is chosen by the caller through the sign it applies.
+    The objective is sign * (1/B) sum_b mean_atoms Z_signal(s_b, pi(s_b))
+    - (raw_penalty / 2) * (1/B) sum_b |raw_b|^2, where raw is the actor's
+    pre-squash output.  The atom-mean readout is linear, so its gradient
+    with respect to the critic's last hidden layer is one constant row,
+    the mean of the signal's output-weight rows.  That row is pulled back
+    through the hidden ReLUs (input gradients only, no weight gradients)
+    to the action columns of the first layer, then chained through the
+    tanh squash (when enabled) and, together with the penalty, through
+    one actor backward.  Callers descend by negating the result.
     """
     actor, critic = nets.actor, nets.critic
     states = batch.states
     raw, actor_cache = nn.forward_batch_cached(actor.params, actor.scaled(states))
     a = np.tanh(raw) if actor.squash else raw
 
-    x = critic.inputs(states, a)
-    _, critic_cache = nn.forward_batch_cached(critic.params, x)
+    weights, biases = critic.params.weights, critic.params.biases
     n = critic.n_quantiles
-    upstream = np.zeros((states.shape[0], critic.n_signals * n))
-    upstream[:, signal * n : (signal + 1) * n] = 1.0 / n
-    _, d_input = nn.backward_batch(critic.params, critic_cache, upstream, reduce="mean")
-    g_action = d_input[:, states.shape[1] :]
+    g = weights[-1][signal * n : (signal + 1) * n].sum(axis=0) / n
+    h = critic.inputs(states, a)
+    masks = []
+    for w, b in zip(weights[:-1], biases[:-1]):
+        z = h @ w.T + b
+        masks.append(z > 0.0)
+        h = np.maximum(z, 0.0)
+    for l in range(len(masks) - 1, 0, -1):
+        g = (g * masks[l]) @ weights[l]
+    state_dim = states.shape[1]
+    g_action = (g * masks[0]) @ weights[0][:, state_dim:] if masks else g[state_dim:]
 
     chain = (1.0 - a**2) if actor.squash else 1.0
-    return nn.backward_batch(actor.params, actor_cache, g_action * chain, reduce="mean")[0]
+    upstream = sign * g_action * chain - raw_penalty * raw
+    return nn.backward_batch(actor.params, actor_cache, upstream, reduce="mean")[0]

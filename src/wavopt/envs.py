@@ -197,22 +197,20 @@ def acrobot_step(state: np.ndarray, action: int, dt: float = 0.02):
 
 
 class _EpisodeEnv:
-    """Shared step-cap and seeding logic for the physics tasks."""
+    """Shared step-cap and reset logic for the physics tasks."""
 
     state_dim = 4
     n_constraints = 2
 
-    def __init__(self, dt: float, max_steps: int, seed=0):
+    def __init__(self, dt: float, max_steps: int):
         self.dt = dt
         self.max_steps = max_steps
-        self._rng = np.random.default_rng(seed)
         self._state = None
         self._steps = 0
 
-    def reset(self, rng=None) -> np.ndarray:
-        if rng is None:
-            rng = self._rng
-        elif not isinstance(rng, np.random.Generator):
+    def reset(self, rng) -> np.ndarray:
+        """Start an episode from an initial state drawn with ``rng`` (a generator or a seed)."""
+        if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
         self._state = self._initial_state(rng)
         self._steps = 0
@@ -241,8 +239,8 @@ class CartpoleEnv(_EpisodeEnv):
     # angle, angular velocity ranges)
     feature_scale = np.array([1.0 / 2.4, 1.0 / 3.0, 1.0 / ANGLE_HARD_LIMIT, 1.0 / 3.0])
 
-    def __init__(self, dt: float = 0.02, max_steps: int = 250, seed=0):
-        super().__init__(dt, max_steps, seed)
+    def __init__(self, dt: float = 0.02, max_steps: int = 250):
+        super().__init__(dt, max_steps)
 
     def _initial_state(self, rng) -> np.ndarray:
         return rng.uniform(-0.05, 0.05, size=4)
@@ -260,8 +258,8 @@ class AcrobotEnv(_EpisodeEnv):
     name = "acrobot"
     feature_scale = np.array([1.0 / math.pi, 1.0 / math.pi, 1.0 / (4 * math.pi), 1.0 / (9 * math.pi)])
 
-    def __init__(self, dt: float = 0.02, max_steps: int = 500, seed=0):
-        super().__init__(dt, max_steps, seed)
+    def __init__(self, dt: float = 0.02, max_steps: int = 500):
+        super().__init__(dt, max_steps)
 
     def _initial_state(self, rng) -> np.ndarray:
         return rng.uniform(-0.1, 0.1, size=4)
@@ -318,7 +316,7 @@ def random_tabular_cmdp(n_states: int, n_actions: int, n_constraints: int, seed,
 ENVS = {"cartpole": CartpoleEnv, "acrobot": AcrobotEnv}
 
 
-def make_env(name: str, dt: float = 0.02, seed=0):
+def make_env(name: str, dt: float = 0.02):
     if name not in ENVS:
         raise ValueError(f"unknown environment {name!r}")
-    return ENVS[name](dt=dt, seed=seed)
+    return ENVS[name](dt=dt)

@@ -12,7 +12,8 @@ reproducibility):
 * checkpoint: a small meta header plus one ``mlp-text`` section per
   network;
 * summary: ``key=value`` lines with the final noise-free objective
-  estimates.
+  estimates, then ``shipped`` naming the gate pass whose nominee was
+  written (``margined`` or ``boundary``) or ``final`` when none passed.
 
 The run loop is the adaptive constrained learner.  Behavior actions are
 sampled from a posterior over three candidates (full push left, full
@@ -578,7 +579,10 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
             seed=s_eval.spawn(1)[0],
         )
         rechecked.append((recheck.constraints, actor_snap, critic_snap))
-    for needed in (config.gate_margin, 0.0):
+    # the summary names the pass that shipped (``final``: no nominee
+    # passed, and the last actor ships unchecked)
+    shipped_from = "final"
+    for label, needed in (("margined", config.gate_margin), ("boundary", 0.0)):
         shipped = next(
             (
                 (a, c)
@@ -590,6 +594,7 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
         if shipped is not None:
             nets.actor, nets.critic = shipped
             nets.sync_target()
+            shipped_from = label
             break
 
     write_curve(curve_path, rows, p)
@@ -614,6 +619,7 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
     for i in range(p):
         summary[f"final_constraint_{i + 1}"] = float(final.constraints[i])
         summary[f"bound_{i + 1}"] = float(bounds[i])
+    summary["shipped"] = shipped_from
     write_summary(summary_path, summary)
 
     return TrainResult(

@@ -21,6 +21,7 @@ condition under which slicing of this kind yields a genuine distance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
@@ -200,12 +201,14 @@ def one_d_measure(positions, weights=None) -> OneDMeasure:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def monomial_exponents(degree: int, dim: int) -> np.ndarray:
     """Exponent rows alpha with |alpha| = degree, in a fixed deterministic order.
 
     Order: lexicographic over the sorted dimension multisets produced by
     ``itertools.combinations_with_replacement``; e.g. for dim=2, degree=3:
-    x^3, x^2 y, x y^2, y^3.
+    x^3, x^2 y, x y^2, y^3.  Memoised: every slice of one (degree, dim)
+    shares the same read-only array.
     """
     if degree < 1 or dim < 1:
         raise ValueError("degree and dim must be positive")
@@ -215,7 +218,9 @@ def monomial_exponents(degree: int, dim: int) -> np.ndarray:
         for d in combo:
             alpha[d] += 1
         rows.append(alpha)
-    return np.asarray(rows, dtype=int)
+    out = np.asarray(rows, dtype=int)
+    out.flags.writeable = False
+    return out
 
 
 def num_monomials(degree: int, dim: int) -> int:

@@ -155,7 +155,10 @@ def policy_update_step(
     ``raw_penalty`` > 0 additionally shrinks the actor's pre-squash
     action output (0.5 * c * raw^2 per sample), so the tanh never
     saturates past the point where its gradient can pull the action
-    back.
+    back.  The branch objective and the penalty share one actor
+    forward and one actor backward (``actor_gradient``), so an update
+    runs exactly two network backward passes: the critic's and the
+    actor's.
     """
     bounds = np.asarray(bounds, dtype=float)
     est = np.asarray(constraint_estimates, dtype=float)
@@ -173,13 +176,7 @@ def policy_update_step(
         branch, sign = 0, 1
     else:
         branch, sign = int(violated[0]) + 1, -1  # lowest violated index
-    descent = -sign * actor_gradient(nets, batch, signal=branch)
-
-    if raw_penalty > 0.0:
-        actor = nets.actor
-        raw, cache = nn.forward_batch_cached(actor.params, actor.scaled(batch.states))
-        descent += nn.backward_batch(actor.params, cache, raw_penalty * raw, reduce="mean")[0]
-
+    descent = -actor_gradient(nets, batch, branch, sign, raw_penalty)
     actor_opt.step(nets.actor.params, descent, actor_lr)
     return UpdateInfo(branch, ev.loss, ev.delta_sup, branch == 0)
 

@@ -338,13 +338,22 @@ def _fd_critic_check(seed) -> float:
 
 
 def _fd_actor_check(seed) -> float:
+    """The folded actor objective of a constraint-descent update.
+
+    sign * mean Q_signal(s, pi(s)) - (c / 2) * mean |raw|^2 on the
+    constraint signal (sign -1, c = 0.1), with Q the critic's atom mean
+    and raw the actor's pre-squash output.
+    """
+    signal, sign, raw_penalty = 1, -1.0, 0.1
     nets, batch = _kink_safe_policy(seed, seed + 3333)
 
     def objective():
-        a = nets.actor.act_batch(batch.states)
-        return float(nets.critic.forward_batch(batch.states, a)[:, 0, :].mean(axis=1).mean())
+        raw = nets.actor.raw_forward(batch.states)
+        q = nets.critic.forward_batch(batch.states, np.tanh(raw))[:, signal, :].mean(axis=1)
+        return float(sign * q.mean() - 0.5 * raw_penalty * (raw**2).sum(axis=1).mean())
 
-    return _rel_gap(actor_gradient(nets, batch, 0), central_differences(nets.actor.params, objective))
+    grad = actor_gradient(nets, batch, signal, sign, raw_penalty)
+    return _rel_gap(grad, central_differences(nets.actor.params, objective))
 
 
 def _fd_variational_check(seed) -> float:
@@ -377,9 +386,9 @@ def check_gradients(instances: int = 100, seed: int = 0, tol: float = 1e-4) -> C
     """Analytic gradients vs central finite differences.
 
     Instances are split across the four gradient paths: raw network
-    backward, critic quantile-matching loss over all signals,
-    deterministic actor chain, and the sliced variational transport
-    gradient.
+    backward, critic quantile-matching loss over all signals, the
+    folded actor objective (constraint descent plus the raw-output
+    penalty), and the sliced variational transport gradient.
     """
     per = max(1, instances // 4)
     worst = 0.0

@@ -305,6 +305,55 @@ class TestActorGradient:
         assert np.max(np.abs(g0 - g1)) > 1e-6
 
 
+def _generic_actor_route(nets, batch, signal, sign, raw_penalty):
+    # oracle: the full critic backward for an upstream of 1/N on the
+    # signal's block, then a separate actor forward and backward for the
+    # raw-output penalty
+    actor, critic = nets.actor, nets.critic
+    states = batch.states
+    raw, actor_cache = nn.forward_batch_cached(actor.params, actor.scaled(states))
+    a = np.tanh(raw) if actor.squash else raw
+    _, critic_cache = nn.forward_batch_cached(critic.params, critic.inputs(states, a))
+    n = critic.n_quantiles
+    upstream = np.zeros((states.shape[0], critic.n_signals * n))
+    upstream[:, signal * n : (signal + 1) * n] = 1.0 / n
+    _, d_input = nn.backward_batch(critic.params, critic_cache, upstream, reduce="mean")
+    chain = (1.0 - a**2) if actor.squash else 1.0
+    g_action = d_input[:, states.shape[1] :] * chain
+    grad = sign * nn.backward_batch(actor.params, actor_cache, g_action, reduce="mean")[0]
+    if raw_penalty > 0.0:
+        raw, cache = nn.forward_batch_cached(actor.params, actor.scaled(states))
+        grad -= nn.backward_batch(actor.params, cache, raw_penalty * raw, reduce="mean")[0]
+    return grad
+
+
+class TestClosedFormActorChain:
+    @pytest.mark.parametrize("hidden_layers", [0, 1, 2, 3])
+    @pytest.mark.parametrize("squash", [True, False])
+    def test_matches_generic_backward_oracle(self, hidden_layers, squash):
+        worst = 0.0
+        for seed in range(3):
+            nets = init_policy_nets(
+                state_dim=4,
+                action_dim=2,
+                hidden_width=16,
+                hidden_layers=hidden_layers,
+                n_quantiles=6,
+                n_signals=3,
+                rng=1000 * hidden_layers + seed,
+                squash=squash,
+            )
+            batch = _random_batch(np.random.default_rng(seed), nets, b=9)
+            for signal in range(3):
+                for sign in (1.0, -1.0):
+                    for raw_penalty in (0.0, 0.1):
+                        got = actor_gradient(nets, batch, signal, sign, raw_penalty)
+                        want = _generic_actor_route(nets, batch, signal, sign, raw_penalty)
+                        scale = max(1e-300, float(np.max(np.abs(want))))
+                        worst = max(worst, float(np.max(np.abs(got - want))) / scale)
+        assert worst <= 1e-12
+
+
 class TestFusedCriticGradient:
     def test_matches_per_signal_sum_exactly(self):
         # oracle: one backward per signal, upstream on that signal's block

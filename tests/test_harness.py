@@ -323,6 +323,26 @@ def test_run_training_writes_consistent_files(tmp_path):
     assert -1.0 <= float(nets.actor.act(state)[0]) <= 1.0
 
 
+@pytest.mark.parametrize(
+    "overrides, shipped",
+    [
+        ({}, "margined"),
+        # every nominee clears the bound but none the gate margin
+        ({"bound": 1e6, "gate_margin": 2e6}, "boundary"),
+        # utilities are >= 0, so no probe is feasible and no nominee exists
+        ({"bound": -1.0, "gate_margin": 1e6}, "final"),
+    ],
+)
+def test_summary_names_the_shipped_checkpoint(tmp_path, overrides, shipped):
+    result = run_training(_fast_config(**overrides), tmp_path / "run")
+    lines = result.summary_path.read_text().splitlines()
+    assert lines[-1] == f"shipped={shipped}"
+    summary = read_summary(result.summary_path)
+    if shipped == "final":
+        # the unchecked fallback ships even though it breaks the bound
+        assert float(summary["final_constraint_1"]) > float(summary["bound_1"])
+
+
 def test_run_training_zero_episodes_writes_header_and_initial_checkpoint(tmp_path):
     result = run_training(_fast_config(episodes=0), tmp_path / "run")
     text = result.curve_path.read_text()
@@ -345,8 +365,8 @@ def test_run_training_byte_identical_across_runs(tmp_path):
 # at one and at two BLAS threads.
 GOLDEN_SHA256 = {
     "curve.csv": "3e4ce3dcf05efa7fc0d7772226cf1a08b2527b8be3b5fa33ede53194a9280282",
-    "summary.txt": "e5fdca867e3a5c85e7a92c59509c6bd2c76d70b1b4b68b85b376a7e93e4da7e9",
-    "checkpoint.txt": "9ab7bf68d4e1d8965e15d7bfdaa6ae68814332cadf064ff48b2e3e49fafe56dd",
+    "summary.txt": "817a896fa6c8ce71f1e4cf5975e09669ea7b31f0915a18bfd3d155b52d040cf2",
+    "checkpoint.txt": "fab9d9e6add26b7d3c45a247bd093b1c1c0739678919490e7e8c11233ec825ed",
 }
 
 

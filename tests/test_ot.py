@@ -110,6 +110,17 @@ class TestMeasures:
     def test_monomial_count(self):
         assert monomial_exponents(3, 4).shape == (num_monomials(3, 4), 4) == (20, 4)
 
+    def test_monomial_exponents_are_shared_and_read_only(self):
+        exps = monomial_exponents(3, 2)
+        assert monomial_exponents(3, 2) is exps
+        npt.assert_array_equal(exps, [[3, 0], [2, 1], [1, 2], [0, 3]])
+        with pytest.raises(ValueError):
+            exps[0, 0] = 1
+        # the gradient lowers exponents on a copy, never on the shared table
+        f = DefiningFunction.normalized("poly", 2, np.ones(4), degree=3)
+        f.gradient(np.ones((2, 2)))
+        npt.assert_array_equal(monomial_exponents(3, 2), [[3, 0], [2, 1], [1, 2], [0, 3]])
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         f = DefiningFunction.normalized("poly", 2, rng.standard_normal(num_monomials(3, 2)), degree=3)

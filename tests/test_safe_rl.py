@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wavopt import nn
 from wavopt.cmdp import TabularCmdp, exact_objective
 from wavopt.dist_rl import TransitionBatch, critic_gradient_all
 from wavopt.envs import CartpoleEnv, random_tabular_cmdp
@@ -218,6 +219,27 @@ def test_actor_descends_violated_constraint():
     )
     assert info.branch == 2
     assert _mean_critic_value(nets, batch.states, 2) < before
+
+
+@pytest.mark.parametrize("estimates", [np.zeros(2), np.array([0.0, 9.0])])
+def test_update_runs_one_critic_and_one_actor_backward(monkeypatch, estimates):
+    # the raw-action penalty rides in the actor's backward, so every
+    # update, on either branch, backpropagates exactly twice
+    calls = []
+    backward = nn.backward_batch
+
+    def counting(params, *args, **kwargs):
+        calls.append(params)
+        return backward(params, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "backward_batch", counting)
+    rng = np.random.default_rng(19)
+    nets = _nets(seed=21)
+    policy_update_step(
+        nets, _batch(rng), np.zeros(2), estimates, 0.0, 1e-3, 1e-3, 0.99,
+        raw_penalty=0.1, **_opts(nets),
+    )
+    assert calls == [nets.critic.params, nets.actor.params]
 
 
 def test_update_shape_validation():
