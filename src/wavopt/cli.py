@@ -89,6 +89,21 @@ def _cmd_train(args) -> int:
     final = result.final_estimate
     parts = [f"J_g{i + 1}={_g9(v)}" for i, v in enumerate(final.constraints)]
     print(f"final reward objective {_g9(final.reward)} " + " ".join(parts))
+    if result.shipped == "final":
+        # no gate nominee passed: the last actor shipped unchecked, and
+        # the exit code stays 0, so a broken bound is said here
+        limit = config.bound + config.tolerance_fixed
+        broken = [
+            f"final_constraint_{i + 1}={_g9(v)} > {_g9(limit)}"
+            for i, v in enumerate(final.constraints)
+            if v > limit
+        ]
+        if broken:
+            print(
+                "warning: shipped the unchecked final actor (no gate nominee passed) and it breaks "
+                "bound + tolerance_fixed: " + ", ".join(broken),
+                file=sys.stderr,
+            )
     return 0
 
 

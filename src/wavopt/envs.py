@@ -137,8 +137,7 @@ ACROBOT_TORQUES = (-1.0, 0.0, 1.0)
 ACROBOT_HEIGHT_GOAL = 0.5
 
 
-def _acrobot_derivs(s: np.ndarray, torque: float) -> np.ndarray:
-    th1, th2, dth1, dth2 = s
+def _acrobot_derivs(th1: float, th2: float, dth1: float, dth2: float, torque: float) -> tuple:
     m, l1, lc, inert, grav = LINK_MASS, LINK_LENGTH, LINK_COM, LINK_INERTIA, GRAVITY
     d1 = m * lc**2 + m * (l1**2 + lc**2 + 2 * l1 * lc * math.cos(th2)) + 2 * inert
     d2 = m * (lc**2 + l1 * lc * math.cos(th2)) + inert
@@ -153,7 +152,7 @@ def _acrobot_derivs(s: np.ndarray, torque: float) -> np.ndarray:
         m * lc**2 + inert - d2**2 / d1
     )
     ddth1 = -(d2 * ddth2 + phi1) / d1
-    return np.array([dth1, dth2, ddth1, ddth2])
+    return dth1, dth2, ddth1, ddth2
 
 
 def _wrap_angle(a: float) -> float:
@@ -176,21 +175,27 @@ def acrobot_step(state: np.ndarray, action: int, dt: float = 0.02):
     if action not in (0, 1, 2):
         raise ValueError("acrobot action must be 0, 1, or 2")
     torque = ACROBOT_TORQUES[action]
-    s = np.asarray(state, dtype=float)
+    th1, th2, dth1, dth2 = map(float, state)
 
-    g1 = 1 if (torque != 0.0 and s[2] < 0.0) else 0
-    g2 = 1 if s[3] < 0.0 else 0
+    g1 = 1 if (torque != 0.0 and dth1 < 0.0) else 0
+    g2 = 1 if dth2 < 0.0 else 0
 
-    k1 = _acrobot_derivs(s, torque)
-    k2 = _acrobot_derivs(s + 0.5 * dt * k1, torque)
-    k3 = _acrobot_derivs(s + 0.5 * dt * k2, torque)
-    k4 = _acrobot_derivs(s + dt * k3, torque)
-    nxt = s + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    nxt[0] = _wrap_angle(nxt[0])
-    nxt[1] = _wrap_angle(nxt[1])
+    # RK4 on Python floats, in the operation order of the array form:
+    # s + (0.5 * dt) * k and s + (dt / 6.0) * (((k1 + 2 k2) + 2 k3) + k4)
+    h = 0.5 * dt
+    a1, a2, a3, a4 = _acrobot_derivs(th1, th2, dth1, dth2, torque)
+    b1, b2, b3, b4 = _acrobot_derivs(th1 + h * a1, th2 + h * a2, dth1 + h * a3, dth2 + h * a4, torque)
+    c1, c2, c3, c4 = _acrobot_derivs(th1 + h * b1, th2 + h * b2, dth1 + h * b3, dth2 + h * b4, torque)
+    d1, d2, d3, d4 = _acrobot_derivs(th1 + dt * c1, th2 + dt * c2, dth1 + dt * c3, dth2 + dt * c4, torque)
+    sixth = dt / 6.0
+    th1 += sixth * (a1 + 2 * b1 + 2 * c1 + d1)
+    th2 += sixth * (a2 + 2 * b2 + 2 * c2 + d2)
+    dth1 += sixth * (a3 + 2 * b3 + 2 * c3 + d3)
+    dth2 += sixth * (a4 + 2 * b4 + 2 * c4 + d4)
+    th1, th2 = _wrap_angle(th1), _wrap_angle(th2)
 
-    reward = 1.0 if acrobot_tip_height(nxt) > ACROBOT_HEIGHT_GOAL else 0.0
-    return nxt, reward, (g1, g2), False
+    reward = 1.0 if acrobot_tip_height((th1, th2)) > ACROBOT_HEIGHT_GOAL else 0.0
+    return np.array([th1, th2, dth1, dth2]), reward, (g1, g2), False
 
 
 # -- episode wrappers ---------------------------------------------------------

@@ -17,13 +17,15 @@ reproducibility):
 
 The run loop is the adaptive constrained learner.  Behavior actions are
 sampled from a posterior over three candidates (full push left, full
-push right, the actor's choice).  Each candidate's weight is the
-inverse reward-operator image of its critic value (the reward atom
-mean, clipped to the horizon's value bracket) times one safety
-likelihood per constraint utility; decaying Gaussian noise is added on
-top.  Constraint decisions use the mean realized discounted utilities
-of the last few episodes, refreshed at episode boundaries only, so each
-curve row logs exactly the decision inputs that were live during that
+push right, the actor's choice).  One operator family (the log map over
+the horizon's value bracket) serves every signal: each candidate's
+reward atom mean and its margin per constraint (horizon value minus the
+utility atom mean) are clipped to the bracket and inverted in one call,
+and the weight is the reward likelihood times the product of the
+safety likelihoods; decaying Gaussian noise is added on top.
+Constraint decisions use the mean realized discounted utilities of the
+last few episodes, refreshed at episode boundaries only, so each curve
+row logs exactly the decision inputs that were live during that
 episode.
 
 ``fit_rate`` estimates a power-law convergence exponent from a learning
@@ -389,6 +391,7 @@ class TrainResult:
     summary_path: Path
     updates: int
     final_estimate: ObjectiveEstimate
+    shipped: str  # "margined", "boundary" or "final", as in summary.txt
 
 
 def run_training(config: TrainConfig, out_dir) -> TrainResult:
@@ -429,17 +432,16 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
     critic_opt = nn.AdamState(nets.critic.params)
     actor_opt = nn.AdamState(nets.actor.params)
 
-    # candidate-value operator: critic means live inside the discounted
-    # per-step-reward bracket for the episode horizon; the log map gives
-    # value differences multiplicative weight so selection sharpens as the
-    # critic spreads the candidates apart
+    # one operator for every signal: critic means live inside the
+    # discounted per-step-reward bracket for the episode horizon, and the
+    # log map gives value differences multiplicative weight so selection
+    # sharpens as the critic spreads the candidates apart.  A constraint
+    # enters through its margin (horizon value minus utility-to-go): low
+    # utility-to-go means high safety likelihood, and candidates are
+    # weighted by the joint posterior of the reward and every constraint
+    # optimality variable
     horizon_value = (1.0 - config.gamma**env.max_steps) / (1.0 - config.gamma)
-    value_family = log_family(0.0, horizon_value)
-
-    # constraint-utility operator: low utility-to-go means high safety
-    # likelihood; candidates are weighted by the joint posterior of the
-    # reward and every constraint optimality variable
-    util_family = log_family(0.0, horizon_value)
+    family = log_family(0.0, horizon_value)
 
     constraint_est = np.zeros(p)
 
@@ -499,17 +501,14 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
             mu = float(nets.actor.act(state)[0])
             cands = np.array([-1.0, 1.0, mu])
             states3 = np.repeat(state[None, :], 3, axis=0)
-            blocks = nets.critic.forward_batch(states3, cands[:, None])
-            vals = blocks[:, 0, :].mean(axis=1)
-            lik, _ = optimality_likelihood(value_family, np.clip(vals, 0.0, horizon_value))
-            if p:
-                util_vals = blocks[:, 1:, :].mean(axis=2)
-                margins = np.clip(horizon_value - util_vals, 0.0, horizon_value)
-                safe_lik, _ = optimality_likelihood(util_family, margins)
-                lik = lik * safe_lik.prod(axis=1)
+            means = nets.critic.forward_batch(states3, cands[:, None]).mean(axis=2)
+            # (3, 1 + p): the reward value, then one margin per constraint
+            means[:, 1:] = horizon_value - means[:, 1:]
+            lik, _ = optimality_likelihood(family, np.clip(means, 0.0, horizon_value))
+            lik = lik[:, 0] * lik[:, 1:].prod(axis=1)
             weights = lik / lik.sum()
             action = float(sample_actions(cands, weights, 1, noise_rng)[0])
-            action = float(np.clip(action + noise_scale * noise_rng.normal(), -1.0, 1.0))
+            action = min(max(action + noise_scale * noise_rng.normal(), -1.0), 1.0)
 
             next_state, r, g, done = env.step(action)
             replay.add(state, action, r, g, next_state, 1.0 if done else 0.0)
@@ -629,6 +628,7 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
         summary_path=summary_path,
         updates=updates,
         final_estimate=final,
+        shipped=shipped_from,
     )
 
 

@@ -27,17 +27,19 @@ points away from p, so the step moves q toward p.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .measures import (
+    MERGE_TOL,
+    WEIGHT_SUM_TOL,
     DefiningFunction,
     DiscreteMeasure,
     OneDMeasure,
     SliceParameterSet,
-    one_d_measure,
     project,
 )
 from .ot import wasserstein_1d, wasserstein_1d_power_grad
@@ -256,19 +258,70 @@ def variational_step(
 # -- sampling and interpretation -----------------------------------------------
 
 
-def sample_actions(positions, weights, n: int, rng) -> np.ndarray:
-    """Draw n samples from a discrete measure on R.
+def _numpy_order_sum(values: list) -> float:
+    """Sum rounded as numpy's ``sum`` rounds it: its pairwise summation
+    adds fewer than eight values one after another onto 0."""
+    if len(values) >= 8:
+        return float(np.sum(values))
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
-    Zero-weight atoms are removed (and coincident atoms merged) before
-    inverse-CDF sampling, so impossible actions are never emitted.
+
+def sample_actions(positions, weights, n: int, rng) -> np.ndarray:
+    """Draw n samples from a discrete measure on R by inverse-CDF sampling.
+
+    The support is canonicalised as ``one_d_measure`` does it, on Python
+    floats: a stable sort; each run of atoms within ``MERGE_TOL`` of its
+    first atom merged onto it, with the weights added in order;
+    zero weights dropped (so impossible actions are never emitted) and
+    the rest renormalised.  The cumulative weights, the last pinned to
+    1, are searched with ``bisect_right`` for each uniform draw.  Inputs
+    are checked as ``one_d_measure`` checks them, with the same errors,
+    and every sum is rounded as numpy rounds it, so the draws are those
+    of the ``one_d_measure`` route bit for bit.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    m = one_d_measure(positions, weights)
-    cum = m.cumulative()
-    u = rng.random(n)
-    idx = np.searchsorted(cum, u, side="right")
-    return m.positions[idx]
+    pos = np.asarray(positions, dtype=float).ravel().tolist()
+    size = len(pos)
+    if size == 0:
+        raise ValueError("measure needs at least one atom")
+    if not all(map(math.isfinite, pos)):
+        raise ValueError("positions must be finite")
+    if weights is None:
+        w = [1.0 / size] * size
+    else:
+        arr = np.asarray(weights, dtype=float)
+        if arr.shape != (size,):
+            raise ValueError(f"weights must have shape ({size},), got {arr.shape}")
+        w = arr.tolist()
+        if not all(map(math.isfinite, w)):
+            raise ValueError("weights must be finite")
+        if any(v < 0.0 for v in w):
+            raise ValueError("weights must be non-negative")
+        total = _numpy_order_sum(w)
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+            raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {np.float64(total)!r}")
+
+    heads, masses = [], []
+    for i in sorted(range(size), key=pos.__getitem__):
+        if heads and not pos[i] - heads[-1] > MERGE_TOL:
+            masses[-1] += w[i]
+        else:
+            heads.append(pos[i])
+            masses.append(w[i])
+    # the sum check leaves at least one positive weight
+    kept = [(h, m) for h, m in zip(heads, masses) if m > 0.0]
+    total = _numpy_order_sum([m for _, m in kept])
+    support, cum, acc = [], [], 0.0
+    for h, m in kept:
+        acc += m / total
+        support.append(h)
+        cum.append(acc)
+    cum[-1] = 1.0
+    return np.array([support[bisect_right(cum, u)] for u in rng.random(n).tolist()])
 
 
 @dataclass

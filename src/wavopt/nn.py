@@ -104,12 +104,7 @@ def init_mlp(layer_sizes, rng) -> MlpParams:
     return MlpParams(weights, biases)
 
 
-def forward_batch_cached(params: MlpParams, x: np.ndarray):
-    """Batched forward pass returning (outputs, cache) for backprop.
-
-    cache holds the layer inputs (post-activation of the previous layer)
-    and the hidden pre-activations.
-    """
+def _as_input(params: MlpParams, x: np.ndarray) -> np.ndarray:
     a = np.asarray(x, dtype=float)
     if a.ndim != 2:
         raise ValueError("forward_batch expects a (batch, fan_in) array")
@@ -117,6 +112,16 @@ def forward_batch_cached(params: MlpParams, x: np.ndarray):
         raise ValueError(
             f"input width {a.shape[1]} != network fan-in {params.weights[0].shape[1]}"
         )
+    return a
+
+
+def forward_batch_cached(params: MlpParams, x: np.ndarray):
+    """Batched forward pass returning (outputs, cache) for backprop.
+
+    cache holds the layer inputs (post-activation of the previous layer)
+    and the hidden pre-activations.
+    """
+    a = _as_input(params, x)
     inputs = [a]
     pre = []
     last = params.n_layers - 1
@@ -132,7 +137,12 @@ def forward_batch_cached(params: MlpParams, x: np.ndarray):
 
 
 def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    return forward_batch_cached(params, x)[0]
+    """Batched forward pass that keeps no cache; the same products as
+    ``forward_batch_cached``, so the outputs agree bit for bit."""
+    a = _as_input(params, x)
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        a = np.maximum(a @ w.T + b, 0.0)
+    return a @ params.weights[-1].T + params.biases[-1]
 
 
 def backward_batch(params: MlpParams, cache, upstream: np.ndarray, reduce: str = "mean"):
@@ -162,6 +172,12 @@ def backward_batch(params: MlpParams, cache, upstream: np.ndarray, reduce: str =
     return grad, delta
 
 
+# values per Adam block: the step walks the vectors in blocks so its two
+# scratch vectors stay small (full-length ones would add two parameter
+# vectors to the resident set)
+_ADAM_BLOCK = 8192
+
+
 class AdamState:
     """Moment estimates for adaptive descent steps on one parameter vector.
 
@@ -174,23 +190,36 @@ class AdamState:
         self.t = 0
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
+        # scratch reused by every step, so a step allocates no vector
+        self._num = np.empty(min(_ADAM_BLOCK, params.flat.size))
+        self._den = np.empty(min(_ADAM_BLOCK, params.flat.size))
 
     def step(self, params: MlpParams, grad: np.ndarray, learning_rate: float) -> None:
         """Descend in place; raises ``TrainingError`` on a non-finite gradient.
 
-        The check lets the harness surface a diverging run instead of
-        writing a NaN checkpoint.
+        The check runs before any moment changes, so the harness can
+        surface a diverging run instead of writing a NaN checkpoint.
+        Every product keeps the textbook operand order,
+        ``(1-b1)*g``, ``((1-b2)*g)*g`` and ``(corr*m) / (sqrt(v)+eps)``,
+        so the result is that of the whole-vector formula bit for bit.
         """
         if not np.all(np.isfinite(grad)):
             raise TrainingError("non-finite gradient in adam step")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         corr = learning_rate * math.sqrt(1.0 - b2**self.t) / (1.0 - b1**self.t)
-        self.m *= b1
-        self.m += (1 - b1) * grad
-        self.v *= b2
-        self.v += (1 - b2) * grad * grad
-        params.flat -= corr * self.m / (np.sqrt(self.v) + self.eps)
+        for lo in range(0, grad.size, _ADAM_BLOCK):
+            hi = lo + _ADAM_BLOCK
+            g, m, v = grad[lo:hi], self.m[lo:hi], self.v[lo:hi]
+            num, den = self._num[: g.size], self._den[: g.size]
+            m *= b1
+            m += np.multiply(1 - b1, g, out=num)
+            v *= b2
+            np.multiply(1 - b2, g, out=num)
+            v += np.multiply(num, g, out=num)
+            np.multiply(corr, m, out=num)
+            np.add(np.sqrt(v, out=den), self.eps, out=den)
+            params.flat[lo:hi] -= np.divide(num, den, out=num)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +227,9 @@ class AdamState:
 # ---------------------------------------------------------------------------
 
 _MAGIC = "mlp-text 1"
+# values formatted per write: one format call per block, without holding
+# the whole section's text at once
+_WRITE_BLOCK = 4096
 
 
 def write_params(stream, params: MlpParams) -> None:
@@ -217,8 +249,10 @@ def write_params(stream, params: MlpParams) -> None:
     stream.write(_MAGIC + "\n")
     stream.write(f"layers {params.n_layers}\n")
     stream.write("sizes " + " ".join(str(s) for s in params.layer_sizes) + "\n")
-    for v in params.flat:
-        stream.write(f"{v:.17g}\n")
+    flat = params.flat
+    for i in range(0, flat.size, _WRITE_BLOCK):
+        block = flat[i : i + _WRITE_BLOCK].tolist()
+        stream.write(("%.17g\n" * len(block)) % tuple(block))
 
 
 def read_params(stream) -> MlpParams:

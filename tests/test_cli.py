@@ -126,6 +126,52 @@ def test_train_runs_and_seed_override_changes_output(fast_config, tmp_path, caps
     assert read_curve(out_a / "curve.csv")["episode"].size == 6
 
 
+# the ``final`` case of test_summary_names_the_shipped_checkpoint
+# (tests/test_harness.py): no probe is feasible, so no nominee exists
+FINAL_SHIP_CONFIG = """
+env = cartpole
+episodes = 8
+seed = 11
+batch_size = 16
+n_quantiles = 8
+hidden_width = 8
+hidden_layers = 2
+warmup_steps = 20
+updates_per_episode = 3
+target_sync_updates = 10
+buffer_capacity = 2000
+eval_episodes = 1
+eval_every = 2
+probe_episodes = 1
+bound = -1.0
+gate_margin = 1e6
+"""
+
+
+def test_train_warns_when_the_final_actor_ships_over_a_bound(tmp_path, capsys):
+    cfg = tmp_path / "final.cfg"
+    cfg.write_text(FINAL_SHIP_CONFIG)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    summary = dict(line.split("=", 1) for line in (out / "summary.txt").read_text().splitlines())
+    assert summary["shipped"] == "final"
+    assert len(err) == 1 and err[0].startswith("warning: shipped the unchecked final actor")
+    broken = [i for i in (1, 2) if float(summary[f"final_constraint_{i}"]) > -0.5]
+    assert broken
+    for i in broken:
+        assert f"final_constraint_{i}={summary[f'final_constraint_{i}']} > -0.5" in err[0]
+
+
+def test_train_gated_ship_prints_no_warning(tmp_path, capsys):
+    cfg = tmp_path / "margined.cfg"
+    cfg.write_text(FINAL_SHIP_CONFIG.replace("bound = -1.0\ngate_margin = 1e6\n", ""))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "summary.txt").read_text().splitlines()[-1] == "shipped=margined"
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_quick_passes_and_report_is_deterministic(tmp_path, capsys):
     out1, out2 = tmp_path / "v1", tmp_path / "v2"
     assert main(["verify", "--quick", "--seed", "7", "--out", str(out1)]) == 0

@@ -117,6 +117,57 @@ def test_cartpole_continuous_action_mapping():
     assert env.discretize(-1e-9) == 0
 
 
+def _array_acrobot_derivs(s: np.ndarray, torque: float) -> np.ndarray:
+    th1, th2, dth1, dth2 = s
+    m, l1, lc, inert, grav = LINK_MASS, LINK_LENGTH, LINK_COM, LINK_INERTIA, GRAVITY
+    d1 = m * lc**2 + m * (l1**2 + lc**2 + 2 * l1 * lc * math.cos(th2)) + 2 * inert
+    d2 = m * (lc**2 + l1 * lc * math.cos(th2)) + inert
+    phi2 = m * lc * grav * math.cos(th1 + th2 - math.pi / 2)
+    phi1 = (
+        -m * l1 * lc * dth2**2 * math.sin(th2)
+        - 2 * m * l1 * lc * dth2 * dth1 * math.sin(th2)
+        + (m * lc + m * l1) * grav * math.cos(th1 - math.pi / 2)
+        + phi2
+    )
+    ddth2 = (torque + d2 / d1 * phi1 - m * l1 * lc * dth1**2 * math.sin(th2) - phi2) / (
+        m * lc**2 + inert - d2**2 / d1
+    )
+    ddth1 = -(d2 * ddth2 + phi1) / d1
+    return np.array([dth1, dth2, ddth1, ddth2])
+
+
+def _array_acrobot_step(state: np.ndarray, action: int, dt: float):
+    """Oracle: the RK4 on 4-element numpy arrays that acrobot_step replaced."""
+    torque = (-1.0, 0.0, 1.0)[action]
+    s = np.asarray(state, dtype=float)
+    g = (1 if (torque != 0.0 and s[2] < 0.0) else 0, 1 if s[3] < 0.0 else 0)
+    k1 = _array_acrobot_derivs(s, torque)
+    k2 = _array_acrobot_derivs(s + 0.5 * dt * k1, torque)
+    k3 = _array_acrobot_derivs(s + 0.5 * dt * k2, torque)
+    k4 = _array_acrobot_derivs(s + dt * k3, torque)
+    nxt = s + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    nxt[0] = (nxt[0] + math.pi) % (2 * math.pi) - math.pi
+    nxt[1] = (nxt[1] + math.pi) % (2 * math.pi) - math.pi
+    reward = 1.0 if -math.cos(nxt[0]) - math.cos(nxt[0] + nxt[1]) > 0.5 else 0.0
+    return nxt, reward, g
+
+
+def test_acrobot_step_matches_array_rk4_bitwise():
+    rng = np.random.default_rng(2024)
+    n = 20000
+    states = rng.uniform(-1.0, 1.0, size=(n, 4)) * np.array([math.pi, math.pi, 4 * math.pi, 9 * math.pi])
+    # exact zeros exercise the sign tests of the constraint indicators
+    states[::97, 2:] = 0.0
+    actions = rng.integers(0, 3, size=n)
+    for i in range(n):
+        dt = 0.02 if i % 2 else 0.05
+        nxt, r, g, done = acrobot_step(states[i], int(actions[i]), dt)
+        ref, ref_r, ref_g = _array_acrobot_step(states[i], int(actions[i]), dt)
+        assert nxt.dtype == np.float64 and nxt.shape == (4,)
+        assert nxt.tobytes() == ref.tobytes(), i
+        assert (r, tuple(g), done) == (ref_r, ref_g, False), i
+
+
 def test_acrobot_energy_conserved_unactuated():
     # free swing from a displaced start; RK4 at dt=0.02 over a full
     # 500-step episode must hold total energy to 1%

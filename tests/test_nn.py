@@ -8,6 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from wavopt.nn import (
+    _ADAM_BLOCK,
     AdamState,
     MlpParams,
     TrainingError,
@@ -128,6 +129,49 @@ class TestDeterminismAndUpdates:
         for i in range(6):
             npt.assert_allclose(batch[i], forward_batch(params, xs[i : i + 1])[0], atol=1e-15)
 
+    @pytest.mark.parametrize("hidden", [0, 1, 2, 3])
+    @pytest.mark.parametrize("width, n_out", [(16, 12), (128, 1)])
+    def test_forward_batch_equals_cached_forward_bitwise(self, hidden, width, n_out):
+        # (128, 1) is the actor's shape; its one-row batch is the acting step
+        rng = np.random.default_rng(30 + hidden)
+        params = init_mlp([5] + [width] * hidden + [n_out], rng)
+        for batch in (1, 3, 128):
+            xs = rng.standard_normal((batch, 5))
+            out = forward_batch(params, xs)
+            assert out.tobytes() == forward_batch_cached(params, xs)[0].tobytes()
+            assert out.shape == (batch, n_out)
+
+    def test_forward_batch_checks_its_input(self):
+        params = init_mlp([4, 5, 3], 1)
+        with pytest.raises(ValueError, match="expects a"):
+            forward_batch(params, np.zeros(4))
+        with pytest.raises(ValueError, match="input width 3"):
+            forward_batch(params, np.zeros((2, 3)))
+
+    def test_adam_matches_textbook_formula_bitwise(self):
+        # m <- b1 m + (1-b1) g, v <- b2 v + ((1-b2) g) g and
+        # theta <- theta - (corr m) / (sqrt(v) + eps), with the bias
+        # corrections folded into corr = lr sqrt(1-b2^t) / (1-b1^t)
+        rng = np.random.default_rng(50)
+        # more than two blocks of the step's scratch, the last one partial
+        params = init_mlp([40, 100, 170], rng)
+        assert params.flat.size > 2 * _ADAM_BLOCK and params.flat.size % _ADAM_BLOCK
+        opt = AdamState(params)
+        theta = params.flat.copy()
+        m = np.zeros_like(theta)
+        v = np.zeros_like(theta)
+        b1, b2, eps = opt.beta1, opt.beta2, opt.eps
+        for t in range(1, 51):
+            grad = rng.standard_normal(theta.size) * 10.0 ** rng.integers(-6, 3)
+            lr = 1e-3 if t % 2 else 5e-4
+            opt.step(params, grad, lr)
+            m = b1 * m + (1 - b1) * grad
+            v = b2 * v + (1 - b2) * grad * grad
+            corr = lr * math.sqrt(1.0 - b2**t) / (1.0 - b1**t)
+            theta = theta - corr * m / (np.sqrt(v) + eps)
+        assert params.flat.tobytes() == theta.tobytes()
+        assert opt.m.tobytes() == m.tobytes() and opt.v.tobytes() == v.tobytes()
+
 
 class TestFlatLayout:
     def test_flat_holds_layers_in_checkpoint_order(self):
@@ -154,8 +198,12 @@ class TestFlatLayout:
         assert opt.m.shape == opt.v.shape == params.flat.shape
         grad = np.zeros_like(params.flat)
         grad[-1] = np.inf
+        before = params.flat.copy()
         with pytest.raises(TrainingError):
             opt.step(params, grad, 1e-3)
+        # the check runs before anything moves
+        assert opt.t == 0 and not opt.m.any() and not opt.v.any()
+        npt.assert_array_equal(params.flat, before)
 
 
 class TestCheckpoint:
@@ -168,6 +216,20 @@ class TestCheckpoint:
         assert loaded.layer_sizes == params.layer_sizes
         for a, b in zip(params.weights + params.biases, loaded.weights + loaded.biases):
             assert np.array_equal(a, b)
+
+    def test_text_matches_per_value_format(self):
+        # more than two write blocks, so a partial last block is covered
+        params = init_mlp([40, 100, 80], 7)
+        special = [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308, 0.1, 0.1 + 0.2, 1 / 3, -2 / 3]
+        special += [math.pi, 1.0000000000000002, 123456789.12345679, 1e-300 * 1.2345678901234567]
+        params.flat[: len(special)] = special
+        params.flat[-len(special) :] = special
+        buf = io.StringIO()
+        write_params(buf, params)
+        expected = "mlp-text 1\nlayers 2\nsizes 40 100 80\n"
+        expected += "".join(f"{v:.17g}\n" for v in params.flat)
+        assert params.flat.size > 2 * 4096
+        assert buf.getvalue() == expected
 
     def test_bad_header_rejected(self):
         for text in ("something else\n", "mlp-text 1\nlayers 0\nsizes 4\n"):
