@@ -9,7 +9,8 @@ Subcommands
 * ``oracle``    - compare the transport solver against the brute-force oracle
 
 Exit codes: 0 success, 1 a check or run failed, 2 configuration or usage
-error.
+error, including an input that cannot be read as text or an output path
+that cannot be written.
 """
 
 from __future__ import annotations
@@ -128,8 +129,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_rate(args) -> int:
     path = Path(args.curve)
-    if not path.exists():
-        raise ConfigError(f"no such curve file: {path}")
     try:
         curve = read_curve(path)
         returns = curve["cum_return"]
@@ -165,8 +164,6 @@ def _read_trace(path: Path):
 
 def _cmd_interpret(args) -> int:
     path = Path(args.trace)
-    if not path.exists():
-        raise ConfigError(f"no such trace file: {path}")
     factor_names, rows = _read_trace(path)
     out_lines = ["step,factor,probability,conditional,capped"]
     for step, row in enumerate(rows):
@@ -218,10 +215,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
+        # OSError: a missing or unreadable input, or an output path that
+        # is a file; UnicodeDecodeError: an input that is not text
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

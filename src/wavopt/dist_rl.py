@@ -1,18 +1,18 @@
 """Quantile distributional reinforcement learning.
 
 A return distribution is represented by N equally weighted atoms at the
-quantile midpoint levels tau_i = (2i - 1) / (2N).  ``quantile_projection``
-maps an arbitrary discrete measure to this family by evaluating its
-generalized inverse CDF at the midpoints, which is the W1-optimal N-atom
-uniform approximation.
+quantile midpoint levels tau_i = (2i - 1) / (2N), held as a sorted
+array.  ``quantile_projection`` maps an arbitrary discrete measure to
+this family by evaluating its generalized inverse CDF at the midpoints,
+which is the W1-optimal N-atom uniform approximation.
 
 ``bellman_eval`` is the tabular distributional policy-evaluation operator
-on ``QuantileMap`` tables of shape (nS, nA, N), one table per signal
-(reward or utility): the next-state mixture of shifted/scaled atom sets
-is built exhaustively and re-projected.  Projection-after-operator is a
-gamma-contraction in the sup-Wasserstein metric ``dbar`` (projection is
-a W_inf non-expansion, the operator itself contracts), which the
-property suite checks.
+on a ``QuantileMap`` table of shape (nS, nA, N) for one signal (reward
+or utility): the next-state mixture of shifted/scaled atom sets is built
+exhaustively and re-projected.  Projection-after-operator is a
+gamma-contraction in the sup-W_inf metric ``dbar`` (projection is a
+W_inf non-expansion, the operator itself contracts), which the property
+suite checks.
 
 The network routines give the gradients of the constrained policy
 update.  ``critic_gradient_all`` descends a quantile-matching
@@ -28,7 +28,6 @@ raw-output penalty rides in the same single actor backward.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +38,6 @@ from .measures import OneDMeasure, one_d_measure
 from .nets import PolicyNets
 
 __all__ = [
-    "QuantileDistribution",
     "QuantileMap",
     "TransitionBatch",
     "midpoint_levels",
@@ -60,25 +58,10 @@ def midpoint_levels(n: int) -> np.ndarray:
     return (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
 
 
-@dataclass(eq=False)
-class QuantileDistribution:
-    """N equally weighted atoms, sorted ascending."""
-
-    atoms: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.atoms = np.asarray(self.atoms, dtype=float).ravel()
-        if self.atoms.size == 0:
-            raise ValueError("need at least one atom")
-        if not np.all(np.isfinite(self.atoms)):
-            raise ValueError("atoms must be finite")
-        if np.any(np.diff(self.atoms) < 0):
-            raise ValueError("atoms must be sorted ascending")
-
-
-def quantile_projection(m: OneDMeasure, n: int) -> QuantileDistribution:
-    """W1-optimal N-atom uniform approximation: inverse CDF at midpoints."""
-    return QuantileDistribution(m.quantile(midpoint_levels(n)))
+def quantile_projection(m: OneDMeasure, n: int) -> np.ndarray:
+    """W1-optimal N-atom uniform approximation: the sorted atoms, the
+    inverse CDF at the midpoint levels."""
+    return m.quantile(midpoint_levels(n))
 
 
 @dataclass(eq=False)
@@ -103,35 +86,18 @@ class QuantileMap:
         return self.atoms.shape[2]
 
 
-def _as_map_list(z) -> list:
-    if isinstance(z, QuantileMap):
-        return [z]
-    return list(z)
+def dbar(z1: QuantileMap, z2: QuantileMap) -> float:
+    """sup over (s, a) of W_inf between the entry quantile distributions
+    (the metric of the contraction result of Bellemare, Dabney & Munos,
+    ICML 2017).
 
-
-def dbar(z1, z2, k=math.inf) -> float:
-    """sup over (s, a, signal) of W_k between the entry quantile distributions.
-
-    For equal-count uniform atom sets W_k is the power mean of the sorted
-    coordinate gaps, and W_inf their maximum.
+    For equal-count uniform atom sets W_inf is the largest gap between
+    the sorted atoms, so this is the largest entrywise gap of the maps.
     """
-    maps1, maps2 = _as_map_list(z1), _as_map_list(z2)
-    if len(maps1) != len(maps2):
-        raise ValueError("maps must pair up")
-    kk = float(k)
-    if math.isnan(kk) or kk < 1.0:
-        raise ValueError("order k must be >= 1 or inf")
-    worst = 0.0
-    for m1, m2 in zip(maps1, maps2):
-        if m1.atoms.shape != m2.atoms.shape:
-            raise ValueError("quantile maps must share shape")
-        gaps = np.abs(m1.atoms - m2.atoms)
-        if math.isinf(kk):
-            val = float(gaps.max()) if gaps.size else 0.0
-        else:
-            val = float(((gaps**kk).mean(axis=2) ** (1.0 / kk)).max())
-        worst = max(worst, val)
-    return worst
+    if z1.atoms.shape != z2.atoms.shape:
+        raise ValueError("quantile maps must share shape")
+    gaps = np.abs(z1.atoms - z2.atoms)
+    return float(gaps.max()) if gaps.size else 0.0
 
 
 def _mixture_target(z: QuantileMap, cmdp: TabularCmdp, h: np.ndarray, next_actions: np.ndarray, s: int, a: int) -> OneDMeasure:
@@ -155,7 +121,7 @@ def bellman_eval(z: QuantileMap, policy, cmdp: TabularCmdp, signal: int = 0) -> 
     for s in range(cmdp.n_states):
         for a in range(cmdp.n_actions):
             mix = _mixture_target(z, cmdp, h, pol, s, a)
-            out[s, a] = quantile_projection(mix, n).atoms
+            out[s, a] = quantile_projection(mix, n)
     return QuantileMap(out)
 
 
@@ -166,7 +132,8 @@ def bellman_eval(z: QuantileMap, policy, cmdp: TabularCmdp, signal: int = 0) -> 
 
 @dataclass(eq=False)
 class TransitionBatch:
-    """Replay minibatch; utilities has one column per constraint."""
+    """Replay minibatch of float arrays: states, actions, next_states and
+    utilities (one column per constraint) are (B, .), rewards and done (B,)."""
 
     states: np.ndarray
     actions: np.ndarray
@@ -177,16 +144,13 @@ class TransitionBatch:
 
     def __post_init__(self) -> None:
         b = self.states.shape[0]
-        self.actions = np.atleast_2d(np.asarray(self.actions, dtype=float))
-        if self.actions.shape[0] != b:
-            self.actions = self.actions.T
-        self.rewards = np.asarray(self.rewards, dtype=float).ravel()
-        self.done = np.asarray(self.done, dtype=float).ravel()
-        self.utilities = np.atleast_2d(np.asarray(self.utilities, dtype=float))
         if (
-            self.rewards.shape != (b,)
+            self.actions.ndim != 2
+            or self.actions.shape[0] != b
+            or self.rewards.shape != (b,)
             or self.done.shape != (b,)
             or self.next_states.shape != self.states.shape
+            or self.utilities.ndim != 2
             or self.utilities.shape[0] != b
         ):
             raise ValueError("batch fields must agree on the batch dimension")

@@ -221,10 +221,6 @@ class _EpisodeEnv:
         self._steps = 0
         return self._state.copy()
 
-    @property
-    def state(self) -> np.ndarray:
-        return self._state.copy()
-
     def step(self, action: float):
         if self._state is None:
             raise RuntimeError("call reset() before step()")

@@ -20,9 +20,10 @@ sampled from a posterior over three candidates (full push left, full
 push right, the actor's choice).  One operator family (the log map over
 the horizon's value bracket) serves every signal: each candidate's
 reward atom mean and its margin per constraint (horizon value minus the
-utility atom mean) are clipped to the bracket and inverted in one call,
-and the weight is the reward likelihood times the product of the
-safety likelihoods; decaying Gaussian noise is added on top.
+utility atom mean) are inverted in one call, which clips them to the
+bracket and flags each clip, and the weight is the reward likelihood
+times the product of the safety likelihoods; decaying Gaussian noise
+is added on top.
 Constraint decisions use the mean realized discounted utilities of the
 last few episodes, refreshed at episode boundaries only, so each curve
 row logs exactly the decision inputs that were live during that
@@ -456,6 +457,16 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
     boundary = []
     decay_span = max(1.0, config.noise_decay_frac * config.episodes)
 
+    def measure(actor: ActorNet, episodes: int, seed) -> ObjectiveEstimate:
+        """Noise-free rollouts of ``actor`` on a fresh environment."""
+        return estimate_objectives(
+            make_env(config.env, dt=config.dt),
+            lambda s: float(actor.act(s)[0]),
+            episodes=episodes,
+            gamma=config.gamma,
+            seed=seed,
+        )
+
     def keep_candidate(tier: list, reward: float) -> None:
         tier.append((reward, nets.actor.copy(), nets.critic.copy()))
         tier.sort(key=lambda item: -item[0])
@@ -504,7 +515,7 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
             means = nets.critic.forward_batch(states3, cands[:, None]).mean(axis=2)
             # (3, 1 + p): the reward value, then one margin per constraint
             means[:, 1:] = horizon_value - means[:, 1:]
-            lik, _ = optimality_likelihood(family, np.clip(means, 0.0, horizon_value))
+            lik, _ = optimality_likelihood(family, means)
             lik = lik[:, 0] * lik[:, 1:].prod(axis=1)
             weights = lik / lik.sum()
             action = float(sample_actions(cands, weights, 1, noise_rng)[0])
@@ -543,13 +554,7 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
         # best checkpoint measured to respect the bounds (+ tau_c slack)
         # is the one that ships
         if config.eval_every and (ep % config.eval_every == 0 or ep == config.episodes):
-            probe = estimate_objectives(
-                make_env(config.env, dt=config.dt),
-                lambda s: float(nets.actor.act(s)[0]),
-                episodes=config.probe_episodes,
-                gamma=config.gamma,
-                seed=s_eval.spawn(1)[0],
-            )
+            probe = measure(nets.actor, config.probe_episodes, s_eval.spawn(1)[0])
             constraint_est = probe.constraints.copy()
             slack = bounds + config.tolerance_fixed - probe.constraints
             if np.all(slack >= config.snapshot_margin):
@@ -570,13 +575,7 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
     )
     rechecked = []
     for reward, _, actor_snap, critic_snap in nominees:
-        recheck = estimate_objectives(
-            make_env(config.env, dt=config.dt),
-            lambda s: float(actor_snap.act(s)[0]),
-            episodes=config.gate_episodes,
-            gamma=config.gamma,
-            seed=s_eval.spawn(1)[0],
-        )
+        recheck = measure(actor_snap, config.gate_episodes, s_eval.spawn(1)[0])
         rechecked.append((recheck.constraints, actor_snap, critic_snap))
     # the summary names the pass that shipped (``final``: no nominee
     # passed, and the last actor ships unchecked)
@@ -592,21 +591,13 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
         )
         if shipped is not None:
             nets.actor, nets.critic = shipped
-            nets.sync_target()
             shipped_from = label
             break
 
     write_curve(curve_path, rows, p)
     write_checkpoint(ckpt_path, nets, config.env)
 
-    eval_env = make_env(config.env, dt=config.dt)
-    final = estimate_objectives(
-        eval_env,
-        lambda s: float(nets.actor.act(s)[0]),
-        episodes=config.eval_episodes,
-        gamma=config.gamma,
-        seed=s_eval,
-    )
+    final = measure(nets.actor, config.eval_episodes, s_eval)
     summary = {
         "env": config.env,
         "episodes": config.episodes,

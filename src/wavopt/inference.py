@@ -10,11 +10,12 @@ A *reward operator family* F_r maps an optimality probability p in
   F(eps) = r_min at the probability floor eps = 1e-6 (the classical
   exponential-of-reward model, inverted)
 
-An admissible family is strictly increasing on the probability domain
-and covers the full reward range.  ``optimality_likelihood`` inverts the
-operator, clipping out-of-range rewards (recorded, never silent) and
-flooring the returned probability at 1e-9 so downstream log-likelihoods
-stay finite.
+An admissible family is strictly increasing on the probability domain,
+covers the full reward range and carries its closed-form inverse.
+``optimality_likelihood`` inverts the operator on an array of rewards,
+clipping out-of-range rewards (recorded per entry, never silent) and
+flooring the returned probabilities at 1e-9 so downstream
+log-likelihoods stay finite.
 
 ``variational_step`` performs one backtracking gradient descent step on
 the k-th power of the sliced distance between a candidate measure and a
@@ -73,9 +74,10 @@ RATIO_CAP = 1.0
 class RewardOperatorFamily:
     """Monotone map from optimality probability to reward.
 
-    ``fn`` maps probabilities to rewards; ``inv`` is the analytic
-    inverse when available (otherwise bisection on [p_floor, 1] is
-    used).  Both must accept numpy arrays.
+    ``fn`` maps probabilities to rewards and ``inv`` is its closed-form
+    inverse; both must accept numpy arrays.  ``inv`` may be left out for
+    a family that is only evaluated, never inverted (the non-monotone
+    control of ``verify.check_improvement``).
     """
 
     name: str
@@ -96,18 +98,9 @@ class RewardOperatorFamily:
 
     def inverse(self, r) -> np.ndarray:
         """Probability p with F(p) = r, for r inside the reward range."""
-        r = np.asarray(r, dtype=float)
-        if self.inv is not None:
-            return np.clip(self.inv(r), 0.0, 1.0)
-        # bisection; F is strictly increasing on [p_floor, 1]
-        lo = np.full(r.shape, self.p_floor)
-        hi = np.ones(r.shape)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            below = self.fn(mid) < r
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+        if self.inv is None:
+            raise ValueError(f"operator family {self.name!r} has no inverse")
+        return np.clip(self.inv(np.asarray(r, dtype=float)), 0.0, 1.0)
 
 
 def affine_family(r_min: float, r_max: float) -> RewardOperatorFamily:
@@ -135,21 +128,17 @@ def log_family(r_min: float, r_max: float, eps: float = PROBABILITY_FLOOR) -> Re
     )
 
 
-def optimality_likelihood(family: RewardOperatorFamily, reward):
-    """Invert the operator: reward -> optimality probability.
+def optimality_likelihood(family: RewardOperatorFamily, rewards):
+    """Invert the operator on an array: rewards -> optimality probabilities.
 
-    Rewards outside [r_min, r_max] are clipped to the range first and
-    the clip is reported; the returned probability is floored at 1e-9.
-    Returns ``(p, clipped)`` with scalar in / scalar out semantics.
+    Rewards outside [r_min, r_max] are clipped to the range first; the
+    returned probabilities are floored at 1e-9.  Returns ``(p, clipped)``,
+    two arrays of the rewards' shape, ``clipped`` flagging each entry
+    that was clipped.
     """
-    r = np.asarray(reward, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
+    r = np.asarray(rewards, dtype=float)
     clipped = (r < family.r_min) | (r > family.r_max)
-    r_in = np.clip(r, family.r_min, family.r_max)
-    p = np.maximum(family.inverse(r_in), LIKELIHOOD_FLOOR)
-    if scalar:
-        return float(p[0]), bool(clipped[0])
+    p = np.maximum(family.inverse(np.clip(r, family.r_min, family.r_max)), LIKELIHOOD_FLOOR)
     return p, clipped
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -128,7 +128,6 @@ class UpdateInfo:
     branch: int
     critic_loss: float
     td_delta: float
-    feasible: bool
 
 
 def policy_update_step(
@@ -178,7 +177,7 @@ def policy_update_step(
         branch, sign = int(violated[0]) + 1, -1  # lowest violated index
     descent = -actor_gradient(nets, batch, branch, sign, raw_penalty)
     actor_opt.step(nets.actor.params, descent, actor_lr)
-    return UpdateInfo(branch, ev.loss, ev.delta_sup, branch == 0)
+    return UpdateInfo(branch, ev.loss, ev.delta_sup)
 
 
 # -- exact desk-scale improvement oracle ------------------------------------------
@@ -207,29 +206,23 @@ class ImprovementReport:
     iterations: int
     converged: bool
 
-    def monotone(self, tol: float = 1e-6) -> bool:
-        return self.q_monotone_violation <= tol
-
 
 def exact_improvement_report(
     cmdp: TabularCmdp,
     family: RewardOperatorFamily,
     max_iters: int = 200,
-    initial_policy: Optional[np.ndarray] = None,
 ) -> ImprovementReport:
     """Run operator-based policy improvement with exact evaluation.
 
-    Selection at each state is argmax_a F(p(s, a)) with p the rescaled
-    exact Q values and ties to the lowest action index.  All evaluation
-    is by linear solves.  The report records the worst one-iteration
-    decrease of any state-action value (zero up to round-off for
-    strictly monotone operators), the gap to the value-iteration
-    optimum, and the full policy/objective trace.
+    The run starts from the all-zeros policy.  Selection at each state
+    is argmax_a F(p(s, a)) with p the rescaled exact Q values and ties
+    to the lowest action index.  All evaluation is by linear solves.
+    The report records the worst one-iteration decrease of any
+    state-action value (zero up to round-off for strictly monotone
+    operators), the gap to the value-iteration optimum, and the full
+    policy/objective trace.
     """
-    if initial_policy is None:
-        policy = np.zeros(cmdp.n_states, dtype=int)
-    else:
-        policy = np.asarray(initial_policy, dtype=int).copy()
+    policy = np.zeros(cmdp.n_states, dtype=int)
 
     v_star, _ = value_iteration(cmdp)
     j_star = float(cmdp.initial_dist @ v_star)

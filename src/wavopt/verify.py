@@ -154,11 +154,11 @@ def check_contraction(
         cmdp = random_tabular_cmdp(n_s, n_a, 1, seed=int(rng.integers(1 << 31)), gamma=gamma)
         z1 = QuantileMap(np.sort(rng.normal(size=(n_s, n_a, n_at)), axis=2))
         z2 = QuantileMap(np.sort(rng.normal(size=(n_s, n_a, n_at)), axis=2))
-        before = dbar(z1, z2, math.inf)
+        before = dbar(z1, z2)
         policy = rng.integers(0, n_a, size=n_s)
         t1 = bellman_eval(z1, policy, cmdp)
         t2 = bellman_eval(z2, policy, cmdp)
-        after = dbar(t1, t2, math.inf)
+        after = dbar(t1, t2)
         worst = max(worst, after - gamma * before)
 
     # single-state fixed point
@@ -199,7 +199,7 @@ def check_projection_minimality(
         pos, w = _random_measure(rng, max_atoms=12)
         m = one_d_measure(pos, w)
         proj = quantile_projection(m, n_atoms)
-        proj_cost = wasserstein_1d(one_d_measure(proj.atoms), m, 1.0)
+        proj_cost = wasserstein_1d(one_d_measure(proj), m, 1.0)
 
         # merged segments between the uniform n-atom grid and m
         cum_c = np.arange(1, n_atoms + 1) / n_atoms

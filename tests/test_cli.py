@@ -1,5 +1,7 @@
 """Exit codes and file outputs of every subcommand."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,39 @@ def test_train_rejects_invalid_config_without_traceback(tmp_path, capsys, bad_li
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--config", "{dir}"],
+        ["rate", "{dir}"],
+        ["interpret", "{dir}"],
+        ["train", "--config", "{binary}"],
+        ["interpret", "{binary}"],
+        ["train", "--config", "{config}", "--out", "{file}"],
+        ["verify", "--quick", "--out", "{file}"],
+    ],
+    ids=[
+        "train-config-dir",
+        "rate-dir",
+        "interpret-dir",
+        "train-config-binary",
+        "interpret-binary",
+        "train-out-file",
+        "verify-out-file",
+    ],
+)
+def test_unreadable_input_or_unwritable_output_exits_2(tmp_path, fast_config, capsys, argv):
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff")
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    paths = {"dir": tmp_path, "binary": binary, "config": fast_config, "file": taken}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_train_zero_episodes_writes_header_only_curve(fast_config, tmp_path):
     out = tmp_path / "out"
     assert main(["train", "--config", str(fast_config), "--episodes", "0", "--out", str(out)]) == 0
@@ -172,6 +207,9 @@ def test_train_gated_ship_prints_no_warning(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+VERIFY_QUICK_SEED7_SHA256 = "64dfadb1e45d935fb49370651c422dad1b9d4e910ba7b46b46122902399fe7fb"
+
+
 def test_verify_quick_passes_and_report_is_deterministic(tmp_path, capsys):
     out1, out2 = tmp_path / "v1", tmp_path / "v2"
     assert main(["verify", "--quick", "--seed", "7", "--out", str(out1)]) == 0
@@ -184,6 +222,10 @@ def test_verify_quick_passes_and_report_is_deterministic(tmp_path, capsys):
     assert len(lines) == 7
     assert all(line.endswith(("PASS", "FAIL")) for line in lines)
     assert all("max_violation=" in line for line in lines)
+    # pinned report bytes (same at one and two BLAS threads): a change
+    # that moves any printed violation must say so here
+    digest = hashlib.sha256((out1 / "verify_report.txt").read_bytes()).hexdigest()
+    assert digest == VERIFY_QUICK_SEED7_SHA256
 
 
 def test_rate_on_synthetic_curve_prints_exponent(tmp_path, capsys):

@@ -49,14 +49,14 @@ class TestQuantileProjection:
 
     def test_two_atom_measure(self):
         m = one_d_measure([0.0, 1.0])
-        npt.assert_allclose(quantile_projection(m, 2).atoms, [0.0, 1.0])
-        npt.assert_allclose(quantile_projection(m, 4).atoms, [0.0, 0.0, 1.0, 1.0])
+        npt.assert_allclose(quantile_projection(m, 2), [0.0, 1.0])
+        npt.assert_allclose(quantile_projection(m, 4), [0.0, 0.0, 1.0, 1.0])
 
     def test_projection_of_n_uniform_atoms_is_identity(self):
         rng = np.random.default_rng(0)
         atoms = np.sort(rng.normal(size=8))
         m = one_d_measure(atoms)
-        npt.assert_allclose(quantile_projection(m, 8).atoms, atoms)
+        npt.assert_allclose(quantile_projection(m, 8), atoms)
 
     def test_w1_optimality_among_uniform_candidates(self):
         # the projection must beat random N-atom uniform competitors in W1
@@ -66,7 +66,7 @@ class TestQuantileProjection:
             w = rng.dirichlet(np.ones(sz))
             m = one_d_measure(rng.normal(size=sz) * 3, w)
             n = int(rng.integers(2, 6))
-            best = one_d_measure(quantile_projection(m, n).atoms)
+            best = one_d_measure(quantile_projection(m, n))
             d_best = wasserstein_1d(best, m, 1)
             for _ in range(200):
                 cand = one_d_measure(rng.normal(size=n) * 3)
@@ -82,29 +82,21 @@ class TestDbar:
     def test_matches_per_entry_exact_distance(self):
         rng = np.random.default_rng(2)
         z1, z2 = _random_map(rng, 3, 2, 5), _random_map(rng, 3, 2, 5)
-        for k in (1, 2, math.inf):
-            expect = 0.0
-            for s in range(3):
-                for a in range(2):
-                    expect = max(
-                        expect,
-                        wasserstein_1d(
-                            one_d_measure(z1.atoms[s, a]), one_d_measure(z2.atoms[s, a]), k
-                        ),
-                    )
-            assert dbar(z1, z2, k) == pytest.approx(expect, rel=1e-12)
+        expect = 0.0
+        for s in range(3):
+            for a in range(2):
+                expect = max(
+                    expect,
+                    wasserstein_1d(
+                        one_d_measure(z1.atoms[s, a]), one_d_measure(z2.atoms[s, a]), math.inf
+                    ),
+                )
+        assert dbar(z1, z2) == pytest.approx(expect, rel=1e-12)
 
     def test_zero_on_identical_maps(self):
         rng = np.random.default_rng(3)
         z = _random_map(rng, 2, 2, 4)
-        assert dbar(z, z, math.inf) == 0.0
-
-    def test_accepts_lists_of_maps(self):
-        rng = np.random.default_rng(4)
-        a = [_random_map(rng, 2, 2, 3), _random_map(rng, 2, 2, 3)]
-        b = [QuantileMap(m.atoms.copy()) for m in a]
-        b[1].atoms[0, 0, 0] -= 0.5  # keep sortedness: lowest atom lowered
-        assert dbar(a, b, math.inf) == pytest.approx(0.5)
+        assert dbar(z, z) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +113,8 @@ class TestBellmanOperators:
             n = int(rng.integers(2, 9))
             z1 = _random_map(rng, cmdp.n_states, cmdp.n_actions, n)
             z2 = _random_map(rng, cmdp.n_states, cmdp.n_actions, n)
-            before = dbar(z1, z2, math.inf)
-            after = dbar(
-                bellman_eval(z1, policy, cmdp, 0),
-                bellman_eval(z2, policy, cmdp, 0),
-                math.inf,
-            )
+            before = dbar(z1, z2)
+            after = dbar(bellman_eval(z1, policy, cmdp, 0), bellman_eval(z2, policy, cmdp, 0))
             assert after <= cmdp.gamma * before + 1e-12
 
     def test_single_state_fixed_point(self):

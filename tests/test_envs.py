@@ -100,11 +100,11 @@ def test_cartpole_episode_cap_and_reset_determinism():
     assert np.array_equal(s1, s2)
     assert np.all(np.abs(s1) <= 0.05)
 
-    env.reset(rng=0)
+    state = env.reset(rng=0)
     done = False
     steps = 0
     while not done:
-        _, _, _, done = env.step(1.0 if env.state[2] < 0 else -1.0)
+        state, _, _, done = env.step(1.0 if state[2] < 0 else -1.0)
         steps += 1
         assert steps <= 250
     assert steps <= 250

@@ -8,6 +8,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from wavopt import harness
+from wavopt.envs import make_env
 from wavopt.harness import (
     ConfigError,
     CurveRow,
@@ -25,6 +27,7 @@ from wavopt.harness import (
     write_summary,
 )
 from wavopt.nets import init_policy_nets
+from wavopt.safe_rl import policy_update_step, tolerance_schedule
 
 
 # -- config ------------------------------------------------------------------
@@ -380,3 +383,73 @@ def test_run_training_seed_changes_the_curve(tmp_path):
     r1 = run_training(_fast_config(), tmp_path / "a")
     r2 = run_training(_fast_config(seed=12), tmp_path / "b")
     assert r1.curve_path.read_bytes() != r2.curve_path.read_bytes()
+
+
+def test_first_behaviour_step_weights_match_an_independent_recomputation(tmp_path, monkeypatch):
+    # no update runs and no probe: the first step sees the initial nets
+    config = _fast_config(
+        seed=3, episodes=1, hidden_width=16, warmup_steps=10**6, eval_every=0
+    )
+    draws = []
+    sample_actions = harness.sample_actions
+
+    def spy(positions, weights, n, rng):
+        draws.append((np.array(positions), np.array(weights)))
+        return sample_actions(positions, weights, n, rng)
+
+    monkeypatch.setattr(harness, "sample_actions", spy)
+    run_training(config, tmp_path / "run")
+    cands, weights = draws[0]
+
+    s_init, s_env, *_ = np.random.SeedSequence(config.seed).spawn(5)
+    env = make_env(config.env, dt=config.dt)
+    nets = init_policy_nets(
+        state_dim=env.state_dim,
+        action_dim=1,
+        hidden_width=config.hidden_width,
+        hidden_layers=config.hidden_layers,
+        n_quantiles=config.n_quantiles,
+        n_signals=1 + env.n_constraints,
+        rng=np.random.default_rng(s_init),
+        feature_scale=env.feature_scale,
+        squash=True,
+    )
+    state = env.reset(rng=np.random.default_rng(s_env))
+    mu = float(nets.actor.act(state)[0])
+    npt.assert_array_equal(cands, [-1.0, 1.0, mu])
+
+    # log family over [0, hv] with F(1e-6) = 0; a constraint enters by
+    # its margin hv - utility-to-go
+    hv = (1.0 - config.gamma**env.max_steps) / (1.0 - config.gamma)
+    c = hv / -math.log(1e-6)
+    q = nets.critic.forward_batch(np.repeat(state[None], 3, axis=0), cands[:, None]).mean(axis=2)
+    values = np.column_stack([q[:, 0], hv - q[:, 1], hv - q[:, 2]])
+    factors = np.maximum(np.exp((np.clip(values, 0.0, hv) - hv) / c), 1e-9)
+    expect = factors[:, 0] * (factors[:, 1] * factors[:, 2])
+    npt.assert_array_equal(weights, expect / expect.sum())
+
+    # the pin is not vacuous: the constraint-2 factor tells the
+    # candidates apart, so leaving it out moves the weights
+    assert np.ptp(factors[:, 2]) > 1e-3
+    without = factors[:, 0] * factors[:, 1]
+    assert np.max(np.abs(without / without.sum() - weights)) > 1e-4
+
+
+def test_scheduled_tolerance_follows_the_schedule(tmp_path, monkeypatch):
+    config = _fast_config(tolerance_mode="scheduled", episodes=4)
+    tolerances = []
+
+    def spy(nets, batch, bounds, est, tolerance, *args, **kwargs):
+        tolerances.append(tolerance)
+        return policy_update_step(nets, batch, bounds, est, tolerance, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "policy_update_step", spy)
+    result = run_training(config, tmp_path / "run")
+    assert len(tolerances) == result.updates > 0
+    for t, tau in enumerate(tolerances, start=1):
+        assert tau == tolerance_schedule(t, config.batch_size, config.horizon_scale, config.gamma)
+    curve = read_curve(result.curve_path)
+    assert all(np.isfinite(v).all() for v in curve.values())
+    summary = read_summary(result.summary_path)
+    for key in ("final_reward_objective", "final_constraint_1", "final_constraint_2"):
+        assert math.isfinite(float(summary[key]))

@@ -42,38 +42,39 @@ def test_log_family_endpoints_and_inverse():
     assert np.allclose(fam.inverse(fam(p)), p, rtol=1e-10)
 
 
-def test_bisection_inverse_matches_analytic():
+def test_family_without_inverse_refuses_to_invert():
     fam = log_family(0.0, 1.0)
-    blind = RewardOperatorFamily("blind", 0.0, 1.0, fn=fam.fn, inv=None)
-    r = np.linspace(0.05, 1.0, 11)
-    assert np.allclose(blind.inverse(r), fam.inverse(r), atol=1e-9)
+    blind = RewardOperatorFamily("blind", 0.0, 1.0, fn=fam.fn)
+    assert blind(0.5) == fam(0.5)
+    with pytest.raises(ValueError, match="no inverse"):
+        blind.inverse(np.array([0.5]))
 
 
 def test_optimality_likelihood_interior():
     fam = affine_family(0.0, 1.0)
-    p, clipped = optimality_likelihood(fam, 0.3)
-    assert p == pytest.approx(0.3)
-    assert clipped is False
+    p, clipped = optimality_likelihood(fam, np.array([0.3]))
+    assert p[0] == pytest.approx(0.3)
+    assert list(clipped) == [False]
 
 
 def test_optimality_likelihood_clipping_recorded():
     fam = affine_family(0.0, 1.0)
-    p_hi, c_hi = optimality_likelihood(fam, 1.7)
-    assert p_hi == pytest.approx(1.0)
-    assert c_hi is True
-    p_lo, c_lo = optimality_likelihood(fam, -0.4)
-    assert c_lo is True
-    assert p_lo == LIKELIHOOD_FLOOR  # affine inverse at r_min is exactly 0
+    p, clipped = optimality_likelihood(fam, np.array([1.7, -0.4]))
+    assert p[0] == pytest.approx(1.0)
+    assert p[1] == LIKELIHOOD_FLOOR  # affine inverse at r_min is exactly 0
+    assert list(clipped) == [True, True]
 
 
 def test_optimality_likelihood_floor():
     fam = affine_family(0.0, 1.0)
-    p, _ = optimality_likelihood(fam, 0.0)
-    assert p == LIKELIHOOD_FLOOR
     arr, flags = optimality_likelihood(fam, np.array([0.0, 0.5, 2.0]))
     assert arr[0] == LIKELIHOOD_FLOOR
     assert arr[1] == pytest.approx(0.5)
     assert list(flags) == [False, False, True]
+    # shape in, shape out: the behaviour step inverts a (3, 1 + p) table
+    table, table_flags = optimality_likelihood(fam, np.array([[0.0, 0.5], [2.0, -1.0]]))
+    assert table.shape == table_flags.shape == (2, 2)
+    assert table[0, 0] == LIKELIHOOD_FLOOR and table_flags.tolist() == [[False, False], [True, True]]
 
 
 def test_greedy_invariant_across_families():

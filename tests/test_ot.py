@@ -360,7 +360,7 @@ class TestPseudoMetricAxioms:
         def sampler(rng):
             return _random_discrete(rng, int(rng.integers(2, 7)), 2, weighted=bool(rng.integers(2)))
 
-        report = check_pseudo_metric(sampler, trials=120, k=2.0, seed=21)
+        report = check_pseudo_metric(sampler, trials=120, seed=21)
         assert report.trials == 120
         assert report.passed(tol=1e-9), report
         # triangle inequality should actually bind occasionally; the max
