@@ -24,6 +24,7 @@ from . import verify as verify_mod
 from .harness import (
     ConfigError,
     _g9,
+    _read_text,
     fit_rate,
     load_config,
     read_curve,
@@ -57,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rate = sub.add_parser("rate", help="fit a convergence exponent to a curve file")
     p_rate.add_argument("curve", metavar="CURVE", help="curve CSV produced by train")
-    p_rate.add_argument("--burn-in", type=float, default=0.2, metavar="FRAC", help="fraction discarded")
+    p_rate.add_argument("--burn-in", type=float, default=0.2, metavar="FRAC", help="fraction discarded, in [0, 1)")
 
     p_int = sub.add_parser("interpret", help="conditional series from an episode trace")
     p_int.add_argument("trace", metavar="TRACE", help="CSV: p_trajectory column plus one column per factor")
@@ -116,18 +117,23 @@ def _check_seed(args) -> None:
 
 def _cmd_verify(args) -> int:
     _check_seed(args)
+    report = Path(args.out) / "verify_report.txt" if args.out else None
+    if report:
+        # an unusable --out fails here, before the checks run
+        report.parent.mkdir(parents=True, exist_ok=True)
+        report.write_text("")
     results = verify_mod.run_all(full=not args.quick, seed=args.seed)
     lines = [r.report_line() for r in results]
     for line in lines:
         print(line)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "verify_report.txt").write_text("\n".join(lines) + "\n")
+    if report:
+        report.write_text("\n".join(lines) + "\n")
     return 0 if all(r.passed for r in results) else 1
 
 
 def _cmd_rate(args) -> int:
+    if not 0.0 <= args.burn_in < 1.0:  # refuses nan too
+        raise ConfigError(f"--burn-in must be a number in [0, 1), got {args.burn_in}")
     path = Path(args.curve)
     try:
         curve = read_curve(path)
@@ -144,7 +150,7 @@ def _cmd_rate(args) -> int:
 
 def _read_trace(path: Path):
     """Trace CSV: header with p_trajectory first, then one factor per column."""
-    lines = path.read_text().strip().splitlines()
+    lines = _read_text(path).strip().splitlines()
     if not lines:
         raise ConfigError(f"empty trace file: {path}")
     header = [h.strip() for h in lines[0].split(",")]
@@ -215,9 +221,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, OSError, UnicodeDecodeError) as exc:
-        # OSError: a missing or unreadable input, or an output path that
-        # is a file; UnicodeDecodeError: an input that is not text
+    except (ConfigError, OSError) as exc:
+        # OSError: a missing or unreadable input, or an output path that is a file
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

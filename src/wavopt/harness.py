@@ -193,8 +193,16 @@ def parse_config(text: str) -> TrainConfig:
     return TrainConfig(**values).validate()
 
 
+def _read_text(path) -> str:
+    """The text of ``path``; a file that does not decode is a ``ConfigError`` naming it."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not readable as text ({exc})") from exc
+
+
 def load_config(path) -> TrainConfig:
-    return parse_config(Path(path).read_text())
+    return parse_config(_read_text(path))
 
 
 # -- replay ----------------------------------------------------------------------
@@ -276,7 +284,11 @@ def write_curve(path, rows, n_constraints: int) -> None:
             f.write(",".join(parts) + "\n")
 
 
+_INT_COLUMNS = ("episode", "branch")
+
+
 def read_curve(path) -> dict:
+    """Columns of a curve file; a field that is not a finite number names its line."""
     lines = Path(path).read_text().strip().splitlines()
     if not lines:
         raise ValueError("empty curve file")
@@ -287,14 +299,14 @@ def read_curve(path) -> dict:
         if len(toks) != len(header):
             raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(toks)}")
         for name, tok in zip(header, toks):
-            data[name].append(tok)
-    out = {}
-    for name, toks in data.items():
-        if name in ("episode", "branch"):
-            out[name] = np.array([int(t) for t in toks], dtype=int)
-        else:
-            out[name] = np.array([float(t) for t in toks])
-    return out
+            try:
+                value = int(tok) if name in _INT_COLUMNS else float(tok)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"line {lineno}: {name} is not a finite number: {tok!r}")
+            data[name].append(value)
+    return {name: np.array(vals, dtype=int if name in _INT_COLUMNS else float) for name, vals in data.items()}
 
 
 def write_checkpoint(path, nets: PolicyNets, env_name: str) -> None:

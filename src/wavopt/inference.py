@@ -35,7 +35,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .measures import (
-    MERGE_TOL,
     WEIGHT_SUM_TOL,
     DefiningFunction,
     DiscreteMeasure,
@@ -151,7 +150,7 @@ def _positive_part(measure: DiscreteMeasure):
 
 
 def _project_keep_order(atoms: np.ndarray, weights: np.ndarray, f: DefiningFunction, offset: float):
-    """Slice projection that remembers the sort permutation (no merging)."""
+    """Slice projection that remembers the sort permutation."""
     vals = f.evaluate(atoms) - offset
     order = np.argsort(vals, kind="stable")
     return OneDMeasure(vals[order], weights[order]), order
@@ -262,14 +261,13 @@ def sample_actions(positions, weights, n: int, rng) -> np.ndarray:
     """Draw n samples from a discrete measure on R by inverse-CDF sampling.
 
     The support is canonicalised as ``one_d_measure`` does it, on Python
-    floats: a stable sort; each run of atoms within ``MERGE_TOL`` of its
-    first atom merged onto it, with the weights added in order;
-    zero weights dropped (so impossible actions are never emitted) and
-    the rest renormalised.  The cumulative weights, the last pinned to
-    1, are searched with ``bisect_right`` for each uniform draw.  Inputs
-    are checked as ``one_d_measure`` checks them, with the same errors,
-    and every sum is rounded as numpy rounds it, so the draws are those
-    of the ``one_d_measure`` route bit for bit.
+    floats: a stable sort, zero weights dropped (so impossible actions
+    are never emitted) and the rest renormalised.  The cumulative
+    weights, the last pinned to 1, are searched with ``bisect_right``
+    for each uniform draw.  Inputs are checked as ``one_d_measure``
+    checks them, with the same errors, and every sum is rounded as
+    numpy rounds it, so the draws are those of the ``one_d_measure``
+    route bit for bit.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
@@ -294,20 +292,13 @@ def sample_actions(positions, weights, n: int, rng) -> np.ndarray:
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {np.float64(total)!r}")
 
-    heads, masses = [], []
-    for i in sorted(range(size), key=pos.__getitem__):
-        if heads and not pos[i] - heads[-1] > MERGE_TOL:
-            masses[-1] += w[i]
-        else:
-            heads.append(pos[i])
-            masses.append(w[i])
     # the sum check leaves at least one positive weight
-    kept = [(h, m) for h, m in zip(heads, masses) if m > 0.0]
+    kept = [(pos[i], w[i]) for i in sorted(range(size), key=pos.__getitem__) if w[i] > 0.0]
     total = _numpy_order_sum([m for _, m in kept])
     support, cum, acc = [], [], 0.0
-    for h, m in kept:
+    for x, m in kept:
         acc += m / total
-        support.append(h)
+        support.append(x)
         cum.append(acc)
     cum[-1] = 1.0
     return np.array([support[bisect_right(cum, u)] for u in rng.random(n).tolist()])

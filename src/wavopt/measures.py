@@ -6,10 +6,11 @@ to one.  Two representations are used:
 
 * ``DiscreteMeasure`` holds points in R^d and is the input format for
   every sliced distance.
-* ``OneDMeasure`` is the canonical one-dimensional form (sorted support,
-  near-duplicate atoms merged, zero weights dropped) produced by
-  projecting a ``DiscreteMeasure`` onto a slice.  Quantile-based
-  Wasserstein computations are exact on this form.
+* ``OneDMeasure`` is the canonical one-dimensional form (stably sorted
+  support, zero weights dropped, the rest renormalised) produced by
+  projecting a ``DiscreteMeasure`` onto a slice.  Atoms at one position
+  stay separate: they have the quantile function of their sum, so the
+  quantile-based Wasserstein computations are exact on this form.
 
 A slice is described by a ``DefiningFunction``: either a linear
 functional ``x -> <x, theta>`` with a unit direction, or an odd-degree
@@ -39,8 +40,6 @@ __all__ = [
     "project",
 ]
 
-# Atoms closer than this (absolute) are merged during canonicalization.
-MERGE_TOL = 1e-12
 # Weight vectors must sum to one within this tolerance.
 WEIGHT_SUM_TOL = 1e-12
 
@@ -97,7 +96,7 @@ class DiscreteMeasure:
 
 @dataclass(eq=False)
 class OneDMeasure:
-    """Canonical measure on R: sorted positions, merged atoms, positive weights."""
+    """Canonical measure on R: sorted positions, positive weights."""
 
     positions: np.ndarray
     weights: np.ndarray
@@ -138,45 +137,8 @@ class OneDMeasure:
         return float(self.positions @ self.weights)
 
 
-def _merge_runs(pos: np.ndarray, w: np.ndarray):
-    """Merge the runs of sorted ``pos``: positions and summed weights per run.
-
-    A run is the first atom plus every later atom within ``MERGE_TOL`` of
-    that first atom.  Gaps above the tolerance cut the sorted support into
-    chains; a chain whose whole span is within the tolerance is one run,
-    and only a wider chain needs the greedy walk.  ``bincount`` adds each
-    run's weights in index order, onto 0, so every sum is rounded exactly
-    as the sequential merge rounds it.
-    """
-    apart = pos[1:] - pos[:-1] > MERGE_TOL
-    if apart.all():
-        return pos, w
-    first = np.concatenate(([True], apart))
-    run = np.cumsum(first) - 1
-    heads = pos[first]
-    beyond = pos - heads[run] > MERGE_TOL
-    if beyond.any():
-        wide = np.unique(run[beyond])
-        chain = np.flatnonzero(first)
-        chain_end = np.append(chain[1:], pos.size)
-        for s, e in zip(chain[wide], chain_end[wide]):
-            while True:
-                far = np.flatnonzero(pos[s:e] - pos[s] > MERGE_TOL)
-                if far.size == 0:
-                    break
-                s += int(far[0])
-                first[s] = True
-        run = np.cumsum(first) - 1
-        heads = pos[first]
-    return heads, np.bincount(run, weights=w)
-
-
 def one_d_measure(positions, weights=None) -> OneDMeasure:
-    """Canonicalize raw 1-D support: sort, merge within ``MERGE_TOL``, drop zeros.
-
-    Merging accumulates weight onto the first atom of each near-duplicate
-    run (positions within the run differ by at most ``MERGE_TOL``).
-    """
+    """Canonicalize raw 1-D support: stable sort, zero weights dropped, renormalized."""
     pos = np.asarray(positions, dtype=float).ravel()
     if pos.size == 0:
         raise ValueError("measure needs at least one atom")
@@ -185,15 +147,8 @@ def one_d_measure(positions, weights=None) -> OneDMeasure:
     w = _as_weights(weights, pos.size)
 
     order = np.argsort(pos, kind="stable")
-    pos, w = pos[order], w[order]
-
-    out_p, out_w = _merge_runs(pos, w)
-    mask = out_w > 0.0
-    if not mask.any():
-        raise ValueError("all atoms have zero weight")
-    out_p, out_w = out_p[mask], out_w[mask]
-    out_w = out_w / out_w.sum()  # renormalize away the dropped mass (<= sum tol)
-    return OneDMeasure(out_p, out_w)
+    kept = order[w[order] > 0.0]  # the sum check leaves at least one positive weight
+    return OneDMeasure(pos[kept], w[kept] / w[kept].sum())  # renormalize away the dropped mass (<= sum tol)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +319,11 @@ def _monomials(table: np.ndarray, exponents: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class SliceParameterSet:
-    """A finite family of slices with per-slice scalar offsets."""
+    """A finite family of slices with per-slice scalar offsets.
+
+    The slices share kind, degree and dim, so one set of feature rows
+    serves them all.
+    """
 
     functions: list
     offsets: np.ndarray = None
@@ -372,9 +331,12 @@ class SliceParameterSet:
     def __post_init__(self) -> None:
         if not self.functions:
             raise ValueError("slice set must be non-empty")
+        first = self.functions[0]
         for f in self.functions:
             if not isinstance(f, DefiningFunction):
                 raise ValueError("functions must be DefiningFunction instances")
+            if (f.kind, f.degree, f.dim) != (first.kind, first.degree, first.dim):
+                raise ValueError("slices must share kind, degree and dim")
         if self.offsets is None:
             self.offsets = np.zeros(len(self.functions))
         else:
@@ -394,9 +356,9 @@ class SliceParameterSet:
 def project(measure: DiscreteMeasure, f: DefiningFunction, offset: float = 0.0) -> OneDMeasure:
     """Push ``measure`` through the slice: positions beta(x) - offset, weights kept.
 
-    The result is canonicalized (sorted, duplicates within ``MERGE_TOL``
-    merged), so projecting is positively homogeneous in the atoms for
-    homogeneous slices and exactly weight-preserving.
+    The result is canonicalized by ``one_d_measure`` (stably sorted, zero
+    weights dropped), so projecting is positively homogeneous in the
+    atoms for homogeneous slices and exactly weight-preserving.
     """
     if measure.dim != f.dim:
         raise ValueError(f"measure dim {measure.dim} != slice dim {f.dim}")

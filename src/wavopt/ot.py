@@ -19,23 +19,20 @@ homogeneous polynomials):
 * ``gswd`` - average over an explicit ``SliceParameterSet``; for any
   fixed slice set the result is a pseudo-metric.
 
-Both share one batched engine.  The slices go in fixed blocks of
-``_BLOCK``; a block of slices that share kind and degree is projected
-with one (block, M) @ (M, n) product of its coefficient rows and the
-measure's feature rows (``DefiningFunction.features``), a mixed block
-function by function.  Each projected row is sorted, and then:
+Both share one batched engine.  Zero-weight atoms are dropped from each
+measure once, up front, as ``one_d_measure`` drops them.  The slices go
+in fixed blocks of ``_BLOCK``; each block is projected with one
+(block, M) @ (M, n) product of its coefficient rows and the measure's
+feature rows (``DefiningFunction.features``; a ``SliceParameterSet``
+shares kind, degree and dim).  Each projected row is sorted, and then:
 
 * equal-size uniform measures take the fast path: W_k^k is the mean of
   |sort x - sort y|^k (W_inf its maximum);
-* every other pair is canonicalised row by row (sorted weights,
-  renormalized and summed as ``one_d_measure`` does) and walks the
-  merged cumulative grid of ``wasserstein_1d``, with the same
-  ``_CUM_DUST`` tie rule; the rows of a block are walked together up to
-  ``_WALK_BREAKPOINTS`` breakpoints at a time;
-* a row with atoms within ``MERGE_TOL`` of each other, or a measure with
-  a zero weight, falls back to the exact per-slice route
-  ``wasserstein_1d(project(mu, f, o), project(nu, f, o), k)``, where
-  ``one_d_measure`` merges and drops atoms.
+* every other pair walks the merged cumulative grid of
+  ``wasserstein_1d`` (sorted weights, renormalized and summed as
+  ``one_d_measure`` does), with the same ``_CUM_DUST`` tie rule; the
+  rows of a block are walked together up to ``_WALK_BREAKPOINTS``
+  breakpoints at a time.
 
 Blocks keep the (block, n) work arrays, and so the peak memory, flat in
 the slice count.
@@ -56,13 +53,11 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .measures import (
-    MERGE_TOL,
     DefiningFunction,
     DiscreteMeasure,
     OneDMeasure,
     SliceParameterSet,
     num_monomials,
-    one_d_measure,
 )
 
 __all__ = [
@@ -315,41 +310,28 @@ def _sliced_powers(
     mu: DiscreteMeasure, nu: DiscreteMeasure, k: float, slices: SliceParameterSet
 ) -> np.ndarray:
     """Per-slice W_k^k (W_inf for k = inf) between the projected measures."""
+    # a zero-weight atom sorted first would open the walk's zero-length
+    # first segment, whose distance the k = inf maximum still reads
+    kx, ky = mu.weights > 0.0, nu.weights > 0.0
+    wx, wy = mu.weights[kx], nu.weights[ky]
     fns, offsets = slices.functions, slices.offsets
-    shared = len({(f.kind, f.degree) for f in fns}) == 1
-    if shared:
-        fx, fy = fns[0].features(mu.atoms), fns[0].features(nu.atoms)
+    fx, fy = fns[0].features(mu.atoms[kx]), fns[0].features(nu.atoms[ky])
     out = np.empty(len(fns))
     for start in range(0, len(fns), _BLOCK):
-        block = fns[start : start + _BLOCK]
+        coeffs = np.array([f.coefficients for f in fns[start : start + _BLOCK]])
         off = offsets[start : start + _BLOCK, None]
-        if shared:
-            coeffs = np.array([f.coefficients for f in block])
-            px, py = coeffs @ fx - off, coeffs @ fy - off
-        else:
-            px = np.array([f.evaluate(mu.atoms) for f in block]) - off
-            py = np.array([f.evaluate(nu.atoms) for f in block]) - off
-        out[start : start + len(block)] = _row_powers(px, mu.weights, py, nu.weights, k)
+        out[start : start + len(coeffs)] = _row_powers(coeffs @ fx - off, wx, coeffs @ fy - off, wy, k)
     return out
 
 
 def _row_powers(px: np.ndarray, wx: np.ndarray, py: np.ndarray, wy: np.ndarray, k: float) -> np.ndarray:
     """W_k^k (W_inf) between row r of ``px`` and row r of ``py``, for every row."""
     if px.shape[1] == py.shape[1] and _is_uniform(wx) and _is_uniform(wy):
-        xs, ys = np.sort(px, axis=1), np.sort(py, axis=1)
-        d = np.abs(xs - ys)
-        powers = d.max(axis=1) if math.isinf(k) else (d**k).mean(axis=1)
-    else:
-        xs, cx = _sorted_rows(px, wx)
-        ys, cy = _sorted_rows(py, wy)
-        powers = _walk_powers(xs, cx, ys, cy, k)
-    exact = _near_ties(xs) | _near_ties(ys)
-    if not (wx.all() and wy.all()):  # one_d_measure drops zero-weight atoms
-        exact[:] = True
-    for r in np.flatnonzero(exact):
-        w = wasserstein_1d(one_d_measure(px[r], wx), one_d_measure(py[r], wy), k)
-        powers[r] = w if math.isinf(k) else w**k
-    return powers
+        d = np.abs(np.sort(px, axis=1) - np.sort(py, axis=1))
+        return d.max(axis=1) if math.isinf(k) else (d**k).mean(axis=1)
+    xs, cx = _sorted_rows(px, wx)
+    ys, cy = _sorted_rows(py, wy)
+    return _walk_powers(xs, cx, ys, cy, k)
 
 
 def _walk_powers(xs: np.ndarray, cx: np.ndarray, ys: np.ndarray, cy: np.ndarray, k: float) -> np.ndarray:
@@ -377,22 +359,18 @@ def _is_uniform(w: np.ndarray) -> bool:
     return bool(np.all(w == w[0]))
 
 
-def _near_ties(sorted_rows: np.ndarray) -> np.ndarray:
-    """Rows in which ``one_d_measure`` would merge atoms."""
-    return (np.diff(sorted_rows, axis=1) <= MERGE_TOL).any(axis=1)
-
-
 def _sorted_rows(p: np.ndarray, w: np.ndarray):
     """Rows sorted ascending, and the cumulative weights of each row.
 
-    The cumulative weights are those of ``one_d_measure`` on a row
-    without merges or zero weights: the sorted weights renormalized,
-    summed, the last pinned to 1.
+    The cumulative weights are those of ``one_d_measure`` on a row: the
+    sorted weights renormalized, summed, the last pinned to 1.  The sort
+    need not be stable: atoms tied in a row share their position, so
+    their order moves only the rounding of the sums.
     """
     if _is_uniform(w):
         c = _cumulative(w)
         return np.sort(p, axis=1), np.broadcast_to(c, p.shape)
-    order = np.argsort(p, axis=1)  # rows with equal atoms take the exact route
+    order = np.argsort(p, axis=1)
     return np.take_along_axis(p, order, axis=1), _cumulative(w[order])
 
 
@@ -450,9 +428,8 @@ def gswd(mu: DiscreteMeasure, nu: DiscreteMeasure, k, slices: SliceParameterSet)
     kk = _check_order(k)
     if mu.dim != nu.dim:
         raise ValueError("measures must share the ambient dimension")
-    for f, _ in slices:
-        if f.dim != mu.dim:
-            raise ValueError("slice dimension does not match the measures")
+    if slices.functions[0].dim != mu.dim:
+        raise ValueError("slice dimension does not match the measures")
     return _slice_mean(_sliced_powers(mu, nu, kk, slices), kk)
 
 

@@ -134,9 +134,14 @@ def test_unreadable_input_or_unwritable_output_exits_2(tmp_path, fast_config, ca
     taken.write_text("a file, not a directory\n")
     paths = {"dir": tmp_path, "binary": binary, "config": fast_config, "file": taken}
     assert main([arg.format(**paths) for arg in argv]) == 2
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err
     assert err.startswith("configuration error:")
     assert len(err.strip().splitlines()) == 1
+    # the message names the file at fault, the last path on the line
+    assert str(paths[argv[-1].strip("{}")]) in err
+    # and an unusable output fails before any check runs
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
 
 
 def test_train_zero_episodes_writes_header_only_curve(fast_config, tmp_path):
@@ -258,6 +263,28 @@ def test_rate_missing_or_malformed_file_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["rate", str(short)]) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("burn_in", ["nan", "inf", "1e308", "1", "-0.1"])
+def test_rate_refuses_a_burn_in_outside_the_unit_interval(tmp_path, capsys, burn_in):
+    y = synthetic_recovery_curve(0.5)
+    rows = [CurveRow(i + 1, v, np.array([0.0]), 0, 0.0, 0.0) for i, v in enumerate(y)]
+    path = tmp_path / "curve.csv"
+    write_curve(path, rows, 1)
+    assert main(["rate", str(path), "--burn-in", burn_in]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --burn-in must be a number in [0, 1)")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("field", ["nan", "inf", "-1e400"])
+def test_rate_refuses_a_non_finite_curve_field(tmp_path, capsys, field):
+    path = tmp_path / "curve.csv"
+    path.write_text(f"episode,cum_return,branch\n1,-240,0\n2,{field},0\n3,-220,0\n")
+    assert main(["rate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: not a curve file: {path} (line 3: cum_return")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_interpret_writes_series(tmp_path, capsys):

@@ -15,7 +15,7 @@ from wavopt.inference import (
     sliced_power_objective,
     variational_step,
 )
-from wavopt.measures import MERGE_TOL, DefiningFunction, DiscreteMeasure, SliceParameterSet, one_d_measure, project
+from wavopt.measures import DefiningFunction, DiscreteMeasure, SliceParameterSet, one_d_measure, project
 from wavopt.ot import gswd, random_polynomial_slices
 
 
@@ -206,11 +206,11 @@ def _one_d_measure_sampler(positions, weights, n, rng):
 def _random_support(rng):
     size = int(rng.integers(2, 13))
     pos = rng.choice([-1.0, 1.0, 0.0, -0.0, 0.3], size=size) if rng.random() < 0.2 else rng.uniform(-1, 1, size)
-    # ties: copies nudged within (and just past) MERGE_TOL, and chains of
-    # near neighbours wider than the tolerance
+    # ties: exact copies, and copies nudged by up to 1.5e-12, which
+    # chain near neighbours
     for i in range(1, size):
         if rng.random() < 0.4:
-            pos[i] = pos[int(rng.integers(0, i))] + MERGE_TOL * rng.choice([-1.5, -1.0, -0.4, 0.0, 0.4, 0.9, 1.0, 1.5])
+            pos[i] = pos[int(rng.integers(0, i))] + 1e-12 * rng.choice([-1.5, -1.0, -0.4, 0.0, 0.4, 0.9, 1.0, 1.5])
     w = rng.exponential(size=size) * (rng.random(size) > 0.3)
     if not w.any():
         w[int(rng.integers(0, size))] = 1.0
@@ -219,7 +219,7 @@ def _random_support(rng):
 
 def test_sample_actions_matches_one_d_measure_route_bitwise():
     rng = np.random.default_rng(77)
-    merged = 0
+    dropped = 0
     for trial in range(5000):
         pos, w = _random_support(rng)
         if trial % 50 == 0:
@@ -230,16 +230,16 @@ def test_sample_actions_matches_one_d_measure_route_bitwise():
         old = _one_d_measure_sampler(pos, w, n, np.random.default_rng(seed))
         assert new.dtype == old.dtype and new.shape == old.shape
         assert new.tobytes() == old.tobytes(), (pos, w)
-        merged += one_d_measure(pos, w).size < pos.size
-    assert merged > 500
+        dropped += one_d_measure(pos, w).size < pos.size
+    assert dropped > 500
 
 
 def test_sample_actions_three_candidate_draws_match_bitwise():
     # the behaviour step: candidates -1, 1 and the actor's choice, which
-    # may sit on (or within MERGE_TOL of) a fixed candidate
+    # may sit on (or within 1e-12 of) a fixed candidate
     rng = np.random.default_rng(78)
     for trial in range(3000):
-        mu = [rng.uniform(-1, 1), 1.0, -1.0, 1.0 - MERGE_TOL / 2, -0.0][trial % 5]
+        mu = [rng.uniform(-1, 1), 1.0, -1.0, 1.0 - 0.5e-12, -0.0][trial % 5]
         lik = rng.uniform(1e-9, 1.0, 3) * (rng.random(3) > 0.1) + 1e-300
         w = lik / lik.sum()
         cands = np.array([-1.0, 1.0, mu])
@@ -264,8 +264,6 @@ def test_sample_actions_three_candidate_draws_match_bitwise():
     ],
 )
 def test_sample_actions_raises_the_one_d_measure_errors(positions, weights):
-    # "all atoms have zero weight" cannot be reached: the sum check
-    # leaves at least one positive weight
     with pytest.raises(ValueError) as expected:
         _one_d_measure_sampler(positions, weights, 1, 0)
     with pytest.raises(ValueError) as got:

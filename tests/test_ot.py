@@ -60,9 +60,13 @@ class TestMeasures:
             DiscreteMeasure.from_points([[0.0], [1.0]], [-0.2, 1.2])
 
     def test_canonicalization_sorts_and_merges(self):
-        m = _measure_1d([3.0, 1.0, 1.0 + 1e-13, 2.0], [0.25, 0.25, 0.25, 0.25])
-        npt.assert_allclose(m.positions, [1.0, 2.0, 3.0])
-        npt.assert_allclose(m.weights, [0.5, 0.25, 0.25])
+        # atoms at one position stay apart yet transport as their merged
+        # sum; an atom 1e-13 away keeps its own position
+        m = _measure_1d([3.0, 1.0, 1.0 + 1e-13, 2.0, 1.0], [0.2, 0.2, 0.2, 0.2, 0.2])
+        npt.assert_array_equal(m.positions, [1.0, 1.0, 1.0 + 1e-13, 2.0, 3.0])
+        merged = _measure_1d([1.0, 1.0 + 1e-13, 2.0, 3.0], [0.4, 0.2, 0.2, 0.2])
+        for k in (1.0, 2.0, math.inf):
+            assert wasserstein_1d(m, merged, k) == 0.0
 
     def test_zero_weight_atoms_dropped(self):
         m = _measure_1d([0.0, 5.0, 1.0], [0.5, 0.0, 0.5])

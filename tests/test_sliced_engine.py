@@ -1,11 +1,9 @@
 """Batched sliced-transport engine against the per-slice route it replaced.
 
-Two test-only oracles live here: the sequential merge loop that
-``one_d_measure`` used to run, and the per-slice route
+The test-only oracle here is the per-slice route
 ``wasserstein_1d(project(mu, f, o), project(nu, f, o), k)`` that ``gswd``
-and ``swd`` used to take slice by slice.  The vectorised canonicalisation
-must match the loop byte for byte; the batched distances must match the
-per-slice route within 1e-10 relative.  (The uniform fast path sums
+and ``swd`` used to take slice by slice.  The batched distances must
+match it within 1e-10 relative.  (The uniform fast path sums
 |sort x - sort y|^k / n where the per-slice route sums segment lengths
 that are differences of a cumulative sum; at n = 10^4 the two differ by
 about 1e-11 relative, so 1e-12 would be too tight.)
@@ -18,14 +16,10 @@ import pytest
 
 from wavopt import ot
 from wavopt.measures import (
-    MERGE_TOL,
     DefiningFunction,
     DiscreteMeasure,
-    OneDMeasure,
     SliceParameterSet,
-    _as_weights,
     num_monomials,
-    one_d_measure,
     project,
 )
 from wavopt.ot import gswd, random_linear_slices, random_polynomial_slices, swd, wasserstein_1d
@@ -36,27 +30,6 @@ REL_TOL = 1e-10
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
-
-
-def merge_loop_one_d(positions, weights=None) -> OneDMeasure:
-    """Sort, then merge atom by atom onto the first atom of each run."""
-    pos = np.asarray(positions, dtype=float).ravel()
-    w = _as_weights(weights, pos.size)
-    order = np.argsort(pos, kind="stable")
-    pos, w = pos[order], w[order]
-    keep_pos = [pos[0]]
-    keep_w = [w[0]]
-    for p, wt in zip(pos[1:], w[1:]):
-        if p - keep_pos[-1] <= MERGE_TOL:
-            keep_w[-1] += wt
-        else:
-            keep_pos.append(p)
-            keep_w.append(wt)
-    out_p = np.asarray(keep_pos)
-    out_w = np.asarray(keep_w)
-    mask = out_w > 0.0
-    out_p, out_w = out_p[mask], out_w[mask]
-    return OneDMeasure(out_p, out_w / out_w.sum())
 
 
 def per_slice_powers(mu, nu, k, slices: SliceParameterSet) -> np.ndarray:
@@ -85,22 +58,6 @@ def swd_oracle(mu, nu, k, num_projections, seed) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _tie_heavy(rng, n):
-    """Positions drawn from a few values, each nudged by multiples of ~MERGE_TOL.
-
-    Nudges of 0.4-1.3 MERGE_TOL make runs that merge, chains wider than
-    the tolerance that split by distance to their first atom, and exact
-    duplicates; about a quarter of the weights are zero.
-    """
-    base = rng.choice(rng.normal(size=max(1, n // 3)), size=n)
-    nudge = rng.integers(0, 4, size=n) * rng.choice([0.4, 0.7, 1.0, 1.3]) * MERGE_TOL
-    pos = base + nudge
-    w = rng.uniform(0.0, 1.0, size=n) * (rng.random(n) > 0.25)
-    if not w.any():
-        w[rng.integers(n)] = 1.0
-    return pos, w / w.sum()
-
-
 def _cloud(rng, n, d, weighted, zero_weights=False):
     atoms = rng.normal(size=(n, d))
     if not weighted:
@@ -111,47 +68,8 @@ def _cloud(rng, n, d, weighted, zero_weights=False):
     return DiscreteMeasure.from_points(atoms, w / w.sum())
 
 
-def _mixed_slices(rng, dim, count):
-    fns = []
-    for i in range(count):
-        if i % 3 == 0:
-            fns.append(DefiningFunction.normalized("linear", dim, rng.standard_normal(dim)))
-        else:
-            degree = 3 if i % 3 == 1 else 5
-            fns.append(DefiningFunction.normalized("poly", dim, rng.standard_normal(num_monomials(degree, dim)), degree))
-    return SliceParameterSet(fns, offsets=rng.normal(size=count))
-
-
 def _assert_close(got, want):
     assert abs(got - want) <= REL_TOL * abs(want), (got, want)
-
-
-# ---------------------------------------------------------------------------
-# one_d_measure
-# ---------------------------------------------------------------------------
-
-
-def test_one_d_measure_matches_merge_loop_byte_for_byte():
-    rng = np.random.default_rng(0)
-    merged = 0
-    for trial in range(600):
-        n = 1 + trial % 50
-        pos, w = _tie_heavy(rng, n)
-        weights = None if trial % 5 == 0 else w
-        got, want = one_d_measure(pos, weights), merge_loop_one_d(pos, weights)
-        assert got.positions.tobytes() == want.positions.tobytes()
-        assert got.weights.tobytes() == want.weights.tobytes()
-        merged += got.size < n
-    assert merged > 400  # the inputs really are tie-heavy
-
-
-def test_one_d_measure_splits_a_wide_chain_at_its_first_atom():
-    # gaps of 0.6 tol chain all four atoms, but the third is 1.2 tol from
-    # the first, so it starts a second run that takes the fourth
-    tol = MERGE_TOL
-    m = one_d_measure([0.0, 0.6 * tol, 1.2 * tol, 1.8 * tol], [0.1, 0.2, 0.3, 0.4])
-    np.testing.assert_array_equal(m.positions, [0.0, 1.2 * tol])
-    np.testing.assert_allclose(m.weights, [0.3, 0.7], rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +90,7 @@ def test_gswd_matches_per_slice_route(k, count):
     poly = random_polynomial_slices(3, count, rng)
     with_offsets = SliceParameterSet(poly.functions, offsets=rng.normal(size=count))
     for mu, nu in cases:
-        for slices in (poly, with_offsets, _mixed_slices(rng, 3, count)):
+        for slices in (poly, with_offsets):
             _assert_close(gswd(mu, nu, k, slices), per_slice_distance(mu, nu, k, slices))
             want = per_slice_powers(mu, nu, k, slices)
             np.testing.assert_allclose(ot._sliced_powers(mu, nu, k, slices), want, rtol=REL_TOL, atol=0)
@@ -193,7 +111,7 @@ def test_swd_matches_per_slice_route(k):
 @pytest.mark.parametrize("k", [1.0, 2.0, math.inf])
 def test_rows_with_ties_or_zero_weights_take_the_exact_route(k):
     # duplicated atoms project onto one position in every slice, and a
-    # zero weight is dropped by one_d_measure; both must be exact
+    # zero-weight atom is dropped; both must match the per-slice route
     rng = np.random.default_rng(6)
     atoms = rng.normal(size=(12, 2))
     dup = DiscreteMeasure.from_points(np.concatenate([atoms, atoms[:4]]))
@@ -206,18 +124,39 @@ def test_rows_with_ties_or_zero_weights_take_the_exact_route(k):
         assert got == want if want == 0.0 else abs(got - want) <= REL_TOL * want
 
 
-@pytest.mark.parametrize("k", [1.0, math.inf])
-def test_near_ties_merge_as_in_one_d_measure(k):
-    # atoms 0.5 MERGE_TOL apart merge onto their first (lower) atom, so
-    # along +x mu's canonical projection equals nu's and the distance is
-    # exactly 0; pairing the unmerged atoms instead gives about 1e-13
-    rng = np.random.default_rng(11)
-    base = rng.normal(size=8)
-    mu = DiscreteMeasure.from_points(np.concatenate([base, base + 0.5 * MERGE_TOL]))
+def test_zero_weight_atom_sorted_first_is_dropped_at_k_inf():
+    # on +x the zero-weight atom at -100 sorts first; left in the walk it
+    # would open a zero-length segment whose distance, 100.5, the W_inf
+    # maximum reads
+    mu = DiscreteMeasure.from_points([-100.0, 0.0, 1.0, 2.0], [0.0, 0.3, 0.3, 0.4])
+    nu = DiscreteMeasure.from_points([0.5, 1.5, 2.5])
+    slices = SliceParameterSet([DefiningFunction.linear([1.0])])
+    assert per_slice_distance(mu, nu, math.inf, slices) == 0.5
+    assert gswd(mu, nu, math.inf, slices) == 0.5
+
+
+@pytest.mark.parametrize("k, share", [(1.0, 0.5), (math.inf, 1.0)])
+@pytest.mark.parametrize("delta", [0.5e-12, 1.5e-12])
+def test_gswd_is_continuous_in_nearby_atoms(delta, k, share):
+    # each atom of base gets a twin delta above it; half the mass moves by
+    # delta, however small delta is
+    base = np.random.default_rng(11).normal(size=8)
+    mu = DiscreteMeasure.from_points(np.concatenate([base, base + delta]))
     nu = DiscreteMeasure.from_points(base)
     slices = SliceParameterSet([DefiningFunction.linear([1.0])] * 9)
-    assert per_slice_distance(mu, nu, k, slices) == 0.0
-    assert gswd(mu, nu, k, slices) == 0.0
+    rounding = 4 * np.finfo(float).eps * np.abs(base).max()
+    assert abs(gswd(mu, nu, k, slices) - share * delta) <= rounding
+
+
+def test_slice_set_refuses_mixed_kinds_degrees_and_dims():
+    rng = np.random.default_rng(13)
+    linear = DefiningFunction.normalized("linear", 3, rng.standard_normal(3))
+    cubic = DefiningFunction.normalized("poly", 3, rng.standard_normal(num_monomials(3, 3)), 3)
+    quintic = DefiningFunction.normalized("poly", 3, rng.standard_normal(num_monomials(5, 3)), 5)
+    planar = DefiningFunction.normalized("linear", 2, rng.standard_normal(2))
+    for mixed in ([linear, cubic], [cubic, quintic], [linear, planar]):
+        with pytest.raises(ValueError, match="share kind, degree and dim"):
+            SliceParameterSet(mixed)
 
 
 def test_one_dimensional_point_masses_match():
