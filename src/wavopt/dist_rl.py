@@ -24,6 +24,11 @@ atom mean for one signal through the action input in closed form: the
 linear readout contributes one constant row, so only the critic's hidden
 layers run, with input gradients and no weight gradients.  The actor's
 raw-output penalty rides in the same single actor backward.
+
+These three write every (batch, .) array into an ``UpdateWorkspace``: a
+training run passes one to every update, and a call without one builds a
+fresh one.  What a call returns through a passed workspace (targets,
+gradients) is valid only until the next call with that workspace.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ __all__ = [
     "quantile_projection",
     "dbar",
     "bellman_eval",
+    "UpdateWorkspace",
     "td_targets",
     "critic_gradient_all",
     "actor_gradient",
@@ -160,7 +166,28 @@ class TransitionBatch:
         return self.states.shape[0]
 
 
-def td_targets(nets: PolicyNets, batch: TransitionBatch, gamma: float, value_clip=None) -> np.ndarray:
+class UpdateWorkspace:
+    """The (batch, .) arrays of one policy update for ``nets``' shapes.
+
+    ``actor`` and ``critic`` are the networks' ``nn.LayerBuffers``
+    (shared by the live and target forwards); ``targets``, ``diff`` and
+    ``upstream`` are the TD targets, the sorted-minus-target block and
+    the critic's output gradient; ``row_starts`` is the flat offset of
+    each (sample, signal) atom row.
+    """
+
+    def __init__(self, nets: PolicyNets, batch: int) -> None:
+        critic = nets.critic
+        n, n_signals = critic.n_quantiles, critic.n_signals
+        self.actor = nn.LayerBuffers(nets.actor.params, batch)
+        self.critic = nn.LayerBuffers(critic.params, batch)
+        self.targets = np.empty((batch, n_signals, n))
+        self.diff = np.empty((batch, n_signals, n))
+        self.upstream = np.empty((batch, n_signals * n))
+        self.row_starts = (np.arange(batch * n_signals) * n).reshape(batch, n_signals, 1)
+
+
+def td_targets(nets: PolicyNets, batch: TransitionBatch, gamma: float, value_clip=None, workspace=None) -> np.ndarray:
     """Projected one-sample TD targets (B, n_signals, N), frozen w.r.t. the critic update.
 
     Signal 0 is the reward, signal i >= 1 utility i.  Bootstraps from the
@@ -169,13 +196,21 @@ def td_targets(nets: PolicyNets, batch: TransitionBatch, gamma: float, value_cli
     ``value_clip=(lo, hi)`` projects targets into the attainable value
     bracket, which removes the unbounded self-bootstrap drift mode.
     """
-    next_a = nets.target_actor.act_batch(batch.next_states)
-    nxt = np.sort(nets.target_critic.forward_batch(batch.next_states, next_a), axis=2)
+    ws = workspace if workspace is not None else UpdateWorkspace(nets, batch.size)
+    # the target forwards run through the live networks' buffers: the
+    # same products as ``act_batch`` and ``forward_batch``, written in place
+    actor, critic = nets.target_actor, nets.target_critic
+    next_a, _ = nn.forward_batch_cached(actor.params, actor.scaled(batch.next_states), ws.actor)
+    if actor.squash:
+        np.tanh(next_a, out=next_a)
+    nxt, _ = nn.forward_batch_cached(critic.params, critic.inputs(batch.next_states, next_a), ws.critic)
+    nxt = nxt.reshape(ws.targets.shape)
+    nxt.sort(axis=2)
     cont = (gamma * (1.0 - batch.done))[:, None, None]
     h = np.column_stack([batch.rewards, batch.utilities])
-    targets = h[:, :, None] + cont * nxt
+    targets = np.add(h[:, :, None], np.multiply(cont, nxt, out=ws.targets), out=ws.targets)
     if value_clip is not None:
-        targets = np.clip(targets, value_clip[0], value_clip[1])
+        np.clip(targets, value_clip[0], value_clip[1], out=targets)
     return targets
 
 
@@ -192,7 +227,7 @@ class CriticEvalAll:
 
 
 def critic_gradient_all(
-    nets: PolicyNets, batch: TransitionBatch, gamma: float, value_clip=None
+    nets: PolicyNets, batch: TransitionBatch, gamma: float, value_clip=None, workspace=None
 ) -> CriticEvalAll:
     """Semi-gradient of the quantile-matching TD loss, summed over every signal.
 
@@ -201,23 +236,26 @@ def critic_gradient_all(
     per signal and ``loss`` their sum.  The gradient descends only
     through the current critic output.
     """
-    critic = nets.critic
-    n, n_signals = critic.n_quantiles, critic.n_signals
-    b = batch.size
-    targets = td_targets(nets, batch, gamma, value_clip)
+    critic, n = nets.critic, nets.critic.n_quantiles
+    ws = workspace if workspace is not None else UpdateWorkspace(nets, batch.size)
+    targets = td_targets(nets, batch, gamma, value_clip, ws)
 
     x = critic.inputs(batch.states, batch.actions)
-    out_flat, cache = nn.forward_batch_cached(critic.params, x)
-    out = out_flat.reshape(b, n_signals, n)
-    order = np.argsort(out, axis=2)
-    diff = np.take_along_axis(out, order, axis=2) - targets
+    out_flat, cache = nn.forward_batch_cached(critic.params, x, ws.critic)
+    # numpy's default argsort kind: its tie order decides the scatter.
+    # Flat indices (offset + row start) gather and scatter in one step;
+    # ``take``'s default mode="raise" would copy through a temporary.
+    flat = np.argsort(out_flat.reshape(targets.shape), axis=2)
+    flat += ws.row_starts
+    diff = np.subtract(np.take(out_flat, flat, out=ws.diff, mode="clip"), targets, out=ws.diff)
 
-    losses = 0.5 * (diff**2).mean(axis=2).mean(axis=0)
-    delta_sups = np.abs(diff).max(axis=2).mean(axis=0)
+    # ``upstream`` is scratch for the two reductions until the scatter fills it
+    scratch = ws.upstream.reshape(targets.shape)
+    losses = 0.5 * np.square(diff, out=scratch).mean(axis=2).mean(axis=0)
+    delta_sups = np.abs(diff, out=scratch).max(axis=2).mean(axis=0)
 
-    upstream = np.zeros_like(out)
-    np.put_along_axis(upstream, order, diff / n, axis=2)
-    grad, _ = nn.backward_batch(critic.params, cache, upstream.reshape(b, -1), reduce="mean")
+    ws.upstream.reshape(-1)[flat] = np.divide(diff, n, out=diff)  # a view: scatters in place
+    grad, _ = nn.backward_batch(critic.params, cache, ws.upstream, reduce="mean", buffers=ws.critic)
     return CriticEvalAll(grad=grad, loss=float(losses.sum()), losses=losses, delta_sups=delta_sups)
 
 
@@ -227,6 +265,7 @@ def actor_gradient(
     signal: int = 0,
     sign: float = 1.0,
     raw_penalty: float = 0.0,
+    workspace=None,
 ) -> np.ndarray:
     """Gradient of the folded actor objective, in the layout of ``actor.params.flat``.
 
@@ -241,24 +280,25 @@ def actor_gradient(
     one actor backward.  Callers descend by negating the result.
     """
     actor, critic = nets.actor, nets.critic
+    ws = workspace if workspace is not None else UpdateWorkspace(nets, batch.size)
     states = batch.states
-    raw, actor_cache = nn.forward_batch_cached(actor.params, actor.scaled(states))
+    raw, actor_cache = nn.forward_batch_cached(actor.params, actor.scaled(states), ws.actor)
     a = np.tanh(raw) if actor.squash else raw
 
-    weights, biases = critic.params.weights, critic.params.biases
+    weights, biases, cb = critic.params.weights, critic.params.biases, ws.critic
     n = critic.n_quantiles
     g = weights[-1][signal * n : (signal + 1) * n].sum(axis=0) / n
     h = critic.inputs(states, a)
     masks = []
-    for w, b in zip(weights[:-1], biases[:-1]):
-        z = h @ w.T + b
-        masks.append(z > 0.0)
-        h = np.maximum(z, 0.0)
+    for l, (w, b) in enumerate(zip(weights[:-1], biases[:-1])):
+        z = np.add(np.matmul(h, w.T, out=cb.pre[l]), b, out=cb.pre[l])
+        masks.append(np.greater(z, 0.0, out=cb.mask[l]))
+        h = np.maximum(z, 0.0, out=cb.act[l])
     for l in range(len(masks) - 1, 0, -1):
-        g = (g * masks[l]) @ weights[l]
+        g = np.matmul(np.multiply(g, masks[l], out=cb.act[l]), weights[l], out=cb.delta[l])
     state_dim = states.shape[1]
-    g_action = (g * masks[0]) @ weights[0][:, state_dim:] if masks else g[state_dim:]
+    g_action = np.multiply(g, masks[0], out=cb.act[0]) @ weights[0][:, state_dim:] if masks else g[state_dim:]
 
     chain = (1.0 - a**2) if actor.squash else 1.0
     upstream = sign * g_action * chain - raw_penalty * raw
-    return nn.backward_batch(actor.params, actor_cache, upstream, reduce="mean")[0]
+    return nn.backward_batch(actor.params, actor_cache, upstream, reduce="mean", buffers=ws.actor)[0]

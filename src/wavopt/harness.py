@@ -49,7 +49,7 @@ from . import nn
 from .envs import ENVS, ReturnTracker, make_env
 from .inference import log_family, optimality_likelihood, sample_actions
 from .nets import ActorNet, CriticNet, PolicyNets, init_policy_nets
-from .dist_rl import TransitionBatch
+from .dist_rl import TransitionBatch, UpdateWorkspace
 from .safe_rl import ObjectiveEstimate, estimate_objectives, policy_update_step, tolerance_schedule
 
 __all__ = [
@@ -440,6 +440,9 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
         feature_scale=env.feature_scale,
         squash=True,
     )
+    # every update reuses these (batch, .) arrays, so none allocates and
+    # page-faults in its temporaries; built before the replay arrays
+    workspace = UpdateWorkspace(nets, config.batch_size)
     replay = ReplayBuffer(config.buffer_capacity, env.state_dim, 1, p)
     bounds = np.full(p, config.bound)
     critic_opt = nn.AdamState(nets.critic.params)
@@ -505,6 +508,7 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
             raw_penalty=config.raw_penalty,
             critic_opt=critic_opt,
             actor_opt=actor_opt,
+            workspace=workspace,
         )
         last_branch, last_delta = info.branch, info.td_delta
         if updates % config.target_sync_updates == 0:

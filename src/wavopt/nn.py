@@ -7,6 +7,11 @@ vector operations.  Every routine is deterministic given its
 inputs (and the seeded generator used at init).  The ReLU subgradient at
 zero is taken to be zero.
 
+``forward_batch_cached`` and ``backward_batch`` write every (batch, .)
+array into a ``LayerBuffers``, the caller's or a fresh one.  What a call
+returns through the caller's (outputs, cache, gradient) is valid only
+until the next call that writes those buffers.
+
 The checkpoint format is a stable text layout (documented in
 ``write_params``) so trained parameters round-trip bit-exactly across
 save/load.
@@ -23,6 +28,7 @@ __all__ = [
     "TrainingError",
     "init_mlp",
     "forward_batch",
+    "LayerBuffers",
     "forward_batch_cached",
     "backward_batch",
     "AdamState",
@@ -115,25 +121,42 @@ def _as_input(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return a
 
 
-def forward_batch_cached(params: MlpParams, x: np.ndarray):
+class LayerBuffers:
+    """Every (batch, .) array of one network's forward and backward pass.
+
+    ``pre[l]`` holds layer l's pre-activation (the last one is the
+    output), ``act[l]`` and ``mask[l]`` the ReLU output and its
+    positive-part mask of hidden layer l, ``delta[l]`` the gradient with
+    respect to layer l's input, and ``grad`` the parameter gradient in
+    the layout of ``params.flat``.
+    """
+
+    def __init__(self, params: MlpParams, batch: int) -> None:
+        sizes = params.layer_sizes
+        self.pre = [np.empty((batch, s)) for s in sizes[1:]]
+        self.act = [np.empty((batch, s)) for s in sizes[1:-1]]
+        self.mask = [np.empty((batch, s), dtype=bool) for s in sizes[1:-1]]
+        self.delta = [np.empty((batch, s)) for s in sizes[:-1]]
+        self.grad = np.empty_like(params.flat)
+
+
+def forward_batch_cached(params: MlpParams, x: np.ndarray, buffers=None):
     """Batched forward pass returning (outputs, cache) for backprop.
 
-    cache holds the layer inputs (post-activation of the previous layer)
-    and the hidden pre-activations.
+    cache holds the layer inputs (``x``, then each hidden ReLU output)
+    and the hidden pre-activations; all but ``x`` are views of
+    ``buffers`` (a fresh set when none is given).
     """
     a = _as_input(params, x)
+    bufs = buffers if buffers is not None else LayerBuffers(params, a.shape[0])
     inputs = [a]
-    pre = []
     last = params.n_layers - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w.T + b
+        z = np.add(np.matmul(a, w.T, out=bufs.pre[l]), b, out=bufs.pre[l])
         if l < last:
-            pre.append(z)
-            a = np.maximum(z, 0.0)
+            a = np.maximum(z, 0.0, out=bufs.act[l])
             inputs.append(a)
-        else:
-            a = z
-    return a, (inputs, pre)
+    return z, (inputs, bufs.pre[:last])
 
 
 def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -145,12 +168,13 @@ def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return a @ params.weights[-1].T + params.biases[-1]
 
 
-def backward_batch(params: MlpParams, cache, upstream: np.ndarray, reduce: str = "mean"):
+def backward_batch(params: MlpParams, cache, upstream: np.ndarray, reduce: str = "mean", buffers=None):
     """Backprop a batch of upstream output gradients through the network.
 
     Returns ``(grad, d_input)``: the parameter gradient of
     sum_or_mean_b <upstream_b, f(x_b)> as one vector in the layout of
-    ``params.flat``, and the per-sample input gradient (batch, fan_in).
+    ``params.flat``, and the per-sample input gradient (batch, fan_in),
+    both views of ``buffers`` (a fresh set when none is given).
     ``reduce`` is "mean" or "sum" over the batch; the input gradient is
     always per-sample.
     """
@@ -160,15 +184,16 @@ def backward_batch(params: MlpParams, cache, upstream: np.ndarray, reduce: str =
         raise ValueError("upstream batch size mismatch")
     if reduce not in ("mean", "sum"):
         raise ValueError("reduce must be 'mean' or 'sum'")
+    bufs = buffers if buffers is not None else LayerBuffers(params, delta.shape[0])
     scale = 1.0 / delta.shape[0] if reduce == "mean" else 1.0
-    grad = np.empty_like(params.flat)
+    grad = bufs.grad
     grad_w, grad_b = _layer_views(grad, params.layer_sizes)
     for l in range(params.n_layers - 1, -1, -1):
-        np.multiply(delta.T @ inputs[l], scale, out=grad_w[l])
+        np.multiply(np.matmul(delta.T, inputs[l], out=grad_w[l]), scale, out=grad_w[l])
         np.multiply(delta.sum(axis=0), scale, out=grad_b[l])
-        delta = delta @ params.weights[l]
+        delta = np.matmul(delta, params.weights[l], out=bufs.delta[l])
         if l > 0:
-            delta = delta * (pre[l - 1] > 0.0)
+            delta *= np.greater(pre[l - 1], 0.0, out=bufs.mask[l - 1])
     return grad, delta
 
 

@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .measures import (
     DefiningFunction,
@@ -206,6 +205,10 @@ def _oracle_uniform(dist: np.ndarray, k: float) -> float:
 
 def _oracle_lp(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray, k: float) -> float:
     """Transportation LP over the full coupling polytope."""
+    # the only scipy user: importing it here keeps scipy out of every
+    # process that never solves an LP (``train``, ``rate``, ``interpret``)
+    from scipy.optimize import linprog
+
     n, m = dist.shape
     cost = (dist**k).ravel()
     a_eq = np.zeros((n + m, n * m))

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import nn
 from .cmdp import TabularCmdp, exact_objective, exact_q_values, value_iteration
-from .dist_rl import TransitionBatch, actor_gradient, critic_gradient_all
+from .dist_rl import TransitionBatch, UpdateWorkspace, actor_gradient, critic_gradient_all
 from .inference import RewardOperatorFamily
 from .nets import PolicyNets
 
@@ -144,6 +144,7 @@ def policy_update_step(
     *,
     critic_opt: nn.AdamState,
     actor_opt: nn.AdamState,
+    workspace: UpdateWorkspace | None = None,
 ) -> UpdateInfo:
     """Adam descent of the critic TD loss on all signals, then one branched Adam actor step.
 
@@ -158,6 +159,9 @@ def policy_update_step(
     forward and one actor backward (``actor_gradient``), so an update
     runs exactly two network backward passes: the critic's and the
     actor's.
+
+    ``workspace``, built for these nets and batch size, takes every
+    (batch, .) array of the update, so reusing one allocates none.
     """
     bounds = np.asarray(bounds, dtype=float)
     est = np.asarray(constraint_estimates, dtype=float)
@@ -167,7 +171,7 @@ def policy_update_step(
     if bounds.shape != (n_signals - 1,):
         raise ValueError("need one bound per constraint signal")
 
-    ev = critic_gradient_all(nets, batch, gamma, value_clip)
+    ev = critic_gradient_all(nets, batch, gamma, value_clip, workspace)
     critic_opt.step(nets.critic.params, ev.grad, critic_lr)
 
     violated = np.flatnonzero(est > bounds + tolerance)
@@ -175,8 +179,8 @@ def policy_update_step(
         branch, sign = 0, 1
     else:
         branch, sign = int(violated[0]) + 1, -1  # lowest violated index
-    descent = -actor_gradient(nets, batch, branch, sign, raw_penalty)
-    actor_opt.step(nets.actor.params, descent, actor_lr)
+    descent = actor_gradient(nets, batch, branch, sign, raw_penalty, workspace)
+    actor_opt.step(nets.actor.params, np.negative(descent, out=descent), actor_lr)
     return UpdateInfo(branch, ev.loss, ev.delta_sup)
 
 

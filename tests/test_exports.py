@@ -2,6 +2,8 @@
 
 import importlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -21,3 +23,10 @@ def test_all_names_resolve(name):
     assert len(exported) == len(set(exported)), "duplicate entries in __all__"
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"wavopt.{name}.__all__ names missing attributes: {missing}"
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy (about 0.2 s and 40 MB at start-up) serves only the LP
+    # oracle, which imports it at its first LP
+    code = "import sys, wavopt.cli; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)

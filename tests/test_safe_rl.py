@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from wavopt import nn
 from wavopt.cmdp import TabularCmdp, exact_objective
-from wavopt.dist_rl import TransitionBatch, critic_gradient_all
+from wavopt.dist_rl import TransitionBatch, UpdateWorkspace, critic_gradient_all
 from wavopt.envs import CartpoleEnv, random_tabular_cmdp
 from wavopt.inference import RewardOperatorFamily, affine_family, log_family
 from wavopt.nets import init_policy_nets
@@ -240,6 +241,55 @@ def test_update_runs_one_critic_and_one_actor_backward(monkeypatch, estimates):
         raw_penalty=0.1, **_opts(nets),
     )
     assert calls == [nets.critic.params, nets.actor.params]
+
+
+def _cartpole_update(nets, batch, estimates, opts):
+    policy_update_step(
+        nets, batch, np.full(2, 0.5), estimates, 0.1, 1e-3, 1e-3, 0.99,
+        value_clip=(0.0, 50.0), raw_penalty=0.1, **opts,
+    )
+
+
+def _cartpole_nets():
+    # the default cartpole shapes: width 128, 128 quantiles, 3 signals
+    return init_policy_nets(4, 1, 128, 2, 128, 3, np.random.default_rng(23))
+
+
+def test_workspace_update_allocates_no_batch_arrays():
+    # updates that allocate their (batch, .) arrays peak above 3 MiB
+    # here; through one workspace only the argsort indices remain
+    nets = _cartpole_nets()
+    opts = dict(_opts(nets), workspace=UpdateWorkspace(nets, 128))
+    rng = np.random.default_rng(24)
+    batches = [_batch(rng, size=128) for _ in range(4)]
+    _cartpole_update(nets, batches[0], np.zeros(2), opts)
+    tracemalloc.start()
+    try:
+        for batch in batches[1:]:
+            _cartpole_update(nets, batch, np.zeros(2), opts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_workspace_update_matches_fresh_arrays_byte_for_byte():
+    runs = []
+    for reuse in (False, True):
+        nets = _cartpole_nets()
+        opts = _opts(nets)
+        if reuse:
+            opts["workspace"] = UpdateWorkspace(nets, 128)
+        rng = np.random.default_rng(25)
+        for t in range(20):
+            # estimates around the bounds, so both branches run
+            _cartpole_update(nets, _batch(rng, size=128), rng.uniform(0.0, 1.5, size=2), opts)
+            if t % 7 == 6:
+                nets.sync_target()
+        runs.append(nets)
+    fresh, reused = runs
+    for net in ("actor", "critic", "target_actor", "target_critic"):
+        assert getattr(fresh, net).params.flat.tobytes() == getattr(reused, net).params.flat.tobytes()
 
 
 def test_update_shape_validation():
