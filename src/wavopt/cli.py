@@ -124,8 +124,10 @@ def _cmd_verify(args) -> int:
         report.write_text("")
     results = verify_mod.run_all(full=not args.quick, seed=args.seed)
     lines = [r.report_line() for r in results]
-    for line in lines:
+    for result, line in zip(results, lines):
         print(line)
+        # timings go to stderr, so stdout and the report stay byte-stable
+        print(result.line(), file=sys.stderr)
     if report:
         report.write_text("\n".join(lines) + "\n")
     return 0 if all(r.passed for r in results) else 1

@@ -115,6 +115,13 @@ class OneDMeasure:
         if abs(self.weights.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError("weights must sum to 1")
 
+    @classmethod
+    def _canonical(cls, positions: np.ndarray, weights: np.ndarray) -> "OneDMeasure":
+        """Wrap float arrays already in canonical form, skipping the checks."""
+        m = cls.__new__(cls)
+        m.positions, m.weights = positions, weights
+        return m
+
     @property
     def size(self) -> int:
         return self.positions.shape[0]
@@ -148,7 +155,9 @@ def one_d_measure(positions, weights=None) -> OneDMeasure:
 
     order = np.argsort(pos, kind="stable")
     kept = order[w[order] > 0.0]  # the sum check leaves at least one positive weight
-    return OneDMeasure(pos[kept], w[kept] / w[kept].sum())  # renormalize away the dropped mass (<= sum tol)
+    # canonical by construction, so the constructor's checks are skipped;
+    # renormalizing removes the dropped mass (<= sum tol)
+    return OneDMeasure._canonical(pos[kept], w[kept] / w[kept].sum())
 
 
 # ---------------------------------------------------------------------------

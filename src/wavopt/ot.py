@@ -37,10 +37,16 @@ shares kind, degree and dim).  Each projected row is sorted, and then:
 Blocks keep the (block, n) work arrays, and so the peak memory, flat in
 the slice count.
 
-``wasserstein_oracle`` is a deliberately independent brute-force route
-(permutation enumeration, transportation linear program, bottleneck
-search via the Hall/Gale feasibility condition) used to validate the
-quantile-merge implementation; it shares no code with it.
+``wasserstein_oracles`` is a deliberately independent brute-force route
+used to validate the quantile-merge implementation; it shares no code
+with it.  Per pair it enumerates permutations (small uniform pairs),
+searches the bottleneck threshold through the Hall/Gale feasibility
+condition, all 2^n subsets at once (k = inf), or solves the
+transportation linear program (Peyre & Cuturi, "Computational Optimal
+Transport", 2019).  The linear programs of one call are stacked as the
+diagonal blocks of one HiGHS program, up to ``_LP_BATCH`` per solve, at
+1e-10 primal and dual feasibility tolerances.  ``wasserstein_oracle``
+is the same route on one pair.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ __all__ = [
     "wasserstein_1d",
     "wasserstein_1d_power_grad",
     "wasserstein_oracle",
+    "wasserstein_oracles",
     "swd",
     "gswd",
     "check_pseudo_metric",
@@ -203,52 +210,69 @@ def _oracle_uniform(dist: np.ndarray, k: float) -> float:
     return float(costs.min() ** (1.0 / k))
 
 
-def _oracle_lp(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray, k: float) -> float:
-    """Transportation LP over the full coupling polytope."""
+def _oracle_lps(blocks) -> list:
+    """Transportation LPs over the full coupling polytopes, solved as one program.
+
+    ``blocks`` holds ``(dist, wa, wb, k)`` per problem.  Each problem is
+    one diagonal block of the equality matrix (row sums ``wa``, column
+    sums ``wb``), so the program separates: the sum of the block optima
+    is optimal only if every block is optimal, and block b's value is
+    ``(c_b @ x_b) ** (1/k)``.  HiGHS runs at 1e-10 primal and dual
+    feasibility tolerances, so each value is accurate well past the
+    1e-9 of the transport check.
+    """
     # the only scipy user: importing it here keeps scipy out of every
     # process that never solves an LP (``train``, ``rate``, ``interpret``)
     from scipy.optimize import linprog
+    from scipy.sparse import coo_array
 
-    n, m = dist.shape
-    cost = (dist**k).ravel()
-    a_eq = np.zeros((n + m, n * m))
-    for i in range(n):
-        a_eq[i, i * m : (i + 1) * m] = 1.0
-    for j in range(m):
-        a_eq[n + j, j::m] = 1.0
-    b_eq = np.concatenate([wa, wb])
-    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    rows, cols, costs, b_eq, spans = [], [], [], [], []
+    r0 = c0 = 0
+    for dist, wa, wb, k in blocks:
+        n, m = dist.shape
+        cells = np.arange(n * m)
+        # cell (i, j) sits in row-sum row i and column-sum row n + j
+        rows += [r0 + cells // m, r0 + n + cells % m]
+        cols += [c0 + cells, c0 + cells]
+        costs.append((dist**k).ravel())
+        b_eq += [wa, wb]
+        spans.append((c0, c0 + n * m, k))
+        r0, c0 = r0 + n + m, c0 + n * m
+    cost = np.concatenate(costs)
+    a_eq = coo_array((np.ones(2 * c0), (np.concatenate(rows), np.concatenate(cols))), shape=(r0, c0))
+    res = linprog(
+        cost,
+        A_eq=a_eq,
+        b_eq=np.concatenate(b_eq),
+        bounds=(0, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
-    return float(max(res.fun, 0.0) ** (1.0 / k))
+    return [float(max(cost[a:b] @ res.x[a:b], 0.0) ** (1.0 / k)) for a, b, k in spans]
+
+
+_subset_cache: dict[int, np.ndarray] = {}
+
+
+def _subset_masks(n: int) -> np.ndarray:
+    """(2^n - 1, n) 0/1 rows, one per non-empty subset of n atoms."""
+    if n not in _subset_cache:
+        _subset_cache[n] = ((np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+    return _subset_cache[n]
 
 
 def _bottleneck_feasible(allowed: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> bool:
     """Gale's condition: a coupling supported on ``allowed`` exists iff
-    every subset S of left atoms satisfies wa(S) <= wb(neighbors(S))."""
-    n, m = allowed.shape
-    # Bitmask of reachable right atoms per left atom; n <= ORACLE_MAX_ATOMS
-    # keeps the 2^n subset sweep tiny.
-    col_mask = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        bits = 0
-        for j in np.flatnonzero(allowed[i]):
-            bits |= 1 << int(j)
-        col_mask[i] = bits
-    for subset in range(1, 1 << n):
-        mass = 0.0
-        nb = 0
-        for i in range(n):
-            if subset >> i & 1:
-                mass += wa[i]
-                nb |= col_mask[i]
-        nb_mass = 0.0
-        for j in range(m):
-            if nb >> j & 1:
-                nb_mass += wb[j]
-        if mass > nb_mass + 1e-12:
-            return False
-    return True
+    every subset S of left atoms satisfies wa(S) <= wb(neighbors(S)).
+
+    All 2^n subsets are checked at once; n <= ORACLE_MAX_ATOMS keeps the
+    (2^n - 1, n) mask matrix tiny.
+    """
+    masks = _subset_masks(allowed.shape[0])
+    reach = (masks @ allowed) > 0.0
+    return not np.any(masks @ wa > reach @ wb + 1e-12)
 
 
 def _oracle_bottleneck(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> float:
@@ -264,31 +288,54 @@ def _oracle_bottleneck(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> floa
     return float(thresholds[lo])
 
 
-def wasserstein_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure, k=1.0) -> float:
-    """Brute-force order-k Wasserstein distance for small discrete measures.
+# transport LPs per HiGHS solve; keeps one solve's memory flat in the
+# number of problems
+_LP_BATCH = 128
 
-    Route selection: equal atom counts with uniform weights (n <= 8) use
-    exhaustive permutation matching; general weights use a transportation
-    LP for finite k and a Hall-condition bottleneck search for k = inf.
+
+def wasserstein_oracles(problems) -> list:
+    """Brute-force order-k Wasserstein distances for small discrete measures.
+
+    ``problems`` holds ``(mu, nu, k)`` triples; one value is returned per
+    triple, in order.  Route selection per triple: equal atom counts
+    with uniform weights (n <= 8) use exhaustive permutation matching;
+    general weights use a Hall-condition bottleneck search for k = inf
+    and the transportation LP for finite k.  The LPs are solved
+    ``_LP_BATCH`` at a time as one block-diagonal HiGHS program.
     Raises ValueError beyond ``ORACLE_MAX_ATOMS`` atoms per side.
     """
-    kk = _check_order(k)
-    if mu.dim != nu.dim:
-        raise ValueError("measures must share the ambient dimension")
-    if mu.size > ORACLE_MAX_ATOMS or nu.size > ORACLE_MAX_ATOMS:
-        raise ValueError(f"oracle limited to {ORACLE_MAX_ATOMS} atoms per measure")
-    dist = _pairwise_distances(mu.atoms, nu.atoms)
-    uniform = (
-        mu.size == nu.size
-        and mu.size <= _PERM_MAX_ATOMS
-        and np.allclose(mu.weights, 1.0 / mu.size, atol=1e-12)
-        and np.allclose(nu.weights, 1.0 / nu.size, atol=1e-12)
-    )
-    if uniform:
-        return _oracle_uniform(dist, kk)
-    if math.isinf(kk):
-        return _oracle_bottleneck(dist, mu.weights, nu.weights)
-    return _oracle_lp(dist, mu.weights, nu.weights, kk)
+    values = [0.0] * len(problems)
+    lps, lp_index = [], []
+    for i, (mu, nu, k) in enumerate(problems):
+        kk = _check_order(k)
+        if mu.dim != nu.dim:
+            raise ValueError("measures must share the ambient dimension")
+        if mu.size > ORACLE_MAX_ATOMS or nu.size > ORACLE_MAX_ATOMS:
+            raise ValueError(f"oracle limited to {ORACLE_MAX_ATOMS} atoms per measure")
+        dist = _pairwise_distances(mu.atoms, nu.atoms)
+        uniform = (
+            mu.size == nu.size
+            and mu.size <= _PERM_MAX_ATOMS
+            and np.allclose(mu.weights, 1.0 / mu.size, atol=1e-12)
+            and np.allclose(nu.weights, 1.0 / nu.size, atol=1e-12)
+        )
+        if uniform:
+            values[i] = _oracle_uniform(dist, kk)
+        elif math.isinf(kk):
+            values[i] = _oracle_bottleneck(dist, mu.weights, nu.weights)
+        else:
+            lps.append((dist, mu.weights, nu.weights, kk))
+            lp_index.append(i)
+    for start in range(0, len(lps), _LP_BATCH):
+        solved = _oracle_lps(lps[start : start + _LP_BATCH])
+        for i, v in zip(lp_index[start : start + _LP_BATCH], solved):
+            values[i] = v
+    return values
+
+
+def wasserstein_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure, k=1.0) -> float:
+    """``wasserstein_oracles`` on the one pair ``(mu, nu, k)``."""
+    return wasserstein_oracles([(mu, nu, k)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Exit codes and file outputs of every subcommand."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -231,6 +232,17 @@ def test_verify_quick_passes_and_report_is_deterministic(tmp_path, capsys):
     # that moves any printed violation must say so here
     digest = hashlib.sha256((out1 / "verify_report.txt").read_bytes()).hexdigest()
     assert digest == VERIFY_QUICK_SEED7_SHA256
+
+
+def test_verify_prints_check_timings_to_stderr(tmp_path, capsys):
+    assert main(["verify", "--quick", "--seed", "7", "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (tmp_path / "verify_report.txt").read_text()
+    names = [line.split()[0] for line in captured.out.splitlines()]
+    err = captured.err.splitlines()
+    assert len(err) == len(names) == 7
+    for name, line in zip(names, err):
+        assert re.fullmatch(rf"PASS {name}: max violation \S+ \(tolerance \S+, \d+\.\d\ds\)( \[.*\])?", line)
 
 
 def test_rate_on_synthetic_curve_prints_exponent(tmp_path, capsys):

@@ -28,7 +28,9 @@ from wavopt.ot import (
     swd,
     wasserstein_1d,
     wasserstein_oracle,
+    wasserstein_oracles,
 )
+from wavopt import ot
 
 
 def _measure_1d(positions, weights=None):
@@ -282,6 +284,72 @@ class TestOracleAgreement:
                     math.inf,
                 )
                 assert fast == pytest.approx(wasserstein_oracle(mu, nu, math.inf), abs=1e-9)
+
+
+    # (weighted, k) specs cycled over a batch, and the HiGHS solves it needs:
+    # 200 LP triples span two solves; uniform pairs and k = inf need none
+    @pytest.mark.parametrize(
+        "count, specs, solves",
+        [
+            (200, [(True, 1.0), (True, 2.0)], 2),
+            (60, [(False, 1.0), (False, 2.0), (False, math.inf), (True, math.inf)], 0),
+            (1, [(True, 2.0)], 1),
+        ],
+    )
+    def test_batched_oracle_matches_exact_and_single_pair(self, monkeypatch, count, specs, solves):
+        rng = np.random.default_rng(14)
+        problems = []
+        for i in range(count):
+            weighted, k = specs[i % len(specs)]
+            n = int(rng.integers(1, 9))
+            m = int(rng.integers(1, 9)) if weighted else n
+            problems.append((_random_discrete(rng, n, 1, weighted), _random_discrete(rng, m, 1, weighted), k))
+        calls = []
+        solve = ot._oracle_lps
+
+        def counted(blocks):
+            calls.append(len(blocks))
+            return solve(blocks)
+
+        monkeypatch.setattr(ot, "_oracle_lps", counted)
+        batched = wasserstein_oracles(problems)
+        assert len(calls) == solves and all(c <= ot._LP_BATCH for c in calls)
+        assert len(batched) == count
+        for (mu, nu, k), value in zip(problems, batched):
+            exact = wasserstein_1d(
+                one_d_measure(mu.atoms[:, 0], mu.weights), one_d_measure(nu.atoms[:, 0], nu.weights), k
+            )
+            assert value == pytest.approx(exact, abs=1e-12)
+            assert value == pytest.approx(wasserstein_oracle(mu, nu, k), abs=1e-12)
+
+    def test_hall_search_matches_subset_loop(self):
+        def loop_feasible(allowed, wa, wb):
+            # reference: one subset at a time, Python sums
+            n, m = allowed.shape
+            for subset in range(1, 1 << n):
+                left = [i for i in range(n) if subset >> i & 1]
+                reach = [j for j in range(m) if allowed[left, j].any()]
+                if sum(wa[i] for i in left) > sum(wb[j] for j in reach) + 1e-12:
+                    return False
+            return True
+
+        rng = np.random.default_rng(15)
+        for trial in range(300):
+            n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            allowed = rng.uniform(size=(n, m)) < 0.5
+            # uniform weights on odd trials make exact mass ties common
+            wa = rng.dirichlet(np.ones(n)) if trial % 2 else np.full(n, 1.0 / n)
+            wb = rng.dirichlet(np.ones(m)) if trial % 2 else np.full(m, 1.0 / m)
+            assert ot._bottleneck_feasible(allowed, wa, wb) == loop_feasible(allowed, wa, wb)
+
+    def test_hall_search_is_feasible_at_exact_mass_ties(self):
+        half = np.array([0.5, 0.5])
+        assert ot._bottleneck_feasible(np.eye(2, dtype=bool), half, half)
+        assert not ot._bottleneck_feasible(np.array([[True, False], [True, False]]), half, half)
+        # at threshold 1 atom 0 (mass 1/2) reaches atoms 0 and 1 (mass 1/4 + 1/4)
+        mu = DiscreteMeasure(np.array([[0.0], [1.0], [2.0]]), np.array([0.5, 0.25, 0.25]))
+        nu = DiscreteMeasure(np.array([[0.0], [1.0], [2.0]]), np.array([0.25, 0.25, 0.5]))
+        assert wasserstein_oracle(mu, nu, math.inf) == 1.0
 
 
 # ---------------------------------------------------------------------------
