@@ -13,7 +13,7 @@ Layers, bottom to top:
   critic and actor gradients.
 * ``safe_rl``            - primal constrained policy optimization.
 * ``inference``          - control-as-inference: reward operator families,
-  optimality likelihoods, variational slicing step, interpretation.
+  optimality likelihoods, action sampling, interpretation.
 * ``harness``            - config, training loop, learning curves, rate fits.
 * ``cli``                - ``wavopt`` command line (train / verify / rate /
   interpret / oracle).

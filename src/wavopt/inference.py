@@ -1,6 +1,6 @@
 """Control-as-inference utilities: reward-to-optimality operators,
-optimality likelihoods, variational transport steps, action sampling and
-likelihood-ratio interpretation.
+optimality likelihoods, action sampling and likelihood-ratio
+interpretation.
 
 A *reward operator family* F_r maps an optimality probability p in
 (0, 1] to a reward value in [r_min, r_max].  Two stock constructions:
@@ -16,13 +16,6 @@ covers the full reward range and carries its closed-form inverse.
 clipping out-of-range rewards (recorded per entry, never silent) and
 flooring the returned probabilities at 1e-9 so downstream
 log-likelihoods stay finite.
-
-``variational_step`` performs one backtracking gradient descent step on
-the k-th power of the sliced distance between a candidate measure and a
-target, moving atom positions only; the gradient flows through each
-defining function by the chain rule.  For two unit point masses at q and
-p with a linear slice and k = 2 the gradient has magnitude 2|q - p| and
-points away from p, so the step moves q toward p.
 """
 
 from __future__ import annotations
@@ -34,15 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .measures import (
-    WEIGHT_SUM_TOL,
-    DefiningFunction,
-    DiscreteMeasure,
-    OneDMeasure,
-    SliceParameterSet,
-    project,
-)
-from .ot import wasserstein_1d, wasserstein_1d_power_grad
+from .measures import WEIGHT_SUM_TOL
 
 __all__ = [
     "LIKELIHOOD_FLOOR",
@@ -52,9 +37,6 @@ __all__ = [
     "affine_family",
     "log_family",
     "optimality_likelihood",
-    "VariationalStepResult",
-    "variational_step",
-    "sliced_power_objective",
     "sample_actions",
     "InterpretationFactor",
     "decompose_interpretation",
@@ -139,108 +121,6 @@ def optimality_likelihood(family: RewardOperatorFamily, rewards):
     clipped = (r < family.r_min) | (r > family.r_max)
     p = np.maximum(family.inverse(np.clip(r, family.r_min, family.r_max)), LIKELIHOOD_FLOOR)
     return p, clipped
-
-
-# -- variational transport step ------------------------------------------------
-
-
-def _positive_part(measure: DiscreteMeasure):
-    keep = measure.weights > 0.0
-    return measure.atoms[keep], measure.weights[keep] / measure.weights[keep].sum(), keep
-
-
-def _project_keep_order(atoms: np.ndarray, weights: np.ndarray, f: DefiningFunction, offset: float):
-    """Slice projection that remembers the sort permutation."""
-    vals = f.evaluate(atoms) - offset
-    order = np.argsort(vals, kind="stable")
-    return OneDMeasure(vals[order], weights[order]), order
-
-
-def sliced_power_objective(
-    atoms: np.ndarray,
-    weights: np.ndarray,
-    target_projections: Sequence[OneDMeasure],
-    slices: SliceParameterSet,
-    k: float,
-) -> float:
-    """Mean over slices of W_k^k between the projected atoms and targets."""
-    total = 0.0
-    for (f, offset), targ in zip(slices, target_projections):
-        proj, _ = _project_keep_order(atoms, weights, f, offset)
-        total += wasserstein_1d(proj, targ, k) ** k
-    return total / len(target_projections)
-
-
-@dataclass
-class VariationalStepResult:
-    measure: DiscreteMeasure
-    objective_before: float
-    objective_after: float
-    step_used: float
-    halvings: int
-    gradient: np.ndarray
-
-
-def variational_step(
-    q: DiscreteMeasure,
-    p: DiscreteMeasure,
-    slices: SliceParameterSet,
-    k: float = 2.0,
-    step_size: float = 0.1,
-    max_halvings: int = 30,
-) -> VariationalStepResult:
-    """One descent step on the sliced transport cost, moving q's atoms.
-
-    The objective is the mean over slices of W_k^k between the sliced
-    measures (the k-th power of the sliced distance, so minimizers
-    coincide).  Atom weights stay fixed; zero-weight atoms do not move.
-    The step backtracks by halving until the objective strictly
-    decreases; if no decrease is found the original measure is returned
-    with step 0.
-    """
-    if math.isinf(k):
-        raise ValueError("variational step requires finite k")
-    if len(slices) == 0:
-        raise ValueError("need at least one slice")
-    atoms0, w_pos, keep = _positive_part(q)
-    n_slices = len(slices)
-
-    targets = [project(p, f, offset) for f, offset in slices]
-
-    grad_pos = np.zeros_like(atoms0)
-    before = 0.0
-    for (f, offset), targ in zip(slices, targets):
-        proj, order = _project_keep_order(atoms0, w_pos, f, offset)
-        wk, g_sorted = wasserstein_1d_power_grad(proj, targ, k)
-        before += wk
-        g_orig = np.zeros(atoms0.shape[0])
-        g_orig[order] = g_sorted
-        grad_pos += g_orig[:, None] * f.gradient(atoms0)
-    before /= n_slices
-    grad_pos /= n_slices
-
-    full_grad = np.zeros_like(q.atoms)
-    full_grad[keep] = grad_pos
-
-    if not np.any(grad_pos):
-        return VariationalStepResult(q, before, before, 0.0, 0, full_grad)
-
-    step = float(step_size)
-    halvings = 0
-    while True:
-        candidate = atoms0 - step * grad_pos
-        after = sliced_power_objective(candidate, w_pos, targets, slices, k)
-        if after < before:
-            break
-        if halvings >= max_halvings:
-            return VariationalStepResult(q, before, before, 0.0, halvings, full_grad)
-        step *= 0.5
-        halvings += 1
-
-    new_atoms = q.atoms.copy()
-    new_atoms[keep] = candidate
-    moved = DiscreteMeasure(new_atoms, q.weights.copy())
-    return VariationalStepResult(moved, before, after, step, halvings, full_grad)
 
 
 # -- sampling and interpretation -----------------------------------------------

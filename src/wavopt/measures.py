@@ -289,24 +289,6 @@ class DefiningFunction:
             return pts @ self.coefficients
         return self.coefficients @ self.features(pts)
 
-    def gradient(self, points: np.ndarray) -> np.ndarray:
-        """grad beta(points): (n, d) -> (n, d)."""
-        pts = self._points(points)
-        if self.kind == "linear":
-            return np.broadcast_to(self.coefficients, pts.shape).copy()
-        table = _power_table(pts, self.degree)
-        grad = np.zeros(pts.shape)
-        exps = self._exponents
-        for j in range(self.dim):
-            ej = exps[:, j]
-            active = ej > 0
-            if not active.any():
-                continue
-            lowered = exps[active].copy()
-            lowered[:, j] -= 1
-            grad[:, j] = (self.coefficients[active] * ej[active]) @ _monomials(table, lowered)
-        return grad
-
 
 def _power_table(pts: np.ndarray, degree: int) -> np.ndarray:
     """(d, degree + 1, n) table with ``table[j, e] = pts[:, j] ** e``, by repeated products."""
@@ -328,14 +310,13 @@ def _monomials(table: np.ndarray, exponents: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class SliceParameterSet:
-    """A finite family of slices with per-slice scalar offsets.
+    """A finite family of slices.
 
     The slices share kind, degree and dim, so one set of feature rows
     serves them all.
     """
 
     functions: list
-    offsets: np.ndarray = None
 
     def __post_init__(self) -> None:
         if not self.functions:
@@ -346,24 +327,13 @@ class SliceParameterSet:
                 raise ValueError("functions must be DefiningFunction instances")
             if (f.kind, f.degree, f.dim) != (first.kind, first.degree, first.dim):
                 raise ValueError("slices must share kind, degree and dim")
-        if self.offsets is None:
-            self.offsets = np.zeros(len(self.functions))
-        else:
-            self.offsets = np.asarray(self.offsets, dtype=float).ravel()
-            if self.offsets.shape != (len(self.functions),):
-                raise ValueError("need exactly one offset per slice")
-            if not np.all(np.isfinite(self.offsets)):
-                raise ValueError("offsets must be finite")
 
     def __len__(self) -> int:
         return len(self.functions)
 
-    def __iter__(self):
-        return iter(zip(self.functions, self.offsets))
 
-
-def project(measure: DiscreteMeasure, f: DefiningFunction, offset: float = 0.0) -> OneDMeasure:
-    """Push ``measure`` through the slice: positions beta(x) - offset, weights kept.
+def project(measure: DiscreteMeasure, f: DefiningFunction) -> OneDMeasure:
+    """Push ``measure`` through the slice: positions beta(x), weights kept.
 
     The result is canonicalized by ``one_d_measure`` (stably sorted, zero
     weights dropped), so projecting is positively homogeneous in the
@@ -371,5 +341,4 @@ def project(measure: DiscreteMeasure, f: DefiningFunction, offset: float = 0.0) 
     """
     if measure.dim != f.dim:
         raise ValueError(f"measure dim {measure.dim} != slice dim {f.dim}")
-    vals = f.evaluate(measure.atoms) - float(offset)
-    return one_d_measure(vals, measure.weights)
+    return one_d_measure(f.evaluate(measure.atoms), measure.weights)

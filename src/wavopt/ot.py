@@ -67,7 +67,6 @@ from .measures import (
 
 __all__ = [
     "wasserstein_1d",
-    "wasserstein_1d_power_grad",
     "wasserstein_oracle",
     "wasserstein_oracles",
     "swd",
@@ -155,31 +154,6 @@ def _merged_segments(cx: np.ndarray, cy: np.ndarray):
     seg = np.diff(b, prepend=0.0)
     seg[starts] = b[starts]
     return starts, seg, row * n + ix, row * m + (pos - ix)
-
-
-def wasserstein_1d_power_grad(mu: OneDMeasure, nu: OneDMeasure, k=2.0):
-    """``W_k(mu, nu)^k`` and its gradient in ``mu``'s atom positions.
-
-    Finite ``k`` only.  The k-th power is a sum of smooth segment terms
-    ``seg * |x_i - y_j|^k``, so the gradient is the segment-weighted sum
-    of ``k |x_i - y_j|^(k-1) sign(x_i - y_j)`` per mu atom (for k = 1
-    the subgradient 0 is used at coincident atoms, where the term
-    contributes nothing anyway).
-    """
-    kk = _check_order(k)
-    if math.isinf(kk):
-        raise ValueError("gradient of the transport cost needs finite k")
-    _, seg, ix, iy = _merged_segments(mu.cumulative()[None], nu.cumulative()[None])
-    diff = mu.positions[ix] - nu.positions[iy]
-    d = np.abs(diff)
-
-    total = float(seg @ d**kk)
-    # d/dx of seg * |x - y|^k, with subgradient 0 at coincident atoms
-    # (the term vanishes there anyway)
-    contrib = np.where(d > 0.0, seg * kk * d ** (kk - 1.0) * np.sign(diff), 0.0)
-    grad = np.zeros(mu.positions.size)
-    np.add.at(grad, ix, contrib)
-    return total, grad
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +338,12 @@ def _sliced_powers(
     # first segment, whose distance the k = inf maximum still reads
     kx, ky = mu.weights > 0.0, nu.weights > 0.0
     wx, wy = mu.weights[kx], nu.weights[ky]
-    fns, offsets = slices.functions, slices.offsets
+    fns = slices.functions
     fx, fy = fns[0].features(mu.atoms[kx]), fns[0].features(nu.atoms[ky])
     out = np.empty(len(fns))
     for start in range(0, len(fns), _BLOCK):
         coeffs = np.array([f.coefficients for f in fns[start : start + _BLOCK]])
-        off = offsets[start : start + _BLOCK, None]
-        out[start : start + len(coeffs)] = _row_powers(coeffs @ fx - off, wx, coeffs @ fy - off, wy, k)
+        out[start : start + len(coeffs)] = _row_powers(coeffs @ fx, wx, coeffs @ fy, wy, k)
     return out
 
 
@@ -431,7 +404,7 @@ def _cumulative(w: np.ndarray) -> np.ndarray:
 
 
 def random_linear_slices(dim: int, count: int, rng: np.random.Generator) -> SliceParameterSet:
-    """Uniform random unit directions (Gaussian normalized), zero offsets."""
+    """Uniform random unit directions (Gaussian normalized)."""
     if count < 1:
         raise ValueError("need at least one slice")
     raw = rng.standard_normal((count, dim))
@@ -442,7 +415,7 @@ def random_linear_slices(dim: int, count: int, rng: np.random.Generator) -> Slic
 def random_polynomial_slices(
     dim: int, count: int, rng: np.random.Generator, degree: int = 3
 ) -> SliceParameterSet:
-    """Random unit-norm odd-degree homogeneous polynomial slices, zero offsets."""
+    """Random unit-norm odd-degree homogeneous polynomial slices."""
     if count < 1:
         raise ValueError("need at least one slice")
     raw = rng.standard_normal((count, num_monomials(degree, dim)))
@@ -470,10 +443,8 @@ def swd(mu: DiscreteMeasure, nu: DiscreteMeasure, k=2.0, num_projections: int = 
 def gswd(mu: DiscreteMeasure, nu: DiscreteMeasure, k, slices: SliceParameterSet) -> float:
     """Generalized sliced Wasserstein distance over an explicit slice set.
 
-    Each slice projects both measures through the same defining function
-    and offset; per-slice order-k distances are power-averaged.  Shared
-    offsets cancel inside the 1-D distance, so the value is
-    translation-consistent in the offsets.
+    Each slice projects both measures through the same defining function;
+    per-slice order-k distances are power-averaged.
     """
     kk = _check_order(k)
     if mu.dim != nu.dim:

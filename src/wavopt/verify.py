@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .cmdp import TabularCmdp, value_iteration
+from .cmdp import TabularCmdp
 from .dist_rl import (
     QuantileMap,
     TransitionBatch,
@@ -34,14 +34,11 @@ from .inference import (
     affine_family,
     decompose_interpretation,
     log_family,
-    sliced_power_objective,
-    variational_step,
 )
-from .measures import DiscreteMeasure, one_d_measure, project
+from .measures import DiscreteMeasure, one_d_measure
 from .nets import init_policy_nets
 from .ot import (
     check_pseudo_metric,
-    random_polynomial_slices,
     wasserstein_1d,
     wasserstein_oracles,
 )
@@ -257,14 +254,19 @@ def _rel_gap(a, b):
 
 
 # Central differences with step 1e-5 are only valid where every ReLU
-# pre-activation stays clear of zero, so instances are resampled (bounded
-# retries) until all of them clear this margin.
+# pre-activation stays clear of zero and no two sorted atoms can swap, so
+# instances are resampled (bounded retries) until all of them clear this
+# margin.
 _KINK_MARGIN = 1e-3
 
 
 def _clears_kinks(params, x) -> bool:
     _, (_, pres) = nn.forward_batch_cached(params, x)
     return all(np.min(np.abs(p)) > _KINK_MARGIN for p in pres)
+
+
+def _atoms_apart(atoms) -> bool:
+    return np.diff(np.sort(atoms), axis=-1).min() > _KINK_MARGIN
 
 
 def _kink_safe_mlp(seed, sizes=(4, 8, 8, 3)):
@@ -313,8 +315,10 @@ def _random_batch(rng, b=4):
 def _kink_safe_policy(seed, batch_seed):
     """Small nets and a batch that clear the kink margin everywhere the checks look.
 
-    That is every actor pre-activation at the batch states and every
-    critic pre-activation at (s, a) and at (s, pi(s)).  Attempt 0 is
+    That is every actor pre-activation at the batch states, every critic
+    pre-activation at (s, a) and at (s, pi(s)), and every gap between
+    neighbouring sorted critic atoms at (s, a): the quantile loss sorts
+    them, so its gradient breaks where two atoms swap.  Attempt 0 is
     (seed, batch_seed) itself; each retry moves both by a fixed stride.
     """
     for attempt in range(200):
@@ -327,6 +331,7 @@ def _kink_safe_policy(seed, batch_seed):
             _clears_kinks(actor.params, actor.scaled(batch.states))
             and _clears_kinks(critic.params, critic.inputs(batch.states, batch.actions))
             and _clears_kinks(critic.params, critic.inputs(batch.states, policy_actions))
+            and _atoms_apart(critic.forward_batch(batch.states, batch.actions))
         ):
             return nets, batch
     raise RuntimeError("no kink-safe instance found")
@@ -365,51 +370,19 @@ def _fd_actor_check(seed) -> float:
     return _rel_gap(grad, central_differences(nets.actor.params, objective))
 
 
-def _fd_variational_check(seed) -> float:
-    rng = np.random.default_rng(seed)
-    n, d = 3, 2
-    atoms = rng.normal(size=(n, d))
-    w = np.full(n, 1.0 / n)
-    q = DiscreteMeasure(atoms.copy(), w)
-    p = DiscreteMeasure(rng.normal(loc=0.6, size=(4, d)), np.full(4, 0.25))
-    slices = random_polynomial_slices(d, 3, np.random.default_rng(seed + 1), degree=3)
-    res = variational_step(q, p, slices, k=2.0, step_size=1e-12)
-    targ = [project(p, f, off) for f, off in slices]
-    eps = 1e-6
-    worst = 0.0
-    for idx in np.ndindex(n, d):
-        up = atoms.copy()
-        dn = atoms.copy()
-        up[idx] += eps
-        dn[idx] -= eps
-        fd = (
-            sliced_power_objective(up, w, targ, slices, 2.0)
-            - sliced_power_objective(dn, w, targ, slices, 2.0)
-        ) / (2 * eps)
-        scale = max(1.0, abs(fd), abs(res.gradient[idx]))
-        worst = max(worst, abs(res.gradient[idx] - fd) / scale)
-    return worst
-
-
 def check_gradients(instances: int = 100, seed: int = 0, tol: float = 1e-4) -> CheckResult:
     """Analytic gradients vs central finite differences.
 
-    Instances are split across the four gradient paths: raw network
-    backward, critic quantile-matching loss over all signals, the
-    folded actor objective (constraint descent plus the raw-output
-    penalty), and the sliced variational transport gradient.
+    Instances are split as evenly as possible across the three gradient
+    paths: raw network backward, critic quantile-matching loss over all
+    signals, and the folded actor objective (constraint descent plus the
+    raw-output penalty).
     """
-    per = max(1, instances // 4)
     worst = 0.0
     t0 = time.perf_counter()
-    for i in range(per):
-        worst = max(worst, _fd_mlp_check(seed + i))
-    for i in range(per):
-        worst = max(worst, _fd_critic_check(seed + 100 + i))
-    for i in range(per):
-        worst = max(worst, _fd_actor_check(seed + 200 + i))
-    for i in range(instances - 3 * per):
-        worst = max(worst, _fd_variational_check(seed + 300 + i))
+    for j, check in enumerate((_fd_mlp_check, _fd_critic_check, _fd_actor_check)):
+        for i in range(instances // 3 + (j < instances % 3)):
+            worst = max(worst, check(seed + 100 * j + i))
     dt = time.perf_counter() - t0
     return CheckResult("gradient_checks", worst < tol, worst, tol, f"{instances} instances", dt)
 

@@ -213,7 +213,7 @@ def test_train_gated_ship_prints_no_warning(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-VERIFY_QUICK_SEED7_SHA256 = "64dfadb1e45d935fb49370651c422dad1b9d4e910ba7b46b46122902399fe7fb"
+VERIFY_QUICK_SEED7_SHA256 = "e32626cf7ac4cb35b35a777447167337edfcc659bbcd53a6e021b0a1c6073119"
 
 
 def test_verify_quick_passes_and_report_is_deterministic(tmp_path, capsys):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -12,15 +10,8 @@ from wavopt.inference import (
     log_family,
     optimality_likelihood,
     sample_actions,
-    sliced_power_objective,
-    variational_step,
 )
-from wavopt.measures import DefiningFunction, DiscreteMeasure, SliceParameterSet, one_d_measure, project
-from wavopt.ot import gswd, random_polynomial_slices
-
-
-def _linear_slice_1d():
-    return SliceParameterSet([DefiningFunction.linear(np.array([1.0]))], [0.0])
+from wavopt.measures import one_d_measure
 
 
 # -- operator families ---------------------------------------------------------
@@ -83,93 +74,6 @@ def test_greedy_invariant_across_families():
     probs = np.array([0.2, 0.9, 0.9, 0.1])
     for fam in (affine_family(0.0, 1.0), log_family(-3.0, 5.0)):
         assert int(np.argmax(fam(probs))) == 1  # tie -> lowest index
-
-
-# -- variational step -----------------------------------------------------------
-
-
-def test_variational_gradient_point_masses():
-    # unit masses at 0 and 1, k = 2, one linear slice: gradient is
-    # 2 (q - p) = -2, so the step moves q toward p
-    q = DiscreteMeasure(np.array([[0.0]]), np.array([1.0]))
-    p = DiscreteMeasure(np.array([[1.0]]), np.array([1.0]))
-    res = variational_step(q, p, _linear_slice_1d(), k=2.0, step_size=0.1)
-    assert res.gradient[0, 0] == pytest.approx(-2.0)
-    assert abs(res.gradient[0, 0]) == pytest.approx(2.0 * abs(0.0 - 1.0))
-    assert res.objective_before == pytest.approx(1.0)
-    assert res.measure.atoms[0, 0] == pytest.approx(0.2)
-    assert res.objective_after == pytest.approx(0.64)
-    assert res.halvings == 0
-
-
-def test_variational_step_converges_to_target_mean():
-    # single atom vs {0, 1}: the k=2 sliced objective is minimized at 0.5
-    q = DiscreteMeasure(np.array([[5.0]]), np.array([1.0]))
-    p = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
-    slices = _linear_slice_1d()
-    for _ in range(200):
-        q = variational_step(q, p, slices, k=2.0, step_size=0.2).measure
-    assert q.atoms[0, 0] == pytest.approx(0.5, abs=1e-3)
-
-
-def test_variational_step_zero_at_optimum():
-    p = DiscreteMeasure(np.array([[0.3], [0.9]]), np.array([0.5, 0.5]))
-    res = variational_step(p, p, _linear_slice_1d(), k=2.0)
-    assert res.step_used == 0.0
-    assert res.objective_before == pytest.approx(0.0)
-    assert np.array_equal(res.measure.atoms, p.atoms)
-
-
-def test_variational_step_decreases_sliced_distance():
-    rng = np.random.default_rng(3)
-    q = DiscreteMeasure(rng.normal(size=(6, 3)), np.full(6, 1 / 6))
-    p = DiscreteMeasure(rng.normal(loc=1.0, size=(5, 3)), np.full(5, 0.2))
-    slices = random_polynomial_slices(3, 8, np.random.default_rng(11), degree=3)
-    res = variational_step(q, p, slices, k=2.0, step_size=0.05)
-    assert res.objective_after < res.objective_before
-    assert gswd(res.measure, p, 2.0, slices) < gswd(q, p, 2.0, slices)
-
-
-def test_variational_step_zero_weight_atom_fixed():
-    q = DiscreteMeasure(np.array([[0.0], [7.0]]), np.array([1.0, 0.0]))
-    p = DiscreteMeasure(np.array([[1.0]]), np.array([1.0]))
-    res = variational_step(q, p, _linear_slice_1d(), k=2.0, step_size=0.1)
-    assert res.measure.atoms[1, 0] == 7.0  # untouched
-    assert res.measure.atoms[0, 0] == pytest.approx(0.2)
-    assert res.gradient[1, 0] == 0.0
-
-
-def test_variational_gradient_finite_difference():
-    rng = np.random.default_rng(21)
-    for trial in range(6):
-        n, d = 4, 2
-        atoms = rng.normal(size=(n, d))
-        w = np.full(n, 1.0 / n)
-        q = DiscreteMeasure(atoms.copy(), w)
-        p = DiscreteMeasure(rng.normal(loc=0.7, size=(5, d)), np.full(5, 0.2))
-        slices = random_polynomial_slices(d, 4, np.random.default_rng(100 + trial), degree=3)
-
-        res = variational_step(q, p, slices, k=2.0, step_size=1e-12)
-        eps = 1e-6
-        targ = [project(p, f, off) for f, off in slices]
-        for idx in np.ndindex(n, d):
-            up = atoms.copy()
-            dn = atoms.copy()
-            up[idx] += eps
-            dn[idx] -= eps
-            o_up = sliced_power_objective(up, w, targ, slices, 2.0)
-            o_dn = sliced_power_objective(dn, w, targ, slices, 2.0)
-            fd = (o_up - o_dn) / (2 * eps)
-            scale = max(1.0, abs(fd), abs(res.gradient[idx]))
-            assert abs(res.gradient[idx] - fd) / scale < 1e-4
-
-
-def test_variational_step_rejects_bad_args():
-    q = DiscreteMeasure(np.array([[0.0]]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        variational_step(q, q, _linear_slice_1d(), k=math.inf)
-    with pytest.raises(ValueError):
-        variational_step(q, q, SliceParameterSet([], []), k=2.0)
 
 
 # -- sampling -------------------------------------------------------------------

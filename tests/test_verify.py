@@ -1,7 +1,8 @@
-"""Dual-route checks on instances that once landed on a ReLU kink."""
+"""Dual-route checks on instances that once failed on correct code, and the gradient check's instance count."""
 
 import pytest
 
+from wavopt import verify
 from wavopt.verify import check_gradients, check_transport_vs_oracle
 
 
@@ -13,8 +14,35 @@ def test_gradient_checks_avoid_relu_kinks(seed):
     assert result.passed, result.line()
 
 
+def test_gradient_checks_avoid_swapping_critic_atoms():
+    # pass 24 of the verify benchmark at --seed 1: at attempt 0, critic
+    # instance 1126 has two sorted atoms 8.6e-6 apart, and the step of
+    # the central differences swaps them (violation 4.5e-3)
+    result = check_gradients(12, 1024)
+    assert result.passed, result.line()
+
+
 def test_transport_check_is_not_limited_by_the_lp_tolerance():
     # pass 42 of the verify benchmark at --seed 272: at HiGHS's default
     # 1e-7 feasibility tolerance one LP value was off by 7.3e-9 (> 1e-9)
     result = check_transport_vs_oracle(120, 272042)
     assert result.passed, result.line()
+
+
+@pytest.mark.parametrize("instances", [1, 2, 12, 100])
+def test_gradient_checks_run_exactly_the_requested_instances(monkeypatch, instances):
+    paths = ("_fd_mlp_check", "_fd_critic_check", "_fd_actor_check")
+    counts = dict.fromkeys(paths, 0)
+
+    def counting(name):
+        def check(seed):
+            counts[name] += 1
+            return 0.0
+
+        return check
+
+    for name in paths:
+        monkeypatch.setattr(verify, name, counting(name))
+    verify.check_gradients(instances)
+    assert sum(counts.values()) == instances
+    assert max(counts.values()) - min(counts.values()) <= 1
