@@ -29,6 +29,9 @@ These three write every (batch, .) array into an ``UpdateWorkspace``: a
 training run passes one to every update, and a call without one builds a
 fresh one.  What a call returns through a passed workspace (targets,
 gradients) is valid only until the next call with that workspace.
+``critic_gradient_all`` also takes targets the caller computed: a
+training run computes them once for the rows that several updates
+between two target syncs draw.
 """
 
 from __future__ import annotations
@@ -170,10 +173,10 @@ class UpdateWorkspace:
     """The (batch, .) arrays of one policy update for ``nets``' shapes.
 
     ``actor`` and ``critic`` are the networks' ``nn.LayerBuffers``
-    (shared by the live and target forwards); ``targets``, ``diff`` and
-    ``upstream`` are the TD targets, the sorted-minus-target block and
-    the critic's output gradient; ``row_starts`` is the flat offset of
-    each (sample, signal) atom row.
+    (shared by the live and target forwards); ``targets`` holds the TD
+    targets and then the sorted-minus-target block, ``upstream`` the
+    sorted atoms and then the critic's output gradient; ``row_starts``
+    is the flat offset of each (sample, signal) atom row.
     """
 
     def __init__(self, nets: PolicyNets, batch: int) -> None:
@@ -182,7 +185,6 @@ class UpdateWorkspace:
         self.actor = nn.LayerBuffers(nets.actor.params, batch)
         self.critic = nn.LayerBuffers(critic.params, batch)
         self.targets = np.empty((batch, n_signals, n))
-        self.diff = np.empty((batch, n_signals, n))
         self.upstream = np.empty((batch, n_signals * n))
         self.row_starts = (np.arange(batch * n_signals) * n).reshape(batch, n_signals, 1)
 
@@ -195,6 +197,15 @@ def td_targets(nets: PolicyNets, batch: TransitionBatch, gamma: float, value_cli
     transitions bootstrap zero.  When the per-step signal range is known,
     ``value_clip=(lo, hi)`` projects targets into the attainable value
     bracket, which removes the unbounded self-bootstrap drift mode.
+
+    Each row's targets depend on that row alone, so a training run may
+    compute them once per row for a stretch of updates and give each
+    update its rows (``harness._top_up``).  That store is exact only
+    where a row's bits do not depend on its position in a product of
+    ``batch_size`` rows, so it runs full blocks only.  This holds for
+    the pinned configs (batch 128 and 16) on OpenBLAS 0.3.31 at one
+    thread; in products of 1-3, 7, 15, 17, 31, 127 or 129 rows, some
+    rows' bits change with their position.
     """
     ws = workspace if workspace is not None else UpdateWorkspace(nets, batch.size)
     # the target forwards run through the live networks' buffers: the
@@ -217,8 +228,6 @@ def td_targets(nets: PolicyNets, batch: TransitionBatch, gamma: float, value_cli
 @dataclass(eq=False)
 class CriticEvalAll:
     grad: np.ndarray
-    loss: float
-    losses: np.ndarray
     delta_sups: np.ndarray
 
     @property
@@ -227,18 +236,24 @@ class CriticEvalAll:
 
 
 def critic_gradient_all(
-    nets: PolicyNets, batch: TransitionBatch, gamma: float, value_clip=None, workspace=None
+    nets: PolicyNets, batch: TransitionBatch, gamma: float, value_clip=None, workspace=None, targets=None
 ) -> CriticEvalAll:
     """Semi-gradient of the quantile-matching TD loss, summed over every signal.
 
     Per sample and signal the loss is (1 / 2N) * sum_j (sort(q)_j - T_j)^2
-    against the frozen ``td_targets`` T; ``losses`` holds its batch mean
-    per signal and ``loss`` their sum.  The gradient descends only
-    through the current critic output.
+    against the frozen ``td_targets`` T, averaged over the batch and
+    summed over the signals.  The gradient descends only through the
+    current critic output.  ``delta_sups`` is the batch mean of the
+    largest |sort(q)_j - T_j| per signal.
+
+    ``targets``, when given, are the batch's ``td_targets`` (computed
+    once for many updates, say) and the call overwrites them; otherwise
+    they are computed here into the workspace.
     """
     critic, n = nets.critic, nets.critic.n_quantiles
     ws = workspace if workspace is not None else UpdateWorkspace(nets, batch.size)
-    targets = td_targets(nets, batch, gamma, value_clip, ws)
+    if targets is None:
+        targets = td_targets(nets, batch, gamma, value_clip, ws)
 
     x = critic.inputs(batch.states, batch.actions)
     out_flat, cache = nn.forward_batch_cached(critic.params, x, ws.critic)
@@ -247,16 +262,15 @@ def critic_gradient_all(
     # ``take``'s default mode="raise" would copy through a temporary.
     flat = np.argsort(out_flat.reshape(targets.shape), axis=2)
     flat += ws.row_starts
-    diff = np.subtract(np.take(out_flat, flat, out=ws.diff, mode="clip"), targets, out=ws.diff)
-
-    # ``upstream`` is scratch for the two reductions until the scatter fills it
+    # ``upstream`` holds the sorted atoms, then scratch for the reduction,
+    # until the scatter fills it; the targets become the difference
     scratch = ws.upstream.reshape(targets.shape)
-    losses = 0.5 * np.square(diff, out=scratch).mean(axis=2).mean(axis=0)
+    diff = np.subtract(np.take(out_flat, flat, out=scratch, mode="clip"), targets, out=targets)
     delta_sups = np.abs(diff, out=scratch).max(axis=2).mean(axis=0)
 
     ws.upstream.reshape(-1)[flat] = np.divide(diff, n, out=diff)  # a view: scatters in place
-    grad, _ = nn.backward_batch(critic.params, cache, ws.upstream, reduce="mean", buffers=ws.critic)
-    return CriticEvalAll(grad=grad, loss=float(losses.sum()), losses=losses, delta_sups=delta_sups)
+    grad = nn.backward_batch(critic.params, cache, ws.upstream, reduce="mean", buffers=ws.critic)
+    return CriticEvalAll(grad=grad, delta_sups=delta_sups)
 
 
 def actor_gradient(
@@ -295,10 +309,10 @@ def actor_gradient(
         masks.append(np.greater(z, 0.0, out=cb.mask[l]))
         h = np.maximum(z, 0.0, out=cb.act[l])
     for l in range(len(masks) - 1, 0, -1):
-        g = np.matmul(np.multiply(g, masks[l], out=cb.act[l]), weights[l], out=cb.delta[l])
+        g = np.matmul(np.multiply(g, masks[l], out=cb.act[l]), weights[l], out=cb.delta[l - 1])
     state_dim = states.shape[1]
     g_action = np.multiply(g, masks[0], out=cb.act[0]) @ weights[0][:, state_dim:] if masks else g[state_dim:]
 
     chain = (1.0 - a**2) if actor.squash else 1.0
     upstream = sign * g_action * chain - raw_penalty * raw
-    return nn.backward_batch(actor.params, actor_cache, upstream, reduce="mean", buffers=ws.actor)[0]
+    return nn.backward_batch(actor.params, actor_cache, upstream, reduce="mean", buffers=ws.actor)

@@ -29,6 +29,12 @@ last few episodes, refreshed at episode boundaries only, so each curve
 row logs exactly the decision inputs that were live during that
 episode.
 
+The updates that fill an episode's budget after it ends (a top-up
+burst) add no transition, and the target networks change only at a
+sync, so a burst shares TD targets: each stretch between syncs may
+compute them once per distinct replay row (``_top_up``) instead of
+once per update, with the same bytes written.
+
 ``fit_rate`` estimates a power-law convergence exponent from a learning
 curve: gaps to the best smoothed value are regressed on log episode
 over a window that ends one smoothing window before the first argmax
@@ -39,6 +45,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import mmap
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -49,7 +56,7 @@ from . import nn
 from .envs import ENVS, ReturnTracker, make_env
 from .inference import log_family, optimality_likelihood, sample_actions
 from .nets import ActorNet, CriticNet, PolicyNets, init_policy_nets
-from .dist_rl import TransitionBatch, UpdateWorkspace
+from .dist_rl import TransitionBatch, UpdateWorkspace, td_targets
 from .safe_rl import ObjectiveEstimate, estimate_objectives, policy_update_step, tolerance_schedule
 
 __all__ = [
@@ -208,19 +215,35 @@ def load_config(path) -> TrainConfig:
 # -- replay ----------------------------------------------------------------------
 
 
+def _mapped_array(shape) -> np.ndarray:
+    """An uninitialised float array on its own anonymous mapping.
+
+    Only the pages written become resident, and the mapping goes when
+    the last view of it does.  A heap block would instead keep freed
+    pages resident, and from the heap a capacity-sized replay array can
+    fault in a 2 MB huge page (numpy advises them for large arrays).
+    """
+    n = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, max(8 * n, 1)), count=n).reshape(shape)
+
+
 class ReplayBuffer:
-    """Fixed-capacity transition store with unique-index batch sampling."""
+    """Fixed-capacity transition store with unique-index batch sampling.
+
+    Its arrays are sized for the capacity, but only rows written take
+    memory.
+    """
 
     def __init__(self, capacity: int, state_dim: int, action_dim: int, n_constraints: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.states = np.empty((capacity, state_dim))
-        self.actions = np.empty((capacity, action_dim))
-        self.rewards = np.empty(capacity)
-        self.utilities = np.empty((capacity, n_constraints))
-        self.next_states = np.empty((capacity, state_dim))
-        self.done = np.empty(capacity)
+        self.states = _mapped_array((capacity, state_dim))
+        self.actions = _mapped_array((capacity, action_dim))
+        self.rewards = _mapped_array((capacity,))
+        self.utilities = _mapped_array((capacity, n_constraints))
+        self.next_states = _mapped_array((capacity, state_dim))
+        self.done = _mapped_array((capacity,))
         self.size = 0
         self._next = 0
 
@@ -236,10 +259,16 @@ class ReplayBuffer:
         self.size = min(self.size + 1, self.capacity)
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> TransitionBatch:
+        return self.gather(self.draw(batch_size, rng))
+
+    def draw(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+        """The row indices of one ``sample``: min(batch_size, size) distinct rows."""
         if self.size == 0:
             raise ValueError("cannot sample from an empty buffer")
-        n = min(batch_size, self.size)
-        idx = rng.choice(self.size, size=n, replace=False)
+        return rng.choice(self.size, size=min(batch_size, self.size), replace=False)
+
+    def gather(self, idx: np.ndarray) -> TransitionBatch:
+        """The transitions in rows ``idx``, copied."""
         return TransitionBatch(
             states=self.states[idx],
             actions=self.actions[idx],
@@ -395,6 +424,64 @@ def read_summary(path) -> dict:
 
 # -- training loop -------------------------------------------------------------------
 
+# a top-up segment computes its TD targets once per distinct row only
+# when those rows fill at most one block per this many updates: it then
+# runs at most a quarter of the per-update target forwards
+_UPDATES_PER_TARGET_BLOCK = 4
+
+
+def _top_up(
+    update, count: int, done: int, sync_every: int, replay: ReplayBuffer, rng, nets, gamma, value_clip, workspace
+) -> None:
+    """Run the ``count`` updates of a top-up burst as ``update(batch, targets)``.
+
+    ``done`` updates ran before the burst.  No transition enters the
+    replay during a burst, and the target networks change only at a
+    sync, so between two syncs a row's ``td_targets`` are fixed.  The
+    burst is cut at each sync into segments.  A segment draws all its
+    batches up front: the same draws in the same order as one
+    ``sample`` per update.  When the segment's distinct rows fill at
+    most one ``batch_size``-row block per ``_UPDATES_PER_TARGET_BLOCK``
+    updates, ``_update_from_store`` computes their targets once and each
+    update takes its rows from that store; otherwise each update gets
+    ``targets=None`` and computes its own.
+    """
+    batch_size = workspace.targets.shape[0]
+    while count > 0:
+        size = min(count, sync_every - done % sync_every)
+        draws = np.array([replay.draw(batch_size, rng) for _ in range(size)])
+        drawn = np.zeros(replay.size, dtype=bool)
+        drawn[draws] = True
+        rows = np.flatnonzero(drawn)
+        if _UPDATES_PER_TARGET_BLOCK * -(-rows.size // batch_size) <= size:
+            _update_from_store(update, draws, rows, replay, nets, gamma, value_clip, workspace)
+        else:
+            for idx in draws:
+                update(replay.gather(idx), None)
+        count -= size
+        done += size
+
+
+def _update_from_store(update, draws, rows, replay, nets, gamma, value_clip, workspace) -> None:
+    """Compute the targets of the distinct drawn ``rows`` once, then run one update per draw.
+
+    ``td_targets`` runs on full ``batch_size``-row blocks only, the last
+    one padded by repeating rows, because a row's bits can depend on its
+    position in a product of any other size.  The store is one anonymous
+    mapping (``_mapped_array``) held only here, so it is unmapped when
+    this returns.
+    """
+    batch_size, row_shape = workspace.targets.shape[0], workspace.targets.shape[1:]
+    position = np.empty(replay.size, dtype=np.intp)  # store row of each drawn replay row
+    position[rows] = np.arange(rows.size)
+    rows = np.resize(rows, -(-rows.size // batch_size) * batch_size)
+    store = _mapped_array((rows.size, *row_shape))
+    for lo in range(0, rows.size, batch_size):
+        block = replay.gather(rows[lo : lo + batch_size])
+        store[lo : lo + batch_size] = td_targets(nets, block, gamma, value_clip, workspace)
+    for idx in draws:
+        update(replay.gather(idx), np.take(store, position[idx], axis=0, out=workspace.targets, mode="clip"))
+
 
 @dataclass
 class TrainResult:
@@ -458,6 +545,7 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
     # optimality variable
     horizon_value = (1.0 - config.gamma**env.max_steps) / (1.0 - config.gamma)
     family = log_family(0.0, horizon_value)
+    value_clip = (0.0, horizon_value)
 
     constraint_est = np.zeros(p)
 
@@ -487,9 +575,8 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
         tier.sort(key=lambda item: -item[0])
         del tier[4:]
 
-    def do_update() -> None:
+    def do_update(batch: TransitionBatch, targets=None) -> None:
         nonlocal updates, last_branch, last_delta
-        batch = replay.sample(config.batch_size, replay_rng)
         updates += 1
         if config.tolerance_mode == "fixed":
             tau = config.tolerance_fixed
@@ -504,11 +591,12 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
             config.learning_rate,
             config.actor_lr,
             config.gamma,
-            value_clip=(0.0, horizon_value),
+            value_clip=value_clip,
             raw_penalty=config.raw_penalty,
             critic_opt=critic_opt,
             actor_opt=actor_opt,
             workspace=workspace,
+            targets=targets,
         )
         last_branch, last_delta = info.branch, info.td_delta
         if updates % config.target_sync_updates == 0:
@@ -549,7 +637,7 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
                 and steps_total % config.update_every == 0
                 and ep_updates < config.updates_per_episode
             ):
-                do_update()
+                do_update(replay.sample(config.batch_size, replay_rng))
                 ep_updates += 1
 
         # fixed per-episode update budget: short episodes top up from
@@ -557,9 +645,18 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
         # in-episode updates), so training volume does not depend on how
         # long the behavior policy happens to survive
         if steps_total > config.warmup_steps and replay.size >= config.batch_size:
-            while ep_updates < config.updates_per_episode:
-                do_update()
-                ep_updates += 1
+            _top_up(
+                do_update,
+                config.updates_per_episode - ep_updates,
+                updates,
+                config.target_sync_updates,
+                replay,
+                replay_rng,
+                nets,
+                config.gamma,
+                value_clip,
+                workspace,
+            )
 
         rows.append(
             CurveRow(ep, tracker.value, est_used, last_branch, last_delta, steps_total * config.dt)

@@ -10,7 +10,9 @@ zero is taken to be zero.
 ``forward_batch_cached`` and ``backward_batch`` write every (batch, .)
 array into a ``LayerBuffers``, the caller's or a fresh one.  What a call
 returns through the caller's (outputs, cache, gradient) is valid only
-until the next call that writes those buffers.
+until the next call that writes those buffers.  The backward pass
+stops at the first layer's weight gradient: no caller needs the
+gradient with respect to the network input.
 
 The checkpoint format is a stable text layout (documented in
 ``write_params``) so trained parameters round-trip bit-exactly across
@@ -125,10 +127,10 @@ class LayerBuffers:
     """Every (batch, .) array of one network's forward and backward pass.
 
     ``pre[l]`` holds layer l's pre-activation (the last one is the
-    output), ``act[l]`` and ``mask[l]`` the ReLU output and its
-    positive-part mask of hidden layer l, ``delta[l]`` the gradient with
-    respect to layer l's input, and ``grad`` the parameter gradient in
-    the layout of ``params.flat``.
+    output), ``act[l]``, ``mask[l]`` and ``delta[l]`` the ReLU output,
+    its positive-part mask and the gradient with respect to it of hidden
+    layer l, and ``grad`` the parameter gradient in the layout of
+    ``params.flat``.
     """
 
     def __init__(self, params: MlpParams, batch: int) -> None:
@@ -136,7 +138,7 @@ class LayerBuffers:
         self.pre = [np.empty((batch, s)) for s in sizes[1:]]
         self.act = [np.empty((batch, s)) for s in sizes[1:-1]]
         self.mask = [np.empty((batch, s), dtype=bool) for s in sizes[1:-1]]
-        self.delta = [np.empty((batch, s)) for s in sizes[:-1]]
+        self.delta = [np.empty((batch, s)) for s in sizes[1:-1]]
         self.grad = np.empty_like(params.flat)
 
 
@@ -171,12 +173,10 @@ def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
 def backward_batch(params: MlpParams, cache, upstream: np.ndarray, reduce: str = "mean", buffers=None):
     """Backprop a batch of upstream output gradients through the network.
 
-    Returns ``(grad, d_input)``: the parameter gradient of
-    sum_or_mean_b <upstream_b, f(x_b)> as one vector in the layout of
-    ``params.flat``, and the per-sample input gradient (batch, fan_in),
-    both views of ``buffers`` (a fresh set when none is given).
-    ``reduce`` is "mean" or "sum" over the batch; the input gradient is
-    always per-sample.
+    Returns the parameter gradient of sum_or_mean_b <upstream_b, f(x_b)>
+    as one vector in the layout of ``params.flat``, a view of
+    ``buffers`` (a fresh set when none is given).  ``reduce`` is "mean"
+    or "sum" over the batch.
     """
     inputs, pre = cache
     delta = np.asarray(upstream, dtype=float)
@@ -191,10 +191,10 @@ def backward_batch(params: MlpParams, cache, upstream: np.ndarray, reduce: str =
     for l in range(params.n_layers - 1, -1, -1):
         np.multiply(np.matmul(delta.T, inputs[l], out=grad_w[l]), scale, out=grad_w[l])
         np.multiply(delta.sum(axis=0), scale, out=grad_b[l])
-        delta = np.matmul(delta, params.weights[l], out=bufs.delta[l])
         if l > 0:
+            delta = np.matmul(delta, params.weights[l], out=bufs.delta[l - 1])
             delta *= np.greater(pre[l - 1], 0.0, out=bufs.mask[l - 1])
-    return grad, delta
+    return grad
 
 
 # values per Adam block: the step walks the vectors in blocks so its two

@@ -126,7 +126,6 @@ class UpdateInfo:
     """What one update did: 0 = reward ascent, i >= 1 = constraint-i descent."""
 
     branch: int
-    critic_loss: float
     td_delta: float
 
 
@@ -145,6 +144,7 @@ def policy_update_step(
     critic_opt: nn.AdamState,
     actor_opt: nn.AdamState,
     workspace: UpdateWorkspace | None = None,
+    targets: np.ndarray | None = None,
 ) -> UpdateInfo:
     """Adam descent of the critic TD loss on all signals, then one branched Adam actor step.
 
@@ -162,6 +162,8 @@ def policy_update_step(
 
     ``workspace``, built for these nets and batch size, takes every
     (batch, .) array of the update, so reusing one allocates none.
+    ``targets``, when given, are the batch's ``td_targets``, which the
+    update then does not compute (and overwrites).
     """
     bounds = np.asarray(bounds, dtype=float)
     est = np.asarray(constraint_estimates, dtype=float)
@@ -171,7 +173,7 @@ def policy_update_step(
     if bounds.shape != (n_signals - 1,):
         raise ValueError("need one bound per constraint signal")
 
-    ev = critic_gradient_all(nets, batch, gamma, value_clip, workspace)
+    ev = critic_gradient_all(nets, batch, gamma, value_clip, workspace, targets)
     critic_opt.step(nets.critic.params, ev.grad, critic_lr)
 
     violated = np.flatnonzero(est > bounds + tolerance)
@@ -181,7 +183,7 @@ def policy_update_step(
         branch, sign = int(violated[0]) + 1, -1  # lowest violated index
     descent = actor_gradient(nets, batch, branch, sign, raw_penalty, workspace)
     actor_opt.step(nets.actor.params, np.negative(descent, out=descent), actor_lr)
-    return UpdateInfo(branch, ev.loss, ev.delta_sup)
+    return UpdateInfo(branch, ev.delta_sup)
 
 
 # -- exact desk-scale improvement oracle ------------------------------------------

@@ -282,9 +282,7 @@ def _kink_safe_mlp(seed, sizes=(4, 8, 8, 3)):
 def _fd_mlp_check(seed) -> float:
     params, x, rng = _kink_safe_mlp(seed)
     upstream = rng.normal(size=(3, params.layer_sizes[-1]))
-    grad, _ = nn.backward_batch(
-        params, nn.forward_batch_cached(params, x)[1], upstream, reduce="sum"
-    )
+    grad = nn.backward_batch(params, nn.forward_batch_cached(params, x)[1], upstream, reduce="sum")
     fd = central_differences(params, lambda: float((nn.forward_batch(params, x) * upstream).sum()))
     return _rel_gap(grad, fd)
 

@@ -171,11 +171,16 @@ def _rel_gap(a, b):
     return float(np.max(np.abs(a - b) / scale))
 
 
-def _matching_loss(critic, batch, targets):
-    # forward-only critic loss: batch mean, summed over signals, of
+def _matching_losses(critic, batch, targets):
+    # forward-only critic loss per signal: batch mean of
     # (1 / 2N) sum_j (sort(q)_j - T_j)^2
     diff = np.sort(critic.forward_batch(batch.states, batch.actions), axis=2) - targets
-    return float(0.5 * (diff**2).mean(axis=2).mean(axis=0).sum())
+    return 0.5 * (diff**2).mean(axis=2).mean(axis=0)
+
+
+def _matching_loss(critic, batch, targets):
+    # summed over signals: the loss ``critic_gradient_all`` descends
+    return float(_matching_losses(critic, batch, targets).sum())
 
 
 class TestCriticGradient:
@@ -191,7 +196,7 @@ class TestCriticGradient:
         nets.critic.params.weights[-1][...] = 0.0
         nets.critic.params.biases[-1][...] = np.repeat([0.25, 1.0], 4)
         ev = critic_gradient_all(nets, batch, gamma=0.0)
-        assert ev.loss == 0.0
+        assert _matching_loss(nets.critic, batch, td_targets(nets, batch, gamma=0.0)) == 0.0
         assert np.max(np.abs(ev.grad)) == 0.0
 
     def test_matches_finite_differences(self):
@@ -223,7 +228,9 @@ class TestCriticGradient:
         g1 = critic_gradient_all(nets, batch, 0.99)
         g2 = critic_gradient_all(nets, doubled, 0.99)
         npt.assert_allclose(g1.grad, g2.grad, atol=1e-15)
-        assert g1.loss == pytest.approx(g2.loss, rel=1e-15)
+        loss1 = _matching_loss(nets.critic, batch, td_targets(nets, batch, 0.99))
+        loss2 = _matching_loss(nets.critic, doubled, td_targets(nets, doubled, 0.99))
+        assert loss1 == pytest.approx(loss2, rel=1e-15)
 
     def test_terminal_transitions_bootstrap_zero(self):
         nets = _small_nets(32)
@@ -305,14 +312,24 @@ def _generic_actor_route(nets, batch, signal, sign, raw_penalty):
     n = critic.n_quantiles
     upstream = np.zeros((states.shape[0], critic.n_signals * n))
     upstream[:, signal * n : (signal + 1) * n] = 1.0 / n
-    _, d_input = nn.backward_batch(critic.params, critic_cache, upstream, reduce="mean")
+    d_input = _input_gradient(critic.params, critic_cache, upstream)
     chain = (1.0 - a**2) if actor.squash else 1.0
     g_action = d_input[:, states.shape[1] :] * chain
-    grad = sign * nn.backward_batch(actor.params, actor_cache, g_action, reduce="mean")[0]
+    grad = sign * nn.backward_batch(actor.params, actor_cache, g_action, reduce="mean")
     if raw_penalty > 0.0:
         raw, cache = nn.forward_batch_cached(actor.params, actor.scaled(states))
-        grad -= nn.backward_batch(actor.params, cache, raw_penalty * raw, reduce="mean")[0]
+        grad -= nn.backward_batch(actor.params, cache, raw_penalty * raw, reduce="mean")
     return grad
+
+
+def _input_gradient(params, cache, upstream):
+    # per-sample gradient of <upstream_b, f(x_b)> with respect to x_b,
+    # pulled back by hand through the cached hidden pre-activations
+    _, pre = cache
+    g = upstream
+    for l in range(params.n_layers - 1, 0, -1):
+        g = (g @ params.weights[l]) * (pre[l - 1] > 0.0)
+    return g @ params.weights[0]
 
 
 class TestClosedFormActorChain:
@@ -364,25 +381,27 @@ class TestFusedCriticGradient:
                 sups.append(np.abs(diff).max(axis=1).mean())
                 upstream = np.zeros_like(out)
                 np.put_along_axis(upstream[:, s, :], order, diff / 4, axis=1)
-                grads.append(nn.backward_batch(critic.params, cache, upstream.reshape(5, -1))[0])
+                grads.append(nn.backward_batch(critic.params, cache, upstream.reshape(5, -1)).copy())
             # one fused backward vs three summed: identical up to float
             # summation order
             total = sum(grads)
             scale = max(1.0, float(np.max(np.abs(total))))
             assert np.max(np.abs(fused.grad - total)) <= 1e-13 * scale
-            npt.assert_allclose(fused.losses, losses, rtol=1e-12)
-            assert fused.loss == pytest.approx(sum(losses), rel=1e-12)
+            npt.assert_allclose(_matching_losses(critic, batch, targets), losses, rtol=1e-12)
+            assert _matching_loss(critic, batch, targets) == pytest.approx(sum(losses), rel=1e-12)
             assert fused.delta_sup == pytest.approx(max(sups), rel=1e-12)
 
     def test_uses_target_critic_when_present(self):
         nets = _small_nets(7, n_signals=2)
         rng = np.random.default_rng(8)
         batch = _random_batch(rng, nets, b=4)
-        before = critic_gradient_all(nets, batch, 0.9).loss
+        targets = td_targets(nets, batch, 0.9).copy()
+        before = _matching_loss(nets.critic, batch, targets)
         # perturbing the live critic must not move the frozen targets,
         # so the loss change comes only from the live forward pass
         for w in nets.critic.params.weights:
             w += 0.05
         after = critic_gradient_all(nets, batch, 0.9)
-        assert after.loss != before
+        npt.assert_array_equal(td_targets(nets, batch, 0.9), targets)
+        assert _matching_loss(nets.critic, batch, targets) != before
         assert np.all(np.isfinite(after.delta_sups))

@@ -9,6 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from wavopt import harness
+from wavopt.dist_rl import UpdateWorkspace, td_targets
 from wavopt.envs import make_env
 from wavopt.harness import (
     ConfigError,
@@ -377,6 +378,91 @@ def test_run_training_matches_golden_bytes(tmp_path):
     result = run_training(_fast_config(), tmp_path / "run")
     for path in (result.curve_path, result.summary_path, result.checkpoint_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[path.name], path.name
+
+
+# -- top-up bursts: TD targets shared within a segment ---------------------------
+
+
+_CLIP = (0.0, 50.0)
+
+
+def _burst_setup(width, n, rows, seed=0):
+    """Nets with 3 signals and a cartpole-shaped replay of ``rows`` random transitions."""
+    rng = np.random.default_rng(seed)
+    nets = init_policy_nets(4, 1, width, 2, n, 3, rng)
+    replay = ReplayBuffer(rows, 4, 1, 2)
+    for i in range(rows):
+        replay.add(
+            rng.normal(size=4),
+            rng.uniform(-1.0, 1.0, size=1),
+            rng.uniform(),
+            rng.integers(0, 2, size=2).astype(float),
+            rng.normal(size=4),
+            float(i % 7 == 0),
+        )
+    return nets, replay
+
+
+@pytest.mark.parametrize(
+    "batch,width,n,rows",
+    [(128, 128, 128, 300), (16, 8, 8, 40)],
+    ids=["default-shapes", "fast-shapes"],
+)
+def test_shared_targets_match_td_targets_bitwise(batch, width, n, rows):
+    nets, replay = _burst_setup(width, n, rows)
+    rng = np.random.default_rng(5)
+    distinct = np.unique([replay.draw(batch, rng) for _ in range(12)])
+    # the last block is padded, and draws share rows
+    assert distinct.size % batch != 0
+    assert distinct.size < 12 * batch
+
+    got = []
+    harness._top_up(
+        lambda b, targets: got.append((b, None if targets is None else targets.copy())),
+        12, 0, 250, replay, np.random.default_rng(5), nets, 0.99, _CLIP, UpdateWorkspace(nets, batch),
+    )
+    assert len(got) == 12
+    for b, targets in got:
+        want = td_targets(nets, b, 0.99, _CLIP, UpdateWorkspace(nets, batch))
+        assert targets is not None and targets.tobytes() == want.tobytes()
+
+
+def test_top_up_draws_like_sequential_samples_and_splits_at_syncs():
+    nets, replay = _burst_setup(8, 8, rows=20)
+    seen = []
+    # 25 updates after 7, a sync every 10: segments of 3, 10, 10 and 2
+    harness._top_up(
+        lambda b, targets: seen.append((b, targets is not None)),
+        25, 7, 10, replay, np.random.default_rng(9), nets, 0.99, _CLIP, UpdateWorkspace(nets, 16),
+    )
+    rng = np.random.default_rng(9)
+    for b, _ in seen:
+        want = replay.sample(16, rng)
+        for field in ("states", "actions", "rewards", "utilities", "next_states", "done"):
+            npt.assert_array_equal(getattr(b, field), getattr(want, field))
+    # 20 rows fill two blocks, so only the segments of 8 or more updates share
+    assert [shared for _, shared in seen] == [False] * 3 + [True] * 20 + [False] * 2
+
+
+def test_run_with_shared_targets_writes_the_same_bytes(tmp_path, monkeypatch):
+    # long bursts with a sync every 25 updates take the store and split
+    config = _fast_config(updates_per_episode=40, target_sync_updates=25)
+    segments = []
+    from_store = harness._update_from_store
+
+    def spy(update, draws, *args):
+        segments.append(len(draws))
+        return from_store(update, draws, *args)
+
+    monkeypatch.setattr(harness, "_update_from_store", spy)
+    shared = run_training(config, tmp_path / "shared")
+    assert len(segments) > 1 and max(segments) <= 25
+    segments.clear()
+    monkeypatch.setattr(harness, "_UPDATES_PER_TARGET_BLOCK", 10**9)  # the store rule off
+    own = run_training(config, tmp_path / "own")
+    assert not segments and own.updates == shared.updates
+    for name in ("curve.csv", "summary.txt", "checkpoint.txt"):
+        assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "own" / name).read_bytes(), name
 
 
 def test_run_training_seed_changes_the_curve(tmp_path):

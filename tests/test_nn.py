@@ -10,6 +10,7 @@ import pytest
 from wavopt.nn import (
     _ADAM_BLOCK,
     AdamState,
+    LayerBuffers,
     MlpParams,
     TrainingError,
     backward_batch,
@@ -50,7 +51,12 @@ def _relative_gap(a, b):
 
 
 def _summed_backward(params, x, u):
-    return backward_batch(params, forward_batch_cached(params, x)[1], u, reduce="sum")
+    """The summed parameter gradient, and the input gradient formed from
+    the gradient the backward pass carried into the first hidden layer."""
+    bufs = LayerBuffers(params, x.shape[0])
+    grad = backward_batch(params, forward_batch_cached(params, x, bufs)[1], u, reduce="sum", buffers=bufs)
+    first = bufs.delta[0] if bufs.delta else u
+    return grad, first @ params.weights[0]
 
 
 class TestGradients:
@@ -80,7 +86,7 @@ class TestGradients:
         xs = rng.standard_normal((4, 3))
         us = rng.standard_normal((4, 2))
         _, cache = forward_batch_cached(params, xs)
-        batch_grad, _ = backward_batch(params, cache, us, reduce="mean")
+        batch_grad = backward_batch(params, cache, us, reduce="mean")
         avg = sum(_summed_backward(params, xs[i : i + 1], us[i : i + 1])[0] for i in range(4)) / 4.0
         npt.assert_allclose(batch_grad, avg, rtol=1e-12, atol=1e-14)
 
