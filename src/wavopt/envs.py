@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cmdp import TabularCmdp, exact_objective, uniform_policy
+from .nn import TrainingError
 
 __all__ = [
     "CARTPOLE_ZONES",
@@ -104,7 +105,7 @@ def cartpole_step(state: np.ndarray, action: int, dt: float = 0.02):
     """
     if action not in (0, 1):
         raise ValueError("cartpole action must be 0 or 1")
-    x, x_dot, theta, theta_dot = (float(v) for v in state)
+    x, x_dot, theta, theta_dot = np.asarray(state, dtype=float).tolist()
     force = FORCE_MAG if action == 1 else -FORCE_MAG
     cos_t, sin_t = math.cos(theta), math.sin(theta)
 
@@ -137,20 +138,38 @@ ACROBOT_TORQUES = (-1.0, 0.0, 1.0)
 ACROBOT_HEIGHT_GOAL = 0.5
 
 
+# the constant prefixes of the equations of motion, each the same
+# left-to-right product or sum the written-out expression evaluates
+# first, so every derivative keeps its bits
+_M, _L1, _LC, _I = LINK_MASS, LINK_LENGTH, LINK_COM, LINK_INERTIA
+_D1_HEAD = _M * _LC**2
+_D1_INNER = _L1**2 + _LC**2
+_D1_COS = 2 * _L1 * _LC
+_D1_TAIL = 2 * _I
+_D2_INNER = _LC**2
+_D2_COS = _L1 * _LC
+_PHI1_SQ = -_M * _L1 * _LC
+_PHI1_CROSS = 2 * _M * _L1 * _LC
+_PHI1_GRAV = (_M * _LC + _M * _L1) * GRAVITY
+_PHI2_GRAV = _M * _LC * GRAVITY
+_DDTH2_SQ = _M * _L1 * _LC
+_DDTH2_DEN = _M * _LC**2 + _I
+_HALF_PI = math.pi / 2
+
+
 def _acrobot_derivs(th1: float, th2: float, dth1: float, dth2: float, torque: float) -> tuple:
-    m, l1, lc, inert, grav = LINK_MASS, LINK_LENGTH, LINK_COM, LINK_INERTIA, GRAVITY
-    d1 = m * lc**2 + m * (l1**2 + lc**2 + 2 * l1 * lc * math.cos(th2)) + 2 * inert
-    d2 = m * (lc**2 + l1 * lc * math.cos(th2)) + inert
-    phi2 = m * lc * grav * math.cos(th1 + th2 - math.pi / 2)
+    """Time derivatives of (th1, th2, dth1, dth2) under ``torque``."""
+    cos2, sin2 = math.cos(th2), math.sin(th2)
+    d1 = _D1_HEAD + _M * (_D1_INNER + _D1_COS * cos2) + _D1_TAIL
+    d2 = _M * (_D2_INNER + _D2_COS * cos2) + _I
+    phi2 = _PHI2_GRAV * math.cos(th1 + th2 - _HALF_PI)
     phi1 = (
-        -m * l1 * lc * dth2**2 * math.sin(th2)
-        - 2 * m * l1 * lc * dth2 * dth1 * math.sin(th2)
-        + (m * lc + m * l1) * grav * math.cos(th1 - math.pi / 2)
+        _PHI1_SQ * dth2**2 * sin2
+        - _PHI1_CROSS * dth2 * dth1 * sin2
+        + _PHI1_GRAV * math.cos(th1 - _HALF_PI)
         + phi2
     )
-    ddth2 = (torque + d2 / d1 * phi1 - m * l1 * lc * dth1**2 * math.sin(th2) - phi2) / (
-        m * lc**2 + inert - d2**2 / d1
-    )
+    ddth2 = (torque + d2 / d1 * phi1 - _DDTH2_SQ * dth1**2 * sin2 - phi2) / (_DDTH2_DEN - d2**2 / d1)
     ddth1 = -(d2 * ddth2 + phi1) / d1
     return dth1, dth2, ddth1, ddth2
 
@@ -170,12 +189,14 @@ def acrobot_step(state: np.ndarray, action: int, dt: float = 0.02):
     ``state`` is (th1, th2, dth1, dth2) with angles measured from the
     hanging position; ``action`` indexes the torque set (-1, 0, +1) on
     the second joint.  Constraint indicators read the pre-step
-    velocities.  Returns ``(next_state, reward, g, done=False)``.
+    velocities.  Returns ``(next_state, reward, g, done=False)``; raises
+    ``TrainingError`` when the step overflows or leaves a non-finite
+    state (too large a ``dt`` makes the integrator diverge).
     """
     if action not in (0, 1, 2):
         raise ValueError("acrobot action must be 0, 1, or 2")
     torque = ACROBOT_TORQUES[action]
-    th1, th2, dth1, dth2 = map(float, state)
+    th1, th2, dth1, dth2 = np.asarray(state, dtype=float).tolist()
 
     g1 = 1 if (torque != 0.0 and dth1 < 0.0) else 0
     g2 = 1 if dth2 < 0.0 else 0
@@ -183,15 +204,21 @@ def acrobot_step(state: np.ndarray, action: int, dt: float = 0.02):
     # RK4 on Python floats, in the operation order of the array form:
     # s + (0.5 * dt) * k and s + (dt / 6.0) * (((k1 + 2 k2) + 2 k3) + k4)
     h = 0.5 * dt
-    a1, a2, a3, a4 = _acrobot_derivs(th1, th2, dth1, dth2, torque)
-    b1, b2, b3, b4 = _acrobot_derivs(th1 + h * a1, th2 + h * a2, dth1 + h * a3, dth2 + h * a4, torque)
-    c1, c2, c3, c4 = _acrobot_derivs(th1 + h * b1, th2 + h * b2, dth1 + h * b3, dth2 + h * b4, torque)
-    d1, d2, d3, d4 = _acrobot_derivs(th1 + dt * c1, th2 + dt * c2, dth1 + dt * c3, dth2 + dt * c4, torque)
-    sixth = dt / 6.0
-    th1 += sixth * (a1 + 2 * b1 + 2 * c1 + d1)
-    th2 += sixth * (a2 + 2 * b2 + 2 * c2 + d2)
-    dth1 += sixth * (a3 + 2 * b3 + 2 * c3 + d3)
-    dth2 += sixth * (a4 + 2 * b4 + 2 * c4 + d4)
+    try:
+        a1, a2, a3, a4 = _acrobot_derivs(th1, th2, dth1, dth2, torque)
+        b1, b2, b3, b4 = _acrobot_derivs(th1 + h * a1, th2 + h * a2, dth1 + h * a3, dth2 + h * a4, torque)
+        c1, c2, c3, c4 = _acrobot_derivs(th1 + h * b1, th2 + h * b2, dth1 + h * b3, dth2 + h * b4, torque)
+        d1, d2, d3, d4 = _acrobot_derivs(th1 + dt * c1, th2 + dt * c2, dth1 + dt * c3, dth2 + dt * c4, torque)
+        sixth = dt / 6.0
+        th1 += sixth * (a1 + 2 * b1 + 2 * c1 + d1)
+        th2 += sixth * (a2 + 2 * b2 + 2 * c2 + d2)
+        dth1 += sixth * (a3 + 2 * b3 + 2 * c3 + d3)
+        dth2 += sixth * (a4 + 2 * b4 + 2 * c4 + d4)
+    except (OverflowError, ValueError):
+        # a power overflowed, or cos met an infinite angle: fail the check
+        th1 = math.nan
+    if not (math.isfinite(th1) and math.isfinite(th2) and math.isfinite(dth1) and math.isfinite(dth2)):
+        raise TrainingError(f"RK4 integration diverged at dt = {dt!r}")
     th1, th2 = _wrap_angle(th1), _wrap_angle(th2)
 
     reward = 1.0 if acrobot_tip_height((th1, th2)) > ACROBOT_HEIGHT_GOAL else 0.0
@@ -225,11 +252,14 @@ class _EpisodeEnv:
         if self._state is None:
             raise RuntimeError("call reset() before step()")
         discrete = self.discretize(action)
-        nxt, r, g, failed = self._pure_step(self._state, discrete)
+        try:
+            nxt, r, g, failed = self._pure_step(self._state, discrete)
+        except TrainingError as exc:
+            raise TrainingError(f"{self.name} step {self._steps + 1}: {exc}") from None
         self._state = nxt
         self._steps += 1
         done = bool(failed or self._steps >= self.max_steps)
-        return nxt.copy(), r, np.asarray(g, dtype=float), done
+        return nxt.copy(), r, np.array(g, dtype=float), done
 
 
 class CartpoleEnv(_EpisodeEnv):

@@ -48,7 +48,6 @@ import math
 import mmap
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -76,7 +75,6 @@ __all__ = [
     "run_training",
     "RateFit",
     "fit_rate",
-    "synthetic_recovery_curve",
 ]
 
 CHECKPOINT_MAGIC = "wavopt-checkpoint 2"
@@ -256,7 +254,8 @@ class ReplayBuffer:
         self.next_states[i] = next_state
         self.done[i] = done
         self._next = (i + 1) % self.capacity
-        self.size = min(self.size + 1, self.capacity)
+        if self.size < self.capacity:
+            self.size += 1
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> TransitionBatch:
         return self.gather(self.draw(batch_size, rng))
@@ -559,6 +558,12 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
     margined = []
     boundary = []
     decay_span = max(1.0, config.noise_decay_frac * config.episodes)
+    # the critic's input for the three candidates, [scaled state | action],
+    # as ``CriticNet.inputs`` builds it: the actions stay (-1, +1, mu) and
+    # each step writes mu and the state columns
+    cand_inputs = np.empty((3, env.state_dim + 1))
+    cand_states, cands = cand_inputs[:, :-1], cand_inputs[:, -1]
+    cands[:2] = (-1.0, 1.0)
 
     def measure(actor: ActorNet, episodes: int, seed) -> ObjectiveEstimate:
         """Noise-free rollouts of ``actor`` on a fresh environment."""
@@ -613,10 +618,11 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
         ep_updates = 0
 
         while not done:
-            mu = float(nets.actor.act(state)[0])
-            cands = np.array([-1.0, 1.0, mu])
-            states3 = np.repeat(state[None, :], 3, axis=0)
-            means = nets.critic.forward_batch(states3, cands[:, None]).mean(axis=2)
+            cands[2] = float(nets.actor.act(state)[0])
+            np.multiply(state, nets.critic.feature_scale, out=cand_states)
+            out = nn.forward_batch(nets.critic.params, cand_inputs)
+            # the add-reduce and divide of ``mean(axis=2)``
+            means = out.reshape(3, 1 + p, config.n_quantiles).sum(axis=2) / config.n_quantiles
             # (3, 1 + p): the reward value, then one margin per constraint
             means[:, 1:] = horizon_value - means[:, 1:]
             lik, _ = optimality_likelihood(family, means)
@@ -807,24 +813,3 @@ def fit_rate(values, window: int = 20, burn_in_frac: float = 0.2, min_points: in
     if exponent <= 0.0:
         return RateFit(exponent, stderr, slope, intercept, n, True, "fitted exponent is non-positive")
     return RateFit(exponent, stderr, slope, intercept, n, False, "")
-
-
-def synthetic_recovery_curve(
-    alpha: float,
-    episodes: int = 2000,
-    optimum: float = 0.0,
-    scale: float = 240.0,
-    plateau_start: Optional[int] = None,
-) -> np.ndarray:
-    """Reference curve optimum - scale * e^(-alpha) with an exact final plateau.
-
-    The plateau pins the smoothed maximum at the optimum, so the gaps
-    seen by ``fit_rate`` follow the pure power law over the whole fit
-    domain.
-    """
-    if plateau_start is None:
-        plateau_start = int(episodes * 0.95)
-    e = np.arange(1, episodes + 1, dtype=float)
-    y = optimum - scale * e ** (-alpha)
-    y[e >= plateau_start] = optimum
-    return y

@@ -37,7 +37,10 @@ class ActorNet:
         return np.tanh(raw) if self.squash else raw
 
     def act(self, state) -> np.ndarray:
-        return self.act_batch(np.asarray(state, dtype=float)[None, :])[0]
+        """``act_batch`` on one state: the same (1, d) products, without
+        the batch route's conversions."""
+        raw = nn.forward_batch(self.params, (state * self.feature_scale)[None, :])[0]
+        return np.tanh(raw) if self.squash else raw
 
     def copy(self) -> "ActorNet":
         return ActorNet(self.params.copy(), self.action_dim, self.feature_scale, self.squash)

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from wavopt.cli import main
-from wavopt.harness import CurveRow, read_curve, synthetic_recovery_curve, write_curve
+from wavopt.harness import CurveRow, read_curve, write_curve
+
+from recovery_curves import synthetic_recovery_curve
 
 FAST_CONFIG = """
 env = cartpole
@@ -202,6 +204,20 @@ def test_train_warns_when_the_final_actor_ships_over_a_bound(tmp_path, capsys):
     assert broken
     for i in broken:
         assert f"final_constraint_{i}={summary[f'final_constraint_{i}']} > -0.5" in err[0]
+
+
+def test_train_diverging_acrobot_exits_1_without_a_checkpoint(tmp_path, capsys):
+    # dt = 2 overflows the acrobot's RK4 within a few steps
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text("env = acrobot\nepisodes = 1\ndt = 2\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert re.fullmatch(r"training aborted: acrobot step \d+: RK4 integration diverged at dt = 2\.0", lines[0])
+    assert not (out / "checkpoint.txt").exists()
 
 
 def test_train_gated_ship_prints_no_warning(tmp_path, capsys):

@@ -24,6 +24,7 @@ from wavopt.envs import (
     make_env,
     random_tabular_cmdp,
 )
+from wavopt.nn import TrainingError
 
 
 def acrobot_energy(state) -> float:
@@ -160,7 +161,7 @@ def test_acrobot_step_matches_array_rk4_bitwise():
     states[::97, 2:] = 0.0
     actions = rng.integers(0, 3, size=n)
     for i in range(n):
-        dt = 0.02 if i % 2 else 0.05
+        dt = (0.02, 0.05, 0.2)[i % 3]
         nxt, r, g, done = acrobot_step(states[i], int(actions[i]), dt)
         ref, ref_r, ref_g = _array_acrobot_step(states[i], int(actions[i]), dt)
         assert nxt.dtype == np.float64 and nxt.shape == (4,)
@@ -210,6 +211,30 @@ def test_acrobot_constraint_indicators_pre_step():
     s_pos = np.array([0.0, 0.0, 0.4, 0.3])
     _, _, g, _ = acrobot_step(s_pos, 0)
     assert tuple(g) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        (0.0, 0.0, 1e200, 1e200),  # dth2**2 overflows
+        (0.0, 0.0, math.inf, 0.0),  # the stage angle is infinite: cos raises
+        (0.0, math.nan, 0.0, 0.0),  # nothing raises: nan reaches the check
+    ],
+)
+def test_acrobot_step_raises_on_a_non_finite_state(state):
+    with pytest.raises(TrainingError, match=r"^RK4 integration diverged at dt = 0\.02$"):
+        acrobot_step(np.array(state), 1)
+
+
+def test_diverging_acrobot_episode_names_the_env_step_and_dt():
+    env = AcrobotEnv(dt=2.0)
+    env.reset(rng=0)
+    steps = 0
+    with pytest.raises(TrainingError) as info:
+        while True:
+            env.step(1.0)
+            steps += 1
+    assert str(info.value) == f"acrobot step {steps + 1}: RK4 integration diverged at dt = 2.0"
 
 
 def test_acrobot_angle_wrap():

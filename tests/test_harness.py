@@ -10,7 +10,7 @@ import pytest
 
 from wavopt import harness
 from wavopt.dist_rl import UpdateWorkspace, td_targets
-from wavopt.envs import make_env
+from wavopt.envs import CartpoleEnv, make_env
 from wavopt.harness import (
     ConfigError,
     CurveRow,
@@ -22,13 +22,14 @@ from wavopt.harness import (
     read_curve,
     read_summary,
     run_training,
-    synthetic_recovery_curve,
     write_checkpoint,
     write_curve,
     write_summary,
 )
 from wavopt.nets import init_policy_nets
 from wavopt.safe_rl import policy_update_step, tolerance_schedule
+
+from recovery_curves import synthetic_recovery_curve
 
 
 # -- config ------------------------------------------------------------------
@@ -471,21 +472,30 @@ def test_run_training_seed_changes_the_curve(tmp_path):
     assert r1.curve_path.read_bytes() != r2.curve_path.read_bytes()
 
 
-def test_first_behaviour_step_weights_match_an_independent_recomputation(tmp_path, monkeypatch):
-    # no update runs and no probe: the first step sees the initial nets
+def test_behaviour_step_weights_match_an_independent_recomputation(tmp_path, monkeypatch):
+    # no update runs and no probe: every step of the episode sees the
+    # initial nets, and each step's state is the reset state or the
+    # previous env step's result
     config = _fast_config(
         seed=3, episodes=1, hidden_width=16, warmup_steps=10**6, eval_every=0
     )
-    draws = []
+    draws, states = [], []
     sample_actions = harness.sample_actions
+    env_step = CartpoleEnv.step
 
     def spy(positions, weights, n, rng):
         draws.append((np.array(positions), np.array(weights)))
         return sample_actions(positions, weights, n, rng)
 
+    def step_spy(self, action):
+        result = env_step(self, action)
+        states.append(result[0].copy())
+        return result
+
     monkeypatch.setattr(harness, "sample_actions", spy)
+    monkeypatch.setattr(CartpoleEnv, "step", step_spy)
     run_training(config, tmp_path / "run")
-    cands, weights = draws[0]
+    assert len(draws) > 5
 
     s_init, s_env, *_ = np.random.SeedSequence(config.seed).spawn(5)
     env = make_env(config.env, dt=config.dt)
@@ -500,19 +510,20 @@ def test_first_behaviour_step_weights_match_an_independent_recomputation(tmp_pat
         feature_scale=env.feature_scale,
         squash=True,
     )
-    state = env.reset(rng=np.random.default_rng(s_env))
-    mu = float(nets.actor.act(state)[0])
-    npt.assert_array_equal(cands, [-1.0, 1.0, mu])
-
     # log family over [0, hv] with F(1e-6) = 0; a constraint enters by
     # its margin hv - utility-to-go
     hv = (1.0 - config.gamma**env.max_steps) / (1.0 - config.gamma)
     c = hv / -math.log(1e-6)
-    q = nets.critic.forward_batch(np.repeat(state[None], 3, axis=0), cands[:, None]).mean(axis=2)
-    values = np.column_stack([q[:, 0], hv - q[:, 1], hv - q[:, 2]])
-    factors = np.maximum(np.exp((np.clip(values, 0.0, hv) - hv) / c), 1e-9)
-    expect = factors[:, 0] * (factors[:, 1] * factors[:, 2])
-    npt.assert_array_equal(weights, expect / expect.sum())
+    visited = [env.reset(rng=np.random.default_rng(s_env))] + states
+    for step, (cands, weights) in enumerate(draws):
+        state = visited[step]
+        mu = nets.actor.act_batch(state[None, :])[0, 0]
+        npt.assert_array_equal(cands, [-1.0, 1.0, mu])
+        q = nets.critic.forward_batch(np.repeat(state[None], 3, axis=0), cands[:, None]).mean(axis=2)
+        values = np.column_stack([q[:, 0], hv - q[:, 1], hv - q[:, 2]])
+        factors = np.maximum(np.exp((np.clip(values, 0.0, hv) - hv) / c), 1e-9)
+        expect = factors[:, 0] * (factors[:, 1] * factors[:, 2])
+        assert weights.tobytes() == (expect / expect.sum()).tobytes(), step
 
     # the pin is not vacuous: the constraint-2 factor tells the
     # candidates apart, so leaving it out moves the weights

@@ -68,6 +68,24 @@ def test_optimality_likelihood_floor():
     assert table[0, 0] == LIKELIHOOD_FLOOR and table_flags.tolist() == [[False, False], [True, True]]
 
 
+@pytest.mark.parametrize(
+    "fam",
+    [affine_family(0.0, 1.0), affine_family(-2.0, 3.0), log_family(0.0, 400.0), log_family(-3.0, 5.0)],
+    ids=["affine01", "affine", "log0", "log"],
+)
+def test_optimality_likelihood_matches_the_clip_route_bit_for_bit(fam):
+    # min/max stands in for np.clip; it turns a -0.0 reward at r_min = 0
+    # into +0.0, which must reach the same probability
+    lo, hi = fam.r_min, fam.r_max
+    rng = np.random.default_rng(7)
+    edges = [-0.0, 0.0, lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), -np.inf, np.inf, np.nan]
+    r = np.concatenate([rng.uniform(lo - 1.0, hi + 1.0, size=2000), edges]).reshape(-1, 7)
+    p, clipped = optimality_likelihood(fam, r)
+    expect = np.maximum(fam.inverse(np.clip(r, lo, hi)), LIKELIHOOD_FLOOR)
+    assert p.tobytes() == expect.tobytes()
+    assert clipped.tolist() == ((r < lo) | (r > hi)).tolist()
+
+
 def test_greedy_invariant_across_families():
     # any strictly increasing family ranks actions as the probabilities
     # do, which makes operator-based action selection family-invariant
