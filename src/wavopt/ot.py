@@ -9,7 +9,15 @@ constant, so
     W_k(mu, nu)^k = sum_segments  len(segment) * |x_i - y_j|^k,
 
 and W_inf is the largest |x_i - y_j| over segments of positive length.
-Runtime is O(n log n) in the total atom count.
+Runtime is O(n log n) in the total atom count.  The merge
+(``_merged_segments``) is one stable sort of the two cumulative rows
+side by side and one gather of the merged bounds.  A segment's x atom
+is the exclusive cumulative count of x breakpoints merged before it,
+and its y atom the rest of its merged position.  Many rows merge at
+once, on the same route as one: the row offsets ``r * (n + m)`` added
+to the sort order make it a flat index.  When W_k^k under- or
+overflows float64 (a large k), ``wasserstein_1d`` recomputes it on the
+distances divided by the largest one and scales back.
 
 Sliced distances reduce d-dimensional transport to averages of these 1-D
 distances over defining functions (linear directions or odd-degree
@@ -35,7 +43,8 @@ shares kind, degree and dim).  Each projected row is sorted, and then:
   breakpoints at a time.
 
 Blocks keep the (block, n) work arrays, and so the peak memory, flat in
-the slice count.
+the slice count.  A slice whose W_k^k leaves [tiny, inf) although its
+distance is positive raises ValueError naming k.
 
 ``wasserstein_oracles`` is a deliberately independent brute-force route
 used to validate the quantile-merge implementation; it shares no code
@@ -94,14 +103,27 @@ def wasserstein_1d(mu: OneDMeasure, nu: OneDMeasure, k=1.0) -> float:
 
     ``k`` is a real >= 1 or ``math.inf``.  The computation walks the merged
     cumulative-weight breakpoints of the two measures; no optimization is
-    involved because the optimal 1-D coupling is the monotone one.
+    involved because the optimal 1-D coupling is the monotone one.  When
+    W_k^k under- or overflows float64 (a large k), it is recomputed on
+    the paired distances divided by the largest one, M, and W_k is
+    scaled back by M.
     """
     kk = _check_order(k)
     _, seg, ix, iy = _merged_segments(mu.cumulative()[None], nu.cumulative()[None])
     d = np.abs(mu.positions[ix] - nu.positions[iy])
     if math.isinf(kk):
         return float(d.max())
-    return float((seg @ d**kk) ** (1.0 / kk))
+    with np.errstate(over="ignore"):
+        power = seg @ d**kk
+    if not _TINY <= power < math.inf:
+        scale = d.max()
+        if scale > 0.0:
+            return float(scale * (seg @ (d / scale) ** kk) ** (1.0 / kk))
+    return float(power ** (1.0 / kk))
+
+
+# smallest normal float64: a W_k^k below it has lost precision or underflowed
+_TINY = float(np.finfo(float).tiny)
 
 
 # cumulative sums closer than this are one exact-arithmetic tie point
@@ -120,7 +142,7 @@ def _merged_segments(cx: np.ndarray, cy: np.ndarray):
     advances past an atom once its cumulative weight is consumed.
     Returns, in row order, the index of each row's first segment, and
     every segment's length and x and y atom index, flat over the rows
-    (row r's atom i is ``r * n + i``).
+    (row r's x atom i is ``r * n + i``, its y atom j ``r * m + j``).
 
     Cumulative sums that coincide in exact arithmetic (1/6-steps meeting
     1/3-steps, say) land a rounding error apart, and the sliver between
@@ -128,32 +150,47 @@ def _merged_segments(cx: np.ndarray, cy: np.ndarray):
     which the k = inf supremum still takes at face value.  Bounds within
     _CUM_DUST of the previous one are therefore collapsed into the next
     segment; keeping the first of a cluster preserves the exact pairing
-    on both sides.  Atom weights at or below the dust threshold are
-    beneath this resolution.
+    on both sides.  Each row's first bound is always kept.  Atom weights
+    at or below the dust threshold are beneath this resolution.
 
-    The two sorted runs of a row are merged by one stable sort.  A kept
-    bound lies more than _CUM_DUST above every bound sorted before it,
-    so the x breakpoints before it are exactly those below it: a bound
-    from x breakpoint i pairs x atom i, and a bound from y breakpoint j
-    at merged position p pairs x atom p - j.  Exact duplicates differ by
-    0 and collapse like any other tie.
+    The rows are concatenated, x breakpoints first, and each row is
+    merged by one stable sort; adding the row offsets ``r * (n + m)``
+    to the sort order makes it a flat index, so the merged bounds of
+    all rows are one 1-D gather.  A kept bound lies more than _CUM_DUST
+    above every bound sorted before it, so the x breakpoints before it
+    are exactly those below it, and it pairs x atom ``ix`` = the number
+    of x breakpoints merged before it (the stable sort keeps x
+    breakpoint i behind exactly i others).  One exclusive cumulative
+    count of x breakpoints over the flat merged order reads
+    ``r * n + ix`` at row r's position p, since every row holds exactly
+    n of them; the y atom is the rest of the flat position,
+    ``r * (n + m) + p - (r * n + ix) = r * m + (p - ix)``.  Exact
+    duplicates differ by 0 and collapse like any other tie.
     """
-    n, m = cx.shape[1], cy.shape[1]
+    n, width = cx.shape[1], cx.shape[1] + cy.shape[1]
     both = np.concatenate([cx, cy], axis=1)
     order = np.argsort(both, axis=1, kind="stable")
-    bounds = np.take_along_axis(both, order, axis=1)
-    keep = np.ones(bounds.shape, dtype=bool)
-    keep[:, 1:] = np.diff(bounds, axis=1) > _CUM_DUST
+    # xcount[P]: x breakpoints at flat merged positions before P
+    xcount = np.zeros(order.size + 1, dtype=np.intp)
+    np.cumsum(order < n, out=xcount[1:])
+    bounds = both.ravel()[_flat_index(order)]
+    keep = np.empty(bounds.size, dtype=bool)
+    np.greater(bounds[1:] - bounds[:-1], _CUM_DUST, out=keep[1:])
+    keep[::width] = True
     kept = np.flatnonzero(keep)
-    row = kept // (n + m)
-    pos = kept - row * (n + m)
-    src = order.ravel()[kept]
-    b = bounds.ravel()[kept]
-    ix = np.where(src < n, src, pos - (src - n))
-    starts = np.flatnonzero(pos == 0)
-    seg = np.diff(b, prepend=0.0)
+    b = bounds[kept]
+    starts = np.searchsorted(kept, np.arange(0, bounds.size, width))
+    seg = np.empty(b.size)
+    np.subtract(b[1:], b[:-1], out=seg[1:])
     seg[starts] = b[starts]
-    return starts, seg, row * n + ix, row * m + (pos - ix)
+    ix = xcount[kept]
+    return starts, seg, ix, kept - ix
+
+
+def _flat_index(order: np.ndarray) -> np.ndarray:
+    """Row-local column indices ``order`` (rows, w), made flat indices in place."""
+    order += np.arange(0, order.size, order.shape[1])[:, None]
+    return order.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +378,10 @@ def _sliced_powers(
     fns = slices.functions
     fx, fy = fns[0].features(mu.atoms[kx]), fns[0].features(nu.atoms[ky])
     out = np.empty(len(fns))
-    for start in range(0, len(fns), _BLOCK):
-        coeffs = np.array([f.coefficients for f in fns[start : start + _BLOCK]])
-        out[start : start + len(coeffs)] = _row_powers(coeffs @ fx, wx, coeffs @ fy, wy, k)
+    with np.errstate(over="ignore"):
+        for start in range(0, len(fns), _BLOCK):
+            coeffs = np.array([f.coefficients for f in fns[start : start + _BLOCK]])
+            out[start : start + len(coeffs)] = _row_powers(coeffs @ fx, wx, coeffs @ fy, wy, k)
     return out
 
 
@@ -351,7 +389,11 @@ def _row_powers(px: np.ndarray, wx: np.ndarray, py: np.ndarray, wy: np.ndarray, 
     """W_k^k (W_inf) between row r of ``px`` and row r of ``py``, for every row."""
     if px.shape[1] == py.shape[1] and _is_uniform(wx) and _is_uniform(wy):
         d = np.abs(np.sort(px, axis=1) - np.sort(py, axis=1))
-        return d.max(axis=1) if math.isinf(k) else (d**k).mean(axis=1)
+        if math.isinf(k):
+            return d.max(axis=1)
+        powers = (d**k).mean(axis=1)
+        _check_range(powers, lambda: d.max(axis=1), k)
+        return powers
     xs, cx = _sorted_rows(px, wx)
     ys, cy = _sorted_rows(py, wy)
     return _walk_powers(xs, cx, ys, cy, k)
@@ -375,7 +417,23 @@ def _walk_powers(xs: np.ndarray, cx: np.ndarray, ys: np.ndarray, cy: np.ndarray,
             powers[rows] = np.maximum.reduceat(d, starts)
         else:
             powers[rows] = np.add.reduceat(seg * d**k, starts)
+            _check_range(powers[rows], lambda: np.maximum.reduceat(d, starts), k)
     return powers
+
+
+def _check_range(powers: np.ndarray, largest, k: float) -> None:
+    """Refuse slice powers W_k^k outside [tiny, inf) whose distance is positive.
+
+    ``largest()`` gives each slice's largest paired distance; it is
+    called only when some power is out of range.
+    """
+    if _TINY <= powers.min() and powers.max() < math.inf:
+        return
+    lost = ~((powers >= _TINY) & (powers < math.inf))
+    if np.any(largest()[lost] > 0.0):
+        raise ValueError(
+            f"W_k^k of a slice under- or overflows float64 at k = {k!r}; use a smaller k or k = inf"
+        )
 
 
 def _is_uniform(w: np.ndarray) -> bool:
@@ -394,7 +452,8 @@ def _sorted_rows(p: np.ndarray, w: np.ndarray):
         c = _cumulative(w)
         return np.sort(p, axis=1), np.broadcast_to(c, p.shape)
     order = np.argsort(p, axis=1)
-    return np.take_along_axis(p, order, axis=1), _cumulative(w[order])
+    c = _cumulative(w[order])  # before _flat_index turns order into flat indices
+    return p.ravel()[_flat_index(order)].reshape(p.shape), c
 
 
 def _cumulative(w: np.ndarray) -> np.ndarray:
@@ -433,8 +492,9 @@ def swd(mu: DiscreteMeasure, nu: DiscreteMeasure, k=2.0, num_projections: int = 
     kk = _check_order(k)
     if mu.dim != nu.dim:
         raise ValueError("measures must share the ambient dimension")
-    if num_projections < 1:
-        raise ValueError("num_projections must be >= 1")
+    integral = isinstance(num_projections, (int, np.integer)) and not isinstance(num_projections, bool)
+    if not integral or num_projections < 1:
+        raise ValueError(f"num_projections must be an integer >= 1, got {num_projections!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     slices = random_linear_slices(mu.dim, num_projections, rng)
     return _slice_mean(_sliced_powers(mu, nu, kk, slices), kk)

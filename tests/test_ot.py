@@ -172,6 +172,29 @@ class TestWasserstein1d:
         with pytest.raises(ValueError):
             wasserstein_1d(m, m, 0.5)
 
+    def test_large_order_is_rescaled_not_flushed(self):
+        # 0.1^400 underflows and 10^400 overflows; W_k is recomputed on
+        # d / max(d) and scaled back
+        origin = _measure_1d([0.0])
+        assert wasserstein_1d(origin, _measure_1d([0.1]), 400) == 0.1
+        assert wasserstein_1d(origin, _measure_1d([10.0]), 400) == 10.0
+        mu = _measure_1d([0.0, 0.01], [0.3, 0.7])
+        nu = _measure_1d([0.0, 0.01], [0.7, 0.3])
+        assert wasserstein_1d(mu, nu, 400) == pytest.approx(0.01 * 0.4 ** (1 / 400), rel=1e-15)
+
+    def test_in_range_orders_keep_their_bits(self):
+        # values of the route before large orders were rescaled
+        mu = _measure_1d([-0.3, 0.2, 0.9, 1.4], [0.1, 0.4, 0.2, 0.3])
+        nu = _measure_1d([-1.0, 0.5, 2.0], [0.5, 0.25, 0.25])
+        for k, want in [
+            (1.0, "0x1.a666666666667p-1"),
+            (2.0, "0x1.c65adc84ae903p-1"),
+            (7.0, "0x1.0e8e85e858494p+0"),
+            (40.0, "0x1.2c3e2db95cdefp+0"),
+            (math.inf, "0x1.3333333333333p+0"),
+        ]:
+            assert wasserstein_1d(mu, nu, k) == float.fromhex(want)
+
     def test_monotone_in_order(self):
         # power means are non-decreasing in k; W_inf dominates
         rng = np.random.default_rng(9)
@@ -395,6 +418,38 @@ class TestSliced:
         mu = _random_discrete(rng, 6, 2, weighted=True)
         slices = random_polynomial_slices(2, 5, rng)
         assert gswd(mu, mu, 2, slices) == 0.0
+
+    @pytest.mark.parametrize("shift", [0.05, 50.0])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_slice_power_out_of_range_is_refused(self, shift, weighted):
+        # 0.05^400 underflows to 0 and 50^400 overflows; uniform pairs take
+        # the sorted fast path, weighted ones the merged-grid walk
+        weights = [0.3, 0.7] if weighted else None
+        mu = DiscreteMeasure.from_points([[0.0], [1.0]], weights)
+        nu = DiscreteMeasure.from_points([[shift], [1.0 + shift]], weights)
+        slices = SliceParameterSet([DefiningFunction.linear([1.0])])
+        with pytest.raises(ValueError, match="k = 400.0"):
+            gswd(mu, nu, 400, slices)
+        with pytest.raises(ValueError, match="k = 400.0"):
+            swd(mu, nu, 400, num_projections=3)
+        assert gswd(mu, nu, 40, slices) == pytest.approx(shift, rel=1e-14)
+
+    def test_zero_distance_at_large_order_is_zero(self):
+        mu = DiscreteMeasure.from_points([[0.0], [1.0]], [0.3, 0.7])
+        slices = SliceParameterSet([DefiningFunction.linear([1.0])])
+        assert gswd(mu, mu, 400, slices) == 0.0
+        assert swd(mu, mu, 400, num_projections=3) == 0.0
+
+    @pytest.mark.parametrize("count", [2.0, True, 0, -1, "3", None])
+    def test_num_projections_must_be_a_positive_integer(self, count):
+        mu = DiscreteMeasure.from_points([[0.0], [1.0]])
+        with pytest.raises(ValueError, match="num_projections"):
+            swd(mu, mu, 2, num_projections=count)
+
+    def test_num_projections_accepts_numpy_integers(self):
+        mu = DiscreteMeasure.from_points([[0.0], [1.0]])
+        nu = DiscreteMeasure.from_points([[0.5], [1.5]])
+        assert swd(mu, nu, 2, num_projections=np.int64(3)) == swd(mu, nu, 2, num_projections=3)
 
     def test_empty_slice_set_rejected(self):
         with pytest.raises(ValueError):

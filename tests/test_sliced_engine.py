@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wavopt import ot
 from wavopt.measures import (
@@ -187,6 +189,82 @@ def test_walk_splits_a_block_of_large_rows(k):
     slices = random_polynomial_slices(2, 9, rng)
     want = per_slice_powers(mu, nu, k, slices)
     np.testing.assert_allclose(ot._sliced_powers(mu, nu, k, slices), want, rtol=REL_TOL, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# merged-grid walk against a two-pointer walk
+# ---------------------------------------------------------------------------
+
+
+def two_pointer_segments(cx, cy):
+    """``ot._merged_segments`` as a plain two-pointer walk, row by row.
+
+    The walk takes the lower of the next x and y cumulative weights (x
+    first on a tie).  A bound more than ``_CUM_DUST`` above the one taken
+    before it (or a row's first bound) ends a segment, on which the
+    atoms not yet passed are paired.
+    """
+    (rows, n), m = cx.shape, cy.shape[1]
+    starts, seg, ix, iy = [], [], [], []
+    for r in range(rows):
+        x, y = cx[r].tolist(), cy[r].tolist()
+        i = j = 0
+        prev = end = None
+        starts.append(len(seg))
+        while i < n or j < m:
+            take_x = j == m or (i < n and x[i] <= y[j])
+            bound = x[i] if take_x else y[j]
+            if prev is None or bound - prev > ot._CUM_DUST:
+                seg.append(bound if end is None else bound - end)
+                ix.append(r * n + i)
+                iy.append(r * m + j)
+                end = bound
+            prev = bound
+            i, j = (i + 1, j) if take_x else (i, j + 1)
+    return starts, seg, ix, iy
+
+
+@st.composite
+def cumulative_rows(draw):
+    """(cx, cy): 1-4 rows of 1-8 atoms, cumulative as the engine forms them.
+
+    Small integer weights make cumulative sums that meet in exact
+    arithmetic (1/6-steps against 1/3-steps) land a rounding error
+    apart; "same" makes every y row an exact duplicate of its x row.
+    """
+    rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["uniform", "integer", "same"]))
+    m = n if kind == "same" else draw(st.integers(1, 8))
+
+    def weights(size):
+        if kind == "uniform":
+            return np.ones((rows, size))
+        return np.array(draw(st.lists(st.lists(st.integers(1, 4), min_size=size, max_size=size),
+                                      min_size=rows, max_size=rows)), dtype=float)
+
+    wx = weights(n)
+    wy = wx if kind == "same" else weights(m)
+    return ot._cumulative(wx), ot._cumulative(wy)
+
+
+def _uniform(rows, n, m):
+    return ot._cumulative(np.ones((rows, n))), ot._cumulative(np.ones((rows, m)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cumulative_rows())
+@example(_uniform(1, 6, 3))  # 1/6-steps meet 1/3-steps, one row
+@example(_uniform(3, 6, 3))
+@example(_uniform(2, 3, 3))  # exact duplicates
+@example(_uniform(1, 1, 1))  # one-atom rows
+@example(_uniform(4, 1, 5))
+@example(_uniform(2, 7, 1))
+def test_merged_segments_match_a_two_pointer_walk(rows):
+    cx, cy = rows
+    got = ot._merged_segments(cx, cy)
+    for g, w in zip(got, two_pointer_segments(cx, cy)):
+        assert g.tolist() == w
+    assert [g.dtype.kind for g in got] == ["i", "f", "i", "i"]
 
 
 # ---------------------------------------------------------------------------
