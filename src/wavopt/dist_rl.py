@@ -8,11 +8,12 @@ which is the W1-optimal N-atom uniform approximation.
 
 ``bellman_eval`` is the tabular distributional policy-evaluation operator
 on a ``QuantileMap`` table of shape (nS, nA, N) for one signal (reward
-or utility): the next-state mixture of shifted/scaled atom sets is built
-exhaustively and re-projected.  Projection-after-operator is a
-gamma-contraction in the sup-W_inf metric ``dbar`` (projection is a
-W_inf non-expansion, the operator itself contracts), which the property
-suite checks.
+or utility): the next-state mixtures of shifted/scaled atom sets of
+every (s, a) are built as the rows of one array and re-projected
+together, with the bits of projecting each on its own.
+Projection-after-operator is a gamma-contraction in the sup-W_inf metric
+``dbar`` (projection is a W_inf non-expansion, the operator itself
+contracts), which the property suite checks.
 
 The network routines give the gradients of the constrained policy
 update.  ``critic_gradient_all`` descends a quantile-matching
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import nn
 from .cmdp import TabularCmdp
-from .measures import OneDMeasure, one_d_measure
+from .measures import OneDMeasure
 from .nets import PolicyNets
 
 __all__ = [
@@ -86,6 +87,13 @@ class QuantileMap:
         if np.any(np.diff(self.atoms, axis=2) < 0):
             raise ValueError("atoms must be sorted along the last axis")
 
+    @classmethod
+    def _sorted(cls, atoms: np.ndarray) -> "QuantileMap":
+        """Wrap a float (nS, nA, N) array sorted along the last axis, skipping the checks."""
+        m = cls.__new__(cls)
+        m.atoms = atoms
+        return m
+
     @staticmethod
     def zeros(n_states: int, n_actions: int, n_quantiles: int) -> "QuantileMap":
         return QuantileMap(np.zeros((n_states, n_actions, n_quantiles)))
@@ -109,29 +117,76 @@ def dbar(z1: QuantileMap, z2: QuantileMap) -> float:
     return float(gaps.max()) if gaps.size else 0.0
 
 
-def _mixture_target(z: QuantileMap, cmdp: TabularCmdp, h: np.ndarray, next_actions: np.ndarray, s: int, a: int) -> OneDMeasure:
-    """Exhaustive next-state mixture h(s,a) + gamma * Z(s', a'(s')) as a 1-D measure."""
-    n = z.n_quantiles
-    boot = z.atoms[np.arange(cmdp.n_states), next_actions, :]  # (nS, N)
-    positions = h[s, a] + cmdp.gamma * boot.ravel()
-    weights = np.repeat(cmdp.transitions[s, a], n) / n
-    keep = weights > 0.0
-    return one_d_measure(positions[keep], weights[keep] / weights[keep].sum())
-
-
 def bellman_eval(z: QuantileMap, policy, cmdp: TabularCmdp, signal: int = 0) -> QuantileMap:
-    """Projected distributional policy-evaluation operator for one signal."""
-    pol = np.asarray(policy, dtype=int)
-    if pol.shape != (cmdp.n_states,):
+    """Projected distributional policy-evaluation operator for one signal.
+
+    Entry (s, a) is the quantile projection of the next-state mixture
+    h(s, a) + gamma * Z(s', policy(s')), s' ~ P(s, a), each atom of Z
+    weighted P(s' | s, a) / N.  Every (s, a) row is built and projected
+    at once: the positions and weights form one (nS * nA, nS * N) array,
+    each row is stably sorted, its positive weights renormalized and
+    cumulated, and the midpoint quantile is read at the count of
+    cumulative weights below each level, ``searchsorted(c, u, "left")``.
+
+    This is exactly ``quantile_projection(one_d_measure(...), N)`` on
+    each row's positive-weight atoms.  The elementwise steps match, and
+    a stable sort keeps the positive atoms in the order of sorting them
+    alone.  A zero weight adds nothing to a cumulative sum, and the
+    first cumulative weight at or above a level is never a zero's.  The
+    renormalizing sums of a row with no zero are numpy's pairwise sums
+    of the same contiguous row; only a row holding a zero sums its
+    positive weights apart, since the zeros would shift the pairwise
+    association.
+    """
+    ns, na, n = cmdp.n_states, cmdp.n_actions, z.n_quantiles
+    pol = np.asarray(policy)
+    if pol.shape != (ns,):
         raise ValueError("policy must be a deterministic action per state")
+    whole = pol.dtype.kind in "biu" or np.array_equal(pol, np.trunc(pol))
+    if not (whole and 0 <= pol.min() and pol.max() < na):
+        raise ValueError(f"policy actions must be whole numbers in [0, {na})")
+    if z.atoms.shape[:2] != (ns, na):
+        raise ValueError(f"quantile map has (nS, nA) = {z.atoms.shape[:2]}, the CMDP {(ns, na)}")
     h = cmdp.signal_matrix(signal)
-    n = z.n_quantiles
-    out = np.empty_like(z.atoms)
-    for s in range(cmdp.n_states):
-        for a in range(cmdp.n_actions):
-            mix = _mixture_target(z, cmdp, h, pol, s, a)
-            out[s, a] = quantile_projection(mix, n)
-    return QuantileMap(out)
+
+    boot = z.atoms[np.arange(ns), pol.astype(int)]  # (nS, N)
+    positions = h.reshape(-1, 1) + cmdp.gamma * boot.reshape(1, -1)
+    if not np.isfinite(positions).all():
+        raise ValueError("mixture positions must be finite")
+    weights = np.repeat(cmdp.transitions.reshape(ns * na, ns), n, axis=1) / n
+    # dividing by a sum within the CMDP's row tolerance of 1 makes no
+    # positive weight zero, so these rows hold the zeros throughout
+    held = np.flatnonzero((weights <= 0.0).any(axis=1))
+    weights /= _positive_sums(weights, held)[:, None]
+
+    rows, width = positions.shape
+    starts = np.arange(0, rows * width, width)[:, None]
+    flat = np.argsort(positions, axis=1, kind="stable")
+    flat += starts
+    positions, weights = positions.ravel()[flat], weights.ravel()[flat]
+    c = np.cumsum(weights / _positive_sums(weights, held)[:, None], axis=1)
+    c[:, -1] = 1.0
+    for r in held:  # the last positive weight is pinned, and the zeros after it
+        c[r, np.flatnonzero(weights[r] > 0.0)[-1] :] = 1.0
+
+    # level i reads #{j : c_j < u_i} = #{j : k_j <= i}, where
+    # k_j = #{levels <= c_j}: each row's histogram of k, cumulated
+    k = np.searchsorted(midpoint_levels(n), c, side="right")
+    k += np.arange(0, rows * (n + 1), n + 1)[:, None]
+    counts = np.bincount(k.ravel(), minlength=rows * (n + 1)).reshape(rows, n + 1)
+    idx = np.cumsum(counts[:, :n], axis=1)
+    idx += starts
+    # each row's reads are nondecreasing in its sorted positions
+    return QuantileMap._sorted(positions.ravel()[idx].reshape(ns, na, n))
+
+
+def _positive_sums(w: np.ndarray, held: np.ndarray) -> np.ndarray:
+    """Row sums of ``w``; the ``held`` rows, which hold zeros, sum their
+    positive entries alone."""
+    sums = w.sum(axis=1)
+    for r in held:
+        sums[r] = w[r][w[r] > 0.0].sum()
+    return sums
 
 
 # ---------------------------------------------------------------------------

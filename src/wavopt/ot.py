@@ -44,7 +44,9 @@ shares kind, degree and dim).  Each projected row is sorted, and then:
 
 Blocks keep the (block, n) work arrays, and so the peak memory, flat in
 the slice count.  A slice whose W_k^k leaves [tiny, inf) although its
-distance is positive raises ValueError naming k.
+distance is positive raises ValueError naming k, and so does a slice
+whose projections overflow float64 (a NaN or infinite W_k^k or W_inf,
+at any k).
 
 ``wasserstein_oracles`` is a deliberately independent brute-force route
 used to validate the quantile-merge implementation; it shares no code
@@ -376,12 +378,15 @@ def _sliced_powers(
     kx, ky = mu.weights > 0.0, nu.weights > 0.0
     wx, wy = mu.weights[kx], nu.weights[ky]
     fns = slices.functions
-    fx, fy = fns[0].features(mu.atoms[kx]), fns[0].features(nu.atoms[ky])
     out = np.empty(len(fns))
-    with np.errstate(over="ignore"):
+    # overflowing features or projections surface as non-finite powers
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx, fy = fns[0].features(mu.atoms[kx]), fns[0].features(nu.atoms[ky])
         for start in range(0, len(fns), _BLOCK):
             coeffs = np.array([f.coefficients for f in fns[start : start + _BLOCK]])
             out[start : start + len(coeffs)] = _row_powers(coeffs @ fx, wx, coeffs @ fy, wy, k)
+    if not np.isfinite(out).all():
+        raise ValueError(f"a slice's projections overflow float64 at k = {k!r}; scale the measures down")
     return out
 
 

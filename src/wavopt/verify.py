@@ -171,9 +171,7 @@ def check_contraction(
     trans = np.ones((1, 1, 1))
     rewards = np.array([[0.7]])
     cmdp1 = TabularCmdp(trans, rewards, np.zeros((1, 1, 1)), np.zeros(1), 0.9)
-    z = QuantileMap.zeros(1, 1, 8)
-    for _ in range(500):
-        z = bellman_eval(z, np.zeros(1, dtype=int), cmdp1)
+    z = _iterate_bellman(QuantileMap.zeros(1, 1, 8), np.zeros(1, dtype=int), cmdp1, 500)
     fp_err = float(np.max(np.abs(z.atoms - 0.7 / 0.1)))
     dt = time.perf_counter() - t0
     passed = worst <= tol and fp_err <= fixed_point_tol
@@ -185,6 +183,18 @@ def check_contraction(
         f"{pairs} pairs, fixed-point err {fp_err:.2e}",
         dt,
     )
+
+
+def _iterate_bellman(z: QuantileMap, policy, cmdp: TabularCmdp, iterations: int) -> QuantileMap:
+    """``bellman_eval`` applied ``iterations`` times, stopping early at an
+    iterate that reproduces its input bit for bit: every later one would
+    be the same."""
+    for _ in range(iterations):
+        nxt = bellman_eval(z, policy, cmdp)
+        if nxt.atoms.tobytes() == z.atoms.tobytes():
+            break
+        z = nxt
+    return z
 
 
 def check_projection_minimality(

@@ -133,6 +133,97 @@ class TestBellmanOperators:
         out = bellman_eval(z, policy, cmdp, signal=2)
         npt.assert_allclose(out.atoms[:, :, 0], cmdp.utilities[1], atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "policy, match",
+        [
+            ([-1, -1, -1], "whole numbers in"),
+            ([0.7, 0, 0], "whole numbers in"),
+            ([0, 2, 0], "whole numbers in"),
+            ([0, 1], "deterministic action per state"),
+        ],
+    )
+    def test_policy_outside_the_action_set_is_refused(self, policy, match):
+        cmdp = _random_cmdp(np.random.default_rng(8), ns=3, na=2)
+        with pytest.raises(ValueError, match=match):
+            bellman_eval(QuantileMap.zeros(3, 2, 4), policy, cmdp)
+
+    @pytest.mark.parametrize("shape", [(3, 1, 4), (4, 2, 4), (2, 2, 4)])
+    def test_map_of_another_shape_is_refused(self, shape):
+        cmdp = _random_cmdp(np.random.default_rng(9), ns=3, na=2)
+        with pytest.raises(ValueError, match="quantile map has"):
+            bellman_eval(QuantileMap.zeros(*shape), [0, 1, 0], cmdp)
+
+    def test_whole_float_actions_are_accepted(self):
+        rng = np.random.default_rng(10)
+        cmdp = _random_cmdp(rng, ns=3, na=2)
+        z = _random_map(rng, 3, 2, 4)
+        npt.assert_array_equal(
+            bellman_eval(z, np.array([1.0, 0.0, 1.0]), cmdp).atoms, bellman_eval(z, [1, 0, 1], cmdp).atoms
+        )
+
+    def test_non_finite_atoms_are_refused(self):
+        cmdp = _random_cmdp(np.random.default_rng(11), ns=2, na=1)
+        atoms = np.zeros((2, 1, 3))
+        atoms[1, 0, 2] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            bellman_eval(QuantileMap(atoms), [0, 0], cmdp)
+
+
+def _reference_bellman_eval(z, policy, cmdp, signal):
+    """The per-(s, a) route: each exhaustive next-state mixture is
+    canonicalized by ``one_d_measure`` and projected on its own."""
+    h = cmdp.signal_matrix(signal)
+    n = z.n_quantiles
+    boot = z.atoms[np.arange(cmdp.n_states), policy, :]
+    out = np.empty_like(z.atoms)
+    for s in range(cmdp.n_states):
+        for a in range(cmdp.n_actions):
+            positions = h[s, a] + cmdp.gamma * boot.ravel()
+            weights = np.repeat(cmdp.transitions[s, a], n) / n
+            keep = weights > 0.0
+            mix = one_d_measure(positions[keep], weights[keep] / weights[keep].sum())
+            out[s, a] = quantile_projection(mix, n)
+    return out
+
+
+def _reference_instance(rng):
+    """A CMDP, map, policy and signal with ties, zero transition
+    probabilities and mixtures past 128 atoms, each in some draws."""
+    ns, na, n, p = int(rng.integers(1, 7)), int(rng.integers(1, 4)), int(rng.integers(1, 33)), int(rng.integers(1, 3))
+    # uniform rows over a subset put cumulative weights on the levels, so
+    # the last bit of a renormalizing sum decides the quantile read
+    trans = rng.uniform(0.0, 1.0, size=(ns, na, ns)) if rng.uniform() < 0.5 else np.ones((ns, na, ns))
+    if rng.uniform() < 0.6:
+        trans *= rng.uniform(size=trans.shape) < 0.6
+        rows = trans.reshape(-1, ns)
+        rows[np.arange(rows.shape[0]), rng.integers(0, ns, size=rows.shape[0])] = 1.0
+    trans /= trans.sum(axis=2, keepdims=True)
+    decimals = int(rng.integers(0, 4))
+    rewards = np.round(rng.uniform(0.0, 1.0, size=(ns, na)), decimals)
+    utils = rng.integers(-2, 3, size=(p, ns, na)).astype(float)
+    cmdp = TabularCmdp(trans, rewards, utils, np.zeros(p), float(rng.choice([0.5, 0.9, rng.uniform(0.1, 0.99)])))
+    atoms = rng.normal(scale=3.0, size=(ns, na, n))
+    if rng.uniform() < 0.5:
+        atoms = np.round(atoms, decimals)
+    policy = rng.integers(0, na, size=ns)
+    return QuantileMap(np.sort(atoms, axis=2)), policy, cmdp, int(rng.integers(0, p + 1))
+
+
+class TestBatchedBellmanEval:
+    def test_matches_the_per_entry_route_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        seen = {"zeros": 0, "long": 0, "utility": 0, "ties": 0}
+        for _ in range(600):
+            z, policy, cmdp, signal = _reference_instance(rng)
+            expect = _reference_bellman_eval(z, policy, cmdp, signal)
+            npt.assert_array_equal(bellman_eval(z, policy, cmdp, signal).atoms, expect)
+            seen["zeros"] += bool((cmdp.transitions == 0.0).any())
+            seen["long"] += cmdp.n_states * z.n_quantiles > 128
+            seen["utility"] += signal >= 1
+            boot = z.atoms[np.arange(cmdp.n_states), policy].ravel()
+            seen["ties"] += np.unique(boot).size < boot.size
+        assert min(seen.values()) >= 50, seen
+
 
 # ---------------------------------------------------------------------------
 # network gradients

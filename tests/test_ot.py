@@ -6,6 +6,7 @@ quantile-merge implementation existed; the two routes stay independent.
 """
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -433,6 +434,27 @@ class TestSliced:
         with pytest.raises(ValueError, match="k = 400.0"):
             swd(mu, nu, 400, num_projections=3)
         assert gswd(mu, nu, 40, slices) == pytest.approx(shift, rel=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e104, 1e155])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, math.inf])
+    def test_overflowing_projections_are_refused_not_nan(self, scale, weighted, k):
+        # degree-3 monomials of atoms at this scale overflow to inf, and the
+        # slice's projections to inf - inf; linear ones overflow near 1.5e308
+        rng = np.random.default_rng(0)
+        weights = rng.dirichlet(np.ones(5)) if weighted else None
+        mu = DiscreteMeasure(rng.normal(size=(5, 3)) * scale, weights)
+        nu = DiscreteMeasure(rng.normal(size=(5, 3)) * scale, weights)
+        slices = random_polynomial_slices(3, 4, rng)
+        far = [0.3, 0.7] if weighted else None
+        mu_far = DiscreteMeasure.from_points([[1.5e308, 1.5e308], [0.0, 0.0]], far)
+        nu_far = DiscreteMeasure.from_points([[1.5e308, 1.5e308], [1.0, 1.0]], far)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"k = {float(k)!r}"):
+                gswd(mu, nu, k, slices)
+            with pytest.raises(ValueError, match=f"k = {float(k)!r}"):
+                swd(mu_far, nu_far, k, num_projections=20)
 
     def test_zero_distance_at_large_order_is_zero(self):
         mu = DiscreteMeasure.from_points([[0.0], [1.0]], [0.3, 0.7])

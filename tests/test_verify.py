@@ -1,8 +1,13 @@
-"""Dual-route checks on instances that once failed on correct code, and the gradient check's instance count."""
+"""Dual-route checks on instances that once failed on correct code, the
+gradient check's instance count, and the contraction check's fixed-point loop."""
 
+import numpy as np
 import pytest
 
 from wavopt import verify
+from wavopt.cmdp import TabularCmdp
+from wavopt.dist_rl import QuantileMap, bellman_eval
+from wavopt.envs import random_tabular_cmdp
 from wavopt.verify import check_gradients, check_transport_vs_oracle
 
 
@@ -46,3 +51,30 @@ def test_gradient_checks_run_exactly_the_requested_instances(monkeypatch, instan
     verify.check_gradients(instances)
     assert sum(counts.values()) == instances
     assert max(counts.values()) - min(counts.values()) <= 1
+
+
+def _single_state_cmdp():
+    return TabularCmdp(np.ones((1, 1, 1)), np.array([[0.7]]), np.zeros((1, 1, 1)), np.zeros(1), 0.9)
+
+
+@pytest.mark.parametrize(
+    "z, policy, cmdp",
+    [
+        (QuantileMap.zeros(1, 1, 8), np.zeros(1, dtype=int), _single_state_cmdp()),
+        (QuantileMap.zeros(3, 2, 6), np.array([1, 0, 1]), random_tabular_cmdp(3, 2, 1, seed=5, gamma=0.8)),
+    ],
+)
+def test_early_stopped_fixed_point_equals_500_iterations(monkeypatch, z, policy, cmdp):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return bellman_eval(*args)
+
+    monkeypatch.setattr(verify, "bellman_eval", counting)
+    early = verify._iterate_bellman(z, policy, cmdp, 500)
+    full = z
+    for _ in range(500):
+        full = bellman_eval(full, policy, cmdp)
+    assert early.atoms.tobytes() == full.atoms.tobytes()
+    assert len(calls) < 500
