@@ -15,19 +15,13 @@ reproducibility):
   estimates, then ``shipped`` naming the gate pass whose nominee was
   written (``margined`` or ``boundary``) or ``final`` when none passed.
 
-The run loop is the adaptive constrained learner.  Behavior actions are
-sampled from a posterior over three candidates (full push left, full
-push right, the actor's choice).  One operator family (the log map over
-the horizon's value bracket) serves every signal: each candidate's
-reward atom mean and its margin per constraint (horizon value minus the
-utility atom mean) are inverted in one call, which clips them to the
-bracket and flags each clip, and the weight is the reward likelihood
-times the product of the safety likelihoods; decaying Gaussian noise
-is added on top.
-Constraint decisions use the mean realized discounted utilities of the
-last few episodes, refreshed at episode boundaries only, so each curve
-row logs exactly the decision inputs that were live during that
-episode.
+The run loop is the adaptive constrained learner.  Each episode acts
+(``behaviour_step``), steps the environment, stores the transition and
+updates; every ``eval_every`` episodes ``probe`` measures the actor,
+which refreshes the constraint estimates the updates decide on (so each
+curve row logs the estimates live during its episode) and may nominate
+a checkpoint.  After the last episode ``ship_gate`` picks the one to
+write.
 
 The updates that fill an episode's budget after it ends (a top-up
 burst) add no transition, and the target networks change only at a
@@ -72,6 +66,9 @@ __all__ = [
     "write_summary",
     "read_summary",
     "TrainResult",
+    "behaviour_step",
+    "probe",
+    "ship_gate",
     "run_training",
     "RateFit",
     "fit_rate",
@@ -482,9 +479,81 @@ def _update_from_store(update, draws, rows, replay, nets, gamma, value_clip, wor
         update(replay.gather(idx), np.take(store, position[idx], axis=0, out=workspace.targets, mode="clip"))
 
 
+def behaviour_step(nets: PolicyNets, family, horizon_value: float, cand_inputs, state, noise_scale: float, rng):
+    """One behaviour action, drawn from a posterior over three candidates.
+
+    The candidates are full push left, full push right and the actor's
+    mu.  One operator serves every signal: ``family``, the log map over
+    the bracket [0, ``horizon_value``] of discounted per-step reward,
+    gives value differences multiplicative weight, so selection sharpens
+    as the critic spreads the candidates apart.  A constraint enters by
+    its margin, horizon value minus utility-to-go (low utility-to-go is
+    high safety likelihood).  The reward atom means and margins are
+    inverted in one call, which clips them to the bracket and flags each
+    clip; a candidate's weight, the joint posterior of every optimality
+    variable, is the product of its likelihoods.  Gaussian noise of
+    ``noise_scale`` is added to the draw.  ``cand_inputs`` is the
+    critic's (3, state_dim + 1) input [scaled state | (-1, +1, mu)]; this
+    call writes mu and the state.  Returns the action, the (3, 1 + p)
+    likelihoods (reward, then each margin) and their clip flags.
+    """
+    cands = cand_inputs[:, -1]
+    cands[2] = float(nets.actor.act(state)[0])
+    np.multiply(state, nets.critic.feature_scale, out=cand_inputs[:, :-1])
+    out = nn.forward_batch(nets.critic.params, cand_inputs)
+    n = nets.critic.n_quantiles
+    # the add-reduce and divide of ``mean(axis=2)``
+    means = out.reshape(3, -1, n).sum(axis=2) / n
+    means[:, 1:] = horizon_value - means[:, 1:]
+    lik, clipped = optimality_likelihood(family, means)
+    joint = lik[:, 0] * lik[:, 1:].prod(axis=1)
+    action = float(sample_actions(cands, joint / joint.sum(), 1, rng)[0])
+    return min(max(action + noise_scale * rng.normal(), -1.0), 1.0), lik, clipped
+
+
+def probe(actor: ActorNet, config: TrainConfig, episodes: int, seed) -> ObjectiveEstimate:
+    """Noise-free rollouts of ``actor`` on a fresh environment of ``config``."""
+    return estimate_objectives(
+        make_env(config.env, dt=config.dt),
+        lambda s: float(actor.act(s)[0]),
+        episodes=episodes,
+        gamma=config.gamma,
+        seed=seed,
+    )
+
+
+def ship_gate(tiers, config: TrainConfig, s_eval):
+    """Re-measure the nominated checkpoints and pick the one that ships.
+
+    ``tiers`` holds the margined, then the boundary nominees, as lists of
+    (reward, actor, critic).  Probes are cheap and noisy; this gate is
+    what the written checkpoint has passed.  Each nominee is re-measured
+    once, for ``gate_episodes`` on its own child of ``s_eval``, best probe
+    reward first and margined first at equal reward.  Pass one ships the
+    first whose constraints keep ``gate_margin`` of slack below bound +
+    ``tolerance_fixed``, so it survives evaluation variance near the
+    bound; only when none does, pass two settles for bare feasibility.
+    Returns the pass's label (``final`` if none shipped: the last actor
+    ships unchecked), the shipped (actor, critic) or None, and each
+    nominee's (reward, tier, re-measured constraints) in gate order.
+    """
+    nominees = sorted(
+        ((r, tier, a, c) for tier, kept in enumerate(tiers) for r, a, c in kept),
+        key=lambda item: (-item[0], item[1]),
+    )
+    report = [
+        (r, tier, probe(a, config, config.gate_episodes, s_eval.spawn(1)[0]).constraints)
+        for r, tier, a, _ in nominees
+    ]
+    for label, needed in (("margined", config.gate_margin), ("boundary", 0.0)):
+        for (_, _, a, c), (_, _, cons) in zip(nominees, report):
+            if np.all(cons <= config.bound + config.tolerance_fixed - needed):
+                return label, (a, c), report
+    return "final", None, report
+
+
 @dataclass
 class TrainResult:
-    config: TrainConfig
     curve_path: Path
     checkpoint_path: Path
     summary_path: Path
@@ -534,14 +603,6 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
     critic_opt = nn.AdamState(nets.critic.params)
     actor_opt = nn.AdamState(nets.actor.params)
 
-    # one operator for every signal: critic means live inside the
-    # discounted per-step-reward bracket for the episode horizon, and the
-    # log map gives value differences multiplicative weight so selection
-    # sharpens as the critic spreads the candidates apart.  A constraint
-    # enters through its margin (horizon value minus utility-to-go): low
-    # utility-to-go means high safety likelihood, and candidates are
-    # weighted by the joint posterior of the reward and every constraint
-    # optimality variable
     horizon_value = (1.0 - config.gamma**env.max_steps) / (1.0 - config.gamma)
     family = log_family(0.0, horizon_value)
     value_clip = (0.0, horizon_value)
@@ -553,32 +614,14 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
     updates = 0
     last_branch = 0
     last_delta = 0.0
-    # candidate checkpoints: margined (well inside the bounds) and
+    # nominated checkpoints: margined (well inside the bounds), then
     # boundary (inside bounds + tau_c), each capped and reward-sorted
-    margined = []
-    boundary = []
+    tiers = [[], []]
     decay_span = max(1.0, config.noise_decay_frac * config.episodes)
-    # the critic's input for the three candidates, [scaled state | action],
-    # as ``CriticNet.inputs`` builds it: the actions stay (-1, +1, mu) and
-    # each step writes mu and the state columns
+    # the behaviour step's critic input, allocated once; its candidate
+    # actions -1 and +1 stay in place
     cand_inputs = np.empty((3, env.state_dim + 1))
-    cand_states, cands = cand_inputs[:, :-1], cand_inputs[:, -1]
-    cands[:2] = (-1.0, 1.0)
-
-    def measure(actor: ActorNet, episodes: int, seed) -> ObjectiveEstimate:
-        """Noise-free rollouts of ``actor`` on a fresh environment."""
-        return estimate_objectives(
-            make_env(config.env, dt=config.dt),
-            lambda s: float(actor.act(s)[0]),
-            episodes=episodes,
-            gamma=config.gamma,
-            seed=seed,
-        )
-
-    def keep_candidate(tier: list, reward: float) -> None:
-        tier.append((reward, nets.actor.copy(), nets.critic.copy()))
-        tier.sort(key=lambda item: -item[0])
-        del tier[4:]
+    cand_inputs[:2, -1] = (-1.0, 1.0)
 
     def do_update(batch: TransitionBatch, targets=None) -> None:
         nonlocal updates, last_branch, last_delta
@@ -618,19 +661,7 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
         ep_updates = 0
 
         while not done:
-            cands[2] = float(nets.actor.act(state)[0])
-            np.multiply(state, nets.critic.feature_scale, out=cand_states)
-            out = nn.forward_batch(nets.critic.params, cand_inputs)
-            # the add-reduce and divide of ``mean(axis=2)``
-            means = out.reshape(3, 1 + p, config.n_quantiles).sum(axis=2) / config.n_quantiles
-            # (3, 1 + p): the reward value, then one margin per constraint
-            means[:, 1:] = horizon_value - means[:, 1:]
-            lik, _ = optimality_likelihood(family, means)
-            lik = lik[:, 0] * lik[:, 1:].prod(axis=1)
-            weights = lik / lik.sum()
-            action = float(sample_actions(cands, weights, 1, noise_rng)[0])
-            action = min(max(action + noise_scale * noise_rng.normal(), -1.0), 1.0)
-
+            action, _, _ = behaviour_step(nets, family, horizon_value, cand_inputs, state, noise_scale, noise_rng)
             next_state, r, g, done = env.step(action)
             replay.add(state, action, r, g, next_state, 1.0 if done else 0.0)
             tracker.update(r)
@@ -652,16 +683,8 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
         # long the behavior policy happens to survive
         if steps_total > config.warmup_steps and replay.size >= config.batch_size:
             _top_up(
-                do_update,
-                config.updates_per_episode - ep_updates,
-                updates,
-                config.target_sync_updates,
-                replay,
-                replay_rng,
-                nets,
-                config.gamma,
-                value_clip,
-                workspace,
+                do_update, config.updates_per_episode - ep_updates, updates, config.target_sync_updates,
+                replay, replay_rng, nets, config.gamma, value_clip, workspace,
             )
 
         rows.append(
@@ -669,54 +692,28 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
         )
 
         # periodic noise-free rollouts of the deterministic actor supply
-        # the constraint estimates that drive the update branch, and the
-        # best checkpoint measured to respect the bounds (+ tau_c slack)
-        # is the one that ships
+        # the constraint estimates that drive the update branch, and
+        # nominate the checkpoints measured to respect the bounds
+        # (+ tau_c slack) for the gate
         if config.eval_every and (ep % config.eval_every == 0 or ep == config.episodes):
-            probe = measure(nets.actor, config.probe_episodes, s_eval.spawn(1)[0])
-            constraint_est = probe.constraints.copy()
-            slack = bounds + config.tolerance_fixed - probe.constraints
-            if np.all(slack >= config.snapshot_margin):
-                keep_candidate(margined, probe.reward)
-            elif np.all(slack >= 0.0):
-                keep_candidate(boundary, probe.reward)
+            est = probe(nets.actor, config, config.probe_episodes, s_eval.spawn(1)[0])
+            constraint_est = est.constraints.copy()
+            slack = bounds + config.tolerance_fixed - est.constraints
+            for kept, needed in zip(tiers, (config.snapshot_margin, 0.0)):
+                if np.all(slack >= needed):
+                    kept.append((est.reward, nets.actor.copy(), nets.critic.copy()))
+                    kept.sort(key=lambda item: -item[0])
+                    del kept[4:]
+                    break
 
-    # re-measure the nominated checkpoints on fresh starts and ship the
-    # best one that is still feasible; probes are cheap and noisy, this
-    # gate is what the written checkpoint has actually passed.  Margined
-    # nominees outrank boundary nominees only at equal reward.  Pass one
-    # demands gate_margin of re-measured slack so the shipped policy can
-    # survive evaluation variance near the bound; pass two settles for
-    # bare feasibility when nothing clears the margin.
-    nominees = sorted(
-        [(r, 0, a, c) for r, a, c in margined] + [(r, 1, a, c) for r, a, c in boundary],
-        key=lambda item: (-item[0], item[1]),
-    )
-    rechecked = []
-    for reward, _, actor_snap, critic_snap in nominees:
-        recheck = measure(actor_snap, config.gate_episodes, s_eval.spawn(1)[0])
-        rechecked.append((recheck.constraints, actor_snap, critic_snap))
-    # the summary names the pass that shipped (``final``: no nominee
-    # passed, and the last actor ships unchecked)
-    shipped_from = "final"
-    for label, needed in (("margined", config.gate_margin), ("boundary", 0.0)):
-        shipped = next(
-            (
-                (a, c)
-                for cons, a, c in rechecked
-                if np.all(cons <= bounds + config.tolerance_fixed - needed)
-            ),
-            None,
-        )
-        if shipped is not None:
-            nets.actor, nets.critic = shipped
-            shipped_from = label
-            break
+    shipped_from, shipped, _ = ship_gate(tiers, config, s_eval)
+    if shipped is not None:
+        nets.actor, nets.critic = shipped
 
     write_curve(curve_path, rows, p)
     write_checkpoint(ckpt_path, nets, config.env)
 
-    final = measure(nets.actor, config.eval_episodes, s_eval)
+    final = probe(nets.actor, config, config.eval_episodes, s_eval)
     summary = {
         "env": config.env,
         "episodes": config.episodes,
@@ -731,15 +728,7 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
     summary["shipped"] = shipped_from
     write_summary(summary_path, summary)
 
-    return TrainResult(
-        config=config,
-        curve_path=curve_path,
-        checkpoint_path=ckpt_path,
-        summary_path=summary_path,
-        updates=updates,
-        final_estimate=final,
-        shipped=shipped_from,
-    )
+    return TrainResult(curve_path, ckpt_path, summary_path, updates, final, shipped_from)
 
 
 # -- convergence-rate fitting -----------------------------------------------------------

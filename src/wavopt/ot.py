@@ -108,20 +108,22 @@ def wasserstein_1d(mu: OneDMeasure, nu: OneDMeasure, k=1.0) -> float:
     involved because the optimal 1-D coupling is the monotone one.  When
     W_k^k under- or overflows float64 (a large k), it is recomputed on
     the paired distances divided by the largest one, M, and W_k is
-    scaled back by M.
+    scaled back by M.  A paired distance that overflows float64 raises
+    ValueError naming k.
     """
     kk = _check_order(k)
     _, seg, ix, iy = _merged_segments(mu.cumulative()[None], nu.cumulative()[None])
-    d = np.abs(mu.positions[ix] - nu.positions[iy])
-    if math.isinf(kk):
-        return float(d.max())
     with np.errstate(over="ignore"):
-        power = seg @ d**kk
-    if not _TINY <= power < math.inf:
-        scale = d.max()
-        if scale > 0.0:
-            return float(scale * (seg @ (d / scale) ** kk) ** (1.0 / kk))
-    return float(power ** (1.0 / kk))
+        d = np.abs(mu.positions[ix] - nu.positions[iy])
+        power = math.inf if math.isinf(kk) else seg @ d**kk
+    if _TINY <= power < math.inf:
+        return float(power ** (1.0 / kk))
+    scale = float(d.max())
+    if scale == math.inf:
+        raise ValueError(f"a paired distance overflows float64 at k = {kk!r}; scale the measures down")
+    if math.isinf(kk) or scale == 0.0:
+        return scale
+    return float(scale * (seg @ (d / scale) ** kk) ** (1.0 / kk))
 
 
 # smallest normal float64: a W_k^k below it has lost precision or underflowed

@@ -59,19 +59,12 @@ def _raw_tolerance(t: float, batch: float, horizon_scale: float, gamma: float) -
 C_CAL = 0.5 / _raw_tolerance(**_ANCHOR)
 
 
-def tolerance_schedule(
-    t: int,
-    batch: int = 128,
-    horizon_scale: float = 2.0,
-    gamma: float = 0.998,
-    c1: float = C_CAL,
-    c2: float = C_CAL,
-) -> float:
-    """Feasibility slack after t updates: c1/((1-g) sqrt(t)) + c2/((1-g) t m^(H/4))."""
+def tolerance_schedule(t: int, batch: int = 128, horizon_scale: float = 2.0, gamma: float = 0.998) -> float:
+    """Feasibility slack after t updates: C/((1-g) sqrt(t)) + C/((1-g) t m^(H/4)), C = ``C_CAL``."""
     if t < 1:
         raise ValueError("update count t must be >= 1")
     decay = 1.0 - gamma
-    return c1 / (decay * math.sqrt(t)) + c2 / (decay * t * batch ** (horizon_scale / 4.0))
+    return C_CAL / (decay * math.sqrt(t)) + C_CAL / (decay * t * batch ** (horizon_scale / 4.0))
 
 
 # -- Monte-Carlo objective estimation -------------------------------------------

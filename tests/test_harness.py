@@ -26,8 +26,9 @@ from wavopt.harness import (
     write_curve,
     write_summary,
 )
+from wavopt.inference import log_family
 from wavopt.nets import init_policy_nets
-from wavopt.safe_rl import policy_update_step, tolerance_schedule
+from wavopt.safe_rl import ObjectiveEstimate, policy_update_step, tolerance_schedule
 
 from recovery_curves import synthetic_recovery_curve
 
@@ -338,14 +339,76 @@ def test_run_training_writes_consistent_files(tmp_path):
         ({"bound": -1.0, "gate_margin": 1e6}, "final"),
     ],
 )
-def test_summary_names_the_shipped_checkpoint(tmp_path, overrides, shipped):
-    result = run_training(_fast_config(**overrides), tmp_path / "run")
+def test_summary_names_the_shipped_checkpoint(tmp_path, monkeypatch, overrides, shipped):
+    config = _fast_config(**overrides)
+    gates, measured = [], []
+    probe, ship_gate = harness.probe, harness.ship_gate
+
+    def probe_spy(actor, cfg, episodes, seed):
+        measured.append(episodes)
+        return probe(actor, cfg, episodes, seed)
+
+    def gate_spy(*args):
+        gates.append(ship_gate(*args))
+        return gates[-1]
+
+    monkeypatch.setattr(harness, "probe", probe_spy)
+    monkeypatch.setattr(harness, "ship_gate", gate_spy)
+    result = run_training(config, tmp_path / "run")
     lines = result.summary_path.read_text().splitlines()
     assert lines[-1] == f"shipped={shipped}"
+    # one gate; every probe, then one re-measurement per nominee, then
+    # the final evaluation
+    [(label, kept, report)] = gates
+    assert label == result.shipped == shipped and (kept is None) == (shipped == "final")
+    probes = config.episodes // config.eval_every
+    gate = [config.gate_episodes] * len(report)
+    assert measured == [config.probe_episodes] * probes + gate + [config.eval_episodes]
+    assert (len(report) > 0) == (shipped != "final")
     summary = read_summary(result.summary_path)
     if shipped == "final":
         # the unchecked fallback ships even though it breaks the bound
         assert float(summary["final_constraint_1"]) > float(summary["bound_1"])
+
+
+# gate order b7, m5, b5, m3: the best probe reward first, margined (tier
+# 0) before boundary (tier 1) at equal reward
+_TIERS = [[(5.0, "m5", "cm5"), (3.0, "m3", "cm3")], [(7.0, "b7", "cb7"), (5.0, "b5", "cb5")]]
+
+
+@pytest.mark.parametrize(
+    "constraints, label, kept",
+    [
+        # b7 and m5 only meet bound + tolerance (10.5), b5 also clears the
+        # gate margin: pass one ships it over the better-rewarded two
+        ({"b7": 10.2, "m5": 9.0, "b5": 8.0, "m3": 1.0}, "margined", ("b5", "cb5")),
+        # nothing clears the margin: pass two ships the first feasible one
+        ({"b7": 10.6, "m5": 10.5, "b5": 9.0, "m3": 10.0}, "boundary", ("m5", "cm5")),
+        ({"b7": 11.0, "m5": 11.0, "b5": 11.0, "m3": 11.0}, "final", None),
+    ],
+)
+def test_ship_gate_remeasures_each_nominee_once_in_gate_order(monkeypatch, constraints, label, kept):
+    config = TrainConfig(bound=10.0, tolerance_fixed=0.5, gate_margin=2.0, gate_episodes=3)
+    calls = []
+
+    def probe(actor, cfg, episodes, seed):
+        calls.append((actor, episodes, seed.spawn_key))
+        return ObjectiveEstimate(0.0, np.array([constraints[actor], 0.0]), episodes, 0.0)
+
+    monkeypatch.setattr(harness, "probe", probe)
+    got = harness.ship_gate(_TIERS, config, np.random.SeedSequence(4))
+    order = ["b7", "m5", "b5", "m3"]
+    children = [child.spawn_key for child in np.random.SeedSequence(4).spawn(4)]
+    assert calls == [(a, 3, key) for a, key in zip(order, children)]
+    assert got[:2] == (label, kept)
+    assert [(r, tier, cons.tolist()) for r, tier, cons in got[2]] == [
+        (7.0, 1, [constraints["b7"], 0.0]),
+        (5.0, 0, [constraints["m5"], 0.0]),
+        (5.0, 1, [constraints["b5"], 0.0]),
+        (3.0, 0, [constraints["m3"], 0.0]),
+    ]
+    assert harness.ship_gate([[], []], config, np.random.SeedSequence(4)) == ("final", None, [])
+    assert len(calls) == 4
 
 
 def test_run_training_zero_episodes_writes_header_and_initial_checkpoint(tmp_path):
@@ -479,13 +542,18 @@ def test_behaviour_step_weights_match_an_independent_recomputation(tmp_path, mon
     config = _fast_config(
         seed=3, episodes=1, hidden_width=16, warmup_steps=10**6, eval_every=0
     )
-    draws, states = [], []
-    sample_actions = harness.sample_actions
+    draws, states, steps = [], [], []
+    sample_actions, behaviour_step = harness.sample_actions, harness.behaviour_step
     env_step = CartpoleEnv.step
 
     def spy(positions, weights, n, rng):
         draws.append((np.array(positions), np.array(weights)))
         return sample_actions(positions, weights, n, rng)
+
+    def behaviour_spy(*args):
+        action, lik, clipped = behaviour_step(*args)
+        steps.append((lik.copy(), clipped.copy()))
+        return action, lik, clipped
 
     def step_spy(self, action):
         result = env_step(self, action)
@@ -493,9 +561,10 @@ def test_behaviour_step_weights_match_an_independent_recomputation(tmp_path, mon
         return result
 
     monkeypatch.setattr(harness, "sample_actions", spy)
+    monkeypatch.setattr(harness, "behaviour_step", behaviour_spy)
     monkeypatch.setattr(CartpoleEnv, "step", step_spy)
     run_training(config, tmp_path / "run")
-    assert len(draws) > 5
+    assert len(draws) == len(steps) > 5
 
     s_init, s_env, *_ = np.random.SeedSequence(config.seed).spawn(5)
     env = make_env(config.env, dt=config.dt)
@@ -514,14 +583,22 @@ def test_behaviour_step_weights_match_an_independent_recomputation(tmp_path, mon
     # its margin hv - utility-to-go
     hv = (1.0 - config.gamma**env.max_steps) / (1.0 - config.gamma)
     c = hv / -math.log(1e-6)
-    visited = [env.reset(rng=np.random.default_rng(s_env))] + states
-    for step, (cands, weights) in enumerate(draws):
-        state = visited[step]
-        mu = nets.actor.act_batch(state[None, :])[0, 0]
-        npt.assert_array_equal(cands, [-1.0, 1.0, mu])
+
+    def likelihoods(state, cands):
         q = nets.critic.forward_batch(np.repeat(state[None], 3, axis=0), cands[:, None]).mean(axis=2)
         values = np.column_stack([q[:, 0], hv - q[:, 1], hv - q[:, 2]])
         factors = np.maximum(np.exp((np.clip(values, 0.0, hv) - hv) / c), 1e-9)
+        return factors, (values < 0.0) | (values > hv)
+
+    visited = [env.reset(rng=np.random.default_rng(s_env))] + states
+    for step, ((cands, weights), (lik, clipped)) in enumerate(zip(draws, steps)):
+        state = visited[step]
+        mu = nets.actor.act_batch(state[None, :])[0, 0]
+        npt.assert_array_equal(cands, [-1.0, 1.0, mu])
+        factors, flags = likelihoods(state, cands)
+        assert lik.tobytes() == factors.tobytes(), step
+        npt.assert_array_equal(clipped, flags)
+        # the weights handed to the sampler are the likelihoods' row products
         expect = factors[:, 0] * (factors[:, 1] * factors[:, 2])
         assert weights.tobytes() == (expect / expect.sum()).tobytes(), step
 
@@ -530,6 +607,21 @@ def test_behaviour_step_weights_match_an_independent_recomputation(tmp_path, mon
     assert np.ptp(factors[:, 2]) > 1e-3
     without = factors[:, 0] * factors[:, 1]
     assert np.max(np.abs(without / without.sum() - weights)) > 1e-4
+
+    # constraint-1 atoms beyond the horizon value put that margin below the
+    # bracket: each candidate's flag is set and its likelihood is the one
+    # at the bracket's lower end
+    nets.critic.params.biases[-1][config.n_quantiles : 2 * config.n_quantiles] += 2.0 * hv
+    cand_inputs = np.empty((3, env.state_dim + 1))
+    cand_inputs[:2, -1] = (-1.0, 1.0)
+    _, lik, clipped = harness.behaviour_step(
+        nets, log_family(0.0, hv), hv, cand_inputs, visited[0], 0.0, np.random.default_rng(0)
+    )
+    factors, flags = likelihoods(visited[0], cand_inputs[:, -1].copy())
+    assert lik.tobytes() == factors.tobytes()
+    npt.assert_array_equal(clipped, flags)
+    assert clipped[:, 1].all() and not clipped[:, [0, 2]].any()
+    npt.assert_array_equal(lik[:, 1], np.exp(np.full(3, -hv) / c))
 
 
 def test_scheduled_tolerance_follows_the_schedule(tmp_path, monkeypatch):

@@ -183,6 +183,16 @@ class TestWasserstein1d:
         nu = _measure_1d([0.0, 0.01], [0.7, 0.3])
         assert wasserstein_1d(mu, nu, 400) == pytest.approx(0.01 * 0.4 ** (1 / 400), rel=1e-15)
 
+    @pytest.mark.parametrize("k", [1, 2, math.inf])
+    def test_overflowing_paired_distance_is_refused_not_nan(self, k):
+        # 1e308 - (-1e308) overflows float64, which once read nan (k = 1,
+        # 2) or inf (k = inf) behind RuntimeWarnings
+        mu, nu = _measure_1d([1e308]), _measure_1d([-1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"k = {float(k)!r}"):
+                wasserstein_1d(mu, nu, k)
+
     def test_in_range_orders_keep_their_bits(self):
         # values of the route before large orders were rescaled
         mu = _measure_1d([-0.3, 0.2, 0.9, 1.4], [0.1, 0.4, 0.2, 0.3])
