@@ -13,8 +13,9 @@ Layers, bottom to top:
   critic and actor gradients.
 * ``safe_rl``            - primal constrained policy optimization.
 * ``inference``          - control-as-inference: reward operator families,
-  optimality likelihoods, action sampling, interpretation.
-* ``harness``            - config, training loop, learning curves, rate fits.
+  optimality likelihoods, interpretation.
+* ``harness``            - config, the training loop and its behaviour draw,
+  learning curves, rate fits.
 * ``cli``                - ``wavopt`` command line (train / verify / rate /
   interpret / oracle).
 """

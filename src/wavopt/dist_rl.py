@@ -267,8 +267,7 @@ def td_targets(nets: PolicyNets, batch: TransitionBatch, gamma: float, value_cli
     # same products as ``act_batch`` and ``forward_batch``, written in place
     actor, critic = nets.target_actor, nets.target_critic
     next_a, _ = nn.forward_batch_cached(actor.params, actor.scaled(batch.next_states), ws.actor)
-    if actor.squash:
-        np.tanh(next_a, out=next_a)
+    np.tanh(next_a, out=next_a)
     nxt, _ = nn.forward_batch_cached(critic.params, critic.inputs(batch.next_states, next_a), ws.critic)
     nxt = nxt.reshape(ws.targets.shape)
     nxt.sort(axis=2)
@@ -345,14 +344,14 @@ def actor_gradient(
     the mean of the signal's output-weight rows.  That row is pulled back
     through the hidden ReLUs (input gradients only, no weight gradients)
     to the action columns of the first layer, then chained through the
-    tanh squash (when enabled) and, together with the penalty, through
-    one actor backward.  Callers descend by negating the result.
+    tanh squash and, together with the penalty, through one actor
+    backward.  Callers descend by negating the result.
     """
     actor, critic = nets.actor, nets.critic
     ws = workspace if workspace is not None else UpdateWorkspace(nets, batch.size)
     states = batch.states
     raw, actor_cache = nn.forward_batch_cached(actor.params, actor.scaled(states), ws.actor)
-    a = np.tanh(raw) if actor.squash else raw
+    a = np.tanh(raw)
 
     weights, biases, cb = critic.params.weights, critic.params.biases, ws.critic
     n = critic.n_quantiles
@@ -368,6 +367,5 @@ def actor_gradient(
     state_dim = states.shape[1]
     g_action = np.multiply(g, masks[0], out=cb.act[0]) @ weights[0][:, state_dim:] if masks else g[state_dim:]
 
-    chain = (1.0 - a**2) if actor.squash else 1.0
-    upstream = sign * g_action * chain - raw_penalty * raw
+    upstream = sign * g_action * (1.0 - a**2) - raw_penalty * raw
     return nn.backward_batch(actor.params, actor_cache, upstream, reduce="mean", buffers=ws.actor)

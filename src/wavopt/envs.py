@@ -35,7 +35,6 @@ over a full episode is checked in the test suite against a 1% budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,12 +50,12 @@ __all__ = [
     "acrobot_tip_height",
     "CartpoleEnv",
     "AcrobotEnv",
-    "ReturnTracker",
     "random_tabular_cmdp",
     "ENVS",
     "make_env",
 ]
 
+# a curve row's cumulative episode return starts here (``run_training``)
 RETURN_START = -250.0
 
 # -- cartpole ---------------------------------------------------------------
@@ -307,18 +306,7 @@ class AcrobotEnv(_EpisodeEnv):
         return acrobot_step(state, discrete, self.dt)
 
 
-# -- returns and generators ----------------------------------------------------
-
-
-@dataclass
-class ReturnTracker:
-    """Cumulative episode return starting from the -250 convention."""
-
-    value: float = RETURN_START
-
-    def update(self, reward: float) -> float:
-        self.value += float(reward)
-        return self.value
+# -- generators ----------------------------------------------------------------
 
 
 def random_tabular_cmdp(n_states: int, n_actions: int, n_constraints: int, seed, gamma: float = 0.9) -> TabularCmdp:

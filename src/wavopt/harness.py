@@ -46,8 +46,8 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .envs import ENVS, ReturnTracker, make_env
-from .inference import log_family, optimality_likelihood, sample_actions
+from .envs import ENVS, RETURN_START, make_env
+from .inference import log_family, optimality_likelihood
 from .nets import ActorNet, CriticNet, PolicyNets, init_policy_nets
 from .dist_rl import TransitionBatch, UpdateWorkspace, td_targets
 from .safe_rl import ObjectiveEstimate, estimate_objectives, policy_update_step, tolerance_schedule
@@ -342,7 +342,7 @@ def write_checkpoint(path, nets: PolicyNets, env_name: str) -> None:
         f.write(f"action_dim {actor.action_dim}\n")
         f.write(f"n_signals {critic.n_signals}\n")
         f.write(f"n_quantiles {critic.n_quantiles}\n")
-        f.write(f"squash {1 if actor.squash else 0}\n")
+        f.write("squash 1\n")  # the actor is always tanh-squashed
         f.write("feature_scale " + " ".join(f"{v:.17g}" for v in np.atleast_1d(actor.feature_scale)) + "\n")
         f.write("section actor\n")
         nn.write_params(f, actor.params)
@@ -357,8 +357,23 @@ def _read_section(f, name: str) -> nn.MlpParams:
         raise ValueError(f"checkpoint is truncated or damaged in section {name} ({exc})") from exc
 
 
+def _header_value(meta: dict, key: str, parse):
+    """``parse`` of the header's ``key`` value; a missing or malformed one names the key."""
+    if key not in meta:
+        raise ValueError(f"checkpoint header has no {key} line")
+    try:
+        return parse(meta[key])
+    except ValueError:
+        raise ValueError(f"checkpoint header {key} is malformed: {meta[key]!r}") from None
+
+
 def read_checkpoint(path):
-    """Rebuild the policy networks; returns (nets, meta dict)."""
+    """Rebuild the policy networks; returns (nets, meta dict).
+
+    A header line without a value, a missing or malformed key, a squash
+    other than 1, or counts that disagree with the sections' layer sizes
+    is a one-line ``ValueError``.
+    """
     with open(path) as f:
         magic = f.readline().strip()
         if magic != CHECKPOINT_MAGIC:
@@ -377,26 +392,34 @@ def read_checkpoint(path):
             line = line.strip()
             if line == "section actor":
                 break
-            key, val = line.split(" ", 1)
+            key, _, val = line.partition(" ")
+            if not val:
+                raise ValueError(f"checkpoint header line {line!r} has no value")
             meta[key] = val
         actor_params = _read_section(f, "actor")
         if f.readline().strip() != "section critic":
             raise ValueError("checkpoint is truncated or damaged before section critic")
         critic_params = _read_section(f, "critic")
 
-    feature_scale = np.array([float(t) for t in meta["feature_scale"].split()])
-    actor = ActorNet(
-        actor_params,
-        action_dim=int(meta["action_dim"]),
-        feature_scale=feature_scale,
-        squash=bool(int(meta["squash"])),
-    )
-    critic = CriticNet(
-        critic_params,
-        n_signals=int(meta["n_signals"]),
-        n_quantiles=int(meta["n_quantiles"]),
-        feature_scale=feature_scale,
-    )
+    if _header_value(meta, "squash", str) != "1":
+        raise ValueError(f"checkpoint squash {meta['squash']!r} is not supported: the actor is always squashed")
+    keys = ("action_dim", "n_signals", "n_quantiles")
+    action_dim, n_signals, n_quantiles = counts = [_header_value(meta, key, int) for key in keys]
+    if min(counts) < 1:
+        raise ValueError(f"checkpoint header counts must be positive: {dict(zip(keys, counts))}")
+    feature_scale = _header_value(meta, "feature_scale", lambda v: np.array([float(t) for t in v.split()]))
+    for name, params, n_in, n_out in (
+        ("actor", actor_params, feature_scale.size, action_dim),
+        ("critic", critic_params, feature_scale.size + action_dim, n_signals * n_quantiles),
+    ):
+        sizes = params.layer_sizes
+        if (sizes[0], sizes[-1]) != (n_in, n_out):
+            raise ValueError(
+                f"checkpoint section {name} maps {sizes[0]} inputs to {sizes[-1]} outputs, "
+                f"but the header gives {n_in} to {n_out}"
+            )
+    actor = ActorNet(actor_params, action_dim=action_dim, feature_scale=feature_scale)
+    critic = CriticNet(critic_params, n_signals=n_signals, n_quantiles=n_quantiles, feature_scale=feature_scale)
     return PolicyNets(actor, critic), meta
 
 
@@ -491,11 +514,16 @@ def behaviour_step(nets: PolicyNets, family, horizon_value: float, cand_inputs, 
     high safety likelihood).  The reward atom means and margins are
     inverted in one call, which clips them to the bracket and flags each
     clip; a candidate's weight, the joint posterior of every optimality
-    variable, is the product of its likelihoods.  Gaussian noise of
-    ``noise_scale`` is added to the draw.  ``cand_inputs`` is the
-    critic's (3, state_dim + 1) input [scaled state | (-1, +1, mu)]; this
-    call writes mu and the state.  Returns the action, the (3, 1 + p)
-    likelihoods (reward, then each margin) and their clip flags.
+    variable, is the product of its likelihoods.  The draw is by inverse
+    CDF over the candidates in stable position order, on Python floats:
+    the weights, floored and so positive, are renormalised in that order
+    and the last cumulative weight is 1, so one ``rng.random()`` picks as
+    ``one_d_measure`` and its ``cumulative`` would, bit for bit.
+    Gaussian noise of ``noise_scale`` is added to the draw.
+    ``cand_inputs`` is the critic's (3, state_dim + 1) input [scaled
+    state | (-1, +1, mu)]; this call writes mu and the state.  Returns
+    the action, the (3, 1 + p) likelihoods (reward, then each margin) and
+    their clip flags.
     """
     cands = cand_inputs[:, -1]
     cands[2] = float(nets.actor.act(state)[0])
@@ -507,7 +535,15 @@ def behaviour_step(nets: PolicyNets, family, horizon_value: float, cand_inputs, 
     means[:, 1:] = horizon_value - means[:, 1:]
     lik, clipped = optimality_likelihood(family, means)
     joint = lik[:, 0] * lik[:, 1:].prod(axis=1)
-    action = float(sample_actions(cands, joint / joint.sum(), 1, rng)[0])
+    pos, weights = cands.tolist(), (joint / joint.sum()).tolist()
+    order = sorted(range(3), key=pos.__getitem__)
+    w0, w1, w2 = (weights[i] for i in order)
+    total = w0 + w1 + w2
+    if not math.isfinite(total):
+        raise nn.TrainingError("behaviour step: the candidate weights are not finite")
+    c0 = w0 / total
+    u = rng.random()
+    action = pos[order[0 if u < c0 else 1 if u < c0 + w1 / total else 2]]
     return min(max(action + noise_scale * rng.normal(), -1.0), 1.0), lik, clipped
 
 
@@ -593,7 +629,6 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
         n_signals=1 + p,
         rng=np.random.default_rng(s_init),
         feature_scale=env.feature_scale,
-        squash=True,
     )
     # every update reuses these (batch, .) arrays, so none allocates and
     # page-faults in its temporaries; built before the replay arrays
@@ -656,7 +691,7 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
         )
         est_used = constraint_est.copy()
         state = env.reset(rng=env_rng)
-        tracker = ReturnTracker()
+        ep_return = RETURN_START
         done = False
         ep_updates = 0
 
@@ -664,7 +699,7 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
             action, _, _ = behaviour_step(nets, family, horizon_value, cand_inputs, state, noise_scale, noise_rng)
             next_state, r, g, done = env.step(action)
             replay.add(state, action, r, g, next_state, 1.0 if done else 0.0)
-            tracker.update(r)
+            ep_return += r
             state = next_state
             steps_total += 1
 
@@ -688,7 +723,7 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
             )
 
         rows.append(
-            CurveRow(ep, tracker.value, est_used, last_branch, last_delta, steps_total * config.dt)
+            CurveRow(ep, ep_return, est_used, last_branch, last_delta, steps_total * config.dt)
         )
 
         # periodic noise-free rollouts of the deterministic actor supply

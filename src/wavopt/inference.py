@@ -1,6 +1,5 @@
 """Control-as-inference utilities: reward-to-optimality operators,
-optimality likelihoods, action sampling and likelihood-ratio
-interpretation.
+optimality likelihoods and likelihood-ratio interpretation.
 
 A *reward operator family* F_r maps an optimality probability p in
 (0, 1] to a reward value in [r_min, r_max].  Two stock constructions:
@@ -21,13 +20,10 @@ log-likelihoods stay finite.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-
-from .measures import WEIGHT_SUM_TOL
 
 __all__ = [
     "LIKELIHOOD_FLOOR",
@@ -37,7 +33,6 @@ __all__ = [
     "affine_family",
     "log_family",
     "optimality_likelihood",
-    "sample_actions",
     "InterpretationFactor",
     "decompose_interpretation",
 ]
@@ -127,65 +122,7 @@ def optimality_likelihood(family: RewardOperatorFamily, rewards):
     return p, clipped
 
 
-# -- sampling and interpretation -----------------------------------------------
-
-
-def _numpy_order_sum(values: list) -> float:
-    """Sum rounded as numpy's ``sum`` rounds it: its pairwise summation
-    adds fewer than eight values one after another onto 0."""
-    if len(values) >= 8:
-        return float(np.sum(values))
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
-def sample_actions(positions, weights, n: int, rng) -> np.ndarray:
-    """Draw n samples from a discrete measure on R by inverse-CDF sampling.
-
-    The support is canonicalised as ``one_d_measure`` does it, on Python
-    floats: a stable sort, zero weights dropped (so impossible actions
-    are never emitted) and the rest renormalised.  The cumulative
-    weights, the last pinned to 1, are searched with ``bisect_right``
-    for each uniform draw.  Inputs are checked as ``one_d_measure``
-    checks them, with the same errors, and every sum is rounded as
-    numpy rounds it, so the draws are those of the ``one_d_measure``
-    route bit for bit.
-    """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    pos = np.asarray(positions, dtype=float).ravel().tolist()
-    size = len(pos)
-    if size == 0:
-        raise ValueError("measure needs at least one atom")
-    if not all(map(math.isfinite, pos)):
-        raise ValueError("positions must be finite")
-    if weights is None:
-        w = [1.0 / size] * size
-    else:
-        arr = np.asarray(weights, dtype=float)
-        if arr.shape != (size,):
-            raise ValueError(f"weights must have shape ({size},), got {arr.shape}")
-        w = arr.tolist()
-        if not all(map(math.isfinite, w)):
-            raise ValueError("weights must be finite")
-        if min(w) < 0.0:
-            raise ValueError("weights must be non-negative")
-        total = _numpy_order_sum(w)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {np.float64(total)!r}")
-
-    # the sum check leaves at least one positive weight
-    kept = [(pos[i], w[i]) for i in sorted(range(size), key=pos.__getitem__) if w[i] > 0.0]
-    total = _numpy_order_sum([m for _, m in kept])
-    support, cum, acc = [], [], 0.0
-    for x, m in kept:
-        acc += m / total
-        support.append(x)
-        cum.append(acc)
-    cum[-1] = 1.0
-    return np.array([support[bisect_right(cum, u)] for u in rng.random(n).tolist()])
+# -- interpretation ------------------------------------------------------------
 
 
 @dataclass

@@ -86,12 +86,8 @@ class DiscreteMeasure:
 
     @staticmethod
     def from_points(points, weights=None) -> "DiscreteMeasure":
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        n = pts.shape[0]
-        w = _as_weights(weights, n)
-        return DiscreteMeasure(pts, w)
+        """The measure on ``points``, (n, d) or (n,); uniform when ``weights`` is None."""
+        return DiscreteMeasure(points, weights)
 
 
 @dataclass(eq=False)

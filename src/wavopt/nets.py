@@ -1,7 +1,7 @@
 """Actor and critic containers built on the explicit-backprop MLP.
 
 The actor maps a (feature-scaled) state to ``action_dim`` raw outputs,
-one per action coordinate, optionally tanh-squashed to (-1, 1).
+one per action coordinate, tanh-squashed to [-1, 1].
 
 The critic maps ``[scaled state | action]`` to ``n_signals * n_quantiles``
 outputs, reshaped to one block of quantile atoms per signal (signal 0 is
@@ -24,7 +24,6 @@ class ActorNet:
     params: nn.MlpParams
     action_dim: int
     feature_scale: np.ndarray
-    squash: bool = True
 
     def scaled(self, states: np.ndarray) -> np.ndarray:
         return np.atleast_2d(states) * self.feature_scale
@@ -33,17 +32,15 @@ class ActorNet:
         return nn.forward_batch(self.params, self.scaled(states))
 
     def act_batch(self, states: np.ndarray) -> np.ndarray:
-        raw = self.raw_forward(states)
-        return np.tanh(raw) if self.squash else raw
+        return np.tanh(self.raw_forward(states))
 
     def act(self, state) -> np.ndarray:
         """``act_batch`` on one state: the same (1, d) products, without
         the batch route's conversions."""
-        raw = nn.forward_batch(self.params, (state * self.feature_scale)[None, :])[0]
-        return np.tanh(raw) if self.squash else raw
+        return np.tanh(nn.forward_batch(self.params, (state * self.feature_scale)[None, :])[0])
 
     def copy(self) -> "ActorNet":
-        return ActorNet(self.params.copy(), self.action_dim, self.feature_scale, self.squash)
+        return ActorNet(self.params.copy(), self.action_dim, self.feature_scale)
 
 
 @dataclass(eq=False)
@@ -99,7 +96,6 @@ def init_policy_nets(
     n_signals: int,
     rng,
     feature_scale=None,
-    squash: bool = True,
 ) -> PolicyNets:
     """Seeded construction of both networks; deterministic given the generator."""
     if not isinstance(rng, np.random.Generator):
@@ -112,7 +108,6 @@ def init_policy_nets(
         params=nn.init_mlp([state_dim] + hidden + [action_dim], rng),
         action_dim=action_dim,
         feature_scale=scale,
-        squash=squash,
     )
     critic = CriticNet(
         params=nn.init_mlp([state_dim + action_dim] + hidden + [n_signals * n_quantiles], rng),

@@ -230,7 +230,7 @@ class TestBatchedBellmanEval:
 # ---------------------------------------------------------------------------
 
 
-def _small_nets(seed, state_dim=3, action_dim=1, n=4, n_signals=2, squash=True):
+def _small_nets(seed, state_dim=3, action_dim=1, n=4, n_signals=2):
     return init_policy_nets(
         state_dim=state_dim,
         action_dim=action_dim,
@@ -239,7 +239,6 @@ def _small_nets(seed, state_dim=3, action_dim=1, n=4, n_signals=2, squash=True):
         n_quantiles=n,
         n_signals=n_signals,
         rng=seed,
-        squash=squash,
     )
 
 
@@ -348,10 +347,10 @@ class TestCriticGradient:
 
 class TestActorGradient:
     def test_hand_checked_linear_chain(self):
-        # critic Q(s, a) = 2a, actor a = w s with w = 0.7, s = 1:
-        # d/dw mean Z = dQ/da * s = 2
+        # critic Q(s, a) = 2a, actor a = tanh(w s) with w = 0.7, s = 1:
+        # d/dw mean Z = dQ/da * (1 - tanh^2(0.7)) * s
         actor_params = nn.MlpParams([np.array([[0.7]])], [np.zeros(1)])
-        actor = ActorNet(actor_params, 1, np.ones(1), squash=False)
+        actor = ActorNet(actor_params, 1, np.ones(1))
         critic_params = nn.MlpParams([np.array([[0.0, 2.0]])], [np.zeros(1)])
         critic = CriticNet(critic_params, 1, 1, np.ones(1))
         nets = PolicyNets(actor, critic)
@@ -364,7 +363,7 @@ class TestActorGradient:
             done=np.zeros(1),
         )
         grad = actor_gradient(nets, batch, 0)
-        assert grad[0] == pytest.approx(2.0, abs=1e-15)
+        assert grad[0] == pytest.approx(2.0 * (1.0 - np.tanh(0.7) ** 2), abs=1e-15)
 
     def test_matches_finite_differences_through_critic(self):
         def objective(nets, states):
@@ -398,14 +397,13 @@ def _generic_actor_route(nets, batch, signal, sign, raw_penalty):
     actor, critic = nets.actor, nets.critic
     states = batch.states
     raw, actor_cache = nn.forward_batch_cached(actor.params, actor.scaled(states))
-    a = np.tanh(raw) if actor.squash else raw
+    a = np.tanh(raw)
     _, critic_cache = nn.forward_batch_cached(critic.params, critic.inputs(states, a))
     n = critic.n_quantiles
     upstream = np.zeros((states.shape[0], critic.n_signals * n))
     upstream[:, signal * n : (signal + 1) * n] = 1.0 / n
     d_input = _input_gradient(critic.params, critic_cache, upstream)
-    chain = (1.0 - a**2) if actor.squash else 1.0
-    g_action = d_input[:, states.shape[1] :] * chain
+    g_action = d_input[:, states.shape[1] :] * (1.0 - a**2)
     grad = sign * nn.backward_batch(actor.params, actor_cache, g_action, reduce="mean")
     if raw_penalty > 0.0:
         raw, cache = nn.forward_batch_cached(actor.params, actor.scaled(states))
@@ -425,8 +423,7 @@ def _input_gradient(params, cache, upstream):
 
 class TestClosedFormActorChain:
     @pytest.mark.parametrize("hidden_layers", [0, 1, 2, 3])
-    @pytest.mark.parametrize("squash", [True, False])
-    def test_matches_generic_backward_oracle(self, hidden_layers, squash):
+    def test_matches_generic_backward_oracle(self, hidden_layers):
         worst = 0.0
         for seed in range(3):
             nets = init_policy_nets(
@@ -437,7 +434,6 @@ class TestClosedFormActorChain:
                 n_quantiles=6,
                 n_signals=3,
                 rng=1000 * hidden_layers + seed,
-                squash=squash,
             )
             batch = _random_batch(np.random.default_rng(seed), nets, b=9)
             for signal in range(3):

@@ -15,7 +15,6 @@ from wavopt.envs import (
     LINK_MASS,
     AcrobotEnv,
     CartpoleEnv,
-    ReturnTracker,
     acrobot_step,
     acrobot_tip_height,
     cartpole_angle_penalty,
@@ -267,14 +266,6 @@ def test_acrobot_episode_cap():
         _, _, _, done = env.step(0.0)
         steps += 1
     assert steps == 40
-
-
-def test_return_tracker_convention():
-    tr = ReturnTracker()
-    assert tr.value == -250.0
-    for _ in range(250):
-        tr.update(1.0)
-    assert tr.value == pytest.approx(0.0)
 
 
 def test_random_cmdp_feasible_bounds():

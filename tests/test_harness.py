@@ -10,7 +10,7 @@ import pytest
 
 from wavopt import harness
 from wavopt.dist_rl import UpdateWorkspace, td_targets
-from wavopt.envs import CartpoleEnv, make_env
+from wavopt.envs import RETURN_START, CartpoleEnv, make_env
 from wavopt.harness import (
     ConfigError,
     CurveRow,
@@ -27,7 +27,9 @@ from wavopt.harness import (
     write_summary,
 )
 from wavopt.inference import log_family
+from wavopt.measures import one_d_measure
 from wavopt.nets import init_policy_nets
+from wavopt.nn import TrainingError
 from wavopt.safe_rl import ObjectiveEstimate, policy_update_step, tolerance_schedule
 
 from recovery_curves import synthetic_recovery_curve
@@ -197,7 +199,6 @@ def _tiny_nets(seed=5):
         n_signals=3,
         rng=np.random.default_rng(seed),
         feature_scale=np.array([0.5, 1.0, 2.0, 1.0]),
-        squash=True,
     )
 
 
@@ -248,6 +249,42 @@ def test_checkpoint_truncation_names_the_section(tmp_path, section):
         path.write_text("".join(lines[: (start + end) // 2]))
     with pytest.raises(ValueError, match=f"truncated or damaged in section {section}"):
         read_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("n_quantiles 6\n", "", "header has no n_quantiles line"),
+        ("feature_scale 0.5 1 2 1\n", "", "header has no feature_scale line"),
+        ("squash 1\n", "squash\n", "header line 'squash' has no value"),
+        ("squash 1\n", "squash 0\n", "squash '0' is not supported"),
+        ("n_signals 3\n", "n_signals three\n", "n_signals is malformed: 'three'"),
+        ("n_signals 3\nn_quantiles 6\n", "n_signals -3\nn_quantiles -6\n", "counts must be positive"),
+        ("action_dim 1\n", "action_dim 2\n", "section actor maps 4 inputs to 1 outputs, but the header gives 4 to 2"),
+        ("n_quantiles 6\n", "n_quantiles 5\n", "section critic maps 5 inputs to 18 outputs, but the header gives 5 to 15"),
+        ("feature_scale 0.5 1 2 1\n", "feature_scale 0.5 1 2\n", "section actor maps 4 inputs to 1 outputs, but the header gives 3"),
+    ],
+    ids=[
+        "no n_quantiles",
+        "no feature_scale",
+        "bare key",
+        "squash 0",
+        "malformed count",
+        "negative counts",
+        "action_dim",
+        "n_quantiles",
+        "feature_scale length",
+    ],
+)
+def test_checkpoint_header_faults_are_one_line_errors(tmp_path, old, new, message):
+    path = tmp_path / "ckpt.txt"
+    write_checkpoint(path, _tiny_nets(), "cartpole")
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ValueError) as err:
+        read_checkpoint(path)
+    assert message in str(err.value) and "\n" not in str(err.value)
 
 
 def test_summary_round_trip(tmp_path):
@@ -313,10 +350,14 @@ def _fast_config(**overrides):
 
 
 def test_run_training_writes_consistent_files(tmp_path):
-    result = run_training(_fast_config(), tmp_path / "run")
+    config = _fast_config()
+    result = run_training(config, tmp_path / "run")
     data = read_curve(result.curve_path)
     npt.assert_array_equal(data["episode"], np.arange(1, 9))
-    assert data["cum_return"].shape == (8,)
+    # cartpole pays 1 per step, so each return is RETURN_START plus the
+    # episode's length, which the simulated clock counts in steps of dt
+    steps = np.diff(np.rint(data["sim_seconds"] / config.dt), prepend=0.0)
+    npt.assert_array_equal(data["cum_return"], RETURN_START + steps)
     assert set(data["branch"].tolist()) <= {0, 1, 2}
     assert result.updates > 0
     summary = read_summary(result.summary_path)
@@ -542,17 +583,13 @@ def test_behaviour_step_weights_match_an_independent_recomputation(tmp_path, mon
     config = _fast_config(
         seed=3, episodes=1, hidden_width=16, warmup_steps=10**6, eval_every=0
     )
-    draws, states, steps = [], [], []
-    sample_actions, behaviour_step = harness.sample_actions, harness.behaviour_step
+    states, steps = [], []
+    behaviour_step = harness.behaviour_step
     env_step = CartpoleEnv.step
-
-    def spy(positions, weights, n, rng):
-        draws.append((np.array(positions), np.array(weights)))
-        return sample_actions(positions, weights, n, rng)
 
     def behaviour_spy(*args):
         action, lik, clipped = behaviour_step(*args)
-        steps.append((lik.copy(), clipped.copy()))
+        steps.append((action, args[5], lik.copy(), clipped.copy()))
         return action, lik, clipped
 
     def step_spy(self, action):
@@ -560,13 +597,12 @@ def test_behaviour_step_weights_match_an_independent_recomputation(tmp_path, mon
         states.append(result[0].copy())
         return result
 
-    monkeypatch.setattr(harness, "sample_actions", spy)
     monkeypatch.setattr(harness, "behaviour_step", behaviour_spy)
     monkeypatch.setattr(CartpoleEnv, "step", step_spy)
     run_training(config, tmp_path / "run")
-    assert len(draws) == len(steps) > 5
+    assert len(steps) > 5
 
-    s_init, s_env, *_ = np.random.SeedSequence(config.seed).spawn(5)
+    s_init, s_env, s_noise, *_ = np.random.SeedSequence(config.seed).spawn(5)
     env = make_env(config.env, dt=config.dt)
     nets = init_policy_nets(
         state_dim=env.state_dim,
@@ -577,7 +613,6 @@ def test_behaviour_step_weights_match_an_independent_recomputation(tmp_path, mon
         n_signals=1 + env.n_constraints,
         rng=np.random.default_rng(s_init),
         feature_scale=env.feature_scale,
-        squash=True,
     )
     # log family over [0, hv] with F(1e-6) = 0; a constraint enters by
     # its margin hv - utility-to-go
@@ -591,16 +626,20 @@ def test_behaviour_step_weights_match_an_independent_recomputation(tmp_path, mon
         return factors, (values < 0.0) | (values > hv)
 
     visited = [env.reset(rng=np.random.default_rng(s_env))] + states
-    for step, ((cands, weights), (lik, clipped)) in enumerate(zip(draws, steps)):
+    noise_rng = np.random.default_rng(s_noise)
+    for step, (action, noise_scale, lik, clipped) in enumerate(steps):
         state = visited[step]
-        mu = nets.actor.act_batch(state[None, :])[0, 0]
-        npt.assert_array_equal(cands, [-1.0, 1.0, mu])
+        cands = np.array([-1.0, 1.0, nets.actor.act_batch(state[None, :])[0, 0]])
         factors, flags = likelihoods(state, cands)
         assert lik.tobytes() == factors.tobytes(), step
         npt.assert_array_equal(clipped, flags)
-        # the weights handed to the sampler are the likelihoods' row products
+        # the action is the oracle's draw under the likelihoods' row
+        # products, plus the noise, from the run's noise stream
         expect = factors[:, 0] * (factors[:, 1] * factors[:, 2])
-        assert weights.tobytes() == (expect / expect.sum()).tobytes(), step
+        weights = expect / expect.sum()
+        drawn = _one_d_measure_sampler(cands, weights, 1, noise_rng)[0]
+        noisy = min(max(drawn + noise_scale * noise_rng.normal(), -1.0), 1.0)
+        assert np.float64(action).tobytes() == np.float64(noisy).tobytes(), step
 
     # the pin is not vacuous: the constraint-2 factor tells the
     # candidates apart, so leaving it out moves the weights
@@ -622,6 +661,86 @@ def test_behaviour_step_weights_match_an_independent_recomputation(tmp_path, mon
     npt.assert_array_equal(clipped, flags)
     assert clipped[:, 1].all() and not clipped[:, [0, 2]].any()
     npt.assert_array_equal(lik[:, 1], np.exp(np.full(3, -hv) / c))
+
+
+# -- the behaviour draw against the one_d_measure route ----------------------------
+
+
+def _one_d_measure_sampler(positions, weights, n, rng):
+    """Oracle: inverse-CDF draws through ``one_d_measure`` and its ``cumulative``."""
+    m = one_d_measure(positions, weights)
+    idx = np.searchsorted(m.cumulative(), rng.random(n), side="right")
+    return m.positions[idx]
+
+
+class _FixedUniform:
+    """Generator stand-in: every uniform draw is ``u``, every normal draw 0."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+    def normal(self):
+        return 0.0
+
+
+def _behaviour_inputs(seed, mu_bias):
+    """Random nets whose actor output is shifted by ``mu_bias``, with the step's bracket."""
+    nets = _tiny_nets(seed)
+    nets.actor.params.biases[-1] += mu_bias
+    cand_inputs = np.empty((3, 5))
+    cand_inputs[:2, -1] = (-1.0, 1.0)
+    # a narrow bracket spreads the candidates' likelihoods apart
+    return nets, log_family(0.0, 2.0), 2.0, cand_inputs
+
+
+@pytest.mark.parametrize("noise_scale", [0.0, 0.3])
+@pytest.mark.parametrize("mu_bias, mu", [(0.0, None), (40.0, 1.0), (-40.0, -1.0)], ids=["random", "+1", "-1"])
+def test_behaviour_step_draws_as_the_one_d_measure_route(mu_bias, mu, noise_scale):
+    picked = set()
+    for seed in range(20):
+        nets, family, hv, cand_inputs = _behaviour_inputs(seed, mu_bias)
+        states = np.random.default_rng(100 + seed).normal(size=(25, 4))
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for state in states:
+            action, lik, _ = harness.behaviour_step(nets, family, hv, cand_inputs, state, noise_scale, rng)
+            cands = cand_inputs[:, -1].copy()
+            if mu is not None:
+                assert cands[2] == mu  # saturated: mu sits on a fixed candidate
+            joint = lik[:, 0] * lik[:, 1:].prod(axis=1)
+            drawn = _one_d_measure_sampler(cands, joint / joint.sum(), 1, oracle_rng)[0]
+            noisy = min(max(drawn + noise_scale * oracle_rng.normal(), -1.0), 1.0)
+            assert np.float64(action).tobytes() == np.float64(noisy).tobytes()
+            picked.add(int(np.flatnonzero(cands == drawn)[0]))
+        # one uniform and one normal per step, as the oracle draws them
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    # the pin is not vacuous: every distinct candidate was drawn
+    assert picked == ({0, 1, 2} if mu is None else {0, 1})
+
+
+def test_behaviour_step_picks_at_the_cumulative_weights_exactly():
+    # uniforms on and just below each cumulative weight: the first
+    # candidate in position order whose cumulative weight exceeds u
+    for seed in range(30):
+        nets, family, hv, cand_inputs = _behaviour_inputs(seed, 0.0)
+        state = np.random.default_rng(seed).normal(size=4)
+        _, lik, _ = harness.behaviour_step(nets, family, hv, cand_inputs, state, 0.0, np.random.default_rng(0))
+        cands = cand_inputs[:, -1].copy()
+        joint = lik[:, 0] * lik[:, 1:].prod(axis=1)
+        weights = joint / joint.sum()
+        c0, c1, _ = one_d_measure(cands, weights).cumulative()
+        for u in (0.0, np.nextafter(c0, 0.0), c0, np.nextafter(c1, 0.0), c1, np.nextafter(1.0, 0.0)):
+            action, _, _ = harness.behaviour_step(nets, family, hv, cand_inputs, state, 0.0, _FixedUniform(float(u)))
+            assert action == _one_d_measure_sampler(cands, weights, 1, _FixedUniform(float(u)))[0], (seed, u)
+
+
+def test_behaviour_step_refuses_non_finite_weights():
+    nets, family, hv, cand_inputs = _behaviour_inputs(0, 0.0)
+    nets.critic.params.biases[-1][0] = np.nan
+    with pytest.raises(TrainingError, match="candidate weights are not finite"):
+        harness.behaviour_step(nets, family, hv, cand_inputs, np.zeros(4), 0.0, np.random.default_rng(0))
 
 
 def test_scheduled_tolerance_follows_the_schedule(tmp_path, monkeypatch):

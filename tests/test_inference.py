@@ -9,9 +9,7 @@ from wavopt.inference import (
     decompose_interpretation,
     log_family,
     optimality_likelihood,
-    sample_actions,
 )
-from wavopt.measures import one_d_measure
 
 
 # -- operator families ---------------------------------------------------------
@@ -92,105 +90,6 @@ def test_greedy_invariant_across_families():
     probs = np.array([0.2, 0.9, 0.9, 0.1])
     for fam in (affine_family(0.0, 1.0), log_family(-3.0, 5.0)):
         assert int(np.argmax(fam(probs))) == 1  # tie -> lowest index
-
-
-# -- sampling -------------------------------------------------------------------
-
-
-def test_sample_actions_skips_zero_weight():
-    pos = np.array([-1.0, 0.0, 1.0])
-    w = np.array([0.5, 0.0, 0.5])
-    draws = sample_actions(pos, w, 2000, rng=5)
-    assert not np.any(draws == 0.0)
-    frac = np.mean(draws == 1.0)
-    assert 0.45 < frac < 0.55
-
-
-def test_sample_actions_frequencies_and_determinism():
-    pos = np.array([0.0, 1.0, 2.0])
-    w = np.array([0.2, 0.3, 0.5])
-    a = sample_actions(pos, w, 20000, rng=9)
-    b = sample_actions(pos, w, 20000, rng=9)
-    assert np.array_equal(a, b)
-    for v, target in zip(pos, w):
-        assert np.mean(a == v) == pytest.approx(target, abs=0.02)
-
-
-def _one_d_measure_sampler(positions, weights, n, rng):
-    """Oracle: the numpy route through ``one_d_measure`` that sample_actions replaced."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    m = one_d_measure(positions, weights)
-    idx = np.searchsorted(m.cumulative(), rng.random(n), side="right")
-    return m.positions[idx]
-
-
-def _random_support(rng):
-    size = int(rng.integers(2, 13))
-    pos = rng.choice([-1.0, 1.0, 0.0, -0.0, 0.3], size=size) if rng.random() < 0.2 else rng.uniform(-1, 1, size)
-    # ties: exact copies, and copies nudged by up to 1.5e-12, which
-    # chain near neighbours
-    for i in range(1, size):
-        if rng.random() < 0.4:
-            pos[i] = pos[int(rng.integers(0, i))] + 1e-12 * rng.choice([-1.5, -1.0, -0.4, 0.0, 0.4, 0.9, 1.0, 1.5])
-    w = rng.exponential(size=size) * (rng.random(size) > 0.3)
-    if not w.any():
-        w[int(rng.integers(0, size))] = 1.0
-    return pos, w / w.sum()
-
-
-def test_sample_actions_matches_one_d_measure_route_bitwise():
-    rng = np.random.default_rng(77)
-    dropped = 0
-    for trial in range(5000):
-        pos, w = _random_support(rng)
-        if trial % 50 == 0:
-            w = None
-        n = int(rng.integers(1, 6))
-        seed = int(rng.integers(0, 2**32))
-        new = sample_actions(pos, w, n, np.random.default_rng(seed))
-        old = _one_d_measure_sampler(pos, w, n, np.random.default_rng(seed))
-        assert new.dtype == old.dtype and new.shape == old.shape
-        assert new.tobytes() == old.tobytes(), (pos, w)
-        dropped += one_d_measure(pos, w).size < pos.size
-    assert dropped > 500
-
-
-def test_sample_actions_three_candidate_draws_match_bitwise():
-    # the behaviour step: candidates -1, 1 and the actor's choice, which
-    # may sit on (or within 1e-12 of) a fixed candidate
-    rng = np.random.default_rng(78)
-    for trial in range(3000):
-        mu = [rng.uniform(-1, 1), 1.0, -1.0, 1.0 - 0.5e-12, -0.0][trial % 5]
-        lik = rng.uniform(1e-9, 1.0, 3) * (rng.random(3) > 0.1) + 1e-300
-        w = lik / lik.sum()
-        cands = np.array([-1.0, 1.0, mu])
-        new = sample_actions(cands, w, 1, np.random.default_rng(trial))
-        old = _one_d_measure_sampler(cands, w, 1, np.random.default_rng(trial))
-        assert new.tobytes() == old.tobytes()
-
-
-@pytest.mark.parametrize(
-    "positions, weights",
-    [
-        ([], None),
-        ([0.0, np.nan], None),
-        ([0.0, np.inf], [0.5, 0.5]),
-        ([0.0, 1.0, 2.0], [0.5, 0.5]),
-        ([0.0, 1.0], [[0.5, 0.5]]),
-        ([0.0, 1.0], [0.5, np.nan]),
-        ([0.0, 1.0], [1.5, -0.5]),
-        ([0.0, 1.0], [0.5, 0.6]),
-        ([0.0, 1.0], [0.0, 0.0]),
-        (np.arange(9.0), np.full(9, 0.1)),
-    ],
-)
-def test_sample_actions_raises_the_one_d_measure_errors(positions, weights):
-    with pytest.raises(ValueError) as expected:
-        _one_d_measure_sampler(positions, weights, 1, 0)
-    with pytest.raises(ValueError) as got:
-        sample_actions(positions, weights, 1, 0)
-    assert str(got.value) == str(expected.value)
 
 
 # -- interpretation --------------------------------------------------------------

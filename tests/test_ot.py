@@ -62,6 +62,11 @@ class TestMeasures:
         with pytest.raises(ValueError):
             DiscreteMeasure.from_points([[0.0], [1.0]], [-0.2, 1.2])
 
+    @pytest.mark.parametrize("points", [[], np.empty((0, 2))], ids=["list", "array"])
+    def test_empty_points_rejected(self, points):
+        with pytest.raises(ValueError, match="atoms must be a non-empty"):
+            DiscreteMeasure.from_points(points)
+
     def test_canonicalization_sorts_and_merges(self):
         # atoms at one position stay apart yet transport as their merged
         # sum; an atom 1e-13 away keeps its own position
