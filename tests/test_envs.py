@@ -13,6 +13,7 @@ from wavopt.envs import (
     LINK_INERTIA,
     LINK_LENGTH,
     LINK_MASS,
+    RETURN_START,
     AcrobotEnv,
     CartpoleEnv,
     acrobot_step,
@@ -266,6 +267,24 @@ def test_acrobot_episode_cap():
         _, _, _, done = env.step(0.0)
         steps += 1
     assert steps == 40
+
+
+def test_return_tracker_convention():
+    # an episode's return starts at -250 and adds each step's reward, so a
+    # full 250-step cartpole episode at 1 per step ends at 0
+    assert RETURN_START == -250.0
+    ret = RETURN_START
+    for _ in range(250):
+        ret += 1.0
+    assert ret == pytest.approx(0.0)
+    env = CartpoleEnv(max_steps=30)
+    env.reset(rng=0)
+    ret, steps, done = RETURN_START, 0, False
+    while not done:
+        _, r, _, done = env.step(1.0 if steps % 2 else -1.0)
+        ret += r
+        steps += 1
+    assert ret == RETURN_START + steps
 
 
 def test_random_cmdp_feasible_bounds():
