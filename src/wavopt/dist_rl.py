@@ -22,9 +22,11 @@ between the critic's sorted atoms and the frozen projected TD targets of
 ``td_targets``, whose minimizer over the N-atom family is exactly the W1
 projection of the target.  ``actor_gradient`` chain-rules the critic's
 atom mean for one signal through the action input in closed form: the
-linear readout contributes one constant row, so only the critic's hidden
-layers run, with input gradients and no weight gradients.  The actor's
-raw-output penalty rides in the same single actor backward.
+linear readout contributes one constant row, the signal's row of the
+critic's mean head (shared with the behaviour step's candidate means),
+so only the critic's hidden layers run, with input gradients and no
+weight gradients.  The actor's raw-output penalty rides in the same
+single actor backward.
 
 These three write every (batch, .) array into an ``UpdateWorkspace``: a
 training run passes one to every update, and a call without one builds a
@@ -341,11 +343,13 @@ def actor_gradient(
     - (raw_penalty / 2) * (1/B) sum_b |raw_b|^2, where raw is the actor's
     pre-squash output.  The atom-mean readout is linear, so its gradient
     with respect to the critic's last hidden layer is one constant row,
-    the mean of the signal's output-weight rows.  That row is pulled back
-    through the hidden ReLUs (input gradients only, no weight gradients)
-    to the action columns of the first layer, then chained through the
-    tanh squash and, together with the penalty, through one actor
-    backward.  Callers descend by negating the result.
+    the mean of the signal's output-weight rows: the signal's row of the
+    critic's mean head (``CriticNet.mean_head``), which the behaviour
+    step reads too.  That row is pulled back through the hidden ReLUs
+    (input gradients only, no weight gradients) to the action columns of
+    the first layer, then chained through the tanh squash and, together
+    with the penalty, through one actor backward.  Callers descend by
+    negating the result.
     """
     actor, critic = nets.actor, nets.critic
     ws = workspace if workspace is not None else UpdateWorkspace(nets, batch.size)
@@ -354,8 +358,7 @@ def actor_gradient(
     a = np.tanh(raw)
 
     weights, biases, cb = critic.params.weights, critic.params.biases, ws.critic
-    n = critic.n_quantiles
-    g = weights[-1][signal * n : (signal + 1) * n].sum(axis=0) / n
+    g = critic.mean_head()[0][signal]
     h = critic.inputs(states, a)
     masks = []
     for l, (w, b) in enumerate(zip(weights[:-1], biases[:-1])):

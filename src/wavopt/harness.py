@@ -511,8 +511,12 @@ def behaviour_step(nets: PolicyNets, family, horizon_value: float, cand_inputs, 
     gives value differences multiplicative weight, so selection sharpens
     as the critic spreads the candidates apart.  A constraint enters by
     its margin, horizon value minus utility-to-go (low utility-to-go is
-    high safety likelihood).  The reward atom means and margins are
-    inverted in one call, which clips them to the bracket and flags each
+    high safety likelihood).  The candidates' atom means come from the
+    critic's hidden layers and its mean head (``CriticNet.mean_head``),
+    one (3, width) @ (width, n_signals) product in place of the output
+    layer and its atoms; ``policy_update_step`` drops the head at each
+    critic step, so it is recomputed once per critic change.  The reward atom means and margins are inverted in
+    one call, which clips them to the bracket and flags each
     clip; a candidate's weight, the joint posterior of every optimality
     variable, is the product of its likelihoods.  The draw is by inverse
     CDF over the candidates in stable position order, on Python floats:
@@ -525,13 +529,12 @@ def behaviour_step(nets: PolicyNets, family, horizon_value: float, cand_inputs, 
     the action, the (3, 1 + p) likelihoods (reward, then each margin) and
     their clip flags.
     """
+    critic = nets.critic
     cands = cand_inputs[:, -1]
     cands[2] = float(nets.actor.act(state)[0])
-    np.multiply(state, nets.critic.feature_scale, out=cand_inputs[:, :-1])
-    out = nn.forward_batch(nets.critic.params, cand_inputs)
-    n = nets.critic.n_quantiles
-    # the add-reduce and divide of ``mean(axis=2)``
-    means = out.reshape(3, -1, n).sum(axis=2) / n
+    np.multiply(state, critic.feature_scale, out=cand_inputs[:, :-1])
+    head_w, head_b = critic.mean_head()
+    means = nn.hidden_forward(critic.params, cand_inputs) @ head_w.T + head_b
     means[:, 1:] = horizon_value - means[:, 1:]
     lik, clipped = optimality_likelihood(family, means)
     joint = lik[:, 0] * lik[:, 1:].prod(axis=1)

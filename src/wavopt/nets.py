@@ -5,7 +5,11 @@ one per action coordinate, tanh-squashed to [-1, 1].
 
 The critic maps ``[scaled state | action]`` to ``n_signals * n_quantiles``
 outputs, reshaped to one block of quantile atoms per signal (signal 0 is
-the reward, signal i >= 1 is utility i).
+the reward, signal i >= 1 is utility i).  A signal's atom mean is linear
+in the last hidden layer, so the critic's mean head, the per-signal
+average of its output rows and biases, reads every signal's mean with
+one (width, n_signals) product.  The behaviour step and the actor
+gradient both read the means through it.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ class CriticNet:
     n_signals: int
     n_quantiles: int
     feature_scale: np.ndarray
+    _head: tuple | None = field(default=None, init=False, repr=False)
 
     def inputs(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         s = np.atleast_2d(states) * self.feature_scale
@@ -59,6 +64,23 @@ class CriticNet:
         """(B, n_signals, n_quantiles) atom blocks; not sorted."""
         out = nn.forward_batch(self.params, self.inputs(states, actions))
         return out.reshape(out.shape[0], self.n_signals, self.n_quantiles)
+
+    def mean_head(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (n_signals, width) mean output rows and (n_signals,) mean biases.
+
+        ``hidden @ w.T + b`` gives each signal's atom mean, equal to the
+        mean of ``forward_batch``'s atoms up to round-off.  Computed on
+        the first read and kept until ``drop_head``, which whoever
+        changes ``params`` in place calls.
+        """
+        if self._head is None:
+            n, w, b = self.n_quantiles, self.params.weights[-1], self.params.biases[-1]
+            self._head = (w.reshape(self.n_signals, n, -1).sum(axis=1) / n, b.reshape(-1, n).sum(axis=1) / n)
+        return self._head
+
+    def drop_head(self) -> None:
+        """Forget the mean head; the next ``mean_head`` recomputes it."""
+        self._head = None
 
     def copy(self) -> "CriticNet":
         return CriticNet(self.params.copy(), self.n_signals, self.n_quantiles, self.feature_scale)
@@ -84,6 +106,7 @@ class PolicyNets:
     def sync_target(self) -> None:
         """Copy the live parameters into the existing target vectors."""
         np.copyto(self.target_critic.params.flat, self.critic.params.flat)
+        self.target_critic.drop_head()
         np.copyto(self.target_actor.params.flat, self.actor.params.flat)
 
 

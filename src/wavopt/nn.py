@@ -29,6 +29,7 @@ __all__ = [
     "MlpParams",
     "TrainingError",
     "init_mlp",
+    "hidden_forward",
     "forward_batch",
     "LayerBuffers",
     "forward_batch_cached",
@@ -161,13 +162,20 @@ def forward_batch_cached(params: MlpParams, x: np.ndarray, buffers=None):
     return z, (inputs, bufs.pre[:last])
 
 
-def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Batched forward pass that keeps no cache; the same products as
-    ``forward_batch_cached``, so the outputs agree bit for bit."""
+def hidden_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    """The last hidden layer's activations for a batch (``x`` itself
+    when there is no hidden layer): ``forward_batch`` without its output
+    product."""
     a = _as_input(params, x)
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
         a = np.maximum(a @ w.T + b, 0.0)
-    return a @ params.weights[-1].T + params.biases[-1]
+    return a
+
+
+def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    """Batched forward pass that keeps no cache; the same products as
+    ``forward_batch_cached``, so the outputs agree bit for bit."""
+    return hidden_forward(params, x) @ params.weights[-1].T + params.biases[-1]
 
 
 def backward_batch(params: MlpParams, cache, upstream: np.ndarray, reduce: str = "mean", buffers=None):

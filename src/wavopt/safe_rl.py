@@ -168,6 +168,7 @@ def policy_update_step(
 
     ev = critic_gradient_all(nets, batch, gamma, value_clip, workspace, targets)
     critic_opt.step(nets.critic.params, ev.grad, critic_lr)
+    nets.critic.drop_head()  # the actor gradient below recomputes it; later behaviour steps reuse it
 
     violated = np.flatnonzero(est > bounds + tolerance)
     if violated.size == 0:

@@ -1,10 +1,16 @@
 """Exit codes and file outputs of every subcommand."""
 
+import contextlib
 import hashlib
+import io
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavopt.cli import main
 from wavopt.harness import CurveRow, read_curve, write_curve
@@ -352,6 +358,49 @@ def test_interpret_rejects_impossible_probabilities(tmp_path, capsys, row):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: trace row 1:")
     assert len(err.strip().splitlines()) == 1
+
+
+_TRACE_TOKENS = st.one_of(
+    st.floats(0.01, 1.0).map(repr),
+    st.floats(0.01, 1.0).map(repr),
+    st.floats().map(repr),
+    st.sampled_from(["0", "1", "0.5", "1e-320", "", " ", "nan", "-0.0", "inf"]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def _trace_files(draw):
+    """Arbitrary bytes, arbitrary text, or a CSV of arbitrary tokens under a plausible header."""
+    kind = draw(st.sampled_from(["bytes", "text", "csv"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=80))
+    if kind == "text":
+        return draw(st.text(max_size=80)).encode()
+    header = draw(st.sampled_from(["p_trajectory", "p_trajectory,reward", "p_trajectory,reward,safety", "reward"]))
+    width = header.count(",") + 1
+    row = st.one_of(
+        st.lists(_TRACE_TOKENS, min_size=width, max_size=width),
+        st.lists(_TRACE_TOKENS, min_size=width - 1, max_size=width + 1),
+    )
+    rows = draw(st.lists(row, max_size=4))
+    return "\n".join([header] + [",".join(row) for row in rows]).encode()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_trace_files())
+def test_interpret_on_any_trace_exits_0_or_2_with_one_line(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = Path(tmp) / "trace.csv"
+        trace.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["interpret", str(trace)])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 2
+        assert err.getvalue().startswith("configuration error: ") and err.getvalue().count("\n") == 1
 
 
 def test_oracle_passes(capsys):

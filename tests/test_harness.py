@@ -7,6 +7,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavopt import harness
 from wavopt.dist_rl import UpdateWorkspace, td_targets
@@ -40,6 +42,36 @@ from recovery_curves import synthetic_recovery_curve
 
 def test_defaults_are_valid():
     TrainConfig().validate()
+
+
+_CONFIG_VALUES = st.one_of(
+    st.integers(0, 200).map(str),
+    st.floats(0.0, 1.0).map(repr),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["cartpole", "acrobot", "fixed", "scheduled", "", "1e309", "0x10", "1_000", "9" * 5000]),
+    st.text(max_size=12),
+)
+_CONFIG_LINES = st.one_of(
+    st.text(max_size=30),
+    st.builds(
+        "{}{}{}".format,
+        st.sampled_from([f.name for f in dataclasses.fields(TrainConfig)]),
+        st.sampled_from(["=", " = ", "==", " "]),
+        _CONFIG_VALUES,
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(_CONFIG_LINES, max_size=8).map("\n".join))
+def test_parse_config_returns_a_valid_config_or_raises_config_error(text):
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    assert isinstance(cfg, TrainConfig)
+    cfg.validate()
 
 
 def test_parse_config_values_comments_and_blank_lines():
@@ -576,6 +608,32 @@ def test_run_training_seed_changes_the_curve(tmp_path):
     assert r1.curve_path.read_bytes() != r2.curve_path.read_bytes()
 
 
+def _closed_form_likelihoods(critic, hv, state, cands):
+    """Oracle: the three candidates' likelihoods and clip flags under the log family.
+
+    The atom means come through the critic's hidden layers and the
+    per-signal average of its output rows and biases, the products the
+    behaviour step makes, so they match it bit for bit.  They are also
+    checked against the full forward's atom means, within 1e-12 of the
+    largest atom.  The log family over [0, hv] has F(1e-6) = 0, and a
+    constraint enters by its margin hv - utility-to-go.
+    """
+    params, n = critic.params, critic.n_quantiles
+    h = np.column_stack([np.repeat((state * critic.feature_scale)[None], 3, axis=0), cands])
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        h = np.maximum(h @ w.T + b, 0.0)
+    w, b = params.weights[-1], params.biases[-1]
+    head_w = w.reshape(critic.n_signals, n, -1).sum(axis=1) / n
+    q = h @ head_w.T + b.reshape(-1, n).sum(axis=1) / n
+    atoms = critic.forward_batch(np.repeat(state[None], 3, axis=0), cands[:, None])
+    assert np.abs(q - atoms.mean(axis=2)).max() <= 1e-12 * np.abs(atoms).max()
+
+    values = np.column_stack([q[:, 0], hv - q[:, 1:]])
+    c = hv / -math.log(1e-6)
+    factors = np.maximum(np.exp((np.clip(values, 0.0, hv) - hv) / c), 1e-9)
+    return factors, (values < 0.0) | (values > hv)
+
+
 def test_behaviour_step_weights_match_an_independent_recomputation(tmp_path, monkeypatch):
     # no update runs and no probe: every step of the episode sees the
     # initial nets, and each step's state is the reset state or the
@@ -614,16 +672,11 @@ def test_behaviour_step_weights_match_an_independent_recomputation(tmp_path, mon
         rng=np.random.default_rng(s_init),
         feature_scale=env.feature_scale,
     )
-    # log family over [0, hv] with F(1e-6) = 0; a constraint enters by
-    # its margin hv - utility-to-go
     hv = (1.0 - config.gamma**env.max_steps) / (1.0 - config.gamma)
     c = hv / -math.log(1e-6)
 
     def likelihoods(state, cands):
-        q = nets.critic.forward_batch(np.repeat(state[None], 3, axis=0), cands[:, None]).mean(axis=2)
-        values = np.column_stack([q[:, 0], hv - q[:, 1], hv - q[:, 2]])
-        factors = np.maximum(np.exp((np.clip(values, 0.0, hv) - hv) / c), 1e-9)
-        return factors, (values < 0.0) | (values > hv)
+        return _closed_form_likelihoods(nets.critic, hv, state, cands)
 
     visited = [env.reset(rng=np.random.default_rng(s_env))] + states
     noise_rng = np.random.default_rng(s_noise)
@@ -661,6 +714,38 @@ def test_behaviour_step_weights_match_an_independent_recomputation(tmp_path, mon
     npt.assert_array_equal(clipped, flags)
     assert clipped[:, 1].all() and not clipped[:, [0, 2]].any()
     npt.assert_array_equal(lik[:, 1], np.exp(np.full(3, -hv) / c))
+
+
+def test_behaviour_steps_read_the_critic_as_it_stands(tmp_path, monkeypatch):
+    # updates interleave with the behaviour steps inside each episode: each
+    # step's likelihoods must come from the critic after the last update
+    config = _fast_config(
+        seed=5, episodes=3, warmup_steps=5, update_every=2, updates_per_episode=40, eval_every=0
+    )
+    env = make_env(config.env, dt=config.dt)
+    hv = (1.0 - config.gamma**env.max_steps) / (1.0 - config.gamma)
+    events = []
+    behaviour_step = harness.behaviour_step
+
+    def behaviour_spy(nets, family, horizon_value, cand_inputs, state, noise_scale, rng):
+        mu = nets.actor.act_batch(state[None, :])[0, 0]
+        expect, flags = _closed_form_likelihoods(nets.critic, hv, state, np.array([-1.0, 1.0, mu]))
+        result = behaviour_step(nets, family, horizon_value, cand_inputs, state, noise_scale, rng)
+        assert result[1].tobytes() == expect.tobytes(), len(events)
+        npt.assert_array_equal(result[2], flags)
+        events.append("act")
+        return result
+
+    def update_spy(*args, **kwargs):
+        events.append("update")
+        return policy_update_step(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "behaviour_step", behaviour_spy)
+    monkeypatch.setattr(harness, "policy_update_step", update_spy)
+    run_training(config, tmp_path / "run")
+    # the guard is not vacuous: many steps act right after an update
+    after_update = sum(a == "update" and b == "act" for a, b in zip(events, events[1:]))
+    assert after_update > 20
 
 
 # -- the behaviour draw against the one_d_measure route ----------------------------
