@@ -19,14 +19,16 @@ The network routines give the gradients of the constrained policy
 update.  ``critic_gradient_all`` descends a quantile-matching
 discrepancy summed over every signal: the mean squared difference
 between the critic's sorted atoms and the frozen projected TD targets of
-``td_targets``, whose minimizer over the N-atom family is exactly the W1
-projection of the target.  ``actor_gradient`` chain-rules the critic's
-atom mean for one signal through the action input in closed form: the
-linear readout contributes one constant row, the signal's row of the
-critic's mean head (shared with the behaviour step's candidate means),
-so only the critic's hidden layers run, with input gradients and no
-weight gradients.  The actor's raw-output penalty rides in the same
-single actor backward.
+``td_targets``.  For a deterministic target its minimizer over the
+N-atom family is the target's W1 projection; with sampled targets it is
+the atom-wise mean of the sorted targets, q_j = E[T_j], which is not in
+general the W1 projection of their mixture.  ``actor_gradient``
+chain-rules the critic's atom mean for one signal through the action
+input in closed form: the linear readout contributes one constant row,
+the signal's row of the critic's mean head (shared with the behaviour
+step's candidate means), so only the critic's hidden layers run, with
+input gradients and no weight gradients.  The actor's raw-output
+penalty rides in the same single actor backward.
 
 These three write every (batch, .) array into an ``UpdateWorkspace``: a
 training run passes one to every update, and a call without one builds a
@@ -265,12 +267,12 @@ def td_targets(nets: PolicyNets, batch: TransitionBatch, gamma: float, value_cli
     rows' bits change with their position.
     """
     ws = workspace if workspace is not None else UpdateWorkspace(nets, batch.size)
-    # the target forwards run through the live networks' buffers: the
-    # same products as ``act_batch`` and ``forward_batch``, written in place
+    # the target forwards run through the live networks' buffers, which
+    # fit the targets' shapes
     actor, critic = nets.target_actor, nets.target_critic
-    next_a, _ = nn.forward_batch_cached(actor.params, actor.scaled(batch.next_states), ws.actor)
+    next_a = nn.forward_batch(actor.params, actor.scaled(batch.next_states), ws.actor)
     np.tanh(next_a, out=next_a)
-    nxt, _ = nn.forward_batch_cached(critic.params, critic.inputs(batch.next_states, next_a), ws.critic)
+    nxt = nn.forward_batch(critic.params, critic.inputs(batch.next_states, next_a), ws.critic)
     nxt = nxt.reshape(ws.targets.shape)
     nxt.sort(axis=2)
     cont = (gamma * (1.0 - batch.done))[:, None, None]
@@ -312,7 +314,7 @@ def critic_gradient_all(
         targets = td_targets(nets, batch, gamma, value_clip, ws)
 
     x = critic.inputs(batch.states, batch.actions)
-    out_flat, cache = nn.forward_batch_cached(critic.params, x, ws.critic)
+    out_flat = nn.forward_batch(critic.params, x, ws.critic)
     # numpy's default argsort kind: its tie order decides the scatter.
     # Flat indices (offset + row start) gather and scatter in one step;
     # ``take``'s default mode="raise" would copy through a temporary.
@@ -325,7 +327,7 @@ def critic_gradient_all(
     delta_sups = np.abs(diff, out=scratch).max(axis=2).mean(axis=0)
 
     ws.upstream.reshape(-1)[flat] = np.divide(diff, n, out=diff)  # a view: scatters in place
-    grad = nn.backward_batch(critic.params, cache, ws.upstream, reduce="mean", buffers=ws.critic)
+    grad = nn.backward_batch(critic.params, x, ws.upstream, ws.critic, reduce="mean")
     return CriticEvalAll(grad=grad, delta_sups=delta_sups)
 
 
@@ -354,21 +356,19 @@ def actor_gradient(
     actor, critic = nets.actor, nets.critic
     ws = workspace if workspace is not None else UpdateWorkspace(nets, batch.size)
     states = batch.states
-    raw, actor_cache = nn.forward_batch_cached(actor.params, actor.scaled(states), ws.actor)
+    x = actor.scaled(states)
+    raw = nn.forward_batch(actor.params, x, ws.actor)
     a = np.tanh(raw)
 
-    weights, biases, cb = critic.params.weights, critic.params.biases, ws.critic
+    # the critic's hidden layers only; its ReLU masks are read from the
+    # pre-activations, as ``nn.backward_batch`` reads them
+    nn.hidden_forward(critic.params, critic.inputs(states, a), ws.critic)
+    weights, cb, state_dim = critic.params.weights, ws.critic, states.shape[1]
     g = critic.mean_head()[0][signal]
-    h = critic.inputs(states, a)
-    masks = []
-    for l, (w, b) in enumerate(zip(weights[:-1], biases[:-1])):
-        z = np.add(np.matmul(h, w.T, out=cb.pre[l]), b, out=cb.pre[l])
-        masks.append(np.greater(z, 0.0, out=cb.mask[l]))
-        h = np.maximum(z, 0.0, out=cb.act[l])
-    for l in range(len(masks) - 1, 0, -1):
-        g = np.matmul(np.multiply(g, masks[l], out=cb.act[l]), weights[l], out=cb.delta[l - 1])
-    state_dim = states.shape[1]
-    g_action = np.multiply(g, masks[0], out=cb.act[0]) @ weights[0][:, state_dim:] if masks else g[state_dim:]
+    for l in range(len(cb.act) - 1, -1, -1):
+        g = np.multiply(g, np.greater(cb.pre[l], 0.0, out=cb.mask[l]), out=cb.act[l])
+        g = np.matmul(g, weights[l], out=cb.delta[l - 1]) if l else g @ weights[0][:, state_dim:]
+    g_action = g if cb.act else g[state_dim:]
 
     upstream = sign * g_action * (1.0 - a**2) - raw_penalty * raw
-    return nn.backward_batch(actor.params, actor_cache, upstream, reduce="mean", buffers=ws.actor)
+    return nn.backward_batch(actor.params, x, upstream, ws.actor, reduce="mean")

@@ -100,15 +100,20 @@ def cartpole_step(state: np.ndarray, action: int, dt: float = 0.02):
     left) or 1 (push right).  Returns ``(next_state, reward, g, done)``
     where ``g = (zone penalty, angle penalty)`` evaluated on the new
     state and ``done`` reflects the 12-degree failure condition only
-    (the episode wrapper adds the step cap).
+    (the episode wrapper adds the step cap).  Raises ``TrainingError``
+    when the step overflows or leaves a non-finite state (too large a
+    ``dt`` makes the integrator diverge).
     """
     if action not in (0, 1):
         raise ValueError("cartpole action must be 0 or 1")
     x, x_dot, theta, theta_dot = np.asarray(state, dtype=float).tolist()
     force = FORCE_MAG if action == 1 else -FORCE_MAG
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-
-    temp = (force + POLE_MASS_LENGTH * theta_dot**2 * sin_t) / TOTAL_MASS
+    try:
+        cos_t, sin_t = math.cos(theta), math.sin(theta)
+        temp = (force + POLE_MASS_LENGTH * theta_dot**2 * sin_t) / TOTAL_MASS
+    except (OverflowError, ValueError):
+        # the power overflowed, or cos met an infinite angle: fail the check
+        cos_t = sin_t = temp = math.nan
     theta_acc = (GRAVITY * sin_t - cos_t * temp) / (
         POLE_HALF_LENGTH * (4.0 / 3.0 - POLE_MASS * cos_t**2 / TOTAL_MASS)
     )
@@ -119,6 +124,8 @@ def cartpole_step(state: np.ndarray, action: int, dt: float = 0.02):
     theta_dot += dt * theta_acc
     x += dt * x_dot
     theta += dt * theta_dot
+    if not (math.isfinite(x) and math.isfinite(x_dot) and math.isfinite(theta) and math.isfinite(theta_dot)):
+        raise TrainingError(f"Euler integration diverged at dt = {dt!r}")
     x = min(max(x, -X_LIMIT), X_LIMIT)
 
     nxt = np.array([x, x_dot, theta, theta_dot])

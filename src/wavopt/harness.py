@@ -134,6 +134,10 @@ class TrainConfig:
             raise ConfigError("gamma must lie in [0, 1)")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.n_quantiles < 1:
             raise ConfigError("learning_rate, batch_size, n_quantiles must be positive")
+        if self.actor_learning_rate != -1.0 and self.actor_learning_rate <= 0:
+            raise ConfigError("actor_learning_rate must be -1 (same as learning_rate) or > 0")
+        if self.warmup_steps < 0:
+            raise ConfigError("warmup_steps must be >= 0")
         if self.hidden_width < 1 or self.hidden_layers < 0:
             raise ConfigError("hidden_width must be >= 1 and hidden_layers >= 0")
         if self.buffer_capacity < self.batch_size:

@@ -73,10 +73,15 @@ class RewardOperatorFamily:
         return self.fn(np.asarray(p, dtype=float))
 
     def inverse(self, r) -> np.ndarray:
-        """Probability p with F(p) = r, for r inside the reward range."""
+        """Probability p with F(p) = r.
+
+        Expects rewards inside [r_min, r_max] (``optimality_likelihood``
+        clips them there first) and does not clip its result: the stock
+        inverses map that range into [0, 1].
+        """
         if self.inv is None:
             raise ValueError(f"operator family {self.name!r} has no inverse")
-        return np.clip(self.inv(np.asarray(r, dtype=float)), 0.0, 1.0)
+        return self.inv(np.asarray(r, dtype=float))
 
 
 def affine_family(r_min: float, r_max: float) -> RewardOperatorFamily:

@@ -7,12 +7,15 @@ vector operations.  Every routine is deterministic given its
 inputs (and the seeded generator used at init).  The ReLU subgradient at
 zero is taken to be zero.
 
-``forward_batch_cached`` and ``backward_batch`` write every (batch, .)
-array into a ``LayerBuffers``, the caller's or a fresh one.  What a call
-returns through the caller's (outputs, cache, gradient) is valid only
-until the next call that writes those buffers.  The backward pass
-stops at the first layer's weight gradient: no caller needs the
-gradient with respect to the network input.
+One layer loop serves every pass.  ``forward_batch`` and
+``hidden_forward`` given a ``LayerBuffers`` write every pre-activation
+and ReLU output into it; without one they allocate.  A forward with
+buffers leaves in them everything ``backward_batch`` reads (the input
+itself aside, which the caller passes again), and that stays valid
+until the next pass into those buffers; so do the outputs and the
+gradient a call returns through them.  The backward pass stops at the
+first layer's weight gradient: no caller needs the gradient with
+respect to the network input.
 
 The checkpoint format is a stable text layout (documented in
 ``write_params``) so trained parameters round-trip bit-exactly across
@@ -32,7 +35,6 @@ __all__ = [
     "hidden_forward",
     "forward_batch",
     "LayerBuffers",
-    "forward_batch_cached",
     "backward_batch",
     "AdamState",
     "write_params",
@@ -143,65 +145,53 @@ class LayerBuffers:
         self.grad = np.empty_like(params.flat)
 
 
-def forward_batch_cached(params: MlpParams, x: np.ndarray, buffers=None):
-    """Batched forward pass returning (outputs, cache) for backprop.
-
-    cache holds the layer inputs (``x``, then each hidden ReLU output)
-    and the hidden pre-activations; all but ``x`` are views of
-    ``buffers`` (a fresh set when none is given).
-    """
-    a = _as_input(params, x)
-    bufs = buffers if buffers is not None else LayerBuffers(params, a.shape[0])
-    inputs = [a]
-    last = params.n_layers - 1
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = np.add(np.matmul(a, w.T, out=bufs.pre[l]), b, out=bufs.pre[l])
-        if l < last:
-            a = np.maximum(z, 0.0, out=bufs.act[l])
-            inputs.append(a)
-    return z, (inputs, bufs.pre[:last])
-
-
-def hidden_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
+def hidden_forward(params: MlpParams, x: np.ndarray, buffers=None) -> np.ndarray:
     """The last hidden layer's activations for a batch (``x`` itself
     when there is no hidden layer): ``forward_batch`` without its output
-    product."""
+    product.  With ``buffers`` each pre-activation and ReLU output is
+    written into them; without, each is a fresh array."""
     a = _as_input(params, x)
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        a = np.maximum(a @ w.T + b, 0.0)
+    for l, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
+        z = np.matmul(a, w.T, out=None if buffers is None else buffers.pre[l])
+        z += b
+        a = np.maximum(z, 0.0, out=z if buffers is None else buffers.act[l])
     return a
 
 
-def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Batched forward pass that keeps no cache; the same products as
-    ``forward_batch_cached``, so the outputs agree bit for bit."""
-    return hidden_forward(params, x) @ params.weights[-1].T + params.biases[-1]
+def forward_batch(params: MlpParams, x: np.ndarray, buffers=None) -> np.ndarray:
+    """Batched forward pass; with ``buffers`` the output is
+    ``buffers.pre[-1]`` and the buffers hold what ``backward_batch``
+    reads."""
+    h = hidden_forward(params, x, buffers)
+    out = np.matmul(h, params.weights[-1].T, out=None if buffers is None else buffers.pre[-1])
+    out += params.biases[-1]
+    return out
 
 
-def backward_batch(params: MlpParams, cache, upstream: np.ndarray, reduce: str = "mean", buffers=None):
+def backward_batch(params: MlpParams, x: np.ndarray, upstream: np.ndarray, buffers: LayerBuffers, reduce: str = "mean"):
     """Backprop a batch of upstream output gradients through the network.
 
-    Returns the parameter gradient of sum_or_mean_b <upstream_b, f(x_b)>
-    as one vector in the layout of ``params.flat``, a view of
-    ``buffers`` (a fresh set when none is given).  ``reduce`` is "mean"
-    or "sum" over the batch.
+    ``buffers`` must hold the forward pass of ``forward_batch(params, x,
+    buffers)``.  Returns the parameter gradient of
+    sum_or_mean_b <upstream_b, f(x_b)> as one vector in the layout of
+    ``params.flat``, a view of ``buffers``.  ``reduce`` is "mean" or
+    "sum" over the batch.
     """
-    inputs, pre = cache
+    inputs = [np.asarray(x, dtype=float)] + buffers.act
     delta = np.asarray(upstream, dtype=float)
     if delta.shape[0] != inputs[0].shape[0]:
         raise ValueError("upstream batch size mismatch")
     if reduce not in ("mean", "sum"):
         raise ValueError("reduce must be 'mean' or 'sum'")
-    bufs = buffers if buffers is not None else LayerBuffers(params, delta.shape[0])
     scale = 1.0 / delta.shape[0] if reduce == "mean" else 1.0
-    grad = bufs.grad
+    grad = buffers.grad
     grad_w, grad_b = _layer_views(grad, params.layer_sizes)
     for l in range(params.n_layers - 1, -1, -1):
         np.multiply(np.matmul(delta.T, inputs[l], out=grad_w[l]), scale, out=grad_w[l])
         np.multiply(delta.sum(axis=0), scale, out=grad_b[l])
         if l > 0:
-            delta = np.matmul(delta, params.weights[l], out=bufs.delta[l - 1])
-            delta *= np.greater(pre[l - 1], 0.0, out=bufs.mask[l - 1])
+            delta = np.matmul(delta, params.weights[l], out=buffers.delta[l - 1])
+            delta *= np.greater(buffers.pre[l - 1], 0.0, out=buffers.mask[l - 1])
     return grad
 
 

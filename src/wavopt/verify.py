@@ -271,8 +271,9 @@ _KINK_MARGIN = 1e-3
 
 
 def _clears_kinks(params, x) -> bool:
-    _, (_, pres) = nn.forward_batch_cached(params, x)
-    return all(np.min(np.abs(p)) > _KINK_MARGIN for p in pres)
+    bufs = nn.LayerBuffers(params, x.shape[0])
+    nn.hidden_forward(params, x, bufs)
+    return all(np.min(np.abs(p)) > _KINK_MARGIN for p in bufs.pre[:-1])
 
 
 def _atoms_apart(atoms) -> bool:
@@ -292,7 +293,9 @@ def _kink_safe_mlp(seed, sizes=(4, 8, 8, 3)):
 def _fd_mlp_check(seed) -> float:
     params, x, rng = _kink_safe_mlp(seed)
     upstream = rng.normal(size=(3, params.layer_sizes[-1]))
-    grad = nn.backward_batch(params, nn.forward_batch_cached(params, x)[1], upstream, reduce="sum")
+    bufs = nn.LayerBuffers(params, x.shape[0])
+    nn.forward_batch(params, x, bufs)
+    grad = nn.backward_batch(params, x, upstream, bufs, reduce="sum")
     fd = central_differences(params, lambda: float((nn.forward_batch(params, x) * upstream).sum()))
     return _rel_gap(grad, fd)
 

@@ -226,6 +226,20 @@ def test_train_diverging_acrobot_exits_1_without_a_checkpoint(tmp_path, capsys):
     assert not (out / "checkpoint.txt").exists()
 
 
+def test_train_diverging_cartpole_exits_1_without_a_checkpoint(tmp_path, capsys):
+    # dt = 1e300 throws the pole to an infinite angle on the first step
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text("dt = 1e300\nepisodes = 8\nhidden_width = 8\nn_quantiles = 4\nbatch_size = 8\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert re.fullmatch(r"training aborted: cartpole step \d+: Euler integration diverged at dt = 1e\+300", lines[0])
+    assert not (out / "checkpoint.txt").exists()
+
+
 def test_train_gated_ship_prints_no_warning(tmp_path, capsys):
     cfg = tmp_path / "margined.cfg"
     cfg.write_text(FINAL_SHIP_CONFIG.replace("bound = -1.0\ngate_margin = 1e6\n", ""))

@@ -396,25 +396,28 @@ def _generic_actor_route(nets, batch, signal, sign, raw_penalty):
     # raw-output penalty
     actor, critic = nets.actor, nets.critic
     states = batch.states
-    raw, actor_cache = nn.forward_batch_cached(actor.params, actor.scaled(states))
+    x = actor.scaled(states)
+    actor_bufs = nn.LayerBuffers(actor.params, states.shape[0])
+    raw = nn.forward_batch(actor.params, x, actor_bufs)
     a = np.tanh(raw)
-    _, critic_cache = nn.forward_batch_cached(critic.params, critic.inputs(states, a))
+    critic_bufs = nn.LayerBuffers(critic.params, states.shape[0])
+    nn.forward_batch(critic.params, critic.inputs(states, a), critic_bufs)
     n = critic.n_quantiles
     upstream = np.zeros((states.shape[0], critic.n_signals * n))
     upstream[:, signal * n : (signal + 1) * n] = 1.0 / n
-    d_input = _input_gradient(critic.params, critic_cache, upstream)
+    d_input = _input_gradient(critic.params, critic_bufs.pre[:-1], upstream)
     g_action = d_input[:, states.shape[1] :] * (1.0 - a**2)
-    grad = sign * nn.backward_batch(actor.params, actor_cache, g_action, reduce="mean")
+    grad = sign * nn.backward_batch(actor.params, x, g_action, actor_bufs, reduce="mean")
     if raw_penalty > 0.0:
-        raw, cache = nn.forward_batch_cached(actor.params, actor.scaled(states))
-        grad -= nn.backward_batch(actor.params, cache, raw_penalty * raw, reduce="mean")
+        bufs = nn.LayerBuffers(actor.params, states.shape[0])
+        raw = nn.forward_batch(actor.params, x, bufs)
+        grad -= nn.backward_batch(actor.params, x, raw_penalty * raw, bufs, reduce="mean")
     return grad
 
 
-def _input_gradient(params, cache, upstream):
+def _input_gradient(params, pre, upstream):
     # per-sample gradient of <upstream_b, f(x_b)> with respect to x_b,
-    # pulled back by hand through the cached hidden pre-activations
-    _, pre = cache
+    # pulled back by hand through the hidden pre-activations
     g = upstream
     for l in range(params.n_layers - 1, 0, -1):
         g = (g @ params.weights[l]) * (pre[l - 1] > 0.0)
@@ -458,7 +461,8 @@ class TestFusedCriticGradient:
             targets = td_targets(nets, batch, 0.97)
             critic = nets.critic
             x = critic.inputs(batch.states, batch.actions)
-            out_flat, cache = nn.forward_batch_cached(critic.params, x)
+            bufs = nn.LayerBuffers(critic.params, 5)
+            out_flat = nn.forward_batch(critic.params, x, bufs)
             out = out_flat.reshape(5, 3, 4)
             grads, losses, sups = [], [], []
             for s in range(3):
@@ -468,7 +472,7 @@ class TestFusedCriticGradient:
                 sups.append(np.abs(diff).max(axis=1).mean())
                 upstream = np.zeros_like(out)
                 np.put_along_axis(upstream[:, s, :], order, diff / 4, axis=1)
-                grads.append(nn.backward_batch(critic.params, cache, upstream.reshape(5, -1)).copy())
+                grads.append(nn.backward_batch(critic.params, x, upstream.reshape(5, -1), bufs).copy())
             # one fused backward vs three summed: identical up to float
             # summation order
             total = sum(grads)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -224,6 +225,20 @@ def test_acrobot_constraint_indicators_pre_step():
 def test_acrobot_step_raises_on_a_non_finite_state(state):
     with pytest.raises(TrainingError, match=r"^RK4 integration diverged at dt = 0\.02$"):
         acrobot_step(np.array(state), 1)
+
+
+@pytest.mark.parametrize(
+    "state, dt",
+    [
+        ((0.0, 0.0, 0.0, 1e200), 0.02),  # theta_dot**2 overflows
+        ((0.0, 0.0, math.inf, 0.0), 0.02),  # the angle is infinite: cos raises
+        ((0.0, math.nan, 0.0, 0.0), 0.02),  # nothing raises: nan reaches the check
+        ((0.0, 0.0, 0.0, 0.0), 1e300),  # the new angle overflows to inf
+    ],
+)
+def test_cartpole_step_raises_on_a_non_finite_state(state, dt):
+    with pytest.raises(TrainingError, match=rf"^Euler integration diverged at dt = {re.escape(repr(dt))}$"):
+        cartpole_step(np.array(state), 1, dt)
 
 
 def test_diverging_acrobot_episode_names_the_env_step_and_dt():

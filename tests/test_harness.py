@@ -112,6 +112,9 @@ def test_parse_config_rejects_bad_value_and_missing_equals():
         ("gamma", 1.0),
         ("gamma", -0.1),
         ("learning_rate", 0.0),
+        ("actor_learning_rate", 0.0),
+        ("actor_learning_rate", -0.5),
+        ("warmup_steps", -7),
         ("batch_size", 0),
         ("update_every", 0),
         ("updates_per_episode", -1),
@@ -826,6 +829,22 @@ def test_behaviour_step_refuses_non_finite_weights():
     nets.critic.params.biases[-1][0] = np.nan
     with pytest.raises(TrainingError, match="candidate weights are not finite"):
         harness.behaviour_step(nets, family, hv, cand_inputs, np.zeros(4), 0.0, np.random.default_rng(0))
+
+
+def test_behaviour_step_reads_the_mean_head_not_the_output_layer():
+    # the head's means and the full forward's agree to round-off, which
+    # the likelihood pins cannot tell apart; with the head read first,
+    # NaN written over the output layer must not reach the step
+    nets, family, hv, cand_inputs = _behaviour_inputs(0, 0.0)
+    states = np.random.default_rng(1).normal(size=(5, 4))
+    nets.critic.mean_head()
+    before = [harness.behaviour_step(nets, family, hv, cand_inputs, s, 0.3, np.random.default_rng(0)) for s in states]
+    nets.critic.params.weights[-1].fill(np.nan)
+    nets.critic.params.biases[-1].fill(np.nan)
+    for state, (action, lik, _) in zip(states, before):
+        got, got_lik, _ = harness.behaviour_step(nets, family, hv, cand_inputs, state, 0.3, np.random.default_rng(0))
+        assert got == action
+        assert got_lik.tobytes() == lik.tobytes()
 
 
 def test_scheduled_tolerance_follows_the_schedule(tmp_path, monkeypatch):

@@ -82,6 +82,9 @@ def test_optimality_likelihood_matches_the_clip_route_bit_for_bit(fam):
     expect = np.maximum(fam.inverse(np.clip(r, lo, hi)), LIKELIHOOD_FLOOR)
     assert p.tobytes() == expect.tobytes()
     assert clipped.tolist() == ((r < lo) | (r > hi)).tolist()
+    # the inverse does not clip: the reward clip alone keeps p a probability
+    finite = np.isfinite(r)
+    assert np.all((LIKELIHOOD_FLOOR <= p[finite]) & (p[finite] <= 1.0))
 
 
 def test_greedy_invariant_across_families():

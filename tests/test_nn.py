@@ -15,7 +15,7 @@ from wavopt.nn import (
     TrainingError,
     backward_batch,
     forward_batch,
-    forward_batch_cached,
+    hidden_forward,
     init_mlp,
     read_params,
     write_params,
@@ -26,7 +26,9 @@ EPS = 1e-5
 
 
 def _min_preactivation_margin(params, x):
-    _, (inputs, pre) = forward_batch_cached(params, np.atleast_2d(x))
+    bufs = LayerBuffers(params, x.shape[0])
+    hidden_forward(params, x, bufs)
+    pre = bufs.pre[:-1]
     if not pre:
         return math.inf
     return min(float(np.min(np.abs(z))) for z in pre)
@@ -54,7 +56,8 @@ def _summed_backward(params, x, u):
     """The summed parameter gradient, and the input gradient formed from
     the gradient the backward pass carried into the first hidden layer."""
     bufs = LayerBuffers(params, x.shape[0])
-    grad = backward_batch(params, forward_batch_cached(params, x, bufs)[1], u, reduce="sum", buffers=bufs)
+    forward_batch(params, x, bufs)
+    grad = backward_batch(params, x, u, bufs, reduce="sum")
     first = bufs.delta[0] if bufs.delta else u
     return grad, first @ params.weights[0]
 
@@ -85,8 +88,9 @@ class TestGradients:
         params = init_mlp([3, 6, 2], rng)
         xs = rng.standard_normal((4, 3))
         us = rng.standard_normal((4, 2))
-        _, cache = forward_batch_cached(params, xs)
-        batch_grad = backward_batch(params, cache, us, reduce="mean")
+        bufs = LayerBuffers(params, 4)
+        forward_batch(params, xs, bufs)
+        batch_grad = backward_batch(params, xs, us, bufs, reduce="mean")
         avg = sum(_summed_backward(params, xs[i : i + 1], us[i : i + 1])[0] for i in range(4)) / 4.0
         npt.assert_allclose(batch_grad, avg, rtol=1e-12, atol=1e-14)
 
@@ -138,14 +142,24 @@ class TestDeterminismAndUpdates:
     @pytest.mark.parametrize("hidden", [0, 1, 2, 3])
     @pytest.mark.parametrize("width, n_out", [(16, 12), (128, 1)])
     def test_forward_batch_equals_cached_forward_bitwise(self, hidden, width, n_out):
+        # the cached forward keeps every layer in buffers for the backward
+        # pass; it must give the bits of the forward that allocates.
         # (128, 1) is the actor's shape; its one-row batch is the acting step
         rng = np.random.default_rng(30 + hidden)
         params = init_mlp([5] + [width] * hidden + [n_out], rng)
         for batch in (1, 3, 128):
             xs = rng.standard_normal((batch, 5))
-            out = forward_batch(params, xs)
-            assert out.tobytes() == forward_batch_cached(params, xs)[0].tobytes()
+            bufs = LayerBuffers(params, batch)
+            out, cached = forward_batch(params, xs), forward_batch(params, xs, bufs)
+            assert out.tobytes() == cached.tobytes()
             assert out.shape == (batch, n_out)
+            assert np.shares_memory(cached, bufs.pre[-1])
+            hidden_out = hidden_forward(params, xs)
+            assert hidden_out.tobytes() == hidden_forward(params, xs, bufs).tobytes()
+            for pre, act in zip(bufs.pre, bufs.act):
+                assert act.tobytes() == np.maximum(pre, 0.0).tobytes()
+            if hidden:
+                assert hidden_out.tobytes() == bufs.act[-1].tobytes()
 
     def test_forward_batch_checks_its_input(self):
         params = init_mlp([4, 5, 3], 1)
