@@ -4,7 +4,8 @@ Both physics tasks expose a pure single-step function (state in, state
 out, no hidden mutable state) plus a thin episode wrapper that adds the
 step cap, seeded resets, and the continuous-to-discrete action mapping
 used by the deterministic actor (sign / thresholds on a scalar in
-[-1, 1]).
+[-1, 1], at the ``action_boundaries`` each env declares).  Only a reset
+draws random numbers; a step draws none.
 
 Cartpole (classic constants: 1.0 kg cart, 0.1 kg pole, 0.5 m half
 length, +-10 N force, dt = 0.02 s, semi-implicit Euler):
@@ -282,8 +283,11 @@ class CartpoleEnv(_EpisodeEnv):
     def _initial_state(self, rng) -> np.ndarray:
         return rng.uniform(-0.05, 0.05, size=4)
 
+    # where ``discretize`` changes value: push right from 0 up
+    action_boundaries = (0.0,)
+
     def discretize(self, action: float) -> int:
-        return 1 if float(action) >= 0.0 else 0
+        return 1 if float(action) >= self.action_boundaries[0] else 0
 
     def _pure_step(self, state, discrete):
         return cartpole_step(state, discrete, self.dt)
@@ -301,11 +305,15 @@ class AcrobotEnv(_EpisodeEnv):
     def _initial_state(self, rng) -> np.ndarray:
         return rng.uniform(-0.1, 0.1, size=4)
 
+    # where ``discretize`` changes value: no torque on the closed middle third
+    action_boundaries = (-1.0 / 3.0, 1.0 / 3.0)
+
     def discretize(self, action: float) -> int:
         a = float(action)
-        if a < -1.0 / 3.0:
+        lo, hi = self.action_boundaries
+        if a < lo:
             return 0
-        if a > 1.0 / 3.0:
+        if a > hi:
             return 2
         return 1
 

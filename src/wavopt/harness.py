@@ -314,10 +314,12 @@ def write_curve(path, rows, n_constraints: int) -> None:
 
 
 _INT_COLUMNS = ("episode", "branch")
+_INT64_LIMIT = 2**63
 
 
 def read_curve(path) -> dict:
-    """Columns of a curve file; a field that is not a finite number names its line."""
+    """Columns of a curve file; a field that is not a finite number (in
+    an integer column, an integer that fits 64 bits) names its line."""
     lines = Path(path).read_text().strip().splitlines()
     if not lines:
         raise ValueError("empty curve file")
@@ -328,12 +330,14 @@ def read_curve(path) -> dict:
         if len(toks) != len(header):
             raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(toks)}")
         for name, tok in zip(header, toks):
+            integer = name in _INT_COLUMNS
             try:
-                value = int(tok) if name in _INT_COLUMNS else float(tok)
+                value = int(tok) if integer else float(tok)
             except ValueError:
                 value = math.nan
-            if not math.isfinite(value):
-                raise ValueError(f"line {lineno}: {name} is not a finite number: {tok!r}")
+            if not (-_INT64_LIMIT <= value < _INT64_LIMIT if integer else math.isfinite(value)):
+                kind = "a 64-bit integer" if integer else "a finite number"
+                raise ValueError(f"line {lineno}: {name} is not {kind}: {tok!r}")
             data[name].append(value)
     return {name: np.array(vals, dtype=int if name in _INT_COLUMNS else float) for name, vals in data.items()}
 
@@ -555,14 +559,8 @@ def behaviour_step(nets: PolicyNets, family, horizon_value: float, cand_inputs, 
 
 
 def probe(actor: ActorNet, config: TrainConfig, episodes: int, seed) -> ObjectiveEstimate:
-    """Noise-free rollouts of ``actor`` on a fresh environment of ``config``."""
-    return estimate_objectives(
-        make_env(config.env, dt=config.dt),
-        lambda s: float(actor.act(s)[0]),
-        episodes=episodes,
-        gamma=config.gamma,
-        seed=seed,
-    )
+    """Noise-free rollouts of ``actor`` on a fresh environment of ``config``, side by side."""
+    return estimate_objectives(make_env(config.env, dt=config.dt), actor, episodes, config.gamma, seed)
 
 
 def ship_gate(tiers, config: TrainConfig, s_eval):
@@ -791,6 +789,10 @@ def _skipped(notice: str, n_points: int = 0) -> RateFit:
     return RateFit(math.nan, math.nan, math.nan, math.nan, n_points, True, notice)
 
 
+# largest curve magnitude fitted: gaps, logs and squares stay finite below it
+_FIT_LIMIT = 1e300
+
+
 def fit_rate(values, window: int = 20, burn_in_frac: float = 0.2, min_points: int = 50) -> RateFit:
     """Power-law convergence exponent of a learning curve.
 
@@ -807,6 +809,8 @@ def fit_rate(values, window: int = 20, burn_in_frac: float = 0.2, min_points: in
     t_total = y.size
     if t_total < window + min_points:
         return _skipped(f"need at least {window + min_points} episodes, got {t_total}")
+    if not np.abs(y).max() <= _FIT_LIMIT:  # refuses nan too
+        return _skipped(f"curve values beyond {_FIT_LIMIT:g} would overflow the fit")
 
     kernel = np.full(window, 1.0 / window)
     sm = np.convolve(y, kernel, mode="valid")  # sm[j] covers episodes j+1 .. j+window

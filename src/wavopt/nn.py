@@ -24,7 +24,9 @@ save/load.
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 
 import numpy as np
 
@@ -286,11 +288,13 @@ def read_params(stream) -> MlpParams:
     sizes = [int(t) for t in stream.readline().split()[1:]]
     if n_layers < 1 or len(sizes) != n_layers + 1 or min(sizes) < 1:
         raise ValueError("checkpoint layer count or sizes are malformed")
-    flat = np.empty(sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes[:-1], sizes[1:])))
-    for i in range(flat.size):
-        line = stream.readline()
-        # a value cut short, even mid-number, has lost its newline
-        if not line.endswith("\n"):
-            raise ValueError(f"value {i} of {flat.size} is missing or cut short")
-        flat[i] = float(line)
-    return MlpParams.from_flat(flat, sizes)
+    count = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+    # read the lines before allocating the values: a count the rest of
+    # the file cannot hold fails here, whatever size it asks for
+    lines = list(itertools.islice(stream, min(count, sys.maxsize)))
+    if len(lines) < count:
+        raise ValueError(f"the layer sizes need {count} values, but only {len(lines)} lines follow")
+    # a value cut short, even mid-number, has lost its newline
+    if not lines[-1].endswith("\n"):
+        raise ValueError(f"value {count - 1} of {count} is cut short")
+    return MlpParams.from_flat(np.fromiter(map(float, lines), float, count), sizes)

@@ -24,10 +24,9 @@ and the report records the violations instead of hiding them.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from . import nn
@@ -40,7 +39,9 @@ __all__ = [
     "C_CAL",
     "tolerance_schedule",
     "ObjectiveEstimate",
+    "ACTION_GUARD",
     "estimate_objectives",
+    "choose_branch",
     "UpdateInfo",
     "policy_update_step",
     "ImprovementReport",
@@ -80,38 +81,84 @@ class ObjectiveEstimate:
     mean_steps: float
 
 
-def estimate_objectives(env, policy: Callable, episodes: int, gamma: float, seed=0) -> ObjectiveEstimate:
+# a batched action this close to a discretisation boundary is recomputed
+# on its own; block and one-state products differ by a few ulps at most
+ACTION_GUARD = 1e-9
+
+
+def estimate_objectives(env, actor, episodes: int, gamma: float, seed=0) -> ObjectiveEstimate:
     """Average discounted reward/utility returns over seeded episodes.
 
-    ``policy`` maps a state to a continuous action and is applied
-    deterministically (no exploration noise), so the estimate is exact
-    up to initial-state sampling.
+    ``actor`` maps states to continuous actions by two routes:
+    ``act_batch`` on an (n, state_dim) block and ``act`` on one state.
+    It is applied deterministically (no exploration noise), so the
+    estimate is exact up to initial-state sampling.
+
+    The episodes run side by side, each on its own copy of ``env``.
+    Every start state is drawn from the ``seed`` stream up front, in
+    episode order; an env's ``step`` must draw no random numbers, so
+    these are the draws of episodes run one after another.  (An env
+    whose steps draw would need a stream per episode.)  Each tick calls
+    ``act_batch`` once on the live episodes' states.  A block's products
+    may round a few ulps away from ``act``'s (1, d) products, and only
+    the side of ``env.action_boundaries`` an action falls on reaches the
+    env.  So an action within ``ACTION_GUARD`` of a boundary is
+    recomputed by ``act`` on its own state, and every discrete action,
+    hence every rollout, is the one-state route's bit for bit.  The
+    discounted terms are summed episode by episode, step by step, so
+    each total rounds as one running sum over the episodes in turn.
     """
     if episodes < 1:
         raise ValueError("need at least one episode")
     rng = np.random.default_rng(seed)
-    total_r = 0.0
-    total_g = np.zeros(env.n_constraints)
-    total_steps = 0
-    for _ in range(episodes):
-        state = env.reset(rng=rng)
-        done = False
-        disc = 1.0
-        while not done:
-            state, r, g, done = env.step(policy(state))
-            total_r += disc * r
-            total_g += disc * g
-            disc *= gamma
-            total_steps += 1
+    envs = [copy.copy(env) for _ in range(episodes)]
+    states = np.array([e.reset(rng=rng) for e in envs])
+    boundaries = env.action_boundaries
+    rewards = [[] for _ in envs]
+    utilities = [[] for _ in envs]
+    live = list(range(episodes))
+    while live:
+        block = states if len(live) == episodes else states[live]
+        still = []
+        for k, (i, a) in enumerate(zip(live, actor.act_batch(block)[:, 0].tolist())):
+            if any(abs(a - b) <= ACTION_GUARD for b in boundaries):
+                a = float(actor.act(block[k])[0])  # row k is read before this tick writes it
+            states[i], r, g, done = envs[i].step(a)
+            rewards[i].append(r)
+            utilities[i].append(g)
+            if not done:
+                still.append(i)
+        live = still
+
+    # by accumulate, never a pairwise sum: each total adds its terms one
+    # at a time from 0, episode after episode, as a sequential loop would
+    steps = [len(r) for r in rewards]
+    disc = np.multiply.accumulate(np.r_[1.0, np.full(max(steps) - 1, gamma)])
+    terms_r = [disc[:n] * r for n, r in zip(steps, rewards)]
+    terms_g = [disc[:n, None] * g for n, g in zip(steps, utilities)]
+    total_r = np.add.accumulate(np.concatenate([[0.0], *terms_r]))[-1]
+    total_g = np.add.accumulate(np.concatenate([np.zeros((1, env.n_constraints)), *terms_g]), axis=0)[-1]
     return ObjectiveEstimate(
-        reward=total_r / episodes,
+        reward=float(total_r) / episodes,
         constraints=total_g / episodes,
         episodes=episodes,
-        mean_steps=total_steps / episodes,
+        mean_steps=sum(steps) / episodes,
     )
 
 
 # -- one optimization step -------------------------------------------------------
+
+
+def choose_branch(estimates: np.ndarray, bounds: np.ndarray, tolerance: float) -> tuple[int, int]:
+    """The update's actor direction: (0, +1) ascends the reward, (i, -1) descends constraint i.
+
+    Feasible is the non-strict J_g^i <= b_i + tolerance for every i;
+    otherwise the lowest-indexed violated constraint is descended.
+    """
+    violated = np.flatnonzero(estimates > bounds + tolerance)
+    if violated.size == 0:
+        return 0, 1
+    return int(violated[0]) + 1, -1
 
 
 @dataclass
@@ -142,8 +189,8 @@ def policy_update_step(
     """Adam descent of the critic TD loss on all signals, then one branched Adam actor step.
 
     ``constraint_estimates`` are the current J_g^i estimates (decision
-    inputs; the caller controls how they were produced).  Feasibility is
-    the non-strict test J_g^i <= b_i + tolerance for every i.
+    inputs; the caller controls how they were produced).  ``choose_branch``
+    takes the actor direction from them.
 
     ``raw_penalty`` > 0 additionally shrinks the actor's pre-squash
     action output (0.5 * c * raw^2 per sample), so the tanh never
@@ -170,11 +217,7 @@ def policy_update_step(
     critic_opt.step(nets.critic.params, ev.grad, critic_lr)
     nets.critic.drop_head()  # the actor gradient below recomputes it; later behaviour steps reuse it
 
-    violated = np.flatnonzero(est > bounds + tolerance)
-    if violated.size == 0:
-        branch, sign = 0, 1
-    else:
-        branch, sign = int(violated[0]) + 1, -1  # lowest violated index
+    branch, sign = choose_branch(est, bounds, tolerance)
     descent = actor_gradient(nets, batch, branch, sign, raw_penalty, workspace)
     actor_opt.step(nets.actor.params, np.negative(descent, out=descent), actor_lr)
     return UpdateInfo(branch, ev.delta_sup)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavopt.cli import main
@@ -333,6 +333,50 @@ def test_rate_refuses_a_non_finite_curve_field(tmp_path, capsys, field):
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: not a curve file: {path} (line 3: cum_return")
     assert len(err.strip().splitlines()) == 1
+
+
+_CURVE_HEADERS = ["episode,cum_return,branch", "episode,cum_return", "cum_return", "episode,branch", "episode,cum_return,cum_return"]
+
+
+@st.composite
+def _curve_files(draw):
+    """Arbitrary bytes or text, a CSV of arbitrary tokens, or a long numeric curve under a plausible header."""
+    kind = draw(st.sampled_from(["bytes", "text", "csv", "curve"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=80))
+    if kind == "text":
+        return draw(st.text(max_size=80)).encode()
+    header = draw(st.sampled_from(_CURVE_HEADERS))
+    width = header.count(",") + 1
+    if kind == "csv":
+        tokens = st.one_of(_TRACE_TOKENS, st.integers().map(str), st.sampled_from(["9" * 25, "-" + "9" * 25, "1_0"]))
+        row = st.lists(tokens, min_size=width - 1, max_size=width + 1)
+        rows = draw(st.lists(row, max_size=4))
+        return "\n".join([header] + [",".join(row) for row in rows]).encode()
+    # long enough for the fit to run: finite values, tiny to huge
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=70, max_size=100))
+    rows = [",".join([str(i + 1), repr(v), "0"][:width]) for i, v in enumerate(values)]
+    return "\n".join([header] + rows).encode()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_curve_files())
+@example(b"episode,cum_return\n99999999999999999999,1\n")
+@example("\n".join(["episode,cum_return"] + [f"{i + 1},{(-1) ** i * 1e308!r}" for i in range(100)]).encode())
+@example("\n".join(["episode,cum_return"] + [f"{i + 1},{-1e308 if i < 30 else 1e308 * (i / 100)!r}" for i in range(100)]).encode())
+def test_rate_on_any_curve_exits_0_or_2_with_one_line(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        curve = Path(tmp) / "curve.csv"
+        curve.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["rate", str(curve)])
+    if code == 0:
+        assert err.getvalue() == ""
+        assert out.getvalue().count("\n") == 1
+    else:
+        assert code == 2
+        assert err.getvalue().startswith("configuration error: ") and err.getvalue().count("\n") == 1
 
 
 def test_interpret_writes_series(tmp_path, capsys):

@@ -9,6 +9,7 @@ from wavopt.envs import (
     ANGLE_HARD_LIMIT,
     ANGLE_SOFT_LIMIT,
     CARTPOLE_ZONES,
+    ENVS,
     GRAVITY,
     LINK_COM,
     LINK_INERTIA,
@@ -271,6 +272,25 @@ def test_acrobot_action_mapping():
     assert env.discretize(1.0 / 3.0) == 1
     assert env.discretize(0.34) == 2
     assert env.discretize(1.0) == 2
+
+
+@pytest.mark.parametrize("name", sorted(ENVS))
+def test_discretize_changes_value_exactly_at_the_declared_boundaries(name):
+    env = ENVS[name]()
+    bounds = env.action_boundaries
+    assert list(bounds) == sorted(bounds) and all(-1.0 < b < 1.0 for b in bounds)
+    for b in bounds:
+        below, above = math.nextafter(b, -math.inf), math.nextafter(b, math.inf)
+        assert env.discretize(below) != env.discretize(above)
+        assert env.discretize(b) in (env.discretize(below), env.discretize(above))
+    # between neighbouring boundaries (and out to +-1) the value is constant
+    points = sorted(
+        {*np.linspace(-1.0, 1.0, 2001).tolist()}
+        | {x for b in bounds for x in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf))}
+    )
+    for lo, hi in zip(points, points[1:]):
+        if env.discretize(lo) != env.discretize(hi):
+            assert any(lo <= b <= hi for b in bounds), (lo, hi)
 
 
 def test_acrobot_episode_cap():

@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -298,6 +300,7 @@ def test_checkpoint_truncation_names_the_section(tmp_path, section):
         ("action_dim 1\n", "action_dim 2\n", "section actor maps 4 inputs to 1 outputs, but the header gives 4 to 2"),
         ("n_quantiles 6\n", "n_quantiles 5\n", "section critic maps 5 inputs to 18 outputs, but the header gives 5 to 15"),
         ("feature_scale 0.5 1 2 1\n", "feature_scale 0.5 1 2\n", "section actor maps 4 inputs to 1 outputs, but the header gives 3"),
+        ("layers 3\nsizes 4 8 8 1\n", "layers 1\nsizes 300000 300000\n", "need 90000300000 values, but only 407 lines follow"),
     ],
     ids=[
         "no n_quantiles",
@@ -309,6 +312,7 @@ def test_checkpoint_truncation_names_the_section(tmp_path, section):
         "action_dim",
         "n_quantiles",
         "feature_scale length",
+        "oversized section",
     ],
 )
 def test_checkpoint_header_faults_are_one_line_errors(tmp_path, old, new, message):
@@ -320,6 +324,63 @@ def test_checkpoint_header_faults_are_one_line_errors(tmp_path, old, new, messag
     with pytest.raises(ValueError) as err:
         read_checkpoint(path)
     assert message in str(err.value) and "\n" not in str(err.value)
+
+
+_CHECKPOINT_KEYS = ["mlp-text", "layers", "sizes", "section", "env", "action_dim", "n_signals", "n_quantiles", "squash", "feature_scale"]
+_CHECKPOINT_TOKENS = st.one_of(
+    st.integers(-2, 40).map(str),
+    st.sampled_from(["0", "1", "300000", "9" * 30, "actor", "critic", "nan", "inf", "1e309", "0.5", "", "x"]),
+    st.text(max_size=6),
+)
+_CHECKPOINT_LINES = st.one_of(
+    st.text(max_size=20),
+    st.builds(
+        "{} {}".format,
+        st.sampled_from(_CHECKPOINT_KEYS),
+        st.lists(_CHECKPOINT_TOKENS, max_size=5).map(" ".join),
+    ),
+)
+
+
+@st.composite
+def _damaged_checkpoints(draw):
+    """A valid checkpoint's lines, with a few replaced, dropped, added or cut off."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.txt"
+        write_checkpoint(path, _tiny_nets(), "cartpole")
+        lines = path.read_text().splitlines(keepends=True)
+    for _ in range(draw(st.integers(1, 4))):
+        # the header and section heads hold every count, so they are hit most
+        i = draw(st.one_of(st.integers(0, 12), st.integers(0, len(lines))))
+        edit = draw(st.sampled_from(["replace", "drop", "add", "cut", "resize"]))
+        if edit == "resize":
+            # a section head that asks for any layer sizes up to 10^6
+            heads = [j for j, line in enumerate(lines[:-1]) if line.startswith("layers ")]
+            if heads:
+                j = draw(st.sampled_from(heads))
+                sizes = draw(st.lists(st.integers(1, 10**6), min_size=2, max_size=4))
+                lines[j : j + 2] = [f"layers {len(sizes) - 1}\n", "sizes " + " ".join(map(str, sizes)) + "\n"]
+        elif edit == "cut":
+            lines = lines[:i]
+        elif edit == "add":
+            lines.insert(i, draw(_CHECKPOINT_LINES) + "\n")
+        elif i < len(lines):
+            lines[i : i + 1] = [] if edit == "drop" else [draw(_CHECKPOINT_LINES) + "\n"]
+    return "".join(lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_damaged_checkpoints(), st.lists(_CHECKPOINT_LINES, max_size=12).map("\n".join)))
+def test_read_checkpoint_on_any_text_returns_nets_or_raises_one_line_value_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.txt"
+        path.write_text(text)
+        try:
+            nets, _ = read_checkpoint(path)
+        except ValueError as exc:
+            assert "\n" not in str(exc)
+            return
+    assert nets.actor.params.layer_sizes[0] == nets.actor.feature_scale.size
 
 
 def test_summary_round_trip(tmp_path):

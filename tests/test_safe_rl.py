@@ -7,12 +7,14 @@ import pytest
 from wavopt import nn
 from wavopt.cmdp import TabularCmdp, exact_objective
 from wavopt.dist_rl import TransitionBatch, UpdateWorkspace, td_targets
-from wavopt.envs import CartpoleEnv, random_tabular_cmdp
+from wavopt.envs import CartpoleEnv, make_env, random_tabular_cmdp
+from wavopt.harness import TrainConfig, probe
 from wavopt.inference import RewardOperatorFamily, affine_family, log_family
 from wavopt.nets import init_policy_nets
 from wavopt.nn import AdamState
 from wavopt.safe_rl import (
     C_CAL,
+    choose_branch,
     estimate_objectives,
     exact_improvement_report,
     optimality_probabilities,
@@ -72,7 +74,9 @@ def test_tolerance_monotone_decreasing():
 
 
 class TabularEnv:
-    """Episodes sampled from a tabular CMDP, cut once the discounted tail is below 1e-10."""
+    """Episodes of a tabular CMDP with one-hot transitions, cut once the discounted tail is below 1e-10."""
+
+    action_boundaries = ()  # the policy returns the action index itself
 
     def __init__(self, cmdp: TabularCmdp):
         self.cmdp = cmdp
@@ -80,7 +84,6 @@ class TabularEnv:
         self.max_steps = math.ceil(math.log(1e-10) / math.log(cmdp.gamma))
 
     def reset(self, rng) -> int:
-        self._rng = rng
         self._state = int(rng.choice(self.cmdp.n_states, p=self.cmdp.initial_dist))
         self._steps = 0
         return self._state
@@ -89,9 +92,22 @@ class TabularEnv:
         s, a = self._state, int(action)
         r = float(self.cmdp.rewards[s, a])
         g = self.cmdp.utilities[:, s, a].copy()
-        self._state = int(self._rng.choice(self.cmdp.n_states, p=self.cmdp.transitions[s, a]))
+        self._state = int(np.argmax(self.cmdp.transitions[s, a]))  # draws nothing
         self._steps += 1
         return self._state, r, g, self._steps >= self.max_steps
+
+
+class RulePolicy:
+    """A per-state rule behind an actor's two routes, one state or a block."""
+
+    def __init__(self, rule):
+        self.rule = rule
+
+    def act(self, state) -> np.ndarray:
+        return np.array([self.rule(state)])
+
+    def act_batch(self, states) -> np.ndarray:
+        return np.array([[self.rule(s)] for s in states])
 
 
 def test_estimate_objectives_deterministic_cmdp():
@@ -109,14 +125,14 @@ def test_estimate_objectives_deterministic_cmdp():
     )
     env = TabularEnv(cmdp)
     policy = np.zeros(3, dtype=int)
-    est = estimate_objectives(env, lambda s: 0, episodes=3, gamma=0.9, seed=4)
+    est = estimate_objectives(env, RulePolicy(lambda s: 0), episodes=3, gamma=0.9, seed=4)
     assert est.reward == pytest.approx(exact_objective(cmdp, policy, signal=0), abs=1e-8)
     assert est.constraints[0] == pytest.approx(exact_objective(cmdp, policy, signal=1), abs=1e-8)
 
 
 def test_estimate_objectives_seed_determinism():
     env = CartpoleEnv()
-    policy = lambda s: -1.0 if s[2] > 0 else 1.0
+    policy = RulePolicy(lambda s: -1.0 if s[2] > 0 else 1.0)
     a = estimate_objectives(env, policy, episodes=4, gamma=0.99, seed=7)
     b = estimate_objectives(env, policy, episodes=4, gamma=0.99, seed=7)
     assert a.reward == b.reward
@@ -124,6 +140,94 @@ def test_estimate_objectives_seed_determinism():
     assert a.episodes == 4
     with pytest.raises(ValueError):
         estimate_objectives(env, policy, episodes=0, gamma=0.99)
+
+
+def sequential_rollouts(env, actor, episodes, gamma, seed):
+    """The oracle: one episode after another, one ``act`` call per step.
+
+    Returns (reward, constraints, mean steps, each episode's length).
+    """
+    rng = np.random.default_rng(seed)
+    total_r, total_g, lengths = 0.0, np.zeros(env.n_constraints), []
+    for _ in range(episodes):
+        state, done, disc, steps = env.reset(rng=rng), False, 1.0, 0
+        while not done:
+            state, r, g, done = env.step(float(actor.act(state)[0]))
+            total_r += disc * r
+            total_g += disc * g
+            disc *= gamma
+            steps += 1
+        lengths.append(steps)
+    return total_r / episodes, total_g / episodes, sum(lengths) / episodes, lengths
+
+
+def _assert_matches_oracle(est, oracle, episodes):
+    reward, constraints, mean_steps, _ = oracle
+    assert est.episodes == episodes
+    assert est.reward == reward
+    assert np.array_equal(est.constraints, constraints)
+    assert est.mean_steps == mean_steps
+
+
+# bang-bang rules whose fitted actors visit every discrete action: push
+# toward the pole's lean; torque with link 2's angular velocity
+_RULES = {
+    "cartpole": lambda s: np.where(s[:, 2] > 0, 0.9, -0.9),
+    "acrobot": lambda s: np.clip(10.0 * s[:, 3], -0.9, 0.9),
+}
+
+
+def _actor(env_name, kind, seed=0):
+    """A freshly initialised actor, or one briefly trained (400 Adam steps) to regress its env's rule."""
+    env = make_env(env_name)
+    actor = init_policy_nets(4, 1, 16, 2, 8, 3, np.random.default_rng(seed), env.feature_scale).actor
+    if kind == "trained":
+        states = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(256, 4)) / env.feature_scale
+        target = _RULES[env_name](states)[:, None]
+        x = actor.scaled(states)
+        buffers = nn.LayerBuffers(actor.params, len(states))
+        opt = AdamState(actor.params)
+        for _ in range(400):
+            act = np.tanh(nn.forward_batch(actor.params, x, buffers))
+            opt.step(actor.params, nn.backward_batch(actor.params, x, (act - target) * (1.0 - act**2), buffers), 1e-2)
+    return actor
+
+
+@pytest.mark.parametrize("episodes", [1, 2, 5, 10])
+@pytest.mark.parametrize("kind", ["random", "trained"])
+@pytest.mark.parametrize("env_name", ["cartpole", "acrobot"])
+def test_lockstep_rollouts_match_the_sequential_oracle(env_name, kind, episodes):
+    config = TrainConfig(env=env_name)
+    env = make_env(env_name)
+    actor = _actor(env_name, kind, seed=episodes)
+    seed = 100 + episodes
+    oracle = sequential_rollouts(make_env(env_name), actor, episodes, config.gamma, seed)
+    _assert_matches_oracle(estimate_objectives(env, actor, episodes, config.gamma, seed), oracle, episodes)
+    _assert_matches_oracle(probe(actor, config, episodes, seed), oracle, episodes)
+    if env_name == "cartpole" and episodes == 10:
+        assert len(set(oracle[3])) > 1  # the episodes end at different ticks
+
+
+@pytest.mark.parametrize("env_name", ["cartpole", "acrobot"])
+def test_an_action_at_a_boundary_takes_the_one_state_route(env_name):
+    env = make_env(env_name)
+    env.max_steps = 60
+    actor = _actor(env_name, "random", seed=1)
+    # a vanishing output layer around the boundary's pre-squash value:
+    # every batched action lies within about 1e-14 of the boundary
+    boundary = env.action_boundaries[-1]
+    actor.params.weights[-1][:] *= 1e-14
+    actor.params.biases[-1][:] = np.arctanh(boundary)
+    oracle = sequential_rollouts(env, actor, 5, 0.99, 8)
+    block = np.array([env.reset(rng=np.random.default_rng(i)) for i in range(5)])
+    assert np.all(np.abs(actor.act_batch(block)[:, 0] - boundary) < 1e-12)
+
+    calls = []
+    one_state = actor.act
+    actor.act = lambda state: calls.append(1) or one_state(state)
+    est = estimate_objectives(env, actor, 5, 0.99, 8)
+    _assert_matches_oracle(est, oracle, 5)
+    assert len(calls) == sum(oracle[3])  # every step was recomputed on its own
 
 
 # -- branched update ---------------------------------------------------------------
@@ -151,6 +255,23 @@ def test_update_branch_selection():
         nets, _batch(rng), bounds, np.array([0.0, 2.51]), tol, 1e-3, 1e-3, 0.99, **_opts(nets)
     )
     assert info.branch == 2
+
+
+def test_choose_branch_bound_is_non_strict():
+    bounds = np.array([1.0, 2.0])
+    assert choose_branch(np.array([1.5, 2.5]), bounds, 0.5) == (0, 1)
+    assert choose_branch(np.array([1.5, np.nextafter(2.5, 3.0)]), bounds, 0.5) == (2, -1)
+
+
+def test_choose_branch_descends_the_lowest_violated_index():
+    bounds = np.zeros(4)
+    assert choose_branch(np.array([0.0, 3.0, 9.0, 1.0]), bounds, 0.5) == (2, -1)
+    assert choose_branch(np.array([0.6, 0.0, 0.0, 0.7]), bounds, 0.5) == (1, -1)
+
+
+def test_choose_branch_ascends_the_reward_when_all_are_feasible():
+    assert choose_branch(np.array([-5.0, 0.0, 0.25]), np.array([0.0, 0.0, 0.0]), 0.25) == (0, 1)
+    assert choose_branch(np.zeros(0), np.zeros(0), 0.0) == (0, 1)
 
 
 def test_update_moves_both_networks():
