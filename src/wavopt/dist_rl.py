@@ -36,7 +36,11 @@ fresh one.  What a call returns through a passed workspace (targets,
 gradients) is valid only until the next call with that workspace.
 ``critic_gradient_all`` also takes targets the caller computed: a
 training run computes them once for the rows that several updates
-between two target syncs draw.
+between two target syncs draw.  It leaves the signed differences
+sort(q)_j - T_j in the workspace's ``targets``, where ``td_delta``
+reads the update's TD delta until the next ``td_targets`` or
+``critic_gradient_all`` through that workspace: a training run reads it
+once per curve row, not once per update.
 """
 
 from __future__ import annotations
@@ -60,8 +64,8 @@ __all__ = [
     "UpdateWorkspace",
     "td_targets",
     "critic_gradient_all",
+    "td_delta",
     "actor_gradient",
-    "CriticEvalAll",
 ]
 
 
@@ -232,10 +236,14 @@ class UpdateWorkspace:
     """The (batch, .) arrays of one policy update for ``nets``' shapes.
 
     ``actor`` and ``critic`` are the networks' ``nn.LayerBuffers``
-    (shared by the live and target forwards); ``targets`` holds the TD
-    targets and then the sorted-minus-target block, ``upstream`` the
-    sorted atoms and then the critic's output gradient; ``row_starts``
-    is the flat offset of each (sample, signal) atom row.
+    (shared by the live and target forwards); ``row_starts`` is the flat
+    offset of each (sample, signal) atom row.  ``targets`` holds the TD
+    targets (B, n_signals, N) until ``critic_gradient_all`` reads them;
+    it then holds that update's signed differences sort(q)_j - T_j, each
+    at its atom's unsorted position, until the next ``td_targets`` or
+    ``critic_gradient_all`` through this workspace (``td_delta`` reads
+    them).  ``upstream`` holds the targets at their atoms' positions and
+    then the critic's output gradient, the differences divided by N.
     """
 
     def __init__(self, nets: PolicyNets, batch: int) -> None:
@@ -283,30 +291,26 @@ def td_targets(nets: PolicyNets, batch: TransitionBatch, gamma: float, value_cli
     return targets
 
 
-@dataclass(eq=False)
-class CriticEvalAll:
-    grad: np.ndarray
-    delta_sups: np.ndarray
-
-    @property
-    def delta_sup(self) -> float:
-        return float(self.delta_sups.max())
-
-
 def critic_gradient_all(
     nets: PolicyNets, batch: TransitionBatch, gamma: float, value_clip=None, workspace=None, targets=None
-) -> CriticEvalAll:
+) -> np.ndarray:
     """Semi-gradient of the quantile-matching TD loss, summed over every signal.
 
     Per sample and signal the loss is (1 / 2N) * sum_j (sort(q)_j - T_j)^2
     against the frozen ``td_targets`` T, averaged over the batch and
     summed over the signals.  The gradient descends only through the
-    current critic output.  ``delta_sups`` is the batch mean of the
-    largest |sort(q)_j - T_j| per signal.
+    current critic output; it is returned in the layout of
+    ``critic.params.flat``, a view of the workspace.
+
+    Each target T_j is scattered to the unsorted position of the j-th
+    smallest atom, so q - T there is sort(q)_j - T_j.  The workspace's
+    ``targets`` then hold those signed differences, in the atoms' order,
+    until the next ``td_targets`` or ``critic_gradient_all`` through it:
+    ``td_delta`` reads them.
 
     ``targets``, when given, are the batch's ``td_targets`` (computed
-    once for many updates, say) and the call overwrites them; otherwise
-    they are computed here into the workspace.
+    once for many updates, say); otherwise they are computed here into
+    the workspace.
     """
     critic, n = nets.critic, nets.critic.n_quantiles
     ws = workspace if workspace is not None else UpdateWorkspace(nets, batch.size)
@@ -314,21 +318,28 @@ def critic_gradient_all(
         targets = td_targets(nets, batch, gamma, value_clip, ws)
 
     x = critic.inputs(batch.states, batch.actions)
-    out_flat = nn.forward_batch(critic.params, x, ws.critic)
-    # numpy's default argsort kind: its tie order decides the scatter.
-    # Flat indices (offset + row start) gather and scatter in one step;
-    # ``take``'s default mode="raise" would copy through a temporary.
-    flat = np.argsort(out_flat.reshape(targets.shape), axis=2)
+    out = nn.forward_batch(critic.params, x, ws.critic).reshape(ws.targets.shape)
+    # numpy's default argsort kind: its tie order decides which atom
+    # takes which target.  Flat indices (offset + row start) scatter
+    # every row in one step, through a view of ``upstream``.
+    flat = np.argsort(out, axis=2)
     flat += ws.row_starts
-    # ``upstream`` holds the sorted atoms, then scratch for the reduction,
-    # until the scatter fills it; the targets become the difference
-    scratch = ws.upstream.reshape(targets.shape)
-    diff = np.subtract(np.take(out_flat, flat, out=scratch, mode="clip"), targets, out=targets)
-    delta_sups = np.abs(diff, out=scratch).max(axis=2).mean(axis=0)
+    ws.upstream.reshape(-1)[flat] = targets
+    placed = ws.upstream.reshape(ws.targets.shape)
+    diff = np.subtract(out, placed, out=ws.targets)
+    np.divide(diff, n, out=placed)
+    return nn.backward_batch(critic.params, x, ws.upstream, ws.critic, reduce="mean")
 
-    ws.upstream.reshape(-1)[flat] = np.divide(diff, n, out=diff)  # a view: scatters in place
-    grad = nn.backward_batch(critic.params, x, ws.upstream, ws.critic, reduce="mean")
-    return CriticEvalAll(grad=grad, delta_sups=delta_sups)
+
+def td_delta(workspace: UpdateWorkspace) -> float:
+    """The TD delta of the last ``critic_gradient_all`` through ``workspace``.
+
+    Per signal, the batch mean of the largest |sort(q)_j - T_j|; the
+    largest over the signals.  It reads the signed differences the call
+    left in ``workspace.targets``, so it holds only until the next
+    ``td_targets`` or ``critic_gradient_all`` through that workspace.
+    """
+    return float(np.abs(workspace.targets).max(axis=2).mean(axis=0).max())
 
 
 def actor_gradient(

@@ -49,7 +49,7 @@ from . import nn
 from .envs import ENVS, RETURN_START, make_env
 from .inference import log_family, optimality_likelihood
 from .nets import ActorNet, CriticNet, PolicyNets, init_policy_nets
-from .dist_rl import TransitionBatch, UpdateWorkspace, td_targets
+from .dist_rl import TransitionBatch, UpdateWorkspace, td_delta, td_targets
 from .safe_rl import ObjectiveEstimate, estimate_objectives, policy_update_step, tolerance_schedule
 
 __all__ = [
@@ -379,8 +379,9 @@ def read_checkpoint(path):
     """Rebuild the policy networks; returns (nets, meta dict).
 
     A header line without a value, a missing or malformed key, a squash
-    other than 1, or counts that disagree with the sections' layer sizes
-    is a one-line ``ValueError``.
+    other than 1, a feature scale or parameter value that is not finite
+    (nan or +-inf), or counts that disagree with the sections' layer
+    sizes is a one-line ``ValueError``.
     """
     with open(path) as f:
         magic = f.readline().strip()
@@ -416,6 +417,8 @@ def read_checkpoint(path):
     if min(counts) < 1:
         raise ValueError(f"checkpoint header counts must be positive: {dict(zip(keys, counts))}")
     feature_scale = _header_value(meta, "feature_scale", lambda v: np.array([float(t) for t in v.split()]))
+    if not np.isfinite(feature_scale).all():
+        raise ValueError(f"checkpoint header feature_scale is not finite: {meta['feature_scale']!r}")
     for name, params, n_in, n_out in (
         ("actor", actor_params, feature_scale.size, action_dim),
         ("critic", critic_params, feature_scale.size + action_dim, n_signals * n_quantiles),
@@ -523,14 +526,15 @@ def behaviour_step(nets: PolicyNets, family, horizon_value: float, cand_inputs, 
     critic's hidden layers and its mean head (``CriticNet.mean_head``),
     one (3, width) @ (width, n_signals) product in place of the output
     layer and its atoms; ``policy_update_step`` drops the head at each
-    critic step, so it is recomputed once per critic change.  The reward atom means and margins are inverted in
-    one call, which clips them to the bracket and flags each
-    clip; a candidate's weight, the joint posterior of every optimality
-    variable, is the product of its likelihoods.  The draw is by inverse
-    CDF over the candidates in stable position order, on Python floats:
-    the weights, floored and so positive, are renormalised in that order
-    and the last cumulative weight is 1, so one ``rng.random()`` picks as
-    ``one_d_measure`` and its ``cumulative`` would, bit for bit.
+    critic step, so it is recomputed once per critic change.  The reward
+    atom means and margins are inverted in one call, which clips them to
+    the bracket and flags each clip; a candidate's weight, the joint
+    posterior of every optimality variable, is the product of its
+    likelihoods.  The draw is by inverse CDF over the candidates in
+    stable position order, on Python floats: the weights, floored and so
+    positive, are renormalised in that order and the last cumulative
+    weight is 1, so one ``rng.random()`` picks as ``one_d_measure`` and
+    its ``cumulative`` would, bit for bit.
     Gaussian noise of ``noise_scale`` is added to the draw.
     ``cand_inputs`` is the critic's (3, state_dim + 1) input [scaled
     state | (-1, +1, mu)]; this call writes mu and the state.  Returns
@@ -664,7 +668,7 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
     cand_inputs[:2, -1] = (-1.0, 1.0)
 
     def do_update(batch: TransitionBatch, targets=None) -> None:
-        nonlocal updates, last_branch, last_delta
+        nonlocal updates, last_branch
         updates += 1
         if config.tolerance_mode == "fixed":
             tau = config.tolerance_fixed
@@ -686,7 +690,7 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
             workspace=workspace,
             targets=targets,
         )
-        last_branch, last_delta = info.branch, info.td_delta
+        last_branch = info.branch
         if updates % config.target_sync_updates == 0:
             nets.sync_target()
 
@@ -699,6 +703,7 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
         ep_return = RETURN_START
         done = False
         ep_updates = 0
+        updates_before = updates
 
         while not done:
             action, _, _ = behaviour_step(nets, family, horizon_value, cand_inputs, state, noise_scale, noise_rng)
@@ -727,6 +732,10 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
                 replay, replay_rng, nets, config.gamma, value_clip, workspace,
             )
 
+        # the workspace holds the episode's last critic step until the
+        # next update, so its TD delta is read once per row
+        if updates > updates_before:
+            last_delta = td_delta(workspace)
         rows.append(
             CurveRow(ep, ep_return, est_used, last_branch, last_delta, steps_total * config.dt)
         )

@@ -166,7 +166,6 @@ class UpdateInfo:
     """What one update did: 0 = reward ascent, i >= 1 = constraint-i descent."""
 
     branch: int
-    td_delta: float
 
 
 def policy_update_step(
@@ -202,8 +201,11 @@ def policy_update_step(
 
     ``workspace``, built for these nets and batch size, takes every
     (batch, .) array of the update, so reusing one allocates none.
+    After the update its ``targets`` hold the critic step's signed
+    differences, from which ``dist_rl.td_delta`` reads the update's TD
+    delta, until the next update or ``td_targets`` through it.
     ``targets``, when given, are the batch's ``td_targets``, which the
-    update then does not compute (and overwrites).
+    update then does not compute.
     """
     bounds = np.asarray(bounds, dtype=float)
     est = np.asarray(constraint_estimates, dtype=float)
@@ -213,14 +215,14 @@ def policy_update_step(
     if bounds.shape != (n_signals - 1,):
         raise ValueError("need one bound per constraint signal")
 
-    ev = critic_gradient_all(nets, batch, gamma, value_clip, workspace, targets)
-    critic_opt.step(nets.critic.params, ev.grad, critic_lr)
+    grad = critic_gradient_all(nets, batch, gamma, value_clip, workspace, targets)
+    critic_opt.step(nets.critic.params, grad, critic_lr)
     nets.critic.drop_head()  # the actor gradient below recomputes it; later behaviour steps reuse it
 
     branch, sign = choose_branch(est, bounds, tolerance)
     descent = actor_gradient(nets, batch, branch, sign, raw_penalty, workspace)
     actor_opt.step(nets.actor.params, np.negative(descent, out=descent), actor_lr)
-    return UpdateInfo(branch, ev.delta_sup)
+    return UpdateInfo(branch)
 
 
 # -- exact desk-scale improvement oracle ------------------------------------------

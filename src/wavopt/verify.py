@@ -358,7 +358,7 @@ def _fd_critic_check(seed) -> float:
         diff = np.sort(nets.critic.forward_batch(batch.states, batch.actions), axis=2) - targets
         return float(0.5 * (diff**2).mean(axis=2).mean(axis=0).sum())
 
-    grad = critic_gradient_all(nets, batch, 0.95).grad
+    grad = critic_gradient_all(nets, batch, 0.95)
     return _rel_gap(grad, central_differences(nets.critic.params, loss))
 
 

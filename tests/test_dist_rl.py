@@ -12,12 +12,14 @@ from wavopt.cmdp import TabularCmdp
 from wavopt.dist_rl import (
     QuantileMap,
     TransitionBatch,
+    UpdateWorkspace,
     actor_gradient,
     bellman_eval,
     critic_gradient_all,
     dbar,
     midpoint_levels,
     quantile_projection,
+    td_delta,
     td_targets,
 )
 from wavopt.measures import one_d_measure
@@ -285,9 +287,9 @@ class TestCriticGradient:
         batch.utilities[:] = 1.0
         nets.critic.params.weights[-1][...] = 0.0
         nets.critic.params.biases[-1][...] = np.repeat([0.25, 1.0], 4)
-        ev = critic_gradient_all(nets, batch, gamma=0.0)
+        grad = critic_gradient_all(nets, batch, gamma=0.0)
         assert _matching_loss(nets.critic, batch, td_targets(nets, batch, gamma=0.0)) == 0.0
-        assert np.max(np.abs(ev.grad)) == 0.0
+        assert np.max(np.abs(grad)) == 0.0
 
     def test_matches_finite_differences(self):
         worst = 0.0
@@ -296,7 +298,7 @@ class TestCriticGradient:
             rng = np.random.default_rng(40 + seed)
             batch = _random_batch(rng, nets, b=3)
             targets = td_targets(nets, batch, gamma=0.9)
-            grad = critic_gradient_all(nets, batch, 0.9).grad
+            grad = critic_gradient_all(nets, batch, 0.9)
             fd = central_differences(
                 nets.critic.params, lambda: _matching_loss(nets.critic, batch, targets)
             )
@@ -317,7 +319,7 @@ class TestCriticGradient:
         )
         g1 = critic_gradient_all(nets, batch, 0.99)
         g2 = critic_gradient_all(nets, doubled, 0.99)
-        npt.assert_allclose(g1.grad, g2.grad, atol=1e-15)
+        npt.assert_allclose(g1, g2, atol=1e-15)
         loss1 = _matching_loss(nets.critic, batch, td_targets(nets, batch, 0.99))
         loss2 = _matching_loss(nets.critic, doubled, td_targets(nets, doubled, 0.99))
         assert loss1 == pytest.approx(loss2, rel=1e-15)
@@ -456,7 +458,8 @@ class TestFusedCriticGradient:
             nets = _small_nets(seed, n_signals=3)
             rng = np.random.default_rng(100 + seed)
             batch = _random_batch(rng, nets, b=5)
-            fused = critic_gradient_all(nets, batch, 0.97)
+            ws = UpdateWorkspace(nets, 5)
+            fused = critic_gradient_all(nets, batch, 0.97, workspace=ws)
 
             targets = td_targets(nets, batch, 0.97)
             critic = nets.critic
@@ -477,10 +480,10 @@ class TestFusedCriticGradient:
             # summation order
             total = sum(grads)
             scale = max(1.0, float(np.max(np.abs(total))))
-            assert np.max(np.abs(fused.grad - total)) <= 1e-13 * scale
+            assert np.max(np.abs(fused - total)) <= 1e-13 * scale
             npt.assert_allclose(_matching_losses(critic, batch, targets), losses, rtol=1e-12)
             assert _matching_loss(critic, batch, targets) == pytest.approx(sum(losses), rel=1e-12)
-            assert fused.delta_sup == pytest.approx(max(sups), rel=1e-12)
+            assert td_delta(ws) == pytest.approx(max(sups), rel=1e-12)
 
     def test_uses_target_critic_when_present(self):
         nets = _small_nets(7, n_signals=2)
@@ -492,7 +495,56 @@ class TestFusedCriticGradient:
         # so the loss change comes only from the live forward pass
         for w in nets.critic.params.weights:
             w += 0.05
-        after = critic_gradient_all(nets, batch, 0.9)
+        ws = UpdateWorkspace(nets, 4)
+        critic_gradient_all(nets, batch, 0.9, workspace=ws)
         npt.assert_array_equal(td_targets(nets, batch, 0.9), targets)
         assert _matching_loss(nets.critic, batch, targets) != before
-        assert np.all(np.isfinite(after.delta_sups))
+        assert np.isfinite(td_delta(ws))
+
+
+def _gather_route(nets, batch, targets):
+    """Oracle: the sorted atoms gathered, the difference scattered back.
+
+    Returns the gradient, the critic's output gradient and the signed
+    differences sort(q)_j - T_j in sorted order.
+    """
+    critic, n = nets.critic, nets.critic.n_quantiles
+    x = critic.inputs(batch.states, batch.actions)
+    bufs = nn.LayerBuffers(critic.params, batch.size)
+    out = nn.forward_batch(critic.params, x, bufs).reshape(targets.shape)
+    order = np.argsort(out, axis=2)
+    diff = np.take_along_axis(out, order, axis=2) - targets
+    upstream = np.empty_like(out)
+    np.put_along_axis(upstream, order, diff / n, axis=2)
+    grad = nn.backward_batch(critic.params, x, upstream.reshape(batch.size, -1), bufs)
+    return grad, upstream, diff
+
+
+class TestScatterRoute:
+    @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+    @pytest.mark.parametrize("b, n_signals, n", [(128, 3, 128), (9, 2, 6), (16, 3, 8)])
+    def test_matches_the_gather_route_bitwise(self, b, n_signals, n, tied):
+        nets = init_policy_nets(
+            state_dim=4, action_dim=1, hidden_width=16, hidden_layers=2, n_quantiles=n, n_signals=n_signals, rng=b + n
+        )
+        rng = np.random.default_rng(n)
+        batch = _random_batch(rng, nets, b=b)
+        given = None
+        if tied:
+            # every row's atoms take one of three values, so numpy's
+            # argsort tie order decides which atom takes which of the
+            # (distinct) targets; rows of one repeated value alone sort
+            # in index order, as a stable sort would
+            nets.critic.params.weights[-1][...] = 0.0
+            nets.critic.params.biases[-1][...] = rng.integers(0, 3, size=n_signals * n)
+            given = rng.normal(size=(b, n_signals, n))
+        targets = td_targets(nets, batch, 0.97, (0.0, 20.0)).copy() if given is None else given.copy()
+        grad, upstream, diff = _gather_route(nets, batch, targets)
+
+        ws = UpdateWorkspace(nets, b)
+        got = critic_gradient_all(nets, batch, 0.97, (0.0, 20.0), ws, given)
+        assert got.tobytes() == grad.tobytes()
+        assert ws.upstream.tobytes() == upstream.tobytes()
+        assert td_delta(ws) == float(np.abs(diff).max(axis=2).mean(axis=0).max())
+        if given is not None:
+            npt.assert_array_equal(given, targets)  # the caller's targets are read, not written

@@ -301,6 +301,10 @@ def test_checkpoint_truncation_names_the_section(tmp_path, section):
         ("n_quantiles 6\n", "n_quantiles 5\n", "section critic maps 5 inputs to 18 outputs, but the header gives 5 to 15"),
         ("feature_scale 0.5 1 2 1\n", "feature_scale 0.5 1 2\n", "section actor maps 4 inputs to 1 outputs, but the header gives 3"),
         ("layers 3\nsizes 4 8 8 1\n", "layers 1\nsizes 300000 300000\n", "need 90000300000 values, but only 407 lines follow"),
+        ("feature_scale 0.5 1 2 1\n", "feature_scale 0.5 nan 2 1\n", "feature_scale is not finite: '0.5 nan 2 1'"),
+        ("feature_scale 0.5 1 2 1\n", "feature_scale 0.5 1 1e309 1\n", "feature_scale is not finite: '0.5 1 1e309 1'"),
+        ("sizes 4 8 8 1\n", "sizes 4 8 8 1\nnan\n", "section actor (value 0 of 121 is not finite: 'nan')"),
+        ("sizes 5 8 8 18\n", "sizes 5 8 8 18\n-inf\n", "section critic (value 0 of 282 is not finite: '-inf')"),
     ],
     ids=[
         "no n_quantiles",
@@ -313,6 +317,10 @@ def test_checkpoint_truncation_names_the_section(tmp_path, section):
         "n_quantiles",
         "feature_scale length",
         "oversized section",
+        "feature_scale nan",
+        "feature_scale overflow",
+        "actor value nan",
+        "critic value -inf",
     ],
 )
 def test_checkpoint_header_faults_are_one_line_errors(tmp_path, old, new, message):
@@ -334,6 +342,8 @@ _CHECKPOINT_TOKENS = st.one_of(
 )
 _CHECKPOINT_LINES = st.one_of(
     st.text(max_size=20),
+    # value lines that parse as floats but are not finite
+    st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1e309", "-1e309"]),
     st.builds(
         "{} {}".format,
         st.sampled_from(_CHECKPOINT_KEYS),
@@ -381,6 +391,8 @@ def test_read_checkpoint_on_any_text_returns_nets_or_raises_one_line_value_error
             assert "\n" not in str(exc)
             return
     assert nets.actor.params.layer_sizes[0] == nets.actor.feature_scale.size
+    for array in (nets.actor.params.flat, nets.critic.params.flat, nets.actor.feature_scale):
+        assert np.isfinite(array).all()
 
 
 def test_summary_round_trip(tmp_path):
@@ -926,3 +938,37 @@ def test_scheduled_tolerance_follows_the_schedule(tmp_path, monkeypatch):
     summary = read_summary(result.summary_path)
     for key in ("final_reward_objective", "final_constraint_1", "final_constraint_2"):
         assert math.isfinite(float(summary[key]))
+
+
+def test_curve_td_delta_is_each_episodes_last_update(tmp_path, monkeypatch):
+    # the warm-up leaves the first rows without an update; some bursts of
+    # 40 updates with a sync every 25 take the shared-target store
+    config = _fast_config(warmup_steps=40, updates_per_episode=40, target_sync_updates=25)
+    deltas, marks, stored = [], [], []
+    curve_row = harness.CurveRow
+
+    def update_spy(nets, batch, bounds, est, tolerance, lr, actor_lr, gamma, value_clip=None, *args, **kwargs):
+        # recomputed from the critic and targets as they stand before the update
+        targets = kwargs.get("targets")
+        stored.append(targets is not None)
+        if targets is None:
+            targets = td_targets(nets, batch, gamma, value_clip)
+        diff = np.sort(nets.critic.forward_batch(batch.states, batch.actions), axis=2) - targets
+        deltas.append(float(np.abs(diff).max(axis=2).mean(axis=0).max()))
+        return policy_update_step(nets, batch, bounds, est, tolerance, lr, actor_lr, gamma, value_clip, *args, **kwargs)
+
+    def row_spy(*args):
+        marks.append(len(deltas))
+        return curve_row(*args)
+
+    monkeypatch.setattr(harness, "policy_update_step", update_spy)
+    monkeypatch.setattr(harness, "CurveRow", row_spy)
+    result = run_training(config, tmp_path / "run")
+    logged = read_curve(result.curve_path)["td_delta"]
+    assert len(logged) == len(marks) == config.episodes and len(deltas) == result.updates
+    # the guard is not vacuous: rows before and after the first update,
+    # updates with targets of their own and from the store
+    assert marks[0] == 0 and marks[-1] > 0 and 0 < sum(stored) < len(stored)
+    for row, (seen, value) in enumerate(zip(marks, logged)):
+        want = deltas[seen - 1] if seen else 0.0
+        assert value == pytest.approx(want, rel=1e-8, abs=0.0), row

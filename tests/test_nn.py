@@ -174,7 +174,7 @@ class TestDeterminismAndUpdates:
         # corrections folded into corr = lr sqrt(1-b2^t) / (1-b1^t)
         rng = np.random.default_rng(50)
         # more than two blocks of the step's scratch, the last one partial
-        params = init_mlp([40, 100, 170], rng)
+        params = init_mlp([40, 300, 200], rng)
         assert params.flat.size > 2 * _ADAM_BLOCK and params.flat.size % _ADAM_BLOCK
         opt = AdamState(params)
         theta = params.flat.copy()
@@ -250,6 +250,16 @@ class TestCheckpoint:
         expected += "".join(f"{v:.17g}\n" for v in params.flat)
         assert params.flat.size > 2 * 4096
         assert buf.getvalue() == expected
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e309"])
+    def test_non_finite_value_is_named_by_its_index(self, token):
+        params = init_mlp([3, 5, 2], 3)
+        buf = io.StringIO()
+        write_params(buf, params)
+        lines = buf.getvalue().splitlines(keepends=True)
+        lines[3 + 17] = token + "\n"  # after the three header lines
+        with pytest.raises(ValueError, match=f"^value 17 of 32 is not finite: '{token}'$"):
+            read_params(io.StringIO("".join(lines)))
 
     def test_bad_header_rejected(self):
         for text in ("something else\n", "mlp-text 1\nlayers 0\nsizes 4\n"):
