@@ -1,4 +1,4 @@
-"""Weighted atom clouds and one-dimensional slice projections.
+"""Weighted atom clouds and the slices that project them to one dimension.
 
 The optimal-transport layer works on empirical (discrete) probability
 measures: finitely many support points with non-negative weights summing
@@ -7,8 +7,8 @@ to one.  Two representations are used:
 * ``DiscreteMeasure`` holds points in R^d and is the input format for
   every sliced distance.
 * ``OneDMeasure`` is the canonical one-dimensional form (stably sorted
-  support, zero weights dropped, the rest renormalised) produced by
-  projecting a ``DiscreteMeasure`` onto a slice.  Atoms at one position
+  support, zero weights dropped, the rest renormalised) that
+  ``one_d_measure`` builds from raw positions.  Atoms at one position
   stay separate: they have the quantile function of their sum, so the
   quantile-based Wasserstein computations are exact on this form.
 
@@ -18,13 +18,17 @@ homogeneous polynomial ``x -> sum_{|alpha|=m} theta_alpha x^alpha`` with
 unit-norm coefficient vector.  Odd degree keeps the family of level sets
 well behaved (the map is sign-equivariant, ``beta(-x) = -beta(x)``), the
 condition under which slicing of this kind yields a genuine distance.
+A ``SliceParameterSet`` is one coefficient matrix: the unit rows of S
+slices that share kind, degree and dim.  Its ``features`` of a point
+cloud are (M, n) rows, and one product with the matrix evaluates every
+slice at every point.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -37,7 +41,6 @@ __all__ = [
     "monomial_exponents",
     "num_monomials",
     "one_d_measure",
-    "project",
 ]
 
 # Weight vectors must sum to one within this tolerance.
@@ -118,10 +121,6 @@ class OneDMeasure:
         m.positions, m.weights = positions, weights
         return m
 
-    @property
-    def size(self) -> int:
-        return self.positions.shape[0]
-
     def cumulative(self) -> np.ndarray:
         """Cumulative weights with the final entry pinned to exactly 1."""
         c = np.cumsum(self.weights)
@@ -135,9 +134,6 @@ class OneDMeasure:
             raise ValueError("quantile levels must lie in (0, 1]")
         idx = np.searchsorted(self.cumulative(), u, side="left")
         return self.positions[idx]
-
-    def mean(self) -> float:
-        return float(self.positions @ self.weights)
 
 
 def one_d_measure(positions, weights=None) -> OneDMeasure:
@@ -188,6 +184,49 @@ def num_monomials(degree: int, dim: int) -> int:
     return math.comb(degree + dim - 1, dim - 1)
 
 
+def _check_slice(kind: str, dim: int, degree: int, shape: tuple) -> None:
+    """Refuse a slice kind and degree, or coefficients of ``shape``, that do not fit."""
+    if kind == "linear":
+        if degree != 1:
+            raise ValueError("linear defining function has degree 1")
+        if shape != (dim,):
+            raise ValueError("linear slice needs a direction of length dim")
+    elif kind == "poly":
+        if degree % 2 == 0 or degree < 1:
+            raise ValueError("polynomial slice degree must be odd and positive")
+        expected = num_monomials(degree, dim)
+        if shape != (expected,):
+            raise ValueError(f"degree-{degree} slice in dim {dim} needs {expected} coefficients, got {shape}")
+    else:
+        raise ValueError(f"unknown defining-function kind {kind!r}")
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Each raw coefficient row divided by its norm, and then once more:
+    x/||x|| can miss unit norm by ~1 ulp.
+
+    A row whose squared norm overflows although every entry is finite is
+    divided by its largest |entry| first.  A numerically degenerate row
+    (non-finite, or norm < 1e-8) falls back to the canonical first basis
+    vector, so every result row is a valid slice.
+    """
+    out = np.empty(rows.shape)
+    # np.linalg.norm warns when the squared norm overflows; such a row is rescaled
+    with np.errstate(over="ignore"):
+        for row, c in zip(out, rows):
+            norm = float(np.linalg.norm(c))
+            if norm == math.inf and np.isfinite(c).all():
+                c = c / np.abs(c).max()
+                norm = float(np.linalg.norm(c))
+            if 1e-8 <= norm < math.inf:  # a non-finite entry makes the norm inf or nan
+                c = c / norm
+            else:
+                c = np.zeros(c.shape)
+                c[0] = 1.0
+            row[:] = c / float(np.linalg.norm(c))
+    return out
+
+
 @dataclass(eq=False)
 class DefiningFunction:
     """A slice beta: R^d -> R, linear or odd-degree homogeneous polynomial.
@@ -201,89 +240,23 @@ class DefiningFunction:
     dim: int
     coefficients: np.ndarray
     degree: int = 1
-    _exponents: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         self.coefficients = np.asarray(self.coefficients, dtype=float)
         if not np.all(np.isfinite(self.coefficients)):
             raise ValueError("coefficients must be finite")
-        if self.kind == "linear":
-            if self.degree != 1:
-                raise ValueError("linear defining function has degree 1")
-            if self.coefficients.shape != (self.dim,):
-                raise ValueError("linear slice needs a direction of length dim")
-            self._exponents = np.eye(self.dim, dtype=int)
-        elif self.kind == "poly":
-            if self.degree % 2 == 0 or self.degree < 1:
-                raise ValueError("polynomial slice degree must be odd and positive")
-            expected = num_monomials(self.degree, self.dim)
-            if self.coefficients.shape != (expected,):
-                raise ValueError(
-                    f"degree-{self.degree} slice in dim {self.dim} needs "
-                    f"{expected} coefficients, got {self.coefficients.shape}"
-                )
-            self._exponents = monomial_exponents(self.degree, self.dim)
-        else:
-            raise ValueError(f"unknown defining-function kind {self.kind!r}")
+        _check_slice(self.kind, self.dim, self.degree, self.coefficients.shape)
         norm = float(np.linalg.norm(self.coefficients))
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"coefficient vector must have unit norm, got {norm!r}")
 
     @staticmethod
-    def linear(direction) -> "DefiningFunction":
-        d = np.asarray(direction, dtype=float).ravel()
-        return DefiningFunction("linear", d.size, d, degree=1)
-
-    @staticmethod
-    def polynomial(degree: int, coefficients, dim: int) -> "DefiningFunction":
-        return DefiningFunction("poly", dim, np.asarray(coefficients, dtype=float).ravel(), degree=degree)
-
-    @staticmethod
     def normalized(kind: str, dim: int, coefficients, degree: int = 1) -> "DefiningFunction":
-        """Build a slice from raw coefficients, normalizing to unit norm.
-
-        A numerically degenerate vector (norm < 1e-8) falls back to the
-        canonical first basis vector so the result is always valid.
-        """
+        """Build a slice from raw coefficients, normalized to unit norm by
+        the row normaliser of ``SliceParameterSet.normalized``: the result
+        is always valid."""
         c = np.asarray(coefficients, dtype=float).ravel()
-        norm = float(np.linalg.norm(c))
-        if not np.all(np.isfinite(c)) or norm < 1e-8:
-            c = np.zeros(c.shape)
-            c[0] = 1.0
-        else:
-            c = c / norm
-        # renormalize once more: x/||x|| can miss unit norm by ~1 ulp
-        c = c / float(np.linalg.norm(c))
-        if kind == "linear":
-            return DefiningFunction.linear(c)
-        return DefiningFunction.polynomial(degree, c, dim)
-
-    def _points(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.shape[1] != self.dim:
-            raise ValueError(f"points have dim {pts.shape[1]}, slice expects {self.dim}")
-        return pts
-
-    def features(self, points: np.ndarray) -> np.ndarray:
-        """Feature rows (M, n) with ``beta(points) = coefficients @ features``.
-
-        Linear slices use the coordinates themselves; polynomial slices use
-        the monomials of ``monomial_exponents(degree, dim)``, gathered from
-        a per-coordinate power table.
-        """
-        pts = self._points(points)
-        if self.kind == "linear":
-            return pts.T
-        return _monomials(_power_table(pts, self.degree), self._exponents)
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """beta(points): (n, d) -> (n,)."""
-        pts = self._points(points)
-        if self.kind == "linear":
-            return pts @ self.coefficients
-        return self.coefficients @ self.features(pts)
+        return DefiningFunction(kind, dim, _unit_rows(c[None])[0], degree)
 
 
 def _power_table(pts: np.ndarray, degree: int) -> np.ndarray:
@@ -304,37 +277,51 @@ def _monomials(table: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(eq=False)
 class SliceParameterSet:
-    """A finite family of slices.
+    """A finite family of slices of one kind, degree and dim.
 
-    The slices share kind, degree and dim, so one set of feature rows
-    serves them all.
+    ``coefficients`` is one read-only (S, M) matrix whose rows are the
+    slices' unit coefficient vectors, indexed as in ``DefiningFunction``,
+    so ``coefficients @ features(points)`` evaluates every slice at once.
+    Built from a list of ``DefiningFunction`` objects, or from raw rows by
+    ``normalized``.
     """
 
-    functions: list
-
-    def __post_init__(self) -> None:
-        if not self.functions:
+    def __init__(self, functions) -> None:
+        if not functions:
             raise ValueError("slice set must be non-empty")
-        first = self.functions[0]
-        for f in self.functions:
+        first = functions[0]
+        for f in functions:
             if not isinstance(f, DefiningFunction):
                 raise ValueError("functions must be DefiningFunction instances")
             if (f.kind, f.degree, f.dim) != (first.kind, first.degree, first.dim):
                 raise ValueError("slices must share kind, degree and dim")
+        self._hold(first.kind, first.dim, first.degree, np.array([f.coefficients for f in functions]))
 
-    def __len__(self) -> int:
-        return len(self.functions)
+    @classmethod
+    def normalized(cls, kind: str, dim: int, rows, degree: int = 1) -> "SliceParameterSet":
+        """The slices of the raw (S, M) coefficient ``rows``, each row
+        normalized as ``DefiningFunction.normalized`` normalizes one."""
+        rows = np.asarray(rows, dtype=float)
+        _check_slice(kind, dim, degree, rows.shape[1:])
+        if rows.shape[0] == 0:
+            raise ValueError("slice set must be non-empty")
+        slices = cls.__new__(cls)
+        slices._hold(kind, dim, degree, _unit_rows(rows))
+        return slices
 
+    def _hold(self, kind: str, dim: int, degree: int, coefficients: np.ndarray) -> None:
+        coefficients.flags.writeable = False
+        self.kind, self.dim, self.degree, self.coefficients = kind, dim, degree, coefficients
 
-def project(measure: DiscreteMeasure, f: DefiningFunction) -> OneDMeasure:
-    """Push ``measure`` through the slice: positions beta(x), weights kept.
+    def features(self, points: np.ndarray) -> np.ndarray:
+        """Feature rows (M, n) of the float points (n, dim).
 
-    The result is canonicalized by ``one_d_measure`` (stably sorted, zero
-    weights dropped), so projecting is positively homogeneous in the
-    atoms for homogeneous slices and exactly weight-preserving.
-    """
-    if measure.dim != f.dim:
-        raise ValueError(f"measure dim {measure.dim} != slice dim {f.dim}")
-    return one_d_measure(f.evaluate(measure.atoms), measure.weights)
+        Linear slices use the coordinates themselves, as the transposed
+        view ``points.T``; polynomial slices use the monomials of
+        ``monomial_exponents(degree, dim)``, gathered from a
+        per-coordinate power table.
+        """
+        if self.kind == "linear":
+            return points.T
+        return _monomials(_power_table(points, self.degree), monomial_exponents(self.degree, self.dim))

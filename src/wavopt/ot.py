@@ -27,12 +27,15 @@ homogeneous polynomials):
 * ``gswd`` - average over an explicit ``SliceParameterSet``; for any
   fixed slice set the result is a pseudo-metric.
 
-Both share one batched engine.  Zero-weight atoms are dropped from each
-measure once, up front, as ``one_d_measure`` drops them.  The slices go
-in fixed blocks of ``_BLOCK``; each block is projected with one
-(block, M) @ (M, n) product of its coefficient rows and the measure's
-feature rows (``DefiningFunction.features``; a ``SliceParameterSet``
-shares kind, degree and dim).  Each projected row is sorted, and then:
+Both share one batched engine with the pseudo-metric check, which
+reads five distances among three measures.  Zero-weight atoms are
+dropped from each measure once, up front, as ``one_d_measure`` drops
+them, and each measure's feature rows (``SliceParameterSet.features``)
+are formed once.  The slices go in fixed blocks of ``_BLOCK``.  On a
+block, each measure is projected once, with one (block, M) @ (M, n)
+product of the set's coefficient rows and its feature rows, and each
+projected row is sorted.  Then each pair reads its per-slice powers
+from its two projected measures:
 
 * equal-size uniform measures take the fast path: W_k^k is the mean of
   |sort x - sort y|^k (W_inf its maximum);
@@ -56,8 +59,7 @@ condition, all 2^n subsets at once (k = inf), or solves the
 transportation linear program (Peyre & Cuturi, "Computational Optimal
 Transport", 2019).  The linear programs of one call are stacked as the
 diagonal blocks of one HiGHS program, up to ``_LP_BATCH`` per solve, at
-1e-10 primal and dual feasibility tolerances.  ``wasserstein_oracle``
-is the same route on one pair.
+1e-10 primal and dual feasibility tolerances.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ from itertools import permutations
 import numpy as np
 
 from .measures import (
-    DefiningFunction,
     DiscreteMeasure,
     OneDMeasure,
     SliceParameterSet,
@@ -78,7 +79,6 @@ from .measures import (
 
 __all__ = [
     "wasserstein_1d",
-    "wasserstein_oracle",
     "wasserstein_oracles",
     "swd",
     "gswd",
@@ -348,11 +348,6 @@ def wasserstein_oracles(problems) -> list:
     return values
 
 
-def wasserstein_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure, k=1.0) -> float:
-    """``wasserstein_oracles`` on the one pair ``(mu, nu, k)``."""
-    return wasserstein_oracles([(mu, nu, k)])[0]
-
-
 # ---------------------------------------------------------------------------
 # Sliced distances
 # ---------------------------------------------------------------------------
@@ -371,38 +366,63 @@ _BLOCK = 8
 _WALK_BREAKPOINTS = 1 << 15
 
 
-def _sliced_powers(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, k: float, slices: SliceParameterSet
-) -> np.ndarray:
-    """Per-slice W_k^k (W_inf for k = inf) between the projected measures."""
+def _sliced_powers(measures, pairs, k: float, slices: SliceParameterSet) -> np.ndarray:
+    """Per-slice W_k^k (W_inf for k = inf) of every pair ``(i, j)`` of ``measures``.
+
+    Returns (len(pairs), S).  Each block of slices projects and sorts
+    every measure once (``_project``); each pair then reads its powers
+    from its two projected measures (``_pair_powers``).
+    """
     # a zero-weight atom sorted first would open the walk's zero-length
     # first segment, whose distance the k = inf maximum still reads
-    kx, ky = mu.weights > 0.0, nu.weights > 0.0
-    wx, wy = mu.weights[kx], nu.weights[ky]
-    fns = slices.functions
-    out = np.empty(len(fns))
+    kept = [m.weights > 0.0 for m in measures]
+    weights = [m.weights[keep] for m, keep in zip(measures, kept)]
+    # a uniform measure's cumulative weights are the same on every slice
+    uniform_cums = [_cumulative(w) if _is_uniform(w) else None for w in weights]
+    coeffs = slices.coefficients
+    out = np.empty((len(pairs), coeffs.shape[0]))
     # overflowing features or projections surface as non-finite powers
     with np.errstate(over="ignore", invalid="ignore"):
-        fx, fy = fns[0].features(mu.atoms[kx]), fns[0].features(nu.atoms[ky])
-        for start in range(0, len(fns), _BLOCK):
-            coeffs = np.array([f.coefficients for f in fns[start : start + _BLOCK]])
-            out[start : start + len(coeffs)] = _row_powers(coeffs @ fx, wx, coeffs @ fy, wy, k)
+        feats = [slices.features(m.atoms[keep]) for m, keep in zip(measures, kept)]
+        for start in range(0, coeffs.shape[0], _BLOCK):
+            block = coeffs[start : start + _BLOCK]
+            projected = [_project(block @ f, w, c) for f, w, c in zip(feats, weights, uniform_cums)]
+            for row, (i, j) in zip(out, pairs):
+                row[start : start + block.shape[0]] = _pair_powers(projected[i], projected[j], k)
     if not np.isfinite(out).all():
         raise ValueError(f"a slice's projections overflow float64 at k = {k!r}; scale the measures down")
     return out
 
 
-def _row_powers(px: np.ndarray, wx: np.ndarray, py: np.ndarray, wy: np.ndarray, k: float) -> np.ndarray:
-    """W_k^k (W_inf) between row r of ``px`` and row r of ``py``, for every row."""
-    if px.shape[1] == py.shape[1] and _is_uniform(wx) and _is_uniform(wy):
-        d = np.abs(np.sort(px, axis=1) - np.sort(py, axis=1))
+def _project(p: np.ndarray, w: np.ndarray, uniform_cum) -> tuple:
+    """One measure on a block of slices: its projections ``p`` (block, n)
+    sorted row by row, the cumulative weights of each sorted row, and
+    whether the weights are uniform.
+
+    The cumulative weights are those of ``one_d_measure`` on a row: the
+    sorted weights renormalized, summed, the last pinned to 1.  Uniform
+    weights pass theirs in ``uniform_cum``, the same on every row; other
+    weights leave it None.  The sort need not be stable: atoms tied in a
+    row share their position, so their order moves only the rounding of
+    the sums.
+    """
+    if uniform_cum is not None:
+        return np.sort(p, axis=1), np.broadcast_to(uniform_cum, p.shape), True
+    order = np.argsort(p, axis=1)
+    c = _cumulative(w[order])  # before _flat_index turns order into flat indices
+    return p.ravel()[_flat_index(order)].reshape(p.shape), c, False
+
+
+def _pair_powers(x: tuple, y: tuple, k: float) -> np.ndarray:
+    """W_k^k (W_inf) between row r of projected measure ``x`` and row r of ``y``, for every row."""
+    (xs, cx, x_uniform), (ys, cy, y_uniform) = x, y
+    if x_uniform and y_uniform and xs.shape[1] == ys.shape[1]:
+        d = np.abs(xs - ys)
         if math.isinf(k):
             return d.max(axis=1)
         powers = (d**k).mean(axis=1)
         _check_range(powers, lambda: d.max(axis=1), k)
         return powers
-    xs, cx = _sorted_rows(px, wx)
-    ys, cy = _sorted_rows(py, wy)
     return _walk_powers(xs, cx, ys, cy, k)
 
 
@@ -447,22 +467,6 @@ def _is_uniform(w: np.ndarray) -> bool:
     return bool(np.all(w == w[0]))
 
 
-def _sorted_rows(p: np.ndarray, w: np.ndarray):
-    """Rows sorted ascending, and the cumulative weights of each row.
-
-    The cumulative weights are those of ``one_d_measure`` on a row: the
-    sorted weights renormalized, summed, the last pinned to 1.  The sort
-    need not be stable: atoms tied in a row share their position, so
-    their order moves only the rounding of the sums.
-    """
-    if _is_uniform(w):
-        c = _cumulative(w)
-        return np.sort(p, axis=1), np.broadcast_to(c, p.shape)
-    order = np.argsort(p, axis=1)
-    c = _cumulative(w[order])  # before _flat_index turns order into flat indices
-    return p.ravel()[_flat_index(order)].reshape(p.shape), c
-
-
 def _cumulative(w: np.ndarray) -> np.ndarray:
     c = np.cumsum(w / w.sum(axis=-1, keepdims=True), axis=-1)
     c[..., -1] = 1.0
@@ -473,9 +477,7 @@ def random_linear_slices(dim: int, count: int, rng: np.random.Generator) -> Slic
     """Uniform random unit directions (Gaussian normalized)."""
     if count < 1:
         raise ValueError("need at least one slice")
-    raw = rng.standard_normal((count, dim))
-    fns = [DefiningFunction.normalized("linear", dim, row) for row in raw]
-    return SliceParameterSet(fns)
+    return SliceParameterSet.normalized("linear", dim, rng.standard_normal((count, dim)))
 
 
 def random_polynomial_slices(
@@ -485,8 +487,7 @@ def random_polynomial_slices(
     if count < 1:
         raise ValueError("need at least one slice")
     raw = rng.standard_normal((count, num_monomials(degree, dim)))
-    fns = [DefiningFunction.normalized("poly", dim, row, degree=degree) for row in raw]
-    return SliceParameterSet(fns)
+    return SliceParameterSet.normalized("poly", dim, raw, degree)
 
 
 def swd(mu: DiscreteMeasure, nu: DiscreteMeasure, k=2.0, num_projections: int = 50, seed=0) -> float:
@@ -504,7 +505,7 @@ def swd(mu: DiscreteMeasure, nu: DiscreteMeasure, k=2.0, num_projections: int = 
         raise ValueError(f"num_projections must be an integer >= 1, got {num_projections!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     slices = random_linear_slices(mu.dim, num_projections, rng)
-    return _slice_mean(_sliced_powers(mu, nu, kk, slices), kk)
+    return _slice_mean(_sliced_powers([mu, nu], [(0, 1)], kk, slices)[0], kk)
 
 
 def gswd(mu: DiscreteMeasure, nu: DiscreteMeasure, k, slices: SliceParameterSet) -> float:
@@ -516,9 +517,9 @@ def gswd(mu: DiscreteMeasure, nu: DiscreteMeasure, k, slices: SliceParameterSet)
     kk = _check_order(k)
     if mu.dim != nu.dim:
         raise ValueError("measures must share the ambient dimension")
-    if slices.functions[0].dim != mu.dim:
+    if slices.dim != mu.dim:
         raise ValueError("slice dimension does not match the measures")
-    return _slice_mean(_sliced_powers(mu, nu, kk, slices), kk)
+    return _slice_mean(_sliced_powers([mu, nu], [(0, 1)], kk, slices)[0], kk)
 
 
 # ---------------------------------------------------------------------------
@@ -543,13 +544,25 @@ class PseudoMetricReport:
         return self.max_violation() <= tol
 
 
+# the distances of a triple (a, b, c) that the axioms read: ab, ba, ac, cb, aa
+_TRIPLE_PAIRS = ((0, 1), (1, 0), (0, 2), (2, 1), (0, 0))
+
+
+def _triple_distances(a, b, c, k: float, slices: SliceParameterSet) -> list:
+    """``gswd`` of the pairs ab, ba, ac, cb and aa, each measure projected once per block."""
+    if not a.dim == b.dim == c.dim == slices.dim:
+        raise ValueError("measures and slices must share the ambient dimension")
+    return [_slice_mean(p, k) for p in _sliced_powers([a, b, c], _TRIPLE_PAIRS, k, slices)]
+
+
 def check_pseudo_metric(sampler, trials: int, seed=0) -> PseudoMetricReport:
     """Verify pseudo-metric axioms of order-2 ``gswd`` on sampled measure triples.
 
     ``sampler(rng) -> DiscreteMeasure`` draws measures; each trial draws a
     triple plus one shared set of 8 random degree-3 polynomial slices and
     accumulates the worst violation of: non-negativity, symmetry, the
-    triangle inequality, and zero self-distance.
+    triangle inequality, and zero self-distance.  The five distances of
+    a trial share one projection of each measure.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -558,11 +571,7 @@ def check_pseudo_metric(sampler, trials: int, seed=0) -> PseudoMetricReport:
     for _ in range(trials):
         a, b, c = sampler(rng), sampler(rng), sampler(rng)
         slices = random_polynomial_slices(a.dim, 8, rng)
-        dab = gswd(a, b, 2.0, slices)
-        dba = gswd(b, a, 2.0, slices)
-        dac = gswd(a, c, 2.0, slices)
-        dcb = gswd(c, b, 2.0, slices)
-        daa = gswd(a, a, 2.0, slices)
+        dab, dba, dac, dcb, daa = _triple_distances(a, b, c, 2.0, slices)
         worst["nonneg"] = max(worst["nonneg"], -min(dab, dac, dcb))
         worst["sym"] = max(worst["sym"], abs(dab - dba))
         worst["tri"] = max(worst["tri"], dab - (dac + dcb))

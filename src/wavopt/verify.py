@@ -5,6 +5,11 @@ independent route (brute-force search, linear program, linear algebra,
 finite differences) and reports the worst observed violation against a
 pinned tolerance.  The sizes are parameters so the command line can run
 a quick pass while the acceptance tests run the full-size versions.
+
+The finite-difference route evaluates each objective on stacks of
+perturbed parameter vectors, one row per coordinate, through its own
+forward (``_stacked_forward``): two stacked calls per gradient, and no
+network is perturbed in place.
 """
 
 from __future__ import annotations
@@ -239,23 +244,45 @@ def check_projection_minimality(
     )
 
 
-def central_differences(params, objective, eps: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of ``objective()`` over ``params.flat``.
+def central_differences(theta, objective, eps: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of a stacked ``objective`` at ``theta``.
 
-    Each coordinate is moved in place by +eps, then by -2 eps, then
-    restored to its saved value.
+    ``objective`` maps a (P, n) stack of parameter vectors to their (P,)
+    values.  Row i of the upper stack is ``theta`` with coordinate i
+    moved by +eps, and row i of the lower stack is that row moved by
+    -2 eps, so each value is the one a coordinate moved in place, then
+    moved back past its saved value, would give.  ``theta`` is read,
+    never written.
     """
-    flat = params.flat
-    fd = np.empty_like(flat)
-    for i in range(flat.size):
-        saved = flat[i]
-        flat[i] += eps
-        hi = objective()
-        flat[i] -= 2 * eps
-        lo = objective()
-        fd[i] = (hi - lo) / (2 * eps)
-        flat[i] = saved
-    return fd
+    theta = np.asarray(theta, dtype=float)
+    i = np.arange(theta.size)
+    hi = np.repeat(theta[None, :], theta.size, axis=0)
+    hi[i, i] += eps
+    lo = hi.copy()
+    lo[i, i] -= 2 * eps
+    return (objective(hi) - objective(lo)) / (2 * eps)
+
+
+def _stacked_forward(thetas: np.ndarray, sizes, x: np.ndarray) -> np.ndarray:
+    """The MLP of layer ``sizes`` at every row of ``thetas``, on the batch ``x``.
+
+    ``thetas`` (P, n) holds parameter vectors in the layout of
+    ``MlpParams.flat``; ``x`` is one (B, fan_in) batch for every row or
+    a (P, B, fan_in) stack.  Returns (P, B, fan_out).  Each layer is
+    ``z = a @ W.T; z += b``, then ``max(z, 0)`` on the hidden ones: the
+    products of ``nn.forward_batch`` one row at a time.  It is the
+    finite-difference route's own forward and shares nothing with
+    ``nn.backward_batch``.
+    """
+    a, i, last = x, 0, len(sizes) - 2
+    for l, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        w = thetas[:, i : i + fan_out * fan_in].reshape(-1, fan_out, fan_in)
+        i += fan_out * fan_in
+        z = np.matmul(a, w.transpose(0, 2, 1))
+        z += thetas[:, None, i : i + fan_out]
+        i += fan_out
+        a = z if l == last else np.maximum(z, 0.0, out=z)
+    return a
 
 
 def _rel_gap(a, b):
@@ -296,8 +323,17 @@ def _fd_mlp_check(seed) -> float:
     bufs = nn.LayerBuffers(params, x.shape[0])
     nn.forward_batch(params, x, bufs)
     grad = nn.backward_batch(params, x, upstream, bufs, reduce="sum")
-    fd = central_differences(params, lambda: float((nn.forward_batch(params, x) * upstream).sum()))
-    return _rel_gap(grad, fd)
+    return _rel_gap(grad, central_differences(params.flat, _mlp_objective(params, x, upstream)))
+
+
+def _mlp_objective(params, x, upstream):
+    """Stacked sum of ``upstream * f(x)`` over the network's parameter vectors."""
+    sizes = params.layer_sizes
+
+    def objective(thetas):
+        return (_stacked_forward(thetas, sizes, x) * upstream).reshape(len(thetas), -1).sum(axis=1)
+
+    return objective
 
 
 def _small_nets(seed):
@@ -350,35 +386,59 @@ def _kink_safe_policy(seed, batch_seed):
 
 def _fd_critic_check(seed) -> float:
     nets, batch = _kink_safe_policy(seed, seed + 7777)
-    targets = td_targets(nets, batch, 0.95)
-
-    def loss():
-        # forward-only: batch mean over samples, summed over signals, of
-        # (1 / 2N) sum_j (sort(q)_j - T_j)^2
-        diff = np.sort(nets.critic.forward_batch(batch.states, batch.actions), axis=2) - targets
-        return float(0.5 * (diff**2).mean(axis=2).mean(axis=0).sum())
-
+    loss = _critic_loss(nets.critic, batch, td_targets(nets, batch, 0.95))
     grad = critic_gradient_all(nets, batch, 0.95)
-    return _rel_gap(grad, central_differences(nets.critic.params, loss))
+    return _rel_gap(grad, central_differences(nets.critic.params.flat, loss))
+
+
+def _critic_loss(critic, batch, targets):
+    """Stacked critic loss over the critic's parameter vectors.
+
+    Forward-only: the batch mean over samples, summed over signals, of
+    (1 / 2N) sum_j (sort(q)_j - T_j)^2.
+    """
+    x, sizes = critic.inputs(batch.states, batch.actions), critic.params.layer_sizes
+
+    def loss(thetas):
+        out = _stacked_forward(thetas, sizes, x).reshape(len(thetas), *targets.shape)
+        diff = np.sort(out, axis=3) - targets
+        return 0.5 * (diff**2).mean(axis=3).mean(axis=1).sum(axis=1)
+
+    return loss
 
 
 def _fd_actor_check(seed) -> float:
-    """The folded actor objective of a constraint-descent update.
-
-    sign * mean Q_signal(s, pi(s)) - (c / 2) * mean |raw|^2 on the
-    constraint signal (sign -1, c = 0.1), with Q the critic's atom mean
-    and raw the actor's pre-squash output.
-    """
-    signal, sign, raw_penalty = 1, -1.0, 0.1
+    """The folded actor objective of a constraint-descent update, on the
+    constraint signal (sign -1, c = 0.1)."""
     nets, batch = _kink_safe_policy(seed, seed + 3333)
+    objective = _actor_objective(nets, batch, *_ACTOR_FOLD)
+    grad = actor_gradient(nets, batch, *_ACTOR_FOLD)
+    return _rel_gap(grad, central_differences(nets.actor.params.flat, objective))
 
-    def objective():
-        raw = nets.actor.raw_forward(batch.states)
-        q = nets.critic.forward_batch(batch.states, np.tanh(raw))[:, signal, :].mean(axis=1)
-        return float(sign * q.mean() - 0.5 * raw_penalty * (raw**2).sum(axis=1).mean())
 
-    grad = actor_gradient(nets, batch, signal, sign, raw_penalty)
-    return _rel_gap(grad, central_differences(nets.actor.params, objective))
+# signal, sign and raw-output penalty of the actor check
+_ACTOR_FOLD = (1, -1.0, 0.1)
+
+
+def _actor_objective(nets, batch, signal, sign, raw_penalty):
+    """Stacked folded actor objective over the actor's parameter vectors.
+
+    sign * mean Q_signal(s, pi(s)) - (c / 2) * mean |raw|^2, with Q the
+    critic's atom mean, raw the actor's pre-squash output and c the
+    raw-output penalty.  The critic stays fixed.
+    """
+    actor, critic = nets.actor, nets.critic
+    x, sizes = actor.scaled(batch.states), actor.params.layer_sizes
+    scaled = batch.states * critic.feature_scale
+
+    def objective(thetas):
+        raw = _stacked_forward(thetas, sizes, x)
+        inputs = np.concatenate([np.broadcast_to(scaled, (len(thetas),) + scaled.shape), np.tanh(raw)], axis=2)
+        out = _stacked_forward(critic.params.flat[None], critic.params.layer_sizes, inputs)
+        q = out.reshape(*raw.shape[:2], critic.n_signals, critic.n_quantiles)[:, :, signal, :].mean(axis=2)
+        return sign * q.mean(axis=1) - 0.5 * raw_penalty * (raw**2).sum(axis=2).mean(axis=1)
+
+    return objective
 
 
 def check_gradients(instances: int = 100, seed: int = 0, tol: float = 1e-4) -> CheckResult:

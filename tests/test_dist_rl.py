@@ -25,7 +25,7 @@ from wavopt.dist_rl import (
 from wavopt.measures import one_d_measure
 from wavopt.nets import ActorNet, CriticNet, PolicyNets, init_policy_nets
 from wavopt.ot import wasserstein_1d
-from wavopt.verify import central_differences
+from coordinate_differences import coordinate_differences
 
 
 def _random_cmdp(rng, ns=3, na=2, p=1, gamma=0.9):
@@ -299,8 +299,8 @@ class TestCriticGradient:
             batch = _random_batch(rng, nets, b=3)
             targets = td_targets(nets, batch, gamma=0.9)
             grad = critic_gradient_all(nets, batch, 0.9)
-            fd = central_differences(
-                nets.critic.params, lambda: _matching_loss(nets.critic, batch, targets)
+            fd = coordinate_differences(
+                nets.critic.params.flat, lambda: _matching_loss(nets.critic, batch, targets)
             )
             worst = max(worst, _rel_gap(grad, fd))
         assert worst < 1e-5
@@ -378,7 +378,7 @@ class TestActorGradient:
             nets = _small_nets(50 + seed)
             rng = np.random.default_rng(70 + seed)
             batch = _random_batch(rng, nets, b=3)
-            fd = central_differences(nets.actor.params, lambda: objective(nets, batch.states))
+            fd = coordinate_differences(nets.actor.params.flat, lambda: objective(nets, batch.states))
             worst = max(worst, _rel_gap(actor_gradient(nets, batch, 0), fd))
         assert worst < 1e-4
 

@@ -1,9 +1,11 @@
-"""Byte identity of full-size training runs (slow: deselected by default).
+"""Byte identity of full-size runs (slow: deselected by default).
 
 Default cartpole for 30 episodes and acrobot for 3 episodes with
 ``updates_per_episode = 10``, seeds 0-2: the sha256 of every file each
-run writes.  Each run is a fresh process with one BLAS thread, the
-setting the sums were pinned at (numpy 2.4, OpenBLAS 0.3.31).  Run with
+run writes; and the report of the full-size acceptance suite,
+``wavopt verify --seed 0``.  Each run is a fresh process with one BLAS
+thread, the setting the sums were pinned at (numpy 2.4, OpenBLAS
+0.3.31).  Run with
 
     PYTHONPATH=src python -m pytest -m slow tests/test_golden_runs.py
 
@@ -68,9 +70,25 @@ run_training(TrainConfig(seed=int(sys.argv[1]), **{config!r}), sys.argv[2])
 @pytest.mark.slow
 @pytest.mark.parametrize("run,seed", sorted(GOLDEN_RUN_SHA256))
 def test_training_run_matches_golden_bytes(run, seed, tmp_path):
-    env = dict(os.environ, OMP_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     script = _TRAIN.format(config=RUNS[run])
-    subprocess.run([sys.executable, "-c", script, str(seed), str(tmp_path)], env=env, check=True)
+    subprocess.run([sys.executable, "-c", script, str(seed), str(tmp_path)], env=_one_thread_env(), check=True)
     for name, digest in GOLDEN_RUN_SHA256[run, seed].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# ``wavopt verify --seed 0``: every check at full size, check_gradients(100) included
+VERIFY_FULL_SEED0_SHA256 = "15bd38ff9f2f4d3cacd6828acaf8a123f1d7ca77e23d7b23f699e7e64d3ec30a"
+
+
+@pytest.mark.slow
+def test_full_verify_report_matches_golden_bytes(tmp_path):
+    cmd = [sys.executable, "-m", "wavopt.cli", "verify", "--seed", "0", "--out", str(tmp_path)]
+    subprocess.run(cmd, env=_one_thread_env(), check=True, capture_output=True)
+    digest = hashlib.sha256((tmp_path / "verify_report.txt").read_bytes()).hexdigest()
+    assert digest == VERIFY_FULL_SEED0_SHA256
+
+
+def _one_thread_env() -> dict:
+    env = dict(os.environ, OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env

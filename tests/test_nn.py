@@ -20,7 +20,7 @@ from wavopt.nn import (
     read_params,
     write_params,
 )
-from wavopt.verify import central_differences
+from wavopt.verify import _stacked_forward, central_differences
 
 EPS = 1e-5
 
@@ -68,7 +68,10 @@ class TestGradients:
         for seed in range(20):
             params, x, u = _safe_instance(100 + seed, [4, 8, 8, 3])
             grad, _ = _summed_backward(params, x, u)
-            fd = central_differences(params, lambda: float((forward_batch(params, x) * u).sum()), EPS)
+            sizes = params.layer_sizes
+            fd = central_differences(
+                params.flat, lambda thetas: (_stacked_forward(thetas, sizes, x) * u).sum(axis=(1, 2)), EPS
+            )
             worst = max(worst, _relative_gap(grad, fd))
         assert worst < 1e-5
 

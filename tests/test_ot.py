@@ -19,7 +19,6 @@ from wavopt.measures import (
     monomial_exponents,
     num_monomials,
     one_d_measure,
-    project,
 )
 from wavopt.ot import (
     check_pseudo_metric,
@@ -28,14 +27,19 @@ from wavopt.ot import (
     random_polynomial_slices,
     swd,
     wasserstein_1d,
-    wasserstein_oracle,
     wasserstein_oracles,
 )
 from wavopt import ot
+from slice_oracle import evaluate, project
 
 
 def _measure_1d(positions, weights=None):
     return one_d_measure(np.asarray(positions, dtype=float), weights)
+
+
+def wasserstein_oracle(mu, nu, k):
+    """The brute-force oracle on one pair."""
+    return wasserstein_oracles([(mu, nu, k)])[0]
 
 
 def _random_discrete(rng, n, d, weighted=False):
@@ -88,36 +92,85 @@ class TestMeasures:
         rng = np.random.default_rng(3)
         mu = _random_discrete(rng, 6, 3, weighted=True)
         f = DefiningFunction.normalized("linear", 3, rng.standard_normal(3))
-        p = project(mu, f)
+        p = project(mu, f.coefficients, f.degree)
         assert abs(p.weights.sum() - 1.0) < 1e-12
-        assert p.size <= mu.size
+        assert p.positions.size <= mu.size
 
     def test_projection_positively_homogeneous(self):
         # beta(c x) = c^m beta(x) for c > 0, so projected supports scale by c^m.
         rng = np.random.default_rng(4)
         atoms = rng.standard_normal((5, 2))
         f = DefiningFunction.normalized("poly", 2, rng.standard_normal(num_monomials(3, 2)), degree=3)
-        base = project(DiscreteMeasure.from_points(atoms), f)
-        scaled = project(DiscreteMeasure.from_points(2.0 * atoms), f)
+        base = project(DiscreteMeasure.from_points(atoms), f.coefficients, f.degree)
+        scaled = project(DiscreteMeasure.from_points(2.0 * atoms), f.coefficients, f.degree)
         npt.assert_allclose(scaled.positions, 8.0 * base.positions, rtol=1e-12)
 
     def test_polynomial_slice_is_odd(self):
         rng = np.random.default_rng(5)
         f = DefiningFunction.normalized("poly", 3, rng.standard_normal(num_monomials(3, 3)), degree=3)
         x = rng.standard_normal((7, 3))
-        npt.assert_allclose(f.evaluate(-x), -f.evaluate(x), atol=1e-12)
+        npt.assert_allclose(evaluate(f.coefficients, 3, -x), -evaluate(f.coefficients, 3, x), atol=1e-12)
 
     def test_even_degree_rejected(self):
         with pytest.raises(ValueError):
-            DefiningFunction.polynomial(2, np.ones(num_monomials(2, 2)) / math.sqrt(3), dim=2)
+            DefiningFunction("poly", 2, np.ones(num_monomials(2, 2)) / math.sqrt(3), degree=2)
 
     def test_non_unit_coefficients_rejected(self):
         with pytest.raises(ValueError):
-            DefiningFunction.linear([1.0, 1.0])
+            DefiningFunction("linear", 2, [1.0, 1.0])
 
     def test_degenerate_coefficients_fall_back_to_basis_vector(self):
         f = DefiningFunction.normalized("linear", 4, np.zeros(4))
         npt.assert_allclose(f.coefficients, [1.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "raw", [[1e200, 1e200, 1e200], [-1e300, 2e299, 0.0], [1.7e308, -1.7e308, 1e-300]]
+    )
+    def test_overflowing_squared_norm_is_rescaled_first(self, raw):
+        # the squared norm of these finite rows overflows; it once read
+        # inf, made the unit row nan behind two RuntimeWarnings, and
+        # raised "coefficients must be finite"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = DefiningFunction.normalized("linear", 3, raw)
+            slices = SliceParameterSet.normalized("linear", 3, [raw])
+        c = np.asarray(raw) / np.abs(raw).max()
+        npt.assert_allclose(f.coefficients, c / math.hypot(*c), rtol=1e-15, atol=1e-300)
+        assert f.coefficients.tobytes() == slices.coefficients[0].tobytes()
+
+    @pytest.mark.parametrize("kind, degree, width", [("linear", 1, 3), ("poly", 3, 10), ("poly", 5, 21)])
+    def test_slice_set_rows_are_the_normalized_defining_functions_bitwise(self, kind, degree, width):
+        def unit_row(c):
+            # the normaliser as DefiningFunction.normalized wrote it out
+            norm = float(np.linalg.norm(c))
+            if not np.all(np.isfinite(c)) or norm < 1e-8:
+                c = np.zeros(c.shape)
+                c[0] = 1.0
+            else:
+                c = c / norm
+            return c / float(np.linalg.norm(c))
+
+        rng = np.random.default_rng(width)
+        raw = rng.standard_normal((40, width)) * 10.0 ** rng.integers(-7, 8, size=(40, 1))
+        raw[3] = 0.0
+        raw[5] = 1e-9  # norm below 1e-8: degenerate
+        raw[7, -1] = np.nan
+        raw[9, 0] = -np.inf
+        want = np.array([unit_row(row) for row in raw])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slices = SliceParameterSet.normalized(kind, 3, raw, degree)
+            functions = [DefiningFunction.normalized(kind, 3, row, degree) for row in raw]
+        assert slices.coefficients.tobytes() == want.tobytes()
+        assert SliceParameterSet(functions).coefficients.tobytes() == want.tobytes()
+        assert (slices.kind, slices.dim, slices.degree) == (kind, 3, degree)
+        assert not slices.coefficients.flags.writeable
+        # the random sets draw their raw rows as one (count, width) matrix
+        draw = random_linear_slices if kind == "linear" else random_polynomial_slices
+        args = () if kind == "linear" else (degree,)
+        drawn = draw(3, 12, np.random.default_rng(9), *args)
+        rows = np.random.default_rng(9).standard_normal((12, width))
+        assert drawn.coefficients.tobytes() == np.array([unit_row(row) for row in rows]).tobytes()
 
     def test_monomial_count(self):
         assert monomial_exponents(3, 4).shape == (num_monomials(3, 4), 4) == (20, 4)
@@ -443,7 +496,7 @@ class TestSliced:
         weights = [0.3, 0.7] if weighted else None
         mu = DiscreteMeasure.from_points([[0.0], [1.0]], weights)
         nu = DiscreteMeasure.from_points([[shift], [1.0 + shift]], weights)
-        slices = SliceParameterSet([DefiningFunction.linear([1.0])])
+        slices = SliceParameterSet([DefiningFunction.normalized("linear", 1, [1.0])])
         with pytest.raises(ValueError, match="k = 400.0"):
             gswd(mu, nu, 400, slices)
         with pytest.raises(ValueError, match="k = 400.0"):
@@ -473,7 +526,7 @@ class TestSliced:
 
     def test_zero_distance_at_large_order_is_zero(self):
         mu = DiscreteMeasure.from_points([[0.0], [1.0]], [0.3, 0.7])
-        slices = SliceParameterSet([DefiningFunction.linear([1.0])])
+        slices = SliceParameterSet([DefiningFunction.normalized("linear", 1, [1.0])])
         assert gswd(mu, mu, 400, slices) == 0.0
         assert swd(mu, mu, 400, num_projections=3) == 0.0
 

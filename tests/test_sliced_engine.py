@@ -2,7 +2,7 @@
 
 The test-only oracle here is the per-slice route
 ``wasserstein_1d(project(mu, f), project(nu, f), k)`` that ``gswd``
-and ``swd`` used to take slice by slice.  The batched distances must
+and ``swd`` used to take slice by slice (``slice_oracle``).  The batched distances must
 match it within 1e-10 relative.  (The uniform fast path sums
 |sort x - sort y|^k / n where the per-slice route sums segment lengths
 that are differences of a cumulative sum; at n = 10^4 the two differ by
@@ -21,10 +21,11 @@ from wavopt.measures import (
     DefiningFunction,
     DiscreteMeasure,
     SliceParameterSet,
+    monomial_exponents,
     num_monomials,
-    project,
 )
 from wavopt.ot import gswd, random_linear_slices, random_polynomial_slices, swd, wasserstein_1d
+from slice_oracle import evaluate, project
 
 REL_TOL = 1e-10
 
@@ -37,8 +38,8 @@ REL_TOL = 1e-10
 def per_slice_powers(mu, nu, k, slices: SliceParameterSet) -> np.ndarray:
     """W_k^k (W_inf) per slice, with one projection and one exact 1-D transport each."""
     powers = []
-    for f in slices.functions:
-        w = wasserstein_1d(project(mu, f), project(nu, f), k)
+    for coefficients in slices.coefficients:
+        w = wasserstein_1d(project(mu, coefficients, slices.degree), project(nu, coefficients, slices.degree), k)
         powers.append(w if math.isinf(k) else w**k)
     return np.array(powers)
 
@@ -93,7 +94,7 @@ def test_gswd_matches_per_slice_route(k, count):
     for mu, nu in cases:
         _assert_close(gswd(mu, nu, k, slices), per_slice_distance(mu, nu, k, slices))
         want = per_slice_powers(mu, nu, k, slices)
-        np.testing.assert_allclose(ot._sliced_powers(mu, nu, k, slices), want, rtol=REL_TOL, atol=0)
+        np.testing.assert_allclose(ot._sliced_powers([mu, nu], [(0, 1)], k, slices)[0], want, rtol=REL_TOL, atol=0)
 
 
 @pytest.mark.parametrize("k", [1.0, 2.0, 3.5, math.inf])
@@ -134,7 +135,7 @@ def test_zero_weight_atom_sorted_first_is_dropped_at_k_inf():
     # maximum reads
     mu = DiscreteMeasure.from_points([-100.0, 0.0, 1.0, 2.0], [0.0, 0.3, 0.3, 0.4])
     nu = DiscreteMeasure.from_points([0.5, 1.5, 2.5])
-    slices = SliceParameterSet([DefiningFunction.linear([1.0])])
+    slices = SliceParameterSet([DefiningFunction.normalized("linear", 1, [1.0])])
     assert per_slice_distance(mu, nu, math.inf, slices) == 0.5
     assert gswd(mu, nu, math.inf, slices) == 0.5
 
@@ -147,7 +148,7 @@ def test_gswd_is_continuous_in_nearby_atoms(delta, k, share):
     base = np.random.default_rng(11).normal(size=8)
     mu = DiscreteMeasure.from_points(np.concatenate([base, base + delta]))
     nu = DiscreteMeasure.from_points(base)
-    slices = SliceParameterSet([DefiningFunction.linear([1.0])] * 9)
+    slices = SliceParameterSet.normalized("linear", 1, np.ones((9, 1)))
     rounding = 4 * np.finfo(float).eps * np.abs(base).max()
     assert abs(gswd(mu, nu, k, slices) - share * delta) <= rounding
 
@@ -188,7 +189,7 @@ def test_walk_splits_a_block_of_large_rows(k):
     mu, nu = _cloud(rng, 3000, 2, True), _cloud(rng, 2000, 2, False)
     slices = random_polynomial_slices(2, 9, rng)
     want = per_slice_powers(mu, nu, k, slices)
-    np.testing.assert_allclose(ot._sliced_powers(mu, nu, k, slices), want, rtol=REL_TOL, atol=0)
+    np.testing.assert_allclose(ot._sliced_powers([mu, nu], [(0, 1)], k, slices)[0], want, rtol=REL_TOL, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +278,64 @@ def test_features_reproduce_the_defining_function():
     x = rng.normal(size=(20, 3))
     for degree in (1, 3, 5):
         kind = "linear" if degree == 1 else "poly"
-        f = DefiningFunction.normalized(kind, 3, rng.standard_normal(num_monomials(degree, 3)), degree)
-        exps = np.eye(3, dtype=int) if degree == 1 else f._exponents
-        monoms = np.prod(x[:, None, :] ** exps[None, :, :], axis=2)
-        np.testing.assert_allclose(f.features(x), monoms.T, rtol=1e-14)
-        np.testing.assert_allclose(f.evaluate(x), monoms @ f.coefficients, rtol=1e-12, atol=1e-14)
+        slices = SliceParameterSet.normalized(kind, 3, rng.standard_normal((2, num_monomials(degree, 3))), degree)
+        monoms = np.prod(x[:, None, :] ** monomial_exponents(degree, 3)[None, :, :], axis=2)
+        np.testing.assert_allclose(slices.features(x), monoms.T, rtol=1e-14)
+        for r, coefficients in enumerate(slices.coefficients):
+            values = (slices.coefficients @ slices.features(x))[r]
+            np.testing.assert_allclose(values, evaluate(coefficients, degree, x), rtol=1e-12, atol=1e-14)
+    # a linear slice's features are the transposed points, not a copy
+    points = rng.normal(size=(5, 3))
+    assert np.shares_memory(SliceParameterSet.normalized("linear", 3, np.ones((1, 3))).features(points), points)
+
+
+# ---------------------------------------------------------------------------
+# the pseudo-metric check's shared projections
+# ---------------------------------------------------------------------------
+
+
+def _triple_via_gswd(a, b, c, k, slices):
+    return [gswd(x, y, k, slices) for x, y in ((a, b), (b, a), (a, c), (c, b), (a, a))]
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def test_pseudo_metric_trial_distances_are_five_gswd_calls_bitwise(monkeypatch):
+    # the check's own trials: unequal sizes walk the merged grid, equal
+    # uniform sizes take the fast path, and a zero weight is dropped
+    def sampler(r):
+        n = int(r.integers(1, 6))
+        w = r.uniform(0.1, 1.0, size=n)
+        if r.integers(3) == 0:
+            return DiscreteMeasure(r.normal(size=(n, 3)), None)
+        if n > 1:
+            w[r.integers(n)] = 0.0
+        return DiscreteMeasure(r.normal(size=(n, 3)), w / w.sum())
+
+    trials = []
+    shared = ot._triple_distances
+
+    def recording(a, b, c, k, slices):
+        got = shared(a, b, c, k, slices)
+        trials.append((got, _triple_via_gswd(a, b, c, k, slices)))
+        return got
+
+    monkeypatch.setattr(ot, "_triple_distances", recording)
+    ot.check_pseudo_metric(sampler, trials=60, seed=4)
+    assert len(trials) == 60
+    for got, want in trials:
+        assert _hex(got) == _hex(want)
+
+
+@pytest.mark.parametrize("k", [1.0, 3.5, math.inf])
+def test_triple_distances_are_five_gswd_calls_bitwise(k):
+    rng = np.random.default_rng(22)
+    for trial in range(30):
+        a = _cloud(rng, int(rng.integers(1, 9)), 3, True, zero_weights=True)
+        b = _cloud(rng, 5, 3, False)
+        c = _cloud(rng, 5 if trial % 2 else int(rng.integers(1, 9)), 3, bool(trial % 3 == 0))
+        # 8 slices are one block, 11 are two
+        slices = random_polynomial_slices(3, 8 if trial % 2 else 11, rng)
+        assert _hex(ot._triple_distances(a, b, c, k, slices)) == _hex(_triple_via_gswd(a, b, c, k, slices))

@@ -1,12 +1,14 @@
 """Dual-route checks on instances that once failed on correct code, the
-gradient check's instance count, and the contraction check's fixed-point loop."""
+gradient check's instance count and its stacked central differences, and
+the contraction check's fixed-point loop."""
 
 import numpy as np
 import pytest
 
-from wavopt import verify
+from coordinate_differences import coordinate_differences
+from wavopt import nn, verify
 from wavopt.cmdp import TabularCmdp
-from wavopt.dist_rl import QuantileMap, bellman_eval
+from wavopt.dist_rl import QuantileMap, bellman_eval, td_targets
 from wavopt.envs import random_tabular_cmdp
 from wavopt.verify import check_gradients, check_transport_vs_oracle
 
@@ -78,3 +80,91 @@ def test_early_stopped_fixed_point_equals_500_iterations(monkeypatch, z, policy,
         full = bellman_eval(full, policy, cmdp)
     assert early.atoms.tobytes() == full.atoms.tobytes()
     assert len(calls) < 500
+
+
+# -- stacked central differences against the coordinate loop ---------------------
+#
+# Each path builds the check's instance and returns the parameter vector,
+# the stacked objective the check differentiates, and the scalar
+# objective of the coordinate loop, which reads the vector in place
+# through the production forward.
+
+
+def _mlp_path(seed):
+    params, x, rng = verify._kink_safe_mlp(seed)
+    upstream = rng.normal(size=(3, params.layer_sizes[-1]))
+
+    def objective():
+        return float((nn.forward_batch(params, x) * upstream).sum())
+
+    return params.flat, verify._mlp_objective(params, x, upstream), objective
+
+
+def _critic_path(seed):
+    nets, batch = verify._kink_safe_policy(seed, seed + 7777)
+    targets = td_targets(nets, batch, 0.95)
+
+    def loss():
+        diff = np.sort(nets.critic.forward_batch(batch.states, batch.actions), axis=2) - targets
+        return float(0.5 * (diff**2).mean(axis=2).mean(axis=0).sum())
+
+    return nets.critic.params.flat, verify._critic_loss(nets.critic, batch, targets), loss
+
+
+def _actor_path(seed):
+    nets, batch = verify._kink_safe_policy(seed, seed + 3333)
+    signal, sign, raw_penalty = verify._ACTOR_FOLD
+
+    def objective():
+        raw = nets.actor.raw_forward(batch.states)
+        q = nets.critic.forward_batch(batch.states, np.tanh(raw))[:, signal, :].mean(axis=1)
+        return float(sign * q.mean() - 0.5 * raw_penalty * (raw**2).sum(axis=1).mean())
+
+    return nets.actor.params.flat, verify._actor_objective(nets, batch, *verify._ACTOR_FOLD), objective
+
+
+@pytest.mark.parametrize("path", [_mlp_path, _critic_path, _actor_path], ids=["mlp", "critic", "actor"])
+def test_stacked_differences_match_the_coordinate_loop_bitwise(path):
+    for seed in range(30):
+        theta, stacked, scalar = path(seed)
+        before = theta.tobytes()
+        fd = verify.central_differences(theta, stacked)
+        assert theta.tobytes() == before, seed
+        assert fd.tobytes() == coordinate_differences(theta, scalar).tobytes(), seed
+
+
+def test_central_differences_read_theta_and_never_write_it():
+    theta = np.array([0.5, -1.0, 2.0])
+    stacks = []
+
+    def objective(stack):
+        assert not np.shares_memory(stack, theta)
+        stacks.append(stack.copy())
+        return (stack**2).sum(axis=1)
+
+    fd = verify.central_differences(theta, objective, eps=0.25)
+    assert theta.tolist() == [0.5, -1.0, 2.0]
+    hi, lo = stacks
+    np.testing.assert_array_equal(hi, theta + 0.25 * np.eye(3))
+    np.testing.assert_array_equal(lo, theta - 0.25 * np.eye(3))
+    np.testing.assert_allclose(fd, 2 * theta, rtol=1e-14)
+
+
+# (layer sizes, batch) of the three gradient paths' networks: the raw MLP,
+# and the small policy nets' critic and actor
+@pytest.mark.parametrize("sizes, batch", [((4, 8, 8, 3), 3), ((4, 6, 8), 4), ((3, 6, 1), 4)])
+def test_stacked_forward_at_theta_is_forward_batch(sizes, batch):
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        params = nn.init_mlp(list(sizes), rng)
+        x = rng.normal(size=(5, batch, sizes[0]))
+        want = [nn.forward_batch(params, xp).tobytes() for xp in x]
+        thetas = np.repeat(params.flat[None, :], 5, axis=0)
+        # one batch for every row, a batch per row, one row for every batch
+        shared = verify._stacked_forward(thetas, sizes, x[0])
+        per_row = verify._stacked_forward(thetas, sizes, x)
+        broadcast = verify._stacked_forward(params.flat[None, :], sizes, x)
+        assert shared.shape == per_row.shape == broadcast.shape == (5, batch, sizes[-1])
+        assert all(out.tobytes() == want[0] for out in shared)
+        assert [out.tobytes() for out in per_row] == want
+        assert [out.tobytes() for out in broadcast] == want
