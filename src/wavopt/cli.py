@@ -9,8 +9,8 @@ Subcommands
 * ``oracle``    - compare the transport solver against the brute-force oracle
 
 Exit codes: 0 success, 1 a check or run failed, 2 configuration or usage
-error, including an input that cannot be read as text or an output path
-that cannot be written.
+error, including an input that cannot be read as text, an output path
+that cannot be written, or a run too large to fit in memory.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from pathlib import Path
 from . import verify as verify_mod
 from .harness import (
     ConfigError,
+    _check_header,
     _g9,
     _read_text,
     fit_rate,
@@ -85,6 +86,8 @@ def _cmd_train(args) -> int:
     except TrainingError as exc:
         print(f"training aborted: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        raise ConfigError(f"{args.config} does not fit in memory ({exc})") from exc
     print(f"curve      {result.curve_path}")
     print(f"checkpoint {result.checkpoint_path}")
     print(f"summary    {result.summary_path}")
@@ -158,6 +161,7 @@ def _read_trace(path: Path):
     header = [h.strip() for h in lines[0].split(",")]
     if header[0] != "p_trajectory" or len(header) < 2:
         raise ConfigError("trace header must be: p_trajectory,<factor>,<factor>,...")
+    _check_header(header)
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         toks = line.split(",")

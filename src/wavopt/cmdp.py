@@ -83,10 +83,6 @@ class TabularCmdp:
     def n_utilities(self) -> int:
         return self.utilities.shape[0]
 
-    @property
-    def n_signals(self) -> int:
-        return self.n_utilities + 1
-
     def signal_matrix(self, i: int) -> np.ndarray:
         """Per-(s, a) signal: reward for i = 0, utility i for i in [1, p]."""
         if i == 0:

@@ -34,13 +34,13 @@ These three write every (batch, .) array into an ``UpdateWorkspace``: a
 training run passes one to every update, and a call without one builds a
 fresh one.  What a call returns through a passed workspace (targets,
 gradients) is valid only until the next call with that workspace.
-``critic_gradient_all`` also takes targets the caller computed: a
-training run computes them once for the rows that several updates
-between two target syncs draw.  It leaves the signed differences
-sort(q)_j - T_j in the workspace's ``targets``, where ``td_delta``
-reads the update's TD delta until the next ``td_targets`` or
-``critic_gradient_all`` through that workspace: a training run reads it
-once per curve row, not once per update.
+``critic_gradient_all`` takes its targets as an input and computes none:
+a training run computes them per update, or once for the rows that
+several updates between two target syncs draw (``harness._run_updates``).
+It leaves the signed differences sort(q)_j - T_j in the workspace's
+``targets``, where ``td_delta`` reads the update's TD delta until the
+next ``td_targets`` or ``critic_gradient_all`` through that workspace: a
+training run reads it once per curve row, not once per update.
 """
 
 from __future__ import annotations
@@ -266,8 +266,8 @@ def td_targets(nets: PolicyNets, batch: TransitionBatch, gamma: float, value_cli
     bracket, which removes the unbounded self-bootstrap drift mode.
 
     Each row's targets depend on that row alone, so a training run may
-    compute them once per row for a stretch of updates and give each
-    update its rows (``harness._top_up``).  That store is exact only
+    compute them once per row for a stretch of updates between two
+    target syncs and give each update its rows (``harness._run_updates``).  That store is exact only
     where a row's bits do not depend on its position in a product of
     ``batch_size`` rows, so it runs full blocks only.  This holds for
     the pinned configs (batch 128 and 16) on OpenBLAS 0.3.31 at one
@@ -291,31 +291,24 @@ def td_targets(nets: PolicyNets, batch: TransitionBatch, gamma: float, value_cli
     return targets
 
 
-def critic_gradient_all(
-    nets: PolicyNets, batch: TransitionBatch, gamma: float, value_clip=None, workspace=None, targets=None
-) -> np.ndarray:
+def critic_gradient_all(nets: PolicyNets, batch: TransitionBatch, targets: np.ndarray, workspace=None) -> np.ndarray:
     """Semi-gradient of the quantile-matching TD loss, summed over every signal.
 
     Per sample and signal the loss is (1 / 2N) * sum_j (sort(q)_j - T_j)^2
-    against the frozen ``td_targets`` T, averaged over the batch and
-    summed over the signals.  The gradient descends only through the
-    current critic output; it is returned in the layout of
-    ``critic.params.flat``, a view of the workspace.
+    against the given frozen targets T (B, n_signals, N), the batch's
+    ``td_targets``, averaged over the batch and summed over the signals.
+    The gradient descends only through the current critic output; it is
+    returned in the layout of ``critic.params.flat``, a view of the
+    workspace.  ``targets`` may be the workspace's own ``targets``.
 
     Each target T_j is scattered to the unsorted position of the j-th
     smallest atom, so q - T there is sort(q)_j - T_j.  The workspace's
     ``targets`` then hold those signed differences, in the atoms' order,
     until the next ``td_targets`` or ``critic_gradient_all`` through it:
     ``td_delta`` reads them.
-
-    ``targets``, when given, are the batch's ``td_targets`` (computed
-    once for many updates, say); otherwise they are computed here into
-    the workspace.
     """
     critic, n = nets.critic, nets.critic.n_quantiles
     ws = workspace if workspace is not None else UpdateWorkspace(nets, batch.size)
-    if targets is None:
-        targets = td_targets(nets, batch, gamma, value_clip, ws)
 
     x = critic.inputs(batch.states, batch.actions)
     out = nn.forward_batch(critic.params, x, ws.critic).reshape(ws.targets.shape)

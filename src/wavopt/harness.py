@@ -23,10 +23,13 @@ curve row logs the estimates live during its episode) and may nominate
 a checkpoint.  After the last episode ``ship_gate`` picks the one to
 write.
 
-The updates that fill an episode's budget after it ends (a top-up
-burst) add no transition, and the target networks change only at a
-sync, so a burst shares TD targets: each stretch between syncs may
-compute them once per distinct replay row (``_top_up``) instead of
+Every update runs through ``_run_updates``: an in-episode update as a
+burst of one, the updates that fill an episode's budget after it ends
+as a top-up burst.  It draws each batch, gives the update the batch's TD
+targets and syncs the target networks every ``target_sync_updates``
+updates.  A top-up burst adds no transition, and the target networks
+change only at a sync, so a burst shares TD targets: each stretch
+between syncs may compute them once per distinct replay row instead of
 once per update, with the same bytes written.
 
 ``fit_rate`` estimates a power-law convergence exponent from a learning
@@ -175,8 +178,8 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 
 
 def parse_config(text: str) -> TrainConfig:
-    """Parse ``key = value`` lines; '#' starts a comment, unknown keys fail."""
-    values = {}
+    """Parse ``key = value`` lines; '#' starts a comment, unknown or repeated keys fail."""
+    values, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -186,6 +189,9 @@ def parse_config(text: str) -> TrainConfig:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: {key} is given twice (first on line {first_line[key]})")
+        first_line[key] = lineno
         kind = _FIELD_TYPES[key]
         try:
             if kind in ("int", int):
@@ -258,11 +264,8 @@ class ReplayBuffer:
         if self.size < self.capacity:
             self.size += 1
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> TransitionBatch:
-        return self.gather(self.draw(batch_size, rng))
-
     def draw(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
-        """The row indices of one ``sample``: min(batch_size, size) distinct rows."""
+        """The row indices of one batch: min(batch_size, size) distinct rows."""
         if self.size == 0:
             raise ValueError("cannot sample from an empty buffer")
         return rng.choice(self.size, size=min(batch_size, self.size), replace=False)
@@ -317,13 +320,24 @@ _INT_COLUMNS = ("episode", "branch")
 _INT64_LIMIT = 2**63
 
 
+def _check_header(header) -> None:
+    """Refuse a CSV header that names a column twice, naming its first column."""
+    first_column = {}
+    for column, name in enumerate(header, start=1):
+        if name in first_column:
+            raise ConfigError(f"line 1: column {name!r} is given twice (first in column {first_column[name]})")
+        first_column[name] = column
+
+
 def read_curve(path) -> dict:
-    """Columns of a curve file; a field that is not a finite number (in
-    an integer column, an integer that fits 64 bits) names its line."""
+    """Columns of a curve file; a header that names a column twice, or a
+    field that is not a finite number (in an integer column, an integer
+    that fits 64 bits), names its line."""
     lines = Path(path).read_text().strip().splitlines()
     if not lines:
         raise ValueError("empty curve file")
     header = lines[0].split(",")
+    _check_header(header)
     data = {name: [] for name in header}
     for lineno, line in enumerate(lines[1:], start=2):
         toks = line.split(",")
@@ -454,42 +468,49 @@ def read_summary(path) -> dict:
 
 # -- training loop -------------------------------------------------------------------
 
-# a top-up segment computes its TD targets once per distinct row only
-# when those rows fill at most one block per this many updates: it then
-# runs at most a quarter of the per-update target forwards
+# a segment computes its TD targets once per distinct row only when
+# those rows fill at most one block per this many updates: it then runs
+# at most a quarter of the per-update target forwards
 _UPDATES_PER_TARGET_BLOCK = 4
 
 
-def _top_up(
+def _run_updates(
     update, count: int, done: int, sync_every: int, replay: ReplayBuffer, rng, nets, gamma, value_clip, workspace
 ) -> None:
-    """Run the ``count`` updates of a top-up burst as ``update(batch, targets)``.
+    """Run ``count`` updates as ``update(batch, targets)``, syncing the target networks.
 
-    ``done`` updates ran before the burst.  No transition enters the
-    replay during a burst, and the target networks change only at a
-    sync, so between two syncs a row's ``td_targets`` are fixed.  The
-    burst is cut at each sync into segments.  A segment draws all its
-    batches up front: the same draws in the same order as one
-    ``sample`` per update.  When the segment's distinct rows fill at
-    most one ``batch_size``-row block per ``_UPDATES_PER_TARGET_BLOCK``
-    updates, ``_update_from_store`` computes their targets once and each
-    update takes its rows from that store; otherwise each update gets
-    ``targets=None`` and computes its own.
+    ``done`` updates ran before.  No transition enters the replay during
+    the call, and the target networks change only at a sync, so between
+    two syncs a row's ``td_targets`` are fixed.  The updates are cut at
+    each sync into segments, and ``nets.sync_target()`` runs after every
+    ``sync_every``-th update.  A segment draws all its batches up front:
+    the same draws in the same order as one draw per update.  When the
+    segment's distinct rows fill at most one ``batch_size``-row block per
+    ``_UPDATES_PER_TARGET_BLOCK`` updates, ``_update_from_store`` computes
+    their targets once and each update takes its rows from that store;
+    otherwise each update's targets are the ``td_targets`` of its batch.
+    A segment of fewer updates than ``_UPDATES_PER_TARGET_BLOCK`` never
+    meets the rule, so it counts no distinct rows.
     """
     batch_size = workspace.targets.shape[0]
     while count > 0:
         size = min(count, sync_every - done % sync_every)
         draws = np.array([replay.draw(batch_size, rng) for _ in range(size)])
-        drawn = np.zeros(replay.size, dtype=bool)
-        drawn[draws] = True
-        rows = np.flatnonzero(drawn)
-        if _UPDATES_PER_TARGET_BLOCK * -(-rows.size // batch_size) <= size:
+        rows = None
+        if size >= _UPDATES_PER_TARGET_BLOCK:
+            drawn = np.zeros(replay.size, dtype=bool)
+            drawn[draws] = True
+            rows = np.flatnonzero(drawn)
+        if rows is not None and _UPDATES_PER_TARGET_BLOCK * -(-rows.size // batch_size) <= size:
             _update_from_store(update, draws, rows, replay, nets, gamma, value_clip, workspace)
         else:
             for idx in draws:
-                update(replay.gather(idx), None)
+                batch = replay.gather(idx)
+                update(batch, td_targets(nets, batch, gamma, value_clip, workspace))
         count -= size
         done += size
+        if done % sync_every == 0:
+            nets.sync_target()
 
 
 def _update_from_store(update, draws, rows, replay, nets, gamma, value_clip, workspace) -> None:
@@ -667,32 +688,33 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
     cand_inputs = np.empty((3, env.state_dim + 1))
     cand_inputs[:2, -1] = (-1.0, 1.0)
 
-    def do_update(batch: TransitionBatch, targets=None) -> None:
+    def do_update(batch: TransitionBatch, targets: np.ndarray) -> None:
         nonlocal updates, last_branch
         updates += 1
         if config.tolerance_mode == "fixed":
             tau = config.tolerance_fixed
         else:
             tau = tolerance_schedule(updates, config.batch_size, config.horizon_scale, config.gamma)
-        info = policy_update_step(
+        last_branch = policy_update_step(
             nets,
             batch,
+            targets,
             bounds,
             constraint_est,
             tau,
             config.learning_rate,
             config.actor_lr,
-            config.gamma,
-            value_clip=value_clip,
             raw_penalty=config.raw_penalty,
             critic_opt=critic_opt,
             actor_opt=actor_opt,
             workspace=workspace,
-            targets=targets,
         )
-        last_branch = info.branch
-        if updates % config.target_sync_updates == 0:
-            nets.sync_target()
+
+    def run_updates(count: int) -> None:
+        _run_updates(
+            do_update, count, updates, config.target_sync_updates,
+            replay, replay_rng, nets, config.gamma, value_clip, workspace,
+        )
 
     for ep in range(1, config.episodes + 1):
         noise_scale = config.noise_start + (config.noise_end - config.noise_start) * min(
@@ -719,7 +741,7 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
                 and steps_total % config.update_every == 0
                 and ep_updates < config.updates_per_episode
             ):
-                do_update(replay.sample(config.batch_size, replay_rng))
+                run_updates(1)
                 ep_updates += 1
 
         # fixed per-episode update budget: short episodes top up from
@@ -727,10 +749,7 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
         # in-episode updates), so training volume does not depend on how
         # long the behavior policy happens to survive
         if steps_total > config.warmup_steps and replay.size >= config.batch_size:
-            _top_up(
-                do_update, config.updates_per_episode - ep_updates, updates, config.target_sync_updates,
-                replay, replay_rng, nets, config.gamma, value_clip, workspace,
-            )
+            run_updates(config.updates_per_episode - ep_updates)
 
         # the workspace holds the episode's last critic step until the
         # next update, so its TD delta is read once per row

@@ -42,7 +42,6 @@ __all__ = [
     "ACTION_GUARD",
     "estimate_objectives",
     "choose_branch",
-    "UpdateInfo",
     "policy_update_step",
     "ImprovementReport",
     "exact_improvement_report",
@@ -161,35 +160,30 @@ def choose_branch(estimates: np.ndarray, bounds: np.ndarray, tolerance: float) -
     return int(violated[0]) + 1, -1
 
 
-@dataclass
-class UpdateInfo:
-    """What one update did: 0 = reward ascent, i >= 1 = constraint-i descent."""
-
-    branch: int
-
-
 def policy_update_step(
     nets: PolicyNets,
     batch: TransitionBatch,
+    targets: np.ndarray,
     bounds: np.ndarray,
     constraint_estimates: np.ndarray,
     tolerance: float,
     critic_lr: float,
     actor_lr: float,
-    gamma: float,
-    value_clip=None,
     raw_penalty: float = 0.0,
     *,
     critic_opt: nn.AdamState,
     actor_opt: nn.AdamState,
     workspace: UpdateWorkspace | None = None,
-    targets: np.ndarray | None = None,
-) -> UpdateInfo:
+) -> int:
     """Adam descent of the critic TD loss on all signals, then one branched Adam actor step.
 
-    ``constraint_estimates`` are the current J_g^i estimates (decision
-    inputs; the caller controls how they were produced).  ``choose_branch``
-    takes the actor direction from them.
+    ``targets`` are the batch's frozen ``td_targets`` (B, n_signals, N),
+    computed by the caller under its target networks; the update reads
+    them and computes none.  ``constraint_estimates`` are the current
+    J_g^i estimates (decision inputs; the caller controls how they were
+    produced).  ``choose_branch`` takes the actor direction from them,
+    and the update returns its branch: 0 for reward ascent, i >= 1 for
+    the descent of constraint i.
 
     ``raw_penalty`` > 0 additionally shrinks the actor's pre-squash
     action output (0.5 * c * raw^2 per sample), so the tanh never
@@ -200,12 +194,11 @@ def policy_update_step(
     actor's.
 
     ``workspace``, built for these nets and batch size, takes every
-    (batch, .) array of the update, so reusing one allocates none.
-    After the update its ``targets`` hold the critic step's signed
-    differences, from which ``dist_rl.td_delta`` reads the update's TD
-    delta, until the next update or ``td_targets`` through it.
-    ``targets``, when given, are the batch's ``td_targets``, which the
-    update then does not compute.
+    (batch, .) array of the update, so reusing one allocates none;
+    ``targets`` may be its own ``targets``.  After the update those hold
+    the critic step's signed differences, from which
+    ``dist_rl.td_delta`` reads the update's TD delta, until the next
+    update or ``td_targets`` through it.
     """
     bounds = np.asarray(bounds, dtype=float)
     est = np.asarray(constraint_estimates, dtype=float)
@@ -215,14 +208,14 @@ def policy_update_step(
     if bounds.shape != (n_signals - 1,):
         raise ValueError("need one bound per constraint signal")
 
-    grad = critic_gradient_all(nets, batch, gamma, value_clip, workspace, targets)
+    grad = critic_gradient_all(nets, batch, targets, workspace)
     critic_opt.step(nets.critic.params, grad, critic_lr)
     nets.critic.drop_head()  # the actor gradient below recomputes it; later behaviour steps reuse it
 
     branch, sign = choose_branch(est, bounds, tolerance)
     descent = actor_gradient(nets, batch, branch, sign, raw_penalty, workspace)
     actor_opt.step(nets.actor.params, np.negative(descent, out=descent), actor_lr)
-    return UpdateInfo(branch)
+    return branch
 
 
 # -- exact desk-scale improvement oracle ------------------------------------------

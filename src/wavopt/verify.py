@@ -386,8 +386,9 @@ def _kink_safe_policy(seed, batch_seed):
 
 def _fd_critic_check(seed) -> float:
     nets, batch = _kink_safe_policy(seed, seed + 7777)
-    loss = _critic_loss(nets.critic, batch, td_targets(nets, batch, 0.95))
-    grad = critic_gradient_all(nets, batch, 0.95)
+    targets = td_targets(nets, batch, 0.95)
+    loss = _critic_loss(nets.critic, batch, targets)
+    grad = critic_gradient_all(nets, batch, targets)
     return _rel_gap(grad, central_differences(nets.critic.params.flat, loss))
 
 

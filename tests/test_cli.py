@@ -115,6 +115,37 @@ def test_train_rejects_invalid_config_without_traceback(tmp_path, capsys, bad_li
     assert not (tmp_path / "out").exists()
 
 
+def test_train_a_run_too_large_for_memory_exits_2(tmp_path, capsys):
+    # the critic's output layer, 3e15 rows of 8 weights (171 PiB), is the
+    # first allocation that fails; every one before it is small
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("n_quantiles = 1000000000000000\nhidden_width = 8\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {cfg} does not fit in memory (Unable to allocate 171. PiB")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("train", "env = cartpole\nseed = 3\nenv = acrobot\n", "line 3: env is given twice (first on line 1)"),
+        ("rate", "episode,cum_return,cum_return\n1,2,3\n2,4,5\n", "line 1: column 'cum_return' is given twice (first in column 2)"),
+        ("interpret", "p_trajectory,a,a\n0.5,0.5,0.5\n", "line 1: column 'a' is given twice (first in column 2)"),
+    ],
+)
+def test_a_name_given_twice_exits_2_naming_its_first_place(tmp_path, capsys, command, text, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    out = tmp_path / "out"
+    argv = ["train", "--config", str(path), "--out", str(out)] if command == "train" else [command, str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

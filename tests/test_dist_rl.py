@@ -287,7 +287,7 @@ class TestCriticGradient:
         batch.utilities[:] = 1.0
         nets.critic.params.weights[-1][...] = 0.0
         nets.critic.params.biases[-1][...] = np.repeat([0.25, 1.0], 4)
-        grad = critic_gradient_all(nets, batch, gamma=0.0)
+        grad = critic_gradient_all(nets, batch, td_targets(nets, batch, gamma=0.0))
         assert _matching_loss(nets.critic, batch, td_targets(nets, batch, gamma=0.0)) == 0.0
         assert np.max(np.abs(grad)) == 0.0
 
@@ -298,7 +298,7 @@ class TestCriticGradient:
             rng = np.random.default_rng(40 + seed)
             batch = _random_batch(rng, nets, b=3)
             targets = td_targets(nets, batch, gamma=0.9)
-            grad = critic_gradient_all(nets, batch, 0.9)
+            grad = critic_gradient_all(nets, batch, targets)
             fd = coordinate_differences(
                 nets.critic.params.flat, lambda: _matching_loss(nets.critic, batch, targets)
             )
@@ -317,8 +317,8 @@ class TestCriticGradient:
             next_states=np.vstack([batch.next_states, batch.next_states]),
             done=np.concatenate([batch.done, batch.done]),
         )
-        g1 = critic_gradient_all(nets, batch, 0.99)
-        g2 = critic_gradient_all(nets, doubled, 0.99)
+        g1 = critic_gradient_all(nets, batch, td_targets(nets, batch, 0.99))
+        g2 = critic_gradient_all(nets, doubled, td_targets(nets, doubled, 0.99))
         npt.assert_allclose(g1, g2, atol=1e-15)
         loss1 = _matching_loss(nets.critic, batch, td_targets(nets, batch, 0.99))
         loss2 = _matching_loss(nets.critic, doubled, td_targets(nets, doubled, 0.99))
@@ -459,7 +459,7 @@ class TestFusedCriticGradient:
             rng = np.random.default_rng(100 + seed)
             batch = _random_batch(rng, nets, b=5)
             ws = UpdateWorkspace(nets, 5)
-            fused = critic_gradient_all(nets, batch, 0.97, workspace=ws)
+            fused = critic_gradient_all(nets, batch, td_targets(nets, batch, 0.97, workspace=ws), ws)
 
             targets = td_targets(nets, batch, 0.97)
             critic = nets.critic
@@ -496,7 +496,7 @@ class TestFusedCriticGradient:
         for w in nets.critic.params.weights:
             w += 0.05
         ws = UpdateWorkspace(nets, 4)
-        critic_gradient_all(nets, batch, 0.9, workspace=ws)
+        critic_gradient_all(nets, batch, td_targets(nets, batch, 0.9, workspace=ws), ws)
         npt.assert_array_equal(td_targets(nets, batch, 0.9), targets)
         assert _matching_loss(nets.critic, batch, targets) != before
         assert np.isfinite(td_delta(ws))
@@ -542,7 +542,9 @@ class TestScatterRoute:
         grad, upstream, diff = _gather_route(nets, batch, targets)
 
         ws = UpdateWorkspace(nets, b)
-        got = critic_gradient_all(nets, batch, 0.97, (0.0, 20.0), ws, given)
+        # computed targets are the workspace's own, as in a training run
+        fed = td_targets(nets, batch, 0.97, (0.0, 20.0), ws) if given is None else given
+        got = critic_gradient_all(nets, batch, fed, ws)
         assert got.tobytes() == grad.tobytes()
         assert ws.upstream.tobytes() == upstream.tobytes()
         assert td_delta(ws) == float(np.abs(diff).max(axis=2).mean(axis=0).max())

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import tempfile
 from pathlib import Path
@@ -32,7 +33,7 @@ from wavopt.harness import (
 )
 from wavopt.inference import log_family
 from wavopt.measures import one_d_measure
-from wavopt.nets import init_policy_nets
+from wavopt.nets import PolicyNets, init_policy_nets
 from wavopt.nn import TrainingError
 from wavopt.safe_rl import ObjectiveEstimate, policy_update_step, tolerance_schedule
 
@@ -99,6 +100,11 @@ def test_parse_config_rejects_unknown_key():
         parse_config("not_a_field = 3\n")
 
 
+def test_parse_config_rejects_a_key_given_twice():
+    with pytest.raises(ConfigError, match=r"^line 4: env is given twice \(first on line 2\)$"):
+        parse_config("# two envs\nenv = cartpole\nseed = 3\nenv = acrobot\n")
+
+
 def test_parse_config_rejects_bad_value_and_missing_equals():
     with pytest.raises(ConfigError, match="bad value"):
         parse_config("episodes = many\n")
@@ -161,7 +167,7 @@ def test_replay_sample_shapes_and_uniqueness():
     rng = np.random.default_rng(0)
     buf = ReplayBuffer(64, 3, 1, 2)
     _fill(buf, 40, rng)
-    batch = buf.sample(16, np.random.default_rng(1))
+    batch = buf.gather(buf.draw(16, np.random.default_rng(1)))
     assert batch.states.shape == (16, 3)
     assert batch.actions.shape == (16, 1)
     assert batch.rewards.shape == (16,)
@@ -183,17 +189,17 @@ def test_replay_sample_deterministic_given_rng_seed():
     rng = np.random.default_rng(3)
     buf = ReplayBuffer(32, 3, 1, 2)
     _fill(buf, 32, rng)
-    b1 = buf.sample(8, np.random.default_rng(7))
-    b2 = buf.sample(8, np.random.default_rng(7))
+    b1 = buf.gather(buf.draw(8, np.random.default_rng(7)))
+    b2 = buf.gather(buf.draw(8, np.random.default_rng(7)))
     npt.assert_array_equal(b1.rewards, b2.rewards)
 
 
 def test_replay_empty_and_undersized():
     buf = ReplayBuffer(8, 3, 1, 2)
     with pytest.raises(ValueError):
-        buf.sample(4, np.random.default_rng(0))
+        buf.draw(4, np.random.default_rng(0))
     _fill(buf, 3, np.random.default_rng(0))
-    assert buf.sample(8, np.random.default_rng(0)).rewards.shape == (3,)
+    assert buf.gather(buf.draw(8, np.random.default_rng(0))).rewards.shape == (3,)
 
 
 # -- curve / checkpoint / summary files ---------------------------------------
@@ -224,6 +230,14 @@ def test_curve_nine_significant_digits(tmp_path):
     line = path.read_text().splitlines()[1]
     assert line.split(",")[1] == "-123.456789"
     assert line.split(",")[2] == "0.333333333"
+
+
+def test_read_curve_refuses_a_column_given_twice(tmp_path):
+    # read as one column, the repeated name would hold [2, 3, 4, 5]
+    path = tmp_path / "curve.csv"
+    path.write_text("episode,cum_return,cum_return\n1,2,3\n2,4,5\n")
+    with pytest.raises(ValueError, match=r"^line 1: column 'cum_return' is given twice \(first in column 2\)$"):
+        read_curve(path)
 
 
 def _tiny_nets(seed=5):
@@ -616,12 +630,28 @@ def _burst_setup(width, n, rows, seed=0):
     return nets, replay
 
 
+def _store_spy(monkeypatch):
+    """Patch ``_update_from_store``; the list's one flag is True while it runs."""
+    inside = [False]
+    from_store = harness._update_from_store
+
+    def spy(*args):
+        inside[0] = True
+        try:
+            from_store(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(harness, "_update_from_store", spy)
+    return inside
+
+
 @pytest.mark.parametrize(
     "batch,width,n,rows",
     [(128, 128, 128, 300), (16, 8, 8, 40)],
     ids=["default-shapes", "fast-shapes"],
 )
-def test_shared_targets_match_td_targets_bitwise(batch, width, n, rows):
+def test_shared_targets_match_td_targets_bitwise(batch, width, n, rows, monkeypatch):
     nets, replay = _burst_setup(width, n, rows)
     rng = np.random.default_rng(5)
     distinct = np.unique([replay.draw(batch, rng) for _ in range(12)])
@@ -630,27 +660,34 @@ def test_shared_targets_match_td_targets_bitwise(batch, width, n, rows):
     assert distinct.size < 12 * batch
 
     got = []
-    harness._top_up(
-        lambda b, targets: got.append((b, None if targets is None else targets.copy())),
+    stored = _store_spy(monkeypatch)
+    harness._run_updates(
+        lambda b, targets: got.append((b, targets.copy(), stored[0])),
         12, 0, 250, replay, np.random.default_rng(5), nets, 0.99, _CLIP, UpdateWorkspace(nets, batch),
     )
     assert len(got) == 12
-    for b, targets in got:
+    for b, targets, shared in got:
         want = td_targets(nets, b, 0.99, _CLIP, UpdateWorkspace(nets, batch))
-        assert targets is not None and targets.tobytes() == want.tobytes()
+        assert shared and targets.tobytes() == want.tobytes()
 
 
-def test_top_up_draws_like_sequential_samples_and_splits_at_syncs():
+def test_top_up_draws_like_sequential_samples_and_splits_at_syncs(monkeypatch):
     nets, replay = _burst_setup(8, 8, rows=20)
     seen = []
+    stored = _store_spy(monkeypatch)
+    sync = nets.sync_target
+    monkeypatch.setattr(nets, "sync_target", lambda: seen.append("sync") or sync())
     # 25 updates after 7, a sync every 10: segments of 3, 10, 10 and 2
-    harness._top_up(
-        lambda b, targets: seen.append((b, targets is not None)),
+    harness._run_updates(
+        lambda b, targets: seen.append((b, stored[0])),
         25, 7, 10, replay, np.random.default_rng(9), nets, 0.99, _CLIP, UpdateWorkspace(nets, 16),
     )
+    # the target networks sync after updates 10, 20 and 30
+    assert [i for i, event in enumerate(seen) if event == "sync"] == [3, 14, 25]
+    seen = [event for event in seen if event != "sync"]
     rng = np.random.default_rng(9)
     for b, _ in seen:
-        want = replay.sample(16, rng)
+        want = replay.gather(replay.draw(16, rng))
         for field in ("states", "actions", "rewards", "utilities", "next_states", "done"):
             npt.assert_array_equal(getattr(b, field), getattr(want, field))
     # 20 rows fill two blocks, so only the segments of 8 or more updates share
@@ -676,6 +713,55 @@ def test_run_with_shared_targets_writes_the_same_bytes(tmp_path, monkeypatch):
     assert not segments and own.updates == shared.updates
     for name in ("curve.csv", "summary.txt", "checkpoint.txt"):
         assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "own" / name).read_bytes(), name
+
+
+def test_every_update_takes_its_batchs_td_targets_and_syncs_every_t_updates(tmp_path, monkeypatch):
+    # in-episode updates, top-up segments with per-update targets and
+    # top-up segments from the store all run through one route
+    config = _fast_config(warmup_steps=40, updates_per_episode=40, target_sync_updates=25)
+    env = make_env(config.env, dt=config.dt)
+    clip = (0.0, (1.0 - config.gamma**env.max_steps) / (1.0 - config.gamma))
+    events = []
+    in_store = _store_spy(monkeypatch)
+    run_updates, behaviour_step, sync = harness._run_updates, harness.behaviour_step, PolicyNets.sync_target
+
+    def update_spy(nets, batch, targets, *args, **kwargs):
+        # the targets of the batch under the target networks as they stand
+        want = td_targets(nets, batch, config.gamma, clip)
+        assert targets.tobytes() == want.tobytes(), len(events)
+        events.append("stored" if in_store[0] else "own")
+        return policy_update_step(nets, batch, targets, *args, **kwargs)
+
+    def run_spy(update, count, *args):
+        events.append(count)
+        return run_updates(update, count, *args)
+
+    monkeypatch.setattr(harness, "policy_update_step", update_spy)
+    monkeypatch.setattr(harness, "_run_updates", run_spy)
+    monkeypatch.setattr(harness, "behaviour_step", lambda *args: events.append("act") or behaviour_step(*args))
+    monkeypatch.setattr(PolicyNets, "sync_target", lambda nets: events.append("sync") or sync(nets))
+    result = run_training(config, tmp_path / "run")
+
+    updates = [event in ("stored", "own") for event in events]
+    assert sum(updates) == result.updates
+    # a sync follows exactly updates T, 2T, ...
+    synced_after = [sum(updates[:i]) for i, event in enumerate(events) if event == "sync"]
+    t = config.target_sync_updates
+    assert synced_after == list(range(t, result.updates + 1, t)) and len(synced_after) > 1
+
+    # the guard is not vacuous: a run of one update followed by a
+    # behaviour step is in the episode; a run of more is a top-up burst
+    kinds = set()
+    for i, count in enumerate(events):
+        if not isinstance(count, int):
+            continue
+        rest = [event for event in events[i + 1 :] if event != "sync"]
+        body = list(itertools.takewhile(lambda event: event in ("stored", "own"), rest))
+        if count == 1 and rest[len(body) : len(body) + 1] == ["act"]:
+            kinds.add("in-episode")
+        elif count > 1:
+            kinds.update(f"top-up {event}" for event in body)
+    assert kinds == {"in-episode", "top-up own", "top-up stored"}
 
 
 def test_run_training_seed_changes_the_curve(tmp_path):
@@ -924,9 +1010,9 @@ def test_scheduled_tolerance_follows_the_schedule(tmp_path, monkeypatch):
     config = _fast_config(tolerance_mode="scheduled", episodes=4)
     tolerances = []
 
-    def spy(nets, batch, bounds, est, tolerance, *args, **kwargs):
+    def spy(nets, batch, targets, bounds, est, tolerance, *args, **kwargs):
         tolerances.append(tolerance)
-        return policy_update_step(nets, batch, bounds, est, tolerance, *args, **kwargs)
+        return policy_update_step(nets, batch, targets, bounds, est, tolerance, *args, **kwargs)
 
     monkeypatch.setattr(harness, "policy_update_step", spy)
     result = run_training(config, tmp_path / "run")
@@ -946,16 +1032,14 @@ def test_curve_td_delta_is_each_episodes_last_update(tmp_path, monkeypatch):
     config = _fast_config(warmup_steps=40, updates_per_episode=40, target_sync_updates=25)
     deltas, marks, stored = [], [], []
     curve_row = harness.CurveRow
+    in_store = _store_spy(monkeypatch)
 
-    def update_spy(nets, batch, bounds, est, tolerance, lr, actor_lr, gamma, value_clip=None, *args, **kwargs):
+    def update_spy(nets, batch, targets, *args, **kwargs):
         # recomputed from the critic and targets as they stand before the update
-        targets = kwargs.get("targets")
-        stored.append(targets is not None)
-        if targets is None:
-            targets = td_targets(nets, batch, gamma, value_clip)
+        stored.append(in_store[0])
         diff = np.sort(nets.critic.forward_batch(batch.states, batch.actions), axis=2) - targets
         deltas.append(float(np.abs(diff).max(axis=2).mean(axis=0).max()))
-        return policy_update_step(nets, batch, bounds, est, tolerance, lr, actor_lr, gamma, value_clip, *args, **kwargs)
+        return policy_update_step(nets, batch, targets, *args, **kwargs)
 
     def row_spy(*args):
         marks.append(len(deltas))

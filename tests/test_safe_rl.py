@@ -54,6 +54,13 @@ def _batch(rng, size=32, n_constraints=2):
     )
 
 
+def _update(nets, batch, bounds, est, tolerance, critic_lr, actor_lr, gamma, value_clip=None, raw_penalty=0.0, **opts):
+    """One ``policy_update_step`` against the batch's ``td_targets``, computed
+    through the update's workspace when it has one; returns the branch."""
+    targets = td_targets(nets, batch, gamma, value_clip, opts.get("workspace"))
+    return policy_update_step(nets, batch, targets, bounds, est, tolerance, critic_lr, actor_lr, raw_penalty, **opts)
+
+
 # -- tolerance schedule ----------------------------------------------------------
 
 
@@ -239,22 +246,22 @@ def test_update_branch_selection():
     tol = 0.5
 
     nets = _nets(seed=2)
-    info = policy_update_step(
+    branch = _update(
         nets, _batch(rng), bounds, np.array([1.5, 2.5]), tol, 1e-3, 1e-3, 0.99, **_opts(nets)
     )
-    assert info.branch == 0  # non-strict boundary
+    assert type(branch) is int and branch == 0  # non-strict boundary
 
     nets = _nets(seed=2)
-    info = policy_update_step(
+    branch = _update(
         nets, _batch(rng), bounds, np.array([1.6, 7.0]), tol, 1e-3, 1e-3, 0.99, **_opts(nets)
     )
-    assert info.branch == 1  # lowest violated, not largest
+    assert branch == 1  # lowest violated, not largest
 
     nets = _nets(seed=2)
-    info = policy_update_step(
+    branch = _update(
         nets, _batch(rng), bounds, np.array([0.0, 2.51]), tol, 1e-3, 1e-3, 0.99, **_opts(nets)
     )
-    assert info.branch == 2
+    assert branch == 2
 
 
 def test_choose_branch_bound_is_non_strict():
@@ -278,7 +285,7 @@ def test_update_moves_both_networks():
     rng = np.random.default_rng(3)
     nets = _nets(seed=5)
     actor0, critic0 = nets.actor.params.flat.copy(), nets.critic.params.flat.copy()
-    policy_update_step(
+    _update(
         nets, _batch(rng), np.zeros(2), np.zeros(2), 0.1, 1e-2, 1e-2, 0.99, **_opts(nets)
     )
     assert not np.array_equal(actor0, nets.actor.params.flat)
@@ -290,7 +297,7 @@ def test_sync_target_copies_without_aliasing():
     nets = _nets(seed=6)
     opts = _opts(nets)
     args = (np.zeros(2), np.zeros(2), 0.1, 1e-2, 1e-2, 0.99)
-    policy_update_step(nets, _batch(rng), *args, **opts)
+    _update(nets, _batch(rng), *args, **opts)
     nets.sync_target()
     pairs = [
         (nets.actor.params.flat, nets.target_actor.params.flat),
@@ -300,7 +307,7 @@ def test_sync_target_copies_without_aliasing():
         assert np.array_equal(live, target) and not np.shares_memory(live, target)
     synced = [target.copy() for _, target in pairs]
     # an Adam step after the sync moves only the live networks
-    policy_update_step(nets, _batch(rng), *args, **opts)
+    _update(nets, _batch(rng), *args, **opts)
     for (live, target), before in zip(pairs, synced):
         assert not np.array_equal(live, before)
         assert np.array_equal(target, before)
@@ -319,7 +326,7 @@ def test_update_critic_loss_decreases_frozen_targets():
     nets = _nets(seed=7)
     batch = _batch(rng)
     before = _critic_loss(nets, batch, 0.99)
-    policy_update_step(nets, batch, np.zeros(2), np.ones(2), 0.1, 1e-3, 0.0, 0.99, **_opts(nets))
+    _update(nets, batch, np.zeros(2), np.ones(2), 0.1, 1e-3, 0.0, 0.99, **_opts(nets))
     after = _critic_loss(nets, batch, 0.99)
     assert after < before
 
@@ -335,7 +342,7 @@ def test_actor_ascends_reward_when_feasible():
     nets = _nets(seed=9)
     batch = _batch(rng)
     before = _mean_critic_value(nets, batch.states, 0)
-    policy_update_step(nets, batch, np.ones(2), np.zeros(2), 0.0, 0.0, 1e-2, 0.99, **_opts(nets))
+    _update(nets, batch, np.ones(2), np.zeros(2), 0.0, 0.0, 1e-2, 0.99, **_opts(nets))
     assert _mean_critic_value(nets, batch.states, 0) > before
 
 
@@ -344,10 +351,10 @@ def test_actor_descends_violated_constraint():
     nets = _nets(seed=17)
     batch = _batch(rng)
     before = _mean_critic_value(nets, batch.states, 2)
-    info = policy_update_step(
+    branch = _update(
         nets, batch, np.zeros(2), np.array([0.0, 9.0]), 0.0, 0.0, 1e-2, 0.99, **_opts(nets)
     )
-    assert info.branch == 2
+    assert branch == 2
     assert _mean_critic_value(nets, batch.states, 2) < before
 
 
@@ -365,7 +372,7 @@ def test_update_runs_one_critic_and_one_actor_backward(monkeypatch, estimates):
     monkeypatch.setattr(nn, "backward_batch", counting)
     rng = np.random.default_rng(19)
     nets = _nets(seed=21)
-    policy_update_step(
+    _update(
         nets, _batch(rng), np.zeros(2), estimates, 0.0, 1e-3, 1e-3, 0.99,
         raw_penalty=0.1, **_opts(nets),
     )
@@ -373,7 +380,7 @@ def test_update_runs_one_critic_and_one_actor_backward(monkeypatch, estimates):
 
 
 def _cartpole_update(nets, batch, estimates, opts):
-    policy_update_step(
+    _update(
         nets, batch, np.full(2, 0.5), estimates, 0.1, 1e-3, 1e-3, 0.99,
         value_clip=(0.0, 50.0), raw_penalty=0.1, **opts,
     )
@@ -425,9 +432,9 @@ def test_update_shape_validation():
     rng = np.random.default_rng(0)
     nets = _nets()
     with pytest.raises(ValueError):
-        policy_update_step(nets, _batch(rng), np.zeros(3), np.zeros(3), 0.1, 1e-3, 1e-3, 0.99, **_opts(nets))
+        _update(nets, _batch(rng), np.zeros(3), np.zeros(3), 0.1, 1e-3, 1e-3, 0.99, **_opts(nets))
     with pytest.raises(ValueError):
-        policy_update_step(nets, _batch(rng), np.zeros(2), np.zeros(3), 0.1, 1e-3, 1e-3, 0.99, **_opts(nets))
+        _update(nets, _batch(rng), np.zeros(2), np.zeros(3), 0.1, 1e-3, 1e-3, 0.99, **_opts(nets))
 
 
 # -- exact improvement oracle ---------------------------------------------------------
