@@ -6,11 +6,16 @@ array.  ``quantile_projection`` maps an arbitrary discrete measure to
 this family by evaluating its generalized inverse CDF at the midpoints,
 which is the W1-optimal N-atom uniform approximation.
 
-``bellman_eval`` is the tabular distributional policy-evaluation operator
-on a ``QuantileMap`` table of shape (nS, nA, N) for one signal (reward
-or utility): the next-state mixtures of shifted/scaled atom sets of
-every (s, a) are built as the rows of one array and re-projected
-together, with the bits of projecting each on its own.
+``bellman_operator`` is the tabular distributional policy-evaluation
+operator on a ``QuantileMap`` table of shape (nS, nA, N) for one signal
+(reward or utility), prepared once per policy, CMDP, N and signal: it
+checks the policy and computes every array that does not depend on the
+map, and returns ``apply(z)``.  An application builds the next-state
+mixtures of shifted/scaled atom sets of every (s, a) as the rows of one
+array and re-projects them together, with the bits of projecting each
+on its own.  ``bellman_eval`` prepares it for one map and applies it
+once; a caller that iterates it, or applies it to several maps,
+prepares it once.
 Projection-after-operator is a gamma-contraction in the sup-W_inf metric
 ``dbar`` (projection is a W_inf non-expansion, the operator itself
 contracts), which the property suite checks.
@@ -45,6 +50,7 @@ training run reads it once per curve row, not once per update.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +66,7 @@ __all__ = [
     "midpoint_levels",
     "quantile_projection",
     "dbar",
+    "bellman_operator",
     "bellman_eval",
     "UpdateWorkspace",
     "td_targets",
@@ -125,16 +132,28 @@ def dbar(z1: QuantileMap, z2: QuantileMap) -> float:
     return float(gaps.max()) if gaps.size else 0.0
 
 
-def bellman_eval(z: QuantileMap, policy, cmdp: TabularCmdp, signal: int = 0) -> QuantileMap:
-    """Projected distributional policy-evaluation operator for one signal.
+def bellman_operator(
+    policy, cmdp: TabularCmdp, n: int, signal: int = 0
+) -> Callable[[QuantileMap], QuantileMap]:
+    """Projected distributional policy-evaluation operator for one signal,
+    prepared once for N-atom maps: returns ``apply(z)``.
 
-    Entry (s, a) is the quantile projection of the next-state mixture
-    h(s, a) + gamma * Z(s', policy(s')), s' ~ P(s, a), each atom of Z
-    weighted P(s' | s, a) / N.  Every (s, a) row is built and projected
-    at once: the positions and weights form one (nS * nA, nS * N) array,
-    each row is stably sorted, its positive weights renormalized and
-    cumulated, and the midpoint quantile is read at the count of
-    cumulative weights below each level, ``searchsorted(c, u, "left")``.
+    Entry (s, a) of ``apply(z)`` is the quantile projection of the
+    next-state mixture h(s, a) + gamma * Z(s', policy(s')), s' ~ P(s, a),
+    each atom of Z weighted P(s' | s, a) / N.  Every (s, a) row is built
+    and projected at once: the positions and weights form one
+    (nS * nA, nS * N) array, each row is stably sorted, its positive
+    weights renormalized and cumulated, and the midpoint quantile is read
+    at the count of cumulative weights below each level,
+    ``searchsorted(c, u, "left")``.
+
+    The policy is checked here, and everything that does not depend on
+    ``z`` is computed here once: the signal column, the normalized
+    mixture weights, the rows holding zero weights, the row starts, the
+    bincount offsets, the midpoint levels and the (s, policy(s))
+    selector.  ``apply`` refuses a map of another shape and non-finite
+    mixture positions.  It reads the prepared arrays and writes none, so
+    every application has the bits of a freshly prepared operator's.
 
     This is exactly ``quantile_projection(one_d_measure(...), N)`` on
     each row's positive-weight atoms.  The elementwise steps match, and
@@ -146,46 +165,67 @@ def bellman_eval(z: QuantileMap, policy, cmdp: TabularCmdp, signal: int = 0) -> 
     positive weights apart, since the zeros would shift the pairwise
     association.
     """
-    ns, na, n = cmdp.n_states, cmdp.n_actions, z.n_quantiles
+    ns, na = cmdp.n_states, cmdp.n_actions
     pol = np.asarray(policy)
     if pol.shape != (ns,):
         raise ValueError("policy must be a deterministic action per state")
     whole = pol.dtype.kind in "biu" or np.array_equal(pol, np.trunc(pol))
     if not (whole and 0 <= pol.min() and pol.max() < na):
         raise ValueError(f"policy actions must be whole numbers in [0, {na})")
-    if z.atoms.shape[:2] != (ns, na):
-        raise ValueError(f"quantile map has (nS, nA) = {z.atoms.shape[:2]}, the CMDP {(ns, na)}")
-    h = cmdp.signal_matrix(signal)
+    h = cmdp.signal_matrix(signal).reshape(-1, 1)
+    levels = midpoint_levels(n)
+    gamma = cmdp.gamma
+    # flat indices of the atoms of (s, policy(s)), s = 0..nS-1, in order
+    select = ((np.arange(ns) * na + pol.astype(int))[:, None] * n + np.arange(n)).ravel()
 
-    boot = z.atoms[np.arange(ns), pol.astype(int)]  # (nS, N)
-    positions = h.reshape(-1, 1) + cmdp.gamma * boot.reshape(1, -1)
-    if not np.isfinite(positions).all():
-        raise ValueError("mixture positions must be finite")
     weights = np.repeat(cmdp.transitions.reshape(ns * na, ns), n, axis=1) / n
     # dividing by a sum within the CMDP's row tolerance of 1 makes no
     # positive weight zero, so these rows hold the zeros throughout
     held = np.flatnonzero((weights <= 0.0).any(axis=1))
     weights /= _positive_sums(weights, held)[:, None]
-
-    rows, width = positions.shape
+    rows, width = weights.shape
     starts = np.arange(0, rows * width, width)[:, None]
-    flat = np.argsort(positions, axis=1, kind="stable")
-    flat += starts
-    positions, weights = positions.ravel()[flat], weights.ravel()[flat]
-    c = np.cumsum(weights / _positive_sums(weights, held)[:, None], axis=1)
-    c[:, -1] = 1.0
-    for r in held:  # the last positive weight is pinned, and the zeros after it
-        c[r, np.flatnonzero(weights[r] > 0.0)[-1] :] = 1.0
+    offsets = np.arange(0, rows * (n + 1), n + 1)[:, None]
 
-    # level i reads #{j : c_j < u_i} = #{j : k_j <= i}, where
-    # k_j = #{levels <= c_j}: each row's histogram of k, cumulated
-    k = np.searchsorted(midpoint_levels(n), c, side="right")
-    k += np.arange(0, rows * (n + 1), n + 1)[:, None]
-    counts = np.bincount(k.ravel(), minlength=rows * (n + 1)).reshape(rows, n + 1)
-    idx = np.cumsum(counts[:, :n], axis=1)
-    idx += starts
-    # each row's reads are nondecreasing in its sorted positions
-    return QuantileMap._sorted(positions.ravel()[idx].reshape(ns, na, n))
+    def apply(z: QuantileMap) -> QuantileMap:
+        if z.atoms.shape[:2] != (ns, na):
+            raise ValueError(f"quantile map has (nS, nA) = {z.atoms.shape[:2]}, the CMDP {(ns, na)}")
+        if z.n_quantiles != n:
+            raise ValueError(f"quantile map has {z.n_quantiles} atoms per entry, the operator {n}")
+        positions = h + gamma * z.atoms.take(select)
+        if not np.isfinite(positions).all():
+            raise ValueError("mixture positions must be finite")
+        flat = positions.argsort(axis=1, kind="stable")
+        flat += starts
+        positions, w = positions.take(flat), weights.take(flat)
+        c = (w / _positive_sums(w, held)[:, None]).cumsum(axis=1)
+        c[:, -1] = 1.0
+        for r in held:  # the last positive weight is pinned, and the zeros after it
+            c[r, np.flatnonzero(w[r] > 0.0)[-1] :] = 1.0
+
+        # level i reads #{j : c_j < u_i} = #{j : k_j <= i}, where
+        # k_j = #{levels <= c_j}: each row's histogram of k, cumulated
+        k = levels.searchsorted(c, side="right")
+        k += offsets
+        counts = np.bincount(k.ravel(), minlength=rows * (n + 1)).reshape(rows, n + 1)
+        idx = counts[:, :n].cumsum(axis=1)
+        idx += starts
+        # each row's reads are nondecreasing in its sorted positions
+        return QuantileMap._sorted(positions.take(idx).reshape(ns, na, n))
+
+    return apply
+
+
+def bellman_eval(z: QuantileMap, policy, cmdp: TabularCmdp, signal: int = 0) -> QuantileMap:
+    """The projected policy-evaluation operator of ``bellman_operator``
+    for one signal, prepared for ``z``'s atom count and applied to ``z``
+    once.  A caller that applies it to several maps prepares it once.
+
+    Errors of the policy and the signal come first, as the operator is
+    prepared; then a map of another (nS, nA) and non-finite mixture
+    positions, as it is applied.
+    """
+    return bellman_operator(policy, cmdp, z.n_quantiles, signal)(z)
 
 
 def _positive_sums(w: np.ndarray, held: np.ndarray) -> np.ndarray:

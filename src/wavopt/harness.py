@@ -636,12 +636,6 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
     config produce byte-identical files.
     """
     config.validate()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    curve_path = out / "curve.csv"
-    ckpt_path = out / "checkpoint.txt"
-    summary_path = out / "summary.txt"
-
     ss = np.random.SeedSequence(config.seed)
     s_init, s_env, s_noise, s_replay, s_eval = ss.spawn(5)
     env = make_env(config.env, dt=config.dt)
@@ -667,6 +661,14 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
     bounds = np.full(p, config.bound)
     critic_opt = nn.AdamState(nets.critic.params)
     actor_opt = nn.AdamState(nets.actor.params)
+    # made once every large array is built, so a run that does not fit in
+    # memory leaves no directory; an unusable path still fails here,
+    # before the first episode
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    curve_path = out / "curve.csv"
+    ckpt_path = out / "checkpoint.txt"
+    summary_path = out / "summary.txt"
 
     horizon_value = (1.0 - config.gamma**env.max_steps) / (1.0 - config.gamma)
     family = log_family(0.0, horizon_value)

@@ -201,30 +201,58 @@ def _check_slice(kind: str, dim: int, degree: int, shape: tuple) -> None:
         raise ValueError(f"unknown defining-function kind {kind!r}")
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a C-contiguous (S, M) float array.
+
+    Each (1, M) @ (M, 1) product is one BLAS ``ddot``, the product
+    ``np.linalg.norm`` takes of one contiguous row, so every norm has the
+    bits of ``np.linalg.norm``.  A strided row would be summed in another
+    order.
+    """
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
     """Each raw coefficient row divided by its norm, and then once more:
     x/||x|| can miss unit norm by ~1 ulp.
 
-    A row whose squared norm overflows although every entry is finite is
-    divided by its largest |entry| first.  A numerically degenerate row
-    (non-finite, or norm < 1e-8) falls back to the canonical first basis
-    vector, so every result row is a valid slice.
+    The norms of all rows are taken at once (``_row_norms``).  A row
+    whose norm is not in [1e-8, inf) takes the one-row route: if its
+    squared norm overflows although every entry is finite, it is divided
+    by its largest |entry| first; if it is numerically degenerate
+    (non-finite, or norm < 1e-8), it falls back to the canonical first
+    basis vector.  So every result row is a valid slice, whose bits
+    depend on the row's values alone.
     """
+    rows = np.ascontiguousarray(rows, dtype=float)
+    # the squared norm of a finite row may overflow, and a non-finite
+    # row's may be nan; both take the one-row route below
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = _row_norms(rows)
+    kept = (norms >= 1e-8) & (norms < math.inf)
     out = np.empty(rows.shape)
+    c = rows[kept] / norms[kept, None]
+    out[kept] = c / _row_norms(c)[:, None]
+    for r in np.flatnonzero(~kept):
+        out[r] = _unit_row(rows[r])
+    return out
+
+
+def _unit_row(c: np.ndarray) -> np.ndarray:
+    """The one-row route of ``_unit_rows``, for a row whose norm overflows
+    or is degenerate."""
     # np.linalg.norm warns when the squared norm overflows; such a row is rescaled
     with np.errstate(over="ignore"):
-        for row, c in zip(out, rows):
+        norm = float(np.linalg.norm(c))
+        if norm == math.inf and np.isfinite(c).all():
+            c = c / np.abs(c).max()
             norm = float(np.linalg.norm(c))
-            if norm == math.inf and np.isfinite(c).all():
-                c = c / np.abs(c).max()
-                norm = float(np.linalg.norm(c))
-            if 1e-8 <= norm < math.inf:  # a non-finite entry makes the norm inf or nan
-                c = c / norm
-            else:
-                c = np.zeros(c.shape)
-                c[0] = 1.0
-            row[:] = c / float(np.linalg.norm(c))
-    return out
+    if 1e-8 <= norm < math.inf:  # a non-finite entry makes the norm inf or nan
+        c = c / norm
+    else:
+        c = np.zeros(c.shape)
+        c[0] = 1.0
+    return c / float(np.linalg.norm(c))
 
 
 @dataclass(eq=False)

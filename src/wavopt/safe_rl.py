@@ -19,7 +19,10 @@ solves, no sampling).  For any strictly monotone reward operator the
 selection rule equals greedy Q improvement, so state-action values are
 pointwise non-decreasing and the run terminates at the optimum; a
 non-monotone operator (the runner accepts any) generally breaks both,
-and the report records the violations instead of hiding them.
+and the report records the violations instead of hiding them.  Its gap
+is measured to the optimum V* of ``wavopt.cmdp.value_iteration``, which
+the report computes unless a caller that already has it for that CMDP
+passes it in.
 """
 
 from __future__ import annotations
@@ -249,6 +252,7 @@ def exact_improvement_report(
     cmdp: TabularCmdp,
     family: RewardOperatorFamily,
     max_iters: int = 200,
+    v_star: np.ndarray | None = None,
 ) -> ImprovementReport:
     """Run operator-based policy improvement with exact evaluation.
 
@@ -259,10 +263,16 @@ def exact_improvement_report(
     state-action value (zero up to round-off for strictly monotone
     operators), the gap to the value-iteration optimum, and the full
     policy/objective trace.
+
+    The optimum is V* of ``value_iteration(cmdp)``.  A caller that
+    reports on one CMDP several times (``verify.check_improvement``
+    runs several families on each) computes it once and passes it as
+    ``v_star``; when it is None the report computes it.
     """
     policy = np.zeros(cmdp.n_states, dtype=int)
 
-    v_star, _ = value_iteration(cmdp)
+    if v_star is None:
+        v_star, _ = value_iteration(cmdp)
     j_star = float(cmdp.initial_dist @ v_star)
 
     policies = [policy.copy()]

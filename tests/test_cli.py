@@ -124,6 +124,8 @@ def test_train_a_run_too_large_for_memory_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {cfg} does not fit in memory (Unable to allocate 171. PiB")
     assert len(err.strip().splitlines()) == 1
+    # the output directory is made only once everything is allocated
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

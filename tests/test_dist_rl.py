@@ -15,6 +15,7 @@ from wavopt.dist_rl import (
     UpdateWorkspace,
     actor_gradient,
     bellman_eval,
+    bellman_operator,
     critic_gradient_all,
     dbar,
     midpoint_levels,
@@ -225,6 +226,73 @@ class TestBatchedBellmanEval:
             boot = z.atoms[np.arange(cmdp.n_states), policy].ravel()
             seen["ties"] += np.unique(boot).size < boot.size
         assert min(seen.values()) >= 50, seen
+
+
+class TestPreparedBellmanOperator:
+    def test_one_operator_applied_repeatedly_equals_fresh_calls_bitwise(self):
+        rng = np.random.default_rng(13)
+        seen = {"zeros": 0, "utility": 0, "float policy": 0}
+        for _ in range(150):
+            z, policy, cmdp, signal = _reference_instance(rng)
+            if rng.uniform() < 0.5:
+                policy = policy.astype(float)
+                seen["float policy"] += 1
+            operator = bellman_operator(policy, cmdp, z.n_quantiles, signal)
+            # its own iterates, then a map it has not seen
+            maps = [z]
+            for _ in range(3):
+                maps.append(operator(maps[-1]))
+            maps.append(QuantileMap(np.sort(rng.normal(size=z.atoms.shape), axis=2)))
+            for m in maps:
+                out = operator(m).atoms
+                assert out.tobytes() == bellman_eval(m, policy, cmdp, signal).atoms.tobytes()
+                npt.assert_array_equal(out, _reference_bellman_eval(m, policy.astype(int), cmdp, signal))
+            seen["zeros"] += bool((cmdp.transitions == 0.0).any())
+            seen["utility"] += signal >= 1
+        assert min(seen.values()) >= 30, seen
+
+    def test_applying_leaves_the_prepared_arrays_alone(self):
+        rng = np.random.default_rng(14)
+        cmdp = _random_cmdp(rng, ns=3, na=2)
+        operator = bellman_operator([1, 0, 1], cmdp, 4)
+        z = _random_map(rng, 3, 2, 4)
+        first = operator(z).atoms.tobytes()
+        operator(_random_map(rng, 3, 2, 4))
+        assert operator(z).atoms.tobytes() == first
+
+    @pytest.mark.parametrize(
+        "policy, match",
+        [
+            ([-1, -1, -1], "whole numbers in"),
+            ([0.7, 0, 0], "whole numbers in"),
+            ([0, 2, 0], "whole numbers in"),
+            ([0, 1], "deterministic action per state"),
+        ],
+    )
+    def test_policy_errors_are_raised_when_it_is_built(self, policy, match):
+        cmdp = _random_cmdp(np.random.default_rng(8), ns=3, na=2)
+        with pytest.raises(ValueError, match=match):
+            bellman_operator(policy, cmdp, 4)
+
+    @pytest.mark.parametrize(
+        "shape, match",
+        [
+            ((3, 1, 4), "quantile map has"),
+            ((4, 2, 4), "quantile map has"),
+            ((3, 2, 5), "5 atoms per entry, the operator 4"),
+        ],
+    )
+    def test_map_shape_errors_are_raised_when_it_is_applied(self, shape, match):
+        operator = bellman_operator([0, 1, 0], _random_cmdp(np.random.default_rng(9), ns=3, na=2), 4)
+        with pytest.raises(ValueError, match=match):
+            operator(QuantileMap.zeros(*shape))
+
+    def test_non_finite_atoms_are_refused_when_it_is_applied(self):
+        operator = bellman_operator([0, 0], _random_cmdp(np.random.default_rng(11), ns=2, na=1), 3)
+        atoms = np.zeros((2, 1, 3))
+        atoms[1, 0, 2] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            operator(QuantileMap(atoms))
 
 
 # ---------------------------------------------------------------------------

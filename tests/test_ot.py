@@ -29,7 +29,7 @@ from wavopt.ot import (
     wasserstein_1d,
     wasserstein_oracles,
 )
-from wavopt import ot
+from wavopt import measures, ot
 from slice_oracle import evaluate, project
 
 
@@ -171,6 +171,17 @@ class TestMeasures:
         drawn = draw(3, 12, np.random.default_rng(9), *args)
         rows = np.random.default_rng(9).standard_normal((12, width))
         assert drawn.coefficients.tobytes() == np.array([unit_row(row) for row in rows]).tobytes()
+
+    def test_batched_row_norms_are_the_one_row_norms_bitwise(self):
+        rng = np.random.default_rng(21)
+        for width in list(range(1, 57)) + [120]:
+            raw = rng.standard_normal((200, width)) * 10.0 ** rng.integers(-7, 8, size=(200, 1))
+            want = np.array([np.linalg.norm(row) for row in raw])
+            assert measures._row_norms(raw).tobytes() == want.tobytes(), width
+            # a strided matrix gives the rows of its contiguous copy
+            wide = np.repeat(raw, 2, axis=1)[:, ::2]
+            unit = measures._unit_rows(raw)
+            assert measures._unit_rows(wide).tobytes() == unit.tobytes(), width
 
     def test_monomial_count(self):
         assert monomial_exponents(3, 4).shape == (num_monomials(3, 4), 4) == (20, 4)

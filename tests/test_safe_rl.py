@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wavopt import nn
-from wavopt.cmdp import TabularCmdp, exact_objective
+from wavopt.cmdp import TabularCmdp, exact_objective, value_iteration
 from wavopt.dist_rl import TransitionBatch, UpdateWorkspace, td_targets
 from wavopt.envs import CartpoleEnv, make_env, random_tabular_cmdp
 from wavopt.harness import TrainConfig, probe
@@ -479,3 +479,17 @@ def test_exact_improvement_negative_control():
     cmdp = random_tabular_cmdp(6, 3, 1, seed=0, gamma=0.9)
     rep = exact_improvement_report(cmdp, TRIANGLE, max_iters=30)
     assert rep.q_monotone_violation > 1e-6
+
+
+@pytest.mark.parametrize("family", [affine_family(0.0, 1.0), log_family(0.0, 1.0), TRIANGLE], ids=lambda f: f.name)
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_exact_improvement_with_a_supplied_optimum_equals_the_self_computed_one(family, seed):
+    cmdp = random_tabular_cmdp(6, 3, 1, seed=seed, gamma=0.9)
+    own = exact_improvement_report(cmdp, family, max_iters=30)
+    given = exact_improvement_report(cmdp, family, max_iters=30, v_star=value_iteration(cmdp)[0])
+    assert given.objectives == own.objectives
+    assert len(given.policies) == len(own.policies)
+    assert all(np.array_equal(a, b) for a, b in zip(given.policies, own.policies))
+    assert given.q_monotone_violation == own.q_monotone_violation
+    assert given.final_gap == own.final_gap
+    assert (given.iterations, given.converged) == (own.iterations, own.converged)

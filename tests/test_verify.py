@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from coordinate_differences import coordinate_differences
-from wavopt import nn, verify
-from wavopt.cmdp import TabularCmdp
-from wavopt.dist_rl import QuantileMap, bellman_eval, td_targets
+from wavopt import nn, safe_rl, verify
+from wavopt.cmdp import TabularCmdp, value_iteration
+from wavopt.dist_rl import QuantileMap, bellman_eval, bellman_operator, td_targets
 from wavopt.envs import random_tabular_cmdp
 from wavopt.verify import check_gradients, check_transport_vs_oracle
 
@@ -67,19 +67,44 @@ def _single_state_cmdp():
     ],
 )
 def test_early_stopped_fixed_point_equals_500_iterations(monkeypatch, z, policy, cmdp):
-    calls = []
+    built, calls = [], []
 
     def counting(*args):
-        calls.append(1)
-        return bellman_eval(*args)
+        built.append(1)
+        operator = bellman_operator(*args)
 
-    monkeypatch.setattr(verify, "bellman_eval", counting)
+        def apply(z):
+            calls.append(1)
+            return operator(z)
+
+        return apply
+
+    monkeypatch.setattr(verify, "bellman_operator", counting)
     early = verify._iterate_bellman(z, policy, cmdp, 500)
     full = z
     for _ in range(500):
         full = bellman_eval(full, policy, cmdp)
     assert early.atoms.tobytes() == full.atoms.tobytes()
-    assert len(calls) < 500
+    assert len(built) == 1
+    assert 0 < len(calls) < 500
+
+
+@pytest.mark.parametrize("n_runs", [1, 2, 4])
+def test_improvement_check_runs_value_iteration_once_per_cmdp(monkeypatch, n_runs):
+    calls = []
+
+    def counting(cmdp, *args, **kwargs):
+        calls.append(cmdp)
+        return value_iteration(cmdp, *args, **kwargs)
+
+    want = verify.check_improvement(3, n_runs=n_runs)
+    monkeypatch.setattr(verify, "value_iteration", counting)
+    monkeypatch.setattr(safe_rl, "value_iteration", counting)
+    got = verify.check_improvement(3, n_runs=n_runs)
+    # one per run; the control shares run 0's CMDP (2 in a quick pass, was 5)
+    assert len(calls) == n_runs
+    assert len({id(c) for c in calls}) == n_runs
+    assert (got.report_line(), got.detail) == (want.report_line(), want.detail)
 
 
 # -- stacked central differences against the coordinate loop ---------------------
