@@ -26,6 +26,7 @@ from .harness import (
     _check_header,
     _g9,
     _read_text,
+    _stripped_lines,
     fit_rate,
     load_config,
     read_curve,
@@ -87,7 +88,8 @@ def _cmd_train(args) -> int:
         print(f"training aborted: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
-        raise ConfigError(f"{args.config} does not fit in memory ({exc})") from exc
+        detail = f" ({exc})" if str(exc) else ""
+        raise ConfigError(f"{args.config} does not fit in memory{detail}") from exc
     print(f"curve      {result.curve_path}")
     print(f"checkpoint {result.checkpoint_path}")
     print(f"summary    {result.summary_path}")
@@ -154,21 +156,24 @@ def _cmd_rate(args) -> int:
 
 
 def _read_trace(path: Path):
-    """Trace CSV: header with p_trajectory first, then one factor per column."""
-    lines = _read_text(path).strip().splitlines()
+    """Trace CSV: header with p_trajectory first, then one factor per column.
+
+    Returns the factor names and each row as (file line number, values).
+    """
+    lines, first = _stripped_lines(_read_text(path))
     if not lines:
         raise ConfigError(f"empty trace file: {path}")
     header = [h.strip() for h in lines[0].split(",")]
     if header[0] != "p_trajectory" or len(header) < 2:
         raise ConfigError("trace header must be: p_trajectory,<factor>,<factor>,...")
-    _check_header(header)
+    _check_header(header, first)
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines[1:], start=first + 1):
         toks = line.split(",")
         if len(toks) != len(header):
             raise ConfigError(f"line {lineno}: expected {len(header)} columns")
         try:
-            rows.append([float(t) for t in toks])
+            rows.append((lineno, [float(t) for t in toks]))
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: non-numeric value") from exc
     return header[1:], rows
@@ -178,11 +183,11 @@ def _cmd_interpret(args) -> int:
     path = Path(args.trace)
     factor_names, rows = _read_trace(path)
     out_lines = ["step,factor,probability,conditional,capped"]
-    for step, row in enumerate(rows):
+    for step, (lineno, row) in enumerate(rows):
         try:
             factors = decompose_interpretation(row[0], row[1:], names=factor_names)
         except ValueError as exc:
-            raise ConfigError(f"trace row {step}: {exc}") from exc
+            raise ConfigError(f"line {lineno}: {exc}") from exc
         for f in factors:
             out_lines.append(
                 f"{step},{f.name},{_g9(f.probability)},{_g9(f.capped_ratio)},{int(f.capped)}"

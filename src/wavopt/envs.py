@@ -249,9 +249,7 @@ class _EpisodeEnv:
 
     def reset(self, rng) -> np.ndarray:
         """Start an episode from an initial state drawn with ``rng`` (a generator or a seed)."""
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
-        self._state = self._initial_state(rng)
+        self._state = self._initial_state(np.random.default_rng(rng))
         self._steps = 0
         return self._state.copy()
 

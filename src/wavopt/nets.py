@@ -121,8 +121,7 @@ def init_policy_nets(
     feature_scale=None,
 ) -> PolicyNets:
     """Seeded construction of both networks; deterministic given the generator."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     scale = np.ones(state_dim) if feature_scale is None else np.asarray(feature_scale, dtype=float)
     if scale.shape != (state_dim,):
         raise ValueError("feature_scale must have one entry per state dimension")

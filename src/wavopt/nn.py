@@ -107,8 +107,7 @@ def init_mlp(layer_sizes, rng) -> MlpParams:
     sizes = list(layer_sizes)
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise ValueError("layer_sizes needs at least input and output, all positive")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         bound = 1.0 / np.sqrt(fan_in)

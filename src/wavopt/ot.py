@@ -503,8 +503,7 @@ def swd(mu: DiscreteMeasure, nu: DiscreteMeasure, k=2.0, num_projections: int = 
     integral = isinstance(num_projections, (int, np.integer)) and not isinstance(num_projections, bool)
     if not integral or num_projections < 1:
         raise ValueError(f"num_projections must be an integer >= 1, got {num_projections!r}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    slices = random_linear_slices(mu.dim, num_projections, rng)
+    slices = random_linear_slices(mu.dim, num_projections, np.random.default_rng(seed))
     return _slice_mean(_sliced_powers([mu, nu], [(0, 1)], kk, slices)[0], kk)
 
 

@@ -54,20 +54,19 @@ __all__ = [
 _ANCHOR = dict(t=1000, batch=128, horizon_scale=2, gamma=0.998)
 
 
-def _raw_tolerance(t: float, batch: float, horizon_scale: float, gamma: float) -> float:
+def _tolerance(c: float, t: float, batch: float, horizon_scale: float, gamma: float) -> float:
     decay = 1.0 - gamma
-    return 1.0 / (decay * math.sqrt(t)) + 1.0 / (decay * t * batch ** (horizon_scale / 4.0))
+    return c / (decay * math.sqrt(t)) + c / (decay * t * batch ** (horizon_scale / 4.0))
 
 # both constants share one calibrated value: tolerance 0.5 at the anchor
-C_CAL = 0.5 / _raw_tolerance(**_ANCHOR)
+C_CAL = 0.5 / _tolerance(1.0, **_ANCHOR)
 
 
 def tolerance_schedule(t: int, batch: int = 128, horizon_scale: float = 2.0, gamma: float = 0.998) -> float:
     """Feasibility slack after t updates: C/((1-g) sqrt(t)) + C/((1-g) t m^(H/4)), C = ``C_CAL``."""
     if t < 1:
         raise ValueError("update count t must be >= 1")
-    decay = 1.0 - gamma
-    return C_CAL / (decay * math.sqrt(t)) + C_CAL / (decay * t * batch ** (horizon_scale / 4.0))
+    return _tolerance(C_CAL, t, batch, horizon_scale, gamma)
 
 
 # -- Monte-Carlo objective estimation -------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wavopt import cli
 from wavopt.cli import main
 from wavopt.harness import CurveRow, read_curve, write_curve
 
@@ -126,6 +127,36 @@ def test_train_a_run_too_large_for_memory_exits_2(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
     # the output directory is made only once everything is allocated
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "buffer_capacity = 3000000000000000000\nhidden_width = 8\nn_quantiles = 8\n",
+        "hidden_width = 3000000000000000000\n",
+        "n_quantiles = 100000000000000000000\nhidden_width = 8\n",
+        "batch_size = 100000000000000000000\nbuffer_capacity = 100000000000000000000\nhidden_width = 8\nn_quantiles = 8\n",
+    ],
+    ids=["replay", "hidden-layer", "critic-head", "workspace"],
+)
+def test_train_a_size_beyond_numpys_index_range_exits_2(tmp_path, capsys, text):
+    # numpy refuses each size while it computes it, before any allocation
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text)
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {cfg} does not fit in memory (")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_a_memory_error_without_text_prints_no_empty_parentheses(tmp_path, capsys, fast_config, monkeypatch):
+    def no_memory(config, out_dir):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "run_training", no_memory)
+    assert main(["train", "--config", str(fast_config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"configuration error: {fast_config} does not fit in memory\n"
 
 
 @pytest.mark.parametrize(
@@ -447,7 +478,27 @@ def test_interpret_rejects_impossible_probabilities(tmp_path, capsys, row):
     trace.write_text(f"p_trajectory,wind,payload\n0.3,0.6,0.9\n{row}\n")
     assert main(["interpret", str(trace)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: trace row 1:")
+    assert err.startswith("configuration error: line 3:")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("\np_trajectory,wind\n0.3,x\n", "line 3: non-numeric value"),
+        ("\n\np_trajectory,wind\n0.3,0.6\n0.5,0.5,0.5\n", "line 5: expected 2 columns"),
+        ("\np_trajectory,wind,wind\n0.3,0.6,0.6\n", "line 2: column 'wind' is given twice (first in column 2)"),
+        ("\n\np_trajectory,wind\n0.3,0.6\n-1,0.5\n", "line 5: "),
+    ],
+    ids=["value", "width", "header", "probability"],
+)
+def test_interpret_errors_name_the_files_own_line(tmp_path, capsys, text, message):
+    # the blank lines before the header count
+    trace = tmp_path / "trace.csv"
+    trace.write_text(text)
+    assert main(["interpret", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {message}")
     assert len(err.strip().splitlines()) == 1
 
 
