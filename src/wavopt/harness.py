@@ -45,6 +45,7 @@ over a window that ends one smoothing window before the first argmax
 from __future__ import annotations
 
 import dataclasses
+import errno
 import math
 import mmap
 from dataclasses import dataclass
@@ -641,8 +642,8 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
     All randomness comes from child streams of one seed sequence, and the
     curve contains only simulated quantities, so two runs with the same
     config produce byte-identical files.  Arrays too large for memory or
-    for numpy's index range raise ``MemoryError`` before ``out_dir`` is
-    made.
+    for numpy's index range, and a replay mapping the host refuses
+    (``ENOMEM``), raise ``MemoryError`` before ``out_dir`` is made.
     """
     config.validate()
     ss = np.random.SeedSequence(config.seed)
@@ -673,6 +674,11 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
     except (OverflowError, ValueError) as exc:
         # a validated config fails here only by a size beyond numpy's
         # index range, which numpy refuses before it allocates
+        raise MemoryError(str(exc)) from exc
+    except OSError as exc:
+        # the host refuses the replay's anonymous mapping
+        if exc.errno != errno.ENOMEM:
+            raise
         raise MemoryError(str(exc)) from exc
     bounds = np.full(p, config.bound)
     # made once every large array is built, so a run that does not fit in

@@ -288,20 +288,22 @@ class DefiningFunction:
 
 
 def _power_table(pts: np.ndarray, degree: int) -> np.ndarray:
-    """(d, degree + 1, n) table with ``table[j, e] = pts[:, j] ** e``, by repeated products."""
-    table = np.empty((pts.shape[1], degree + 1, pts.shape[0]))
-    table[:, 0] = 1.0
-    table[:, 1] = pts.T
+    """(d, ..., degree + 1, n) table with ``table[j, ..., e, :] = pts[..., :, j] ** e``,
+    by repeated products."""
+    coords = np.moveaxis(pts, -1, 0)
+    table = np.empty(coords.shape[:-1] + (degree + 1, coords.shape[-1]))
+    table[..., 0, :] = 1.0
+    table[..., 1, :] = coords
     for e in range(2, degree + 1):
-        np.multiply(table[:, e - 1], pts.T, out=table[:, e])
+        np.multiply(table[..., e - 1, :], coords, out=table[..., e, :])
     return table
 
 
 def _monomials(table: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """(M, n) monomials ``prod_j x_j ** exponents[:, j]`` from a power table."""
-    out = table[0, exponents[:, 0]]
+    """C-ordered (..., M, n) monomials ``prod_j x_j ** exponents[:, j]`` from a power table."""
+    out = np.take(table[0], exponents[:, 0], axis=-2)
     for j in range(1, exponents.shape[1]):
-        out *= table[j, exponents[:, j]]
+        out *= np.take(table[j], exponents[:, j], axis=-2)
     return out
 
 
@@ -338,18 +340,29 @@ class SliceParameterSet:
         slices._hold(kind, dim, degree, _unit_rows(rows))
         return slices
 
+    def split(self, size: int) -> list:
+        """The set's slices as consecutive sets of ``size``, views of its rows."""
+        parts = []
+        for start in range(0, self.coefficients.shape[0], size):
+            part = SliceParameterSet.__new__(SliceParameterSet)
+            part._hold(self.kind, self.dim, self.degree, self.coefficients[start : start + size])
+            parts.append(part)
+        return parts
+
     def _hold(self, kind: str, dim: int, degree: int, coefficients: np.ndarray) -> None:
         coefficients.flags.writeable = False
         self.kind, self.dim, self.degree, self.coefficients = kind, dim, degree, coefficients
 
     def features(self, points: np.ndarray) -> np.ndarray:
-        """Feature rows (M, n) of the float points (n, dim).
+        """Feature rows (..., M, n) of the float points (..., n, dim).
 
-        Linear slices use the coordinates themselves, as the transposed
-        view ``points.T``; polynomial slices use the monomials of
+        Leading axes stack measures of one atom count; each one's rows
+        lie in memory as they would for its points alone.  Linear slices
+        use the coordinates themselves, as the transposed view of the
+        last two axes; polynomial slices use the monomials of
         ``monomial_exponents(degree, dim)``, gathered from a
         per-coordinate power table.
         """
         if self.kind == "linear":
-            return points.T
+            return np.swapaxes(points, -1, -2)
         return _monomials(_power_table(points, self.degree), monomial_exponents(self.degree, self.dim))

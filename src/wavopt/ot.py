@@ -27,29 +27,37 @@ homogeneous polynomials):
 * ``gswd`` - average over an explicit ``SliceParameterSet``; for any
   fixed slice set the result is a pseudo-metric.
 
-Both share one batched engine with the pseudo-metric check, which
-reads five distances among three measures.  Zero-weight atoms are
-dropped from each measure once, up front, as ``one_d_measure`` drops
-them, and each measure's feature rows (``SliceParameterSet.features``)
-are formed once.  The slices go in fixed blocks of ``_BLOCK``.  On a
-block, each measure is projected once, with one (block, M) @ (M, n)
-product of the set's coefficient rows and its feature rows, and each
-projected row is sorted.  Then each pair reads its per-slice powers
-from its two projected measures:
+Both share one batched engine, ``_sliced_powers``, with the
+pseudo-metric check, which sends all the trials of a check (up to
+``_TRIALS_PER_CALL``) through one call, each trial's three measures on
+its own slice set; ``gswd`` and ``swd`` send one pair on one set.
+Zero-weight atoms are dropped from each measure once, up front, as
+``one_d_measure`` drops them.  Measures of one atom count (before and
+after the drop), uniformity and slice kind, degree and dimension are
+stacked as a group of up to ``_GROUP_ATOMS`` atoms (or one measure),
+and their feature rows (``SliceParameterSet.features``) are formed
+once.  The slices go in fixed blocks of ``_BLOCK``.  On a block, each
+group is projected with one stacked (G, block, M) @ (G, M, n) product
+of its measures' coefficient rows and feature rows, and every
+projected row is sorted.  Then the pairs between two groups read their
+per-slice powers together:
 
 * equal-size uniform measures take the fast path: W_k^k is the mean of
   |sort x - sort y|^k (W_inf its maximum);
 * every other pair walks the merged cumulative grid of
   ``wasserstein_1d`` (sorted weights, renormalized and summed as
   ``one_d_measure`` does), with the same ``_CUM_DUST`` tie rule; the
-  rows of a block are walked together up to ``_WALK_BREAKPOINTS``
-  breakpoints at a time.
+  rows are walked together up to ``_WALK_BREAKPOINTS`` breakpoints at
+  a time.
 
-Blocks keep the (block, n) work arrays, and so the peak memory, flat in
-the slice count.  A slice whose W_k^k leaves [tiny, inf) although its
-distance is positive raises ValueError naming k, and so does a slice
-whose projections overflow float64 (a NaN or infinite W_k^k or W_inf,
-at any k).
+Each stacked product, row sort, row sum and walked row is the one a
+measure or pair would get alone (a stacked item keeps the memory layout
+of the measure's own feature rows), so a pair's powers have the same
+bits in whatever call it goes.  Blocks keep the (G, block, n) work
+arrays, and so the peak memory, flat in the slice count.  A slice
+whose W_k^k leaves [tiny, inf) although its distance is positive
+raises ValueError naming k, and so does a slice whose projections
+overflow float64 (a NaN or infinite W_k^k or W_inf, at any k).
 
 ``wasserstein_oracles`` is a deliberately independent brute-force route
 used to validate the quantile-merge implementation; it shares no code
@@ -192,8 +200,8 @@ def _merged_segments(cx: np.ndarray, cy: np.ndarray):
 
 
 def _flat_index(order: np.ndarray) -> np.ndarray:
-    """Row-local column indices ``order`` (rows, w), made flat indices in place."""
-    order += np.arange(0, order.size, order.shape[1])[:, None]
+    """Row-local column indices ``order`` (..., w), made flat indices in place."""
+    order += np.arange(0, order.size, order.shape[-1]).reshape(order.shape[:-1] + (1,))
     return order.ravel()
 
 
@@ -364,66 +372,140 @@ def _slice_mean(values_k: np.ndarray, k: float) -> float:
 _BLOCK = 8
 # breakpoints per merged-grid walk of the general path
 _WALK_BREAKPOINTS = 1 << 15
+# atoms per stacked projection product
+_GROUP_ATOMS = 1 << 12
 
 
-def _sliced_powers(measures, pairs, k: float, slices: SliceParameterSet) -> np.ndarray:
+def _sliced_powers(measures, slices, pairs, k: float) -> np.ndarray:
     """Per-slice W_k^k (W_inf for k = inf) of every pair ``(i, j)`` of ``measures``.
 
-    Returns (len(pairs), S).  Each block of slices projects and sorts
-    every measure once (``_project``); each pair then reads its powers
-    from its two projected measures (``_pair_powers``).
+    ``slices[i]`` is measure i's slice set; a pair's two measures share
+    theirs, and every set holds the same number S of slices.  Returns
+    (len(pairs), S).
+
+    A group holds up to ``_GROUP_ATOMS`` atoms (or one measure) of
+    measures of one kept atom count, uniformity, atom count before the
+    cut, and slice kind, degree and dimension; its kept atoms, features
+    and coefficient rows are stacked once.  On each
+    block of slices, every group is projected with one stacked product
+    and sorted with one row sort (``_project``), and the pairs between
+    two groups read their powers in one call: ``_uniform_powers`` for
+    equal-size uniform groups, ``_walk_powers`` otherwise.  Every
+    product, sort, row sum and walked row is that of a measure or pair
+    alone, so a pair's powers do not depend on what else the call holds.
     """
-    # a zero-weight atom sorted first would open the walk's zero-length
-    # first segment, whose distance the k = inf maximum still reads
-    kept = [m.weights > 0.0 for m in measures]
-    weights = [m.weights[keep] for m, keep in zip(measures, kept)]
-    # a uniform measure's cumulative weights are the same on every slice
-    uniform_cums = [_cumulative(w) if _is_uniform(w) else None for w in weights]
-    coeffs = slices.coefficients
-    out = np.empty((len(pairs), coeffs.shape[0]))
+    alike: dict = {}
+    for i, (c, s) in enumerate(zip(_classes(measures), slices)):
+        alike.setdefault((*c, s.kind, s.degree, s.dim), []).append(i)
+    # a group holds up to _GROUP_ATOMS atoms, or one measure: large
+    # measures gain nothing from stacking, whose work arrays would raise
+    # the peak memory and outgrow the cache
+    groups = []
+    for key, members in alike.items():
+        step = max(1, _GROUP_ATOMS // key[2])
+        groups += [(key, members[lo : lo + step]) for lo in range(0, len(members), step)]
+    # measure i is row row_of[i] of group group_of[i]
+    group_of, row_of = [0] * len(measures), [0] * len(measures)
+    for g, (_, members) in enumerate(groups):
+        for row, i in enumerate(members):
+            group_of[i], row_of[i] = g, row
+    # the pairs between two groups: their rows of ``out`` and of each group
+    routes: dict = {}
+    for r, (i, j) in enumerate(pairs):
+        routes.setdefault((group_of[i], group_of[j]), []).append((r, row_of[i], row_of[j]))
+    routes = {between: np.array(route).T for between, route in routes.items()}
+    count = slices[0].coefficients.shape[0]
+    out = np.empty((len(pairs), count))
     # overflowing features or projections surface as non-finite powers
     with np.errstate(over="ignore", invalid="ignore"):
-        feats = [slices.features(m.atoms[keep]) for m, keep in zip(measures, kept)]
-        for start in range(0, coeffs.shape[0], _BLOCK):
-            block = coeffs[start : start + _BLOCK]
-            projected = [_project(block @ f, w, c) for f, w, c in zip(feats, weights, uniform_cums)]
-            for row, (i, j) in zip(out, pairs):
-                row[start : start + block.shape[0]] = _pair_powers(projected[i], projected[j], k)
+        stacked = [
+            (*_stack([measures[i] for i in members], [slices[i] for i in members], n, u), u)
+            for (n, u, *_), members in groups
+        ]
+        for start in range(0, count, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            projected = [_project(coeffs[:, block] @ feats, w, u) for feats, coeffs, w, u in stacked]
+            for (gx, gy), (rows, px, py) in routes.items():
+                (xs, wx), (ys, wy) = projected[gx], projected[gy]
+                (nx, ux, *_), (ny, uy, *_) = groups[gx][0], groups[gy][0]
+                if ux and uy and nx == ny:
+                    powers = _uniform_powers(_rows(xs, px), _rows(ys, py), k)
+                else:
+                    powers = _walk_powers(_rows(xs, px), _rows(wx, px), _rows(ys, py), _rows(wy, py), k)
+                out[rows, block] = powers.reshape(rows.size, -1)
     if not np.isfinite(out).all():
         raise ValueError(f"a slice's projections overflow float64 at k = {k!r}; scale the measures down")
     return out
 
 
-def _project(p: np.ndarray, w: np.ndarray, uniform_cum) -> tuple:
-    """One measure on a block of slices: its projections ``p`` (block, n)
-    sorted row by row, the cumulative weights of each sorted row, and
-    whether the weights are uniform.
+def _classes(measures) -> list:
+    """Each measure's kept atom count, uniformity and atom count.
+
+    Zero-weight atoms are cut: one sorted first would open the walk's
+    zero-length first segment, whose distance the k = inf maximum reads.
+    """
+    sizes = [m.weights.size for m in measures]
+    weights = np.concatenate([m.weights for m in measures])
+    keep = weights > 0.0
+    counts = np.add.reduceat(keep, np.cumsum(sizes) - sizes)
+    kept = weights[keep]
+    starts = np.cumsum(counts) - counts
+    uniform = np.maximum.reduceat(kept, starts) == np.minimum.reduceat(kept, starts)
+    return list(zip(counts.tolist(), uniform.tolist(), sizes))
+
+
+def _stack(measures, slices, n: int, uniform: bool) -> tuple:
+    """Measures of one atom count, cut to their n kept atoms, stacked:
+    their feature rows (G, M, n), coefficient rows (G, S, M) and weights
+    (G, n), or cumulative weights for uniform measures, which are the
+    same on every slice."""
+    size = measures[0].weights.size
+    points = np.concatenate([m.atoms for m in measures]).reshape(len(measures), size, -1)
+    w = np.concatenate([m.weights for m in measures]).reshape(len(measures), size)
+    if n < size:
+        keep = w > 0.0
+        points, w = points[keep].reshape(len(measures), n, -1), w[keep].reshape(-1, n)
+    coeffs = np.concatenate([s.coefficients for s in slices]).reshape(len(measures), -1, slices[0].coefficients.shape[1])
+    return slices[0].features(points), coeffs, _cumulative(w) if uniform else w
+
+
+def _rows(stacked: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The (block, n) rows of the stacked measures ``p``, one after another;
+    one measure's are a view."""
+    if p.size == 1:
+        return stacked[p[0]]
+    return stacked[p].reshape(-1, stacked.shape[-1])
+
+
+def _project(p: np.ndarray, w: np.ndarray, uniform: bool) -> tuple:
+    """A group's projections ``p`` (G, block, n), each row sorted, and
+    the cumulative weights of each sorted row.
 
     The cumulative weights are those of ``one_d_measure`` on a row: the
     sorted weights renormalized, summed, the last pinned to 1.  Uniform
-    weights pass theirs in ``uniform_cum``, the same on every row; other
-    weights leave it None.  The sort need not be stable: atoms tied in a
-    row share their position, so their order moves only the rounding of
-    the sums.
+    measures pass theirs in ``w`` (G, n), the same on every row; other
+    measures pass their weights.  The sort need not be stable: atoms
+    tied in a row share their position, so their order moves only the
+    rounding of the sums.
     """
-    if uniform_cum is not None:
-        return np.sort(p, axis=1), np.broadcast_to(uniform_cum, p.shape), True
-    order = np.argsort(p, axis=1)
-    c = _cumulative(w[order])  # before _flat_index turns order into flat indices
-    return p.ravel()[_flat_index(order)].reshape(p.shape), c, False
+    if uniform:
+        return np.sort(p, axis=-1), np.broadcast_to(w[:, None, :], p.shape)
+    order = np.argsort(p, axis=-1)
+    # measure g's rows read weights g * n + order, before _flat_index
+    # turns order into flat indices in place
+    c = _cumulative(w.ravel()[order + np.arange(0, w.size, w.shape[-1])[:, None, None]])
+    return p.ravel()[_flat_index(order)].reshape(p.shape), c
 
 
-def _pair_powers(x: tuple, y: tuple, k: float) -> np.ndarray:
-    """W_k^k (W_inf) between row r of projected measure ``x`` and row r of ``y``, for every row."""
-    (xs, cx, x_uniform), (ys, cy, y_uniform) = x, y
-    if x_uniform and y_uniform and xs.shape[1] == ys.shape[1]:
-        d = np.abs(xs - ys)
-        if math.isinf(k):
-            return d.max(axis=1)
-        powers = (d**k).mean(axis=1)
-        _check_range(powers, lambda: d.max(axis=1), k)
-        return powers
-    return _walk_powers(xs, cx, ys, cy, k)
+def _uniform_powers(xs: np.ndarray, ys: np.ndarray, k: float) -> np.ndarray:
+    """Row-wise W_k^k (W_inf) of sorted equal-size uniform rows: the mean
+    of |sort x - sort y|^k (W_inf its maximum)."""
+    d = np.abs(xs - ys)
+    if math.isinf(k):
+        return d.max(axis=1)
+    powers = (d**k).mean(axis=1)
+    _check_range(powers, lambda: d.max(axis=1), k)
+    return powers
 
 
 def _walk_powers(xs: np.ndarray, cx: np.ndarray, ys: np.ndarray, cy: np.ndarray, k: float) -> np.ndarray:
@@ -463,10 +545,6 @@ def _check_range(powers: np.ndarray, largest, k: float) -> None:
         )
 
 
-def _is_uniform(w: np.ndarray) -> bool:
-    return bool(np.all(w == w[0]))
-
-
 def _cumulative(w: np.ndarray) -> np.ndarray:
     c = np.cumsum(w / w.sum(axis=-1, keepdims=True), axis=-1)
     c[..., -1] = 1.0
@@ -504,7 +582,7 @@ def swd(mu: DiscreteMeasure, nu: DiscreteMeasure, k=2.0, num_projections: int = 
     if not integral or num_projections < 1:
         raise ValueError(f"num_projections must be an integer >= 1, got {num_projections!r}")
     slices = random_linear_slices(mu.dim, num_projections, np.random.default_rng(seed))
-    return _slice_mean(_sliced_powers([mu, nu], [(0, 1)], kk, slices)[0], kk)
+    return _slice_mean(_sliced_powers([mu, nu], [slices, slices], [(0, 1)], kk)[0], kk)
 
 
 def gswd(mu: DiscreteMeasure, nu: DiscreteMeasure, k, slices: SliceParameterSet) -> float:
@@ -518,7 +596,7 @@ def gswd(mu: DiscreteMeasure, nu: DiscreteMeasure, k, slices: SliceParameterSet)
         raise ValueError("measures must share the ambient dimension")
     if slices.dim != mu.dim:
         raise ValueError("slice dimension does not match the measures")
-    return _slice_mean(_sliced_powers([mu, nu], [(0, 1)], kk, slices)[0], kk)
+    return _slice_mean(_sliced_powers([mu, nu], [slices, slices], [(0, 1)], kk)[0], kk)
 
 
 # ---------------------------------------------------------------------------
@@ -545,13 +623,8 @@ class PseudoMetricReport:
 
 # the distances of a triple (a, b, c) that the axioms read: ab, ba, ac, cb, aa
 _TRIPLE_PAIRS = ((0, 1), (1, 0), (0, 2), (2, 1), (0, 0))
-
-
-def _triple_distances(a, b, c, k: float, slices: SliceParameterSet) -> list:
-    """``gswd`` of the pairs ab, ba, ac, cb and aa, each measure projected once per block."""
-    if not a.dim == b.dim == c.dim == slices.dim:
-        raise ValueError("measures and slices must share the ambient dimension")
-    return [_slice_mean(p, k) for p in _sliced_powers([a, b, c], _TRIPLE_PAIRS, k, slices)]
+# trials per engine call; keeps the check's memory flat in the trial count
+_TRIALS_PER_CALL = 128
 
 
 def check_pseudo_metric(sampler, trials: int, seed=0) -> PseudoMetricReport:
@@ -560,21 +633,46 @@ def check_pseudo_metric(sampler, trials: int, seed=0) -> PseudoMetricReport:
     ``sampler(rng) -> DiscreteMeasure`` draws measures; each trial draws a
     triple plus one shared set of 8 random degree-3 polynomial slices and
     accumulates the worst violation of: non-negativity, symmetry, the
-    triangle inequality, and zero self-distance.  The five distances of
-    a trial share one projection of each measure.
+    triangle inequality, and zero self-distance.  The trials go to the
+    sliced engine ``_TRIALS_PER_CALL`` at a time, each trial's three
+    measures on its own slice set, so the memory stays flat in
+    ``trials``.  Each pair's powers are folded by the scalar
+    ``_slice_mean``, so a trial's five distances are those of five
+    ``gswd`` calls, bit for bit.  A trial whose measures do not share
+    one dimension raises ValueError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     worst = {"nonneg": 0.0, "sym": 0.0, "tri": 0.0, "self": 0.0}
-    for _ in range(trials):
-        a, b, c = sampler(rng), sampler(rng), sampler(rng)
-        slices = random_polynomial_slices(a.dim, 8, rng)
-        dab, dba, dac, dcb, daa = _triple_distances(a, b, c, 2.0, slices)
-        worst["nonneg"] = max(worst["nonneg"], -min(dab, dac, dcb))
-        worst["sym"] = max(worst["sym"], abs(dab - dba))
-        worst["tri"] = max(worst["tri"], dab - (dac + dcb))
-        worst["self"] = max(worst["self"], abs(daa))
+    for start in range(0, trials, _TRIALS_PER_CALL):
+        triples, raw = [], {}
+        for _ in range(min(_TRIALS_PER_CALL, trials - start)):
+            triple = [sampler(rng), sampler(rng), sampler(rng)]
+            # the draw of random_polynomial_slices(dim, 8, rng)
+            raw.setdefault(triple[0].dim, []).append(rng.standard_normal((8, num_monomials(3, triple[0].dim))))
+            triples.append(triple)
+        # each dimension's rows are normalised at once: a row's unit bits
+        # depend on its values alone
+        sets = {
+            dim: iter(SliceParameterSet.normalized("poly", dim, np.concatenate(rows), 3).split(8))
+            for dim, rows in raw.items()
+        }
+        measures, slices = [], []
+        for triple in triples:
+            shared = next(sets[triple[0].dim])
+            if any(m.dim != shared.dim for m in triple):
+                raise ValueError("measures and slices must share the ambient dimension")
+            measures += triple
+            slices += [shared] * 3
+        pairs = [(t + i, t + j) for t in range(0, len(measures), 3) for i, j in _TRIPLE_PAIRS]
+        distances = [_slice_mean(p, 2.0) for p in _sliced_powers(measures, slices, pairs, 2.0)]
+        for t in range(0, len(distances), 5):
+            dab, dba, dac, dcb, daa = distances[t : t + 5]
+            worst["nonneg"] = max(worst["nonneg"], -min(dab, dac, dcb))
+            worst["sym"] = max(worst["sym"], abs(dab - dba))
+            worst["tri"] = max(worst["tri"], dab - (dac + dcb))
+            worst["self"] = max(worst["self"], abs(daa))
     return PseudoMetricReport(
         trials=trials,
         nonnegativity=worst["nonneg"],

@@ -1,8 +1,10 @@
 """Exit codes and file outputs of every subcommand."""
 
 import contextlib
+import errno
 import hashlib
 import io
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wavopt import cli
+from wavopt import cli, harness
 from wavopt.cli import main
 from wavopt.harness import CurveRow, read_curve, write_curve
 
@@ -147,6 +149,32 @@ def test_train_a_size_beyond_numpys_index_range_exits_2(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {cfg} does not fit in memory (")
     assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def _refused_mapping(code):
+    def mapping(*args, **kwargs):
+        raise OSError(code, os.strerror(code))
+
+    return mapping
+
+
+def test_train_a_replay_mapping_the_host_refuses_exits_2(tmp_path, capsys, fast_config, monkeypatch):
+    # the host's answer to a large anonymous mapping depends on its
+    # overcommit setting, so the refusal is made here
+    monkeypatch.setattr(harness.mmap, "mmap", _refused_mapping(errno.ENOMEM))
+    assert main(["train", "--config", str(fast_config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {fast_config} does not fit in memory ([Errno {errno.ENOMEM}] {os.strerror(errno.ENOMEM)})\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_another_refused_mapping_keeps_its_own_message(tmp_path, capsys, fast_config, monkeypatch):
+    monkeypatch.setattr(harness.mmap, "mmap", _refused_mapping(errno.EACCES))
+    with pytest.raises(PermissionError):
+        harness.run_training(harness.load_config(fast_config), tmp_path / "out")
+    assert main(["train", "--config", str(fast_config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"configuration error: [Errno {errno.EACCES}] {os.strerror(errno.EACCES)}\n"
     assert not (tmp_path / "out").exists()
 
 

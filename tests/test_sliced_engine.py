@@ -9,6 +9,7 @@ that are differences of a cumulative sum; at n = 10^4 the two differ by
 about 1e-11 relative, so 1e-12 would be too tight.)
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -94,7 +95,7 @@ def test_gswd_matches_per_slice_route(k, count):
     for mu, nu in cases:
         _assert_close(gswd(mu, nu, k, slices), per_slice_distance(mu, nu, k, slices))
         want = per_slice_powers(mu, nu, k, slices)
-        np.testing.assert_allclose(ot._sliced_powers([mu, nu], [(0, 1)], k, slices)[0], want, rtol=REL_TOL, atol=0)
+        np.testing.assert_allclose(ot._sliced_powers([mu, nu], [slices, slices], [(0, 1)], k)[0], want, rtol=REL_TOL, atol=0)
 
 
 @pytest.mark.parametrize("k", [1.0, 2.0, 3.5, math.inf])
@@ -189,7 +190,7 @@ def test_walk_splits_a_block_of_large_rows(k):
     mu, nu = _cloud(rng, 3000, 2, True), _cloud(rng, 2000, 2, False)
     slices = random_polynomial_slices(2, 9, rng)
     want = per_slice_powers(mu, nu, k, slices)
-    np.testing.assert_allclose(ot._sliced_powers([mu, nu], [(0, 1)], k, slices)[0], want, rtol=REL_TOL, atol=0)
+    np.testing.assert_allclose(ot._sliced_powers([mu, nu], [slices, slices], [(0, 1)], k)[0], want, rtol=REL_TOL, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +290,35 @@ def test_features_reproduce_the_defining_function():
     assert np.shares_memory(SliceParameterSet.normalized("linear", 3, np.ones((1, 3))).features(points), points)
 
 
+def test_stacked_features_are_each_measures_own_bitwise():
+    # a stacked product reproduces a measure's own bits only where each
+    # stacked item lies in memory as the measure's own features do
+    rng = np.random.default_rng(14)
+    points = rng.normal(size=(4, 6, 3))
+    for kind, degree in (("linear", 1), ("poly", 3), ("poly", 5)):
+        slices = SliceParameterSet.normalized(kind, 3, rng.standard_normal((2, num_monomials(degree, 3))), degree)
+        stacked = slices.features(points)
+        for g in range(4):
+            own = slices.features(np.ascontiguousarray(points[g]))
+            assert stacked[g].strides == own.strides
+            assert stacked[g].tobytes() == own.tobytes()
+        # linear features stay a view of the points
+        assert np.shares_memory(stacked, points) == (kind == "linear")
+
+
+def test_split_slice_sets_are_read_only_views_of_the_rows():
+    whole = random_polynomial_slices(2, 24, np.random.default_rng(15))
+    parts = whole.split(8)
+    assert len(parts) == 3
+    for i, part in enumerate(parts):
+        assert (part.kind, part.degree, part.dim) == (whole.kind, whole.degree, whole.dim)
+        assert np.shares_memory(part.coefficients, whole.coefficients)
+        assert np.array_equal(part.coefficients, whole.coefficients[8 * i : 8 * i + 8])
+        assert not part.coefficients.flags.writeable
+
+
 # ---------------------------------------------------------------------------
-# the pseudo-metric check's shared projections
+# the pseudo-metric check's stacked trials
 # ---------------------------------------------------------------------------
 
 
@@ -302,40 +330,156 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
+def _triple_pairs(measures):
+    return [(t + i, t + j) for t in range(0, len(measures), 3) for i, j in ot._TRIPLE_PAIRS]
+
+
+def _spy_engine(monkeypatch) -> list:
+    """Record each engine call's measures, slice sets, pairs, order and
+    powers, until ``monkeypatch.undo()``."""
+    calls = []
+    engine = ot._sliced_powers
+
+    def recording(measures, slices, pairs, k):
+        powers = engine(measures, slices, pairs, k)
+        calls.append((measures, slices, pairs, k, powers))
+        return powers
+
+    monkeypatch.setattr(ot, "_sliced_powers", recording)
+    return calls
+
+
+def _folded(call) -> list:
+    """Each trial's five distances as the check folds an engine call's powers."""
+    measures, slices, pairs, k, powers = call
+    return [[ot._slice_mean(p, k) for p in powers[t : t + 5]] for t in range(0, len(pairs), 5)]
+
+
+def _assert_trials_are_gswd_calls(call) -> int:
+    """Each trial of an engine call: its five folded distances are five
+    ``gswd`` calls bit for bit.  Returns the call's trial count."""
+    measures, slices, pairs, k, powers = call
+    assert pairs == _triple_pairs(measures)
+    assert powers.shape == (len(pairs), slices[0].coefficients.shape[0])
+    for t, got in enumerate(_folded(call)):
+        a, b, c = measures[3 * t : 3 * t + 3]
+        assert slices[3 * t] is slices[3 * t + 1] is slices[3 * t + 2]
+        assert _hex(got) == _hex(_triple_via_gswd(a, b, c, k, slices[3 * t]))
+    return len(measures) // 3
+
+
+def _check_via_gswd(sampler, trials, seed) -> tuple:
+    """``check_pseudo_metric`` trial by trial with five ``gswd`` calls each:
+    every trial's distances, and the worst violations."""
+    rng = np.random.default_rng(seed)
+    distances = []
+    nonneg = sym = tri = self_distance = 0.0
+    for _ in range(trials):
+        a, b, c = sampler(rng), sampler(rng), sampler(rng)
+        distances.append(_triple_via_gswd(a, b, c, 2.0, random_polynomial_slices(a.dim, 8, rng)))
+        dab, dba, dac, dcb, daa = distances[-1]
+        nonneg = max(nonneg, -min(dab, dac, dcb))
+        sym = max(sym, abs(dab - dba))
+        tri = max(tri, dab - (dac + dcb))
+        self_distance = max(self_distance, abs(daa))
+    return [_hex(d) for d in distances], _hex([nonneg, sym, tri, self_distance])
+
+
+def _spied_distances(calls) -> list:
+    return [_hex(d) for call in calls for d in _folded(call)]
+
+
+def _report_hex(report):
+    return _hex([report.nonnegativity, report.symmetry, report.triangle, report.self_distance])
+
+
+def _mixed_sampler(r):
+    # unequal sizes walk the merged grid, equal uniform sizes take the
+    # fast path, and a zero weight is dropped
+    n = int(r.integers(1, 6))
+    w = r.uniform(0.1, 1.0, size=n)
+    if r.integers(3) == 0:
+        return DiscreteMeasure(r.normal(size=(n, 3)), None)
+    if n > 1:
+        w[r.integers(n)] = 0.0
+    return DiscreteMeasure(r.normal(size=(n, 3)), w / w.sum())
+
+
 def test_pseudo_metric_trial_distances_are_five_gswd_calls_bitwise(monkeypatch):
-    # the check's own trials: unequal sizes walk the merged grid, equal
-    # uniform sizes take the fast path, and a zero weight is dropped
-    def sampler(r):
-        n = int(r.integers(1, 6))
-        w = r.uniform(0.1, 1.0, size=n)
-        if r.integers(3) == 0:
-            return DiscreteMeasure(r.normal(size=(n, 3)), None)
-        if n > 1:
-            w[r.integers(n)] = 0.0
-        return DiscreteMeasure(r.normal(size=(n, 3)), w / w.sum())
-
-    trials = []
-    shared = ot._triple_distances
-
-    def recording(a, b, c, k, slices):
-        got = shared(a, b, c, k, slices)
-        trials.append((got, _triple_via_gswd(a, b, c, k, slices)))
-        return got
-
-    monkeypatch.setattr(ot, "_triple_distances", recording)
-    ot.check_pseudo_metric(sampler, trials=60, seed=4)
-    assert len(trials) == 60
-    for got, want in trials:
-        assert _hex(got) == _hex(want)
+    # the check's own trials, all in one engine call
+    calls = _spy_engine(monkeypatch)
+    report = ot.check_pseudo_metric(_mixed_sampler, trials=60, seed=4)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    assert _assert_trials_are_gswd_calls(calls[0]) == 60
+    distances, worst = _check_via_gswd(_mixed_sampler, 60, 4)
+    assert _spied_distances(calls) == distances
+    assert _report_hex(report) == worst
 
 
 @pytest.mark.parametrize("k", [1.0, 3.5, math.inf])
 def test_triple_distances_are_five_gswd_calls_bitwise(k):
+    # the trials of one slice count share one engine call: 8 slices are
+    # one block, 11 are two
     rng = np.random.default_rng(22)
+    trials = {8: [], 11: []}
     for trial in range(30):
         a = _cloud(rng, int(rng.integers(1, 9)), 3, True, zero_weights=True)
         b = _cloud(rng, 5, 3, False)
         c = _cloud(rng, 5 if trial % 2 else int(rng.integers(1, 9)), 3, bool(trial % 3 == 0))
-        # 8 slices are one block, 11 are two
-        slices = random_polynomial_slices(3, 8 if trial % 2 else 11, rng)
-        assert _hex(ot._triple_distances(a, b, c, k, slices)) == _hex(_triple_via_gswd(a, b, c, k, slices))
+        count = 8 if trial % 2 else 11
+        trials[count].append(([a, b, c], random_polynomial_slices(3, count, rng)))
+    for count, stacked in trials.items():
+        measures = [m for triple, _ in stacked for m in triple]
+        slices = [s for _, s in stacked for _ in range(3)]
+        pairs = _triple_pairs(measures)
+        powers = ot._sliced_powers(measures, slices, pairs, k)
+        assert _assert_trials_are_gswd_calls((measures, slices, pairs, k, powers)) == 15
+
+
+def _alternating_sampler():
+    """Uniform measures whose trials alternate dimension 2 and 3."""
+    drawn = itertools.count()
+
+    def sampler(r):
+        dim = 2 + next(drawn) // 3 % 2
+        return DiscreteMeasure(r.normal(size=(int(r.integers(1, 6)), dim)), None)
+
+    return sampler
+
+
+def test_pseudo_metric_trials_of_alternating_dimensions_match_gswd(monkeypatch):
+    calls = _spy_engine(monkeypatch)
+    report = ot.check_pseudo_metric(_alternating_sampler(), trials=40, seed=9)
+    monkeypatch.undo()
+    assert [m.dim for m in calls[0][0][::3]] == [2, 3] * 20
+    assert _assert_trials_are_gswd_calls(calls[0]) == 40
+    distances, worst = _check_via_gswd(_alternating_sampler(), 40, 9)
+    assert _spied_distances(calls) == distances
+    assert _report_hex(report) == worst
+
+
+def test_pseudo_metric_check_beyond_one_engine_call_matches_gswd(monkeypatch):
+    # 300 trials go to the engine 128 at a time
+    assert ot._TRIALS_PER_CALL == 128
+    calls = _spy_engine(monkeypatch)
+    report = ot.check_pseudo_metric(_mixed_sampler, trials=300, seed=12)
+    monkeypatch.undo()
+    assert [_assert_trials_are_gswd_calls(call) for call in calls] == [128, 128, 44]
+    assert report.trials == 300
+    distances, worst = _check_via_gswd(_mixed_sampler, 300, 12)
+    assert _spied_distances(calls) == distances
+    assert _report_hex(report) == worst
+
+
+@pytest.mark.parametrize("mixed_trial", [0, 7])
+def test_pseudo_metric_trial_of_mixed_dimensions_is_refused(mixed_trial):
+    drawn = itertools.count()
+
+    def sampler(r):
+        i = next(drawn)
+        dim = 3 if i == 3 * mixed_trial + 2 else 2
+        return DiscreteMeasure(r.normal(size=(3, dim)), None)
+
+    with pytest.raises(ValueError, match="measures and slices must share the ambient dimension"):
+        ot.check_pseudo_metric(sampler, trials=10, seed=0)
