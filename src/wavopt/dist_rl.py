@@ -13,8 +13,7 @@ checks the policy and computes every array that does not depend on the
 map, and returns ``apply(z)``.  An application builds the next-state
 mixtures of shifted/scaled atom sets of every (s, a) as the rows of one
 array and re-projects them together, with the bits of projecting each
-on its own.  ``bellman_eval`` prepares it for one map and applies it
-once; a caller that iterates it, or applies it to several maps,
+on its own.  A caller that iterates it, or applies it to several maps,
 prepares it once.
 Projection-after-operator is a gamma-contraction in the sup-W_inf metric
 ``dbar`` (projection is a W_inf non-expansion, the operator itself
@@ -67,7 +66,6 @@ __all__ = [
     "quantile_projection",
     "dbar",
     "bellman_operator",
-    "bellman_eval",
     "UpdateWorkspace",
     "td_targets",
     "critic_gradient_all",
@@ -214,18 +212,6 @@ def bellman_operator(
         return QuantileMap._sorted(positions.take(idx).reshape(ns, na, n))
 
     return apply
-
-
-def bellman_eval(z: QuantileMap, policy, cmdp: TabularCmdp, signal: int = 0) -> QuantileMap:
-    """The projected policy-evaluation operator of ``bellman_operator``
-    for one signal, prepared for ``z``'s atom count and applied to ``z``
-    once.  A caller that applies it to several maps prepares it once.
-
-    Errors of the policy and the signal come first, as the operator is
-    prepared; then a map of another (nS, nA) and non-finite mixture
-    positions, as it is applied.
-    """
-    return bellman_operator(policy, cmdp, z.n_quantiles, signal)(z)
 
 
 def _positive_sums(w: np.ndarray, held: np.ndarray) -> np.ndarray:

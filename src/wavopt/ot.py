@@ -61,20 +61,21 @@ overflow float64 (a NaN or infinite W_k^k or W_inf, at any k).
 
 ``wasserstein_oracles`` is a deliberately independent brute-force route
 used to validate the quantile-merge implementation; it shares no code
-with it.  Per pair it enumerates permutations (small uniform pairs),
-searches the bottleneck threshold through the Hall/Gale feasibility
-condition, all 2^n subsets at once (k = inf), or solves the
-transportation linear program (Peyre & Cuturi, "Computational Optimal
-Transport", 2019).  The linear programs of one call are stacked as the
-diagonal blocks of one HiGHS program, up to ``_LP_BATCH`` per solve, at
-1e-10 primal and dual feasibility tolerances.
+with it.  Per pair it searches the bottleneck threshold through the
+Hall/Gale feasibility condition, all 2^n subsets at once (k = inf),
+solves an exactly uniform pair (every weight within 1e-12 of 1/n) as one
+assignment problem on lcm(n, m) equal-weight copies of each side, or
+solves the transportation linear program (Peyre & Cuturi,
+"Computational Optimal Transport", 2019).  The linear programs of one
+call are stacked as the diagonal blocks of one HiGHS program, up to
+``_LP_BATCH`` per solve, at 1e-10 primal and dual feasibility
+tolerances.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -97,8 +98,6 @@ __all__ = [
 ]
 
 ORACLE_MAX_ATOMS = 10
-_PERM_MAX_ATOMS = 8
-_perm_cache: dict[int, np.ndarray] = {}
 
 
 def _check_order(k) -> float:
@@ -206,7 +205,7 @@ def _flat_index(order: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracle (independent route: enumeration / LP / bottleneck)
+# Brute-force oracle (independent route: assignment / LP / bottleneck)
 # ---------------------------------------------------------------------------
 
 
@@ -215,22 +214,23 @@ def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=2))
 
 
-def _permutation_indices(n: int) -> np.ndarray:
-    if n not in _perm_cache:
-        _perm_cache[n] = np.asarray(list(permutations(range(n))), dtype=np.intp)
-    return _perm_cache[n]
+def _oracle_assignment(dist: np.ndarray, k: float) -> float:
+    """W_k between uniform measures as one assignment problem.
 
+    Each of the n (m) atoms is repeated L / n (L / m) times, L =
+    lcm(n, m), so both sides hold L copies of weight 1/L.  Couplings of
+    the copies sum back to couplings of the measures, and any coupling
+    splits evenly over the copies, so the two optima agree; one optimum
+    of the copies is a permutation (Birkhoff-von Neumann), which
+    ``linear_sum_assignment`` finds exactly on ``dist**k``.
+    """
+    from scipy.optimize import linear_sum_assignment  # see _oracle_lps
 
-def _oracle_uniform(dist: np.ndarray, k: float) -> float:
-    """Min over all permutation matchings; exact for equal-count uniform weights."""
-    n = dist.shape[0]
-    perms = _permutation_indices(n)
-    rows = np.arange(n)
-    matched = dist[rows[None, :], perms]  # (n!, n)
-    if math.isinf(k):
-        return float(matched.max(axis=1).min())
-    costs = (matched**k).mean(axis=1)
-    return float(costs.min() ** (1.0 / k))
+    n, m = dist.shape
+    size = math.lcm(n, m)
+    cost = np.repeat(np.repeat(dist**k, size // n, axis=0), size // m, axis=1)
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].mean() ** (1.0 / k))
 
 
 def _oracle_lps(blocks) -> list:
@@ -244,8 +244,9 @@ def _oracle_lps(blocks) -> list:
     feasibility tolerances, so each value is accurate well past the
     1e-9 of the transport check.
     """
-    # the only scipy user: importing it here keeps scipy out of every
-    # process that never solves an LP (``train``, ``rate``, ``interpret``)
+    # the oracle is the only scipy user: importing it inside its solvers
+    # keeps scipy out of every process that never runs it (``train``,
+    # ``rate``, ``interpret``)
     from scipy.optimize import linprog
     from scipy.sparse import coo_array
 
@@ -316,16 +317,23 @@ def _oracle_bottleneck(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> floa
 _LP_BATCH = 128
 
 
+def _exactly_uniform(w: np.ndarray) -> bool:
+    """Every weight within 1e-12 of 1/n, with no relative tolerance:
+    weights 1e-7 off are another measure, whose W_k the LP gives."""
+    return float(np.abs(w - 1.0 / w.size).max()) <= 1e-12
+
+
 def wasserstein_oracles(problems) -> list:
     """Brute-force order-k Wasserstein distances for small discrete measures.
 
     ``problems`` holds ``(mu, nu, k)`` triples; one value is returned per
-    triple, in order.  Route selection per triple: equal atom counts
-    with uniform weights (n <= 8) use exhaustive permutation matching;
-    general weights use a Hall-condition bottleneck search for k = inf
-    and the transportation LP for finite k.  The LPs are solved
-    ``_LP_BATCH`` at a time as one block-diagonal HiGHS program.
-    Raises ValueError beyond ``ORACLE_MAX_ATOMS`` atoms per side.
+    triple, in order.  Route selection per triple: k = inf takes the
+    Hall-condition bottleneck search; a finite k with both weight vectors
+    exactly uniform (every weight within 1e-12 of 1/n) takes the
+    assignment problem on lcm(n, m) equal-weight copies of each side;
+    every other pair takes the transportation LP, ``_LP_BATCH`` at a
+    time as one block-diagonal HiGHS program.  Raises ValueError beyond
+    ``ORACLE_MAX_ATOMS`` atoms per side.
     """
     values = [0.0] * len(problems)
     lps, lp_index = [], []
@@ -336,16 +344,10 @@ def wasserstein_oracles(problems) -> list:
         if mu.size > ORACLE_MAX_ATOMS or nu.size > ORACLE_MAX_ATOMS:
             raise ValueError(f"oracle limited to {ORACLE_MAX_ATOMS} atoms per measure")
         dist = _pairwise_distances(mu.atoms, nu.atoms)
-        uniform = (
-            mu.size == nu.size
-            and mu.size <= _PERM_MAX_ATOMS
-            and np.allclose(mu.weights, 1.0 / mu.size, atol=1e-12)
-            and np.allclose(nu.weights, 1.0 / nu.size, atol=1e-12)
-        )
-        if uniform:
-            values[i] = _oracle_uniform(dist, kk)
-        elif math.isinf(kk):
+        if math.isinf(kk):
             values[i] = _oracle_bottleneck(dist, mu.weights, nu.weights)
+        elif _exactly_uniform(mu.weights) and _exactly_uniform(nu.weights):
+            values[i] = _oracle_assignment(dist, kk)
         else:
             lps.append((dist, mu.weights, nu.weights, kk))
             lp_index.append(i)

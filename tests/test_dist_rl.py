@@ -14,7 +14,6 @@ from wavopt.dist_rl import (
     TransitionBatch,
     UpdateWorkspace,
     actor_gradient,
-    bellman_eval,
     bellman_operator,
     critic_gradient_all,
     dbar,
@@ -117,7 +116,8 @@ class TestBellmanOperators:
             z1 = _random_map(rng, cmdp.n_states, cmdp.n_actions, n)
             z2 = _random_map(rng, cmdp.n_states, cmdp.n_actions, n)
             before = dbar(z1, z2)
-            after = dbar(bellman_eval(z1, policy, cmdp, 0), bellman_eval(z2, policy, cmdp, 0))
+            operator = bellman_operator(policy, cmdp, n, 0)
+            after = dbar(operator(z1), operator(z2))
             assert after <= cmdp.gamma * before + 1e-12
 
     def test_single_state_fixed_point(self):
@@ -125,7 +125,7 @@ class TestBellmanOperators:
         cmdp = TabularCmdp(trans, np.array([[0.7]]), np.zeros((0, 1, 1)), np.zeros(0), 0.9)
         z = QuantileMap.zeros(1, 1, 16)
         for _ in range(400):
-            z = bellman_eval(z, np.array([0]), cmdp, 0)
+            z = bellman_operator(np.array([0]), cmdp, 16, 0)(z)
         npt.assert_allclose(z.atoms, 0.7 / 0.1, atol=1e-8)
 
     def test_utility_signal_selects_matching_h(self):
@@ -133,7 +133,7 @@ class TestBellmanOperators:
         cmdp = _random_cmdp(rng, ns=2, na=2, p=2)
         z = QuantileMap.zeros(2, 2, 3)
         policy = np.array([0, 1])
-        out = bellman_eval(z, policy, cmdp, signal=2)
+        out = bellman_operator(policy, cmdp, 3, signal=2)(z)
         npt.assert_allclose(out.atoms[:, :, 0], cmdp.utilities[1], atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -148,20 +148,21 @@ class TestBellmanOperators:
     def test_policy_outside_the_action_set_is_refused(self, policy, match):
         cmdp = _random_cmdp(np.random.default_rng(8), ns=3, na=2)
         with pytest.raises(ValueError, match=match):
-            bellman_eval(QuantileMap.zeros(3, 2, 4), policy, cmdp)
+            # the map's shape is wrong too: the policy is refused first
+            bellman_operator(policy, cmdp, 4)(QuantileMap.zeros(4, 2, 4))
 
     @pytest.mark.parametrize("shape", [(3, 1, 4), (4, 2, 4), (2, 2, 4)])
     def test_map_of_another_shape_is_refused(self, shape):
         cmdp = _random_cmdp(np.random.default_rng(9), ns=3, na=2)
         with pytest.raises(ValueError, match="quantile map has"):
-            bellman_eval(QuantileMap.zeros(*shape), [0, 1, 0], cmdp)
+            bellman_operator([0, 1, 0], cmdp, shape[2])(QuantileMap.zeros(*shape))
 
     def test_whole_float_actions_are_accepted(self):
         rng = np.random.default_rng(10)
         cmdp = _random_cmdp(rng, ns=3, na=2)
         z = _random_map(rng, 3, 2, 4)
         npt.assert_array_equal(
-            bellman_eval(z, np.array([1.0, 0.0, 1.0]), cmdp).atoms, bellman_eval(z, [1, 0, 1], cmdp).atoms
+            bellman_operator(np.array([1.0, 0.0, 1.0]), cmdp, 4)(z).atoms, bellman_operator([1, 0, 1], cmdp, 4)(z).atoms
         )
 
     def test_non_finite_atoms_are_refused(self):
@@ -169,7 +170,7 @@ class TestBellmanOperators:
         atoms = np.zeros((2, 1, 3))
         atoms[1, 0, 2] = np.inf
         with pytest.raises(ValueError, match="finite"):
-            bellman_eval(QuantileMap(atoms), [0, 0], cmdp)
+            bellman_operator([0, 0], cmdp, 3)(QuantileMap(atoms))
 
 
 def _reference_bellman_eval(z, policy, cmdp, signal):
@@ -219,7 +220,7 @@ class TestBatchedBellmanEval:
         for _ in range(600):
             z, policy, cmdp, signal = _reference_instance(rng)
             expect = _reference_bellman_eval(z, policy, cmdp, signal)
-            npt.assert_array_equal(bellman_eval(z, policy, cmdp, signal).atoms, expect)
+            npt.assert_array_equal(bellman_operator(policy, cmdp, z.n_quantiles, signal)(z).atoms, expect)
             seen["zeros"] += bool((cmdp.transitions == 0.0).any())
             seen["long"] += cmdp.n_states * z.n_quantiles > 128
             seen["utility"] += signal >= 1
@@ -245,7 +246,8 @@ class TestPreparedBellmanOperator:
             maps.append(QuantileMap(np.sort(rng.normal(size=z.atoms.shape), axis=2)))
             for m in maps:
                 out = operator(m).atoms
-                assert out.tobytes() == bellman_eval(m, policy, cmdp, signal).atoms.tobytes()
+                fresh = bellman_operator(policy, cmdp, m.n_quantiles, signal)(m)
+                assert out.tobytes() == fresh.atoms.tobytes()
                 npt.assert_array_equal(out, _reference_bellman_eval(m, policy.astype(int), cmdp, signal))
             seen["zeros"] += bool((cmdp.transitions == 0.0).any())
             seen["utility"] += signal >= 1

@@ -1,10 +1,14 @@
 """Optimal-transport layer: exact 1-D distances vs. brute-force couplings.
 
 Frozen expected values in this file were computed with the brute-force
-coupling oracle (permutation enumeration / transportation LP) before the
-quantile-merge implementation existed; the two routes stay independent.
+coupling oracle (then permutation enumeration / transportation LP)
+before the quantile-merge implementation existed; the two routes stay
+independent.  The oracle now solves exactly uniform pairs as assignment
+problems, W_inf by a bottleneck search and the rest as LPs; the
+permutation enumeration survives here as the k = inf reference.
 """
 
+import itertools
 import math
 import warnings
 
@@ -50,6 +54,40 @@ def _random_discrete(rng, n, d, weighted=False):
     else:
         w = None
     return DiscreteMeasure.from_points(atoms, w)
+
+
+def _nudged(n, eps, rng=None):
+    """Weights 1/n +- eps (alternating, or random signs with ``rng``), renormalized."""
+    signs = (-1.0) ** np.arange(n) if rng is None else rng.choice([-1.0, 1.0], size=n)
+    w = np.full(n, 1.0 / n) + eps * signs
+    return w / w.sum()
+
+
+def _permutation_bottleneck(dist):
+    """W_inf of equal-size uniform measures by enumerating every matching:
+    the smallest largest matched distance."""
+    n = dist.shape[0]
+    perms = np.asarray(list(itertools.permutations(range(n))))
+    return float(dist[np.arange(n), perms].max(axis=1).min())
+
+
+def _spy_routes(monkeypatch):
+    """Record which oracle route each pair takes, in call order."""
+    routes = []
+
+    def spy(name, route, pairs=lambda args: 1):
+        solve = getattr(ot, name)
+
+        def counted(*args):
+            routes.extend([route] * pairs(args))
+            return solve(*args)
+
+        monkeypatch.setattr(ot, name, counted)
+
+    spy("_oracle_assignment", "assignment")
+    spy("_oracle_bottleneck", "bottleneck")
+    spy("_oracle_lps", "lp", lambda args: len(args[0]))
+    return routes
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +331,6 @@ class TestOracleAgreement:
             weighted = trial % 2 == 1
             n = int(rng.integers(1, 9))
             m = int(rng.integers(1, 9))
-            if not weighted:
-                m = n  # permutation route needs equal counts
             mu = _random_discrete(rng, n, 1, weighted=weighted)
             nu = _random_discrete(rng, m, 1, weighted=weighted)
             k = [1, 2, math.inf][trial % 3]
@@ -307,26 +343,64 @@ class TestOracleAgreement:
             worst = max(worst, abs(fast - slow))
         assert worst < 1e-9
 
-    def test_oracle_routes_agree_on_uniform_inputs(self):
-        # permutation enumeration vs LP vs bottleneck on the same instances
+    def test_oracle_routes_agree_on_uniform_inputs(self, monkeypatch):
+        routes = _spy_routes(monkeypatch)
         rng = np.random.default_rng(11)
         for _ in range(25):
-            n = int(rng.integers(2, 7))
+            n, m = int(rng.integers(2, 7)), int(rng.integers(2, 7))
             mu = _random_discrete(rng, n, 2)
-            nu = _random_discrete(rng, n, 2)
-            # near-uniform weights force the LP/bottleneck route
-            w = np.full(n, 1.0 / n)
-            w[0] += 1e-9
-            w[-1] -= 1e-9
-            mu_w = DiscreteMeasure(mu.atoms, w / w.sum())
-            nu_w = DiscreteMeasure(nu.atoms, w / w.sum())
+            nu = _random_discrete(rng, m, 2)
+            # weights 1e-9 from uniform are another measure: the LP's
+            mu_w = DiscreteMeasure(mu.atoms, _nudged(n, 1e-9))
+            nu_w = DiscreteMeasure(nu.atoms, _nudged(m, 1e-9))
             for k in (1, 2):
-                assert wasserstein_oracle(mu, nu, k) == pytest.approx(
-                    wasserstein_oracle(mu_w, nu_w, k), abs=1e-6
-                )
-            assert wasserstein_oracle(mu, nu, math.inf) == pytest.approx(
-                wasserstein_oracle(mu_w, nu_w, math.inf), abs=1e-6
-            )
+                routes.clear()
+                exact = wasserstein_oracle(mu, nu, k)
+                assert routes == ["assignment"]
+                near = wasserstein_oracle(mu_w, nu_w, k)
+                assert routes == ["assignment", "lp"]
+                assert exact == pytest.approx(near, abs=1e-6)
+            # W_inf is not continuous in the weights: moving 1e-9 of mass
+            # can forbid a pairing the bottleneck needs (the second instance
+            # here reads 1.69 at uniform weights and 1.80 nudged), so k =
+            # inf is checked against enumeration on exactly uniform pairs
+            nu_n = _random_discrete(rng, n, 2)
+            routes.clear()
+            bottleneck = wasserstein_oracle(mu, nu_n, math.inf)
+            assert routes == ["bottleneck"]
+            assert bottleneck == _permutation_bottleneck(ot._pairwise_distances(mu.atoms, nu_n.atoms))
+
+    def test_near_uniform_weights_are_not_taken_as_uniform(self):
+        # weights 1e-7 from uniform once passed a relative closeness test
+        # and took the uniform route, which read W_k of the uniform
+        # measures: up to 5.1e-7 off at k = 1, 1.2e-6 at k = 2 and 2.01
+        # at k = inf on these pairs
+        rng = np.random.default_rng(3)
+        problems, fast = [], []
+        for trial in range(200):
+            k = [1.0, 2.0, math.inf][trial % 3]
+            pair = []
+            for _ in range(2):
+                n = int(rng.integers(2, 9))
+                pair.append((rng.normal(scale=2.0, size=n), _nudged(n, 1e-7, rng)))
+            (pa, wa), (pb, wb) = pair
+            fast.append(wasserstein_1d(one_d_measure(pa, wa), one_d_measure(pb, wb), k))
+            problems.append((DiscreteMeasure(pa[:, None], wa), DiscreteMeasure(pb[:, None], wb), k))
+        for f, slow in zip(fast, wasserstein_oracles(problems)):
+            assert f == pytest.approx(slow, abs=1e-9)
+
+    @pytest.mark.parametrize("k", [1.0, 2.0, 3.5])
+    def test_assignment_route_matches_the_lp(self, monkeypatch, k):
+        # unequal uniform sizes and 9-10 atoms, which no permutation
+        # enumeration reached: up to lcm(9, 10) = 90 copies a side
+        sizes = [(1, 10), (2, 3), (4, 6), (5, 7), (9, 9), (9, 10), (10, 10), (10, 4), (8, 9), (6, 10)]
+        rng = np.random.default_rng(16)
+        problems = [(_random_discrete(rng, n, 2), _random_discrete(rng, m, 2), k) for n, m in sizes * 3]
+        routes = _spy_routes(monkeypatch)
+        values = wasserstein_oracles(problems)
+        assert routes == ["assignment"] * len(problems)
+        lps = [(ot._pairwise_distances(mu.atoms, nu.atoms), mu.weights, nu.weights, k) for mu, nu, _ in problems]
+        npt.assert_allclose(values, ot._oracle_lps(lps), rtol=0.0, atol=1e-9)
 
     def test_oracle_size_cap(self):
         rng = np.random.default_rng(12)

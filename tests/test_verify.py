@@ -8,7 +8,7 @@ import pytest
 from coordinate_differences import coordinate_differences
 from wavopt import nn, safe_rl, verify
 from wavopt.cmdp import TabularCmdp, value_iteration
-from wavopt.dist_rl import QuantileMap, bellman_eval, bellman_operator, td_targets
+from wavopt.dist_rl import QuantileMap, bellman_operator, td_targets
 from wavopt.envs import random_tabular_cmdp
 from wavopt.verify import check_gradients, check_transport_vs_oracle
 
@@ -83,7 +83,7 @@ def test_early_stopped_fixed_point_equals_500_iterations(monkeypatch, z, policy,
     early = verify._iterate_bellman(z, policy, cmdp, 500)
     full = z
     for _ in range(500):
-        full = bellman_eval(full, policy, cmdp)
+        full = bellman_operator(policy, cmdp, full.n_quantiles)(full)
     assert early.atoms.tobytes() == full.atoms.tobytes()
     assert len(built) == 1
     assert 0 < len(calls) < 500
