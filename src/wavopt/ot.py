@@ -27,10 +27,10 @@ homogeneous polynomials):
 * ``gswd`` - average over an explicit ``SliceParameterSet``; for any
   fixed slice set the result is a pseudo-metric.
 
-Both share one batched engine, ``_sliced_powers``, with the
-pseudo-metric check, which sends all the trials of a check (up to
-``_TRIALS_PER_CALL``) through one call, each trial's three measures on
-its own slice set; ``gswd`` and ``swd`` send one pair on one set.
+Both send one pair on one slice set to one batched engine,
+``_sliced_powers``.  Its third client, ``verify``'s pseudo-metric check,
+sends many trials per call, each trial's three measures on their own
+slice set.
 Zero-weight atoms are dropped from each measure once, up front, as
 ``one_d_measure`` drops them.  Measures of one atom count (before and
 after the drop), uniformity and slice kind, degree and dimension are
@@ -75,7 +75,6 @@ tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,8 +90,6 @@ __all__ = [
     "wasserstein_oracles",
     "swd",
     "gswd",
-    "check_pseudo_metric",
-    "PseudoMetricReport",
     "random_linear_slices",
     "random_polynomial_slices",
 ]
@@ -599,86 +596,3 @@ def gswd(mu: DiscreteMeasure, nu: DiscreteMeasure, k, slices: SliceParameterSet)
     if slices.dim != mu.dim:
         raise ValueError("slice dimension does not match the measures")
     return _slice_mean(_sliced_powers([mu, nu], [slices, slices], [(0, 1)], kk)[0], kk)
-
-
-# ---------------------------------------------------------------------------
-# Pseudo-metric axiom checking
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PseudoMetricReport:
-    """Worst observed violation per axiom over sampled triples."""
-
-    trials: int
-    nonnegativity: float
-    symmetry: float
-    triangle: float
-    self_distance: float
-
-    def max_violation(self) -> float:
-        return max(self.nonnegativity, self.symmetry, self.triangle, self.self_distance)
-
-    def passed(self, tol: float = 1e-9) -> bool:
-        return self.max_violation() <= tol
-
-
-# the distances of a triple (a, b, c) that the axioms read: ab, ba, ac, cb, aa
-_TRIPLE_PAIRS = ((0, 1), (1, 0), (0, 2), (2, 1), (0, 0))
-# trials per engine call; keeps the check's memory flat in the trial count
-_TRIALS_PER_CALL = 128
-
-
-def check_pseudo_metric(sampler, trials: int, seed=0) -> PseudoMetricReport:
-    """Verify pseudo-metric axioms of order-2 ``gswd`` on sampled measure triples.
-
-    ``sampler(rng) -> DiscreteMeasure`` draws measures; each trial draws a
-    triple plus one shared set of 8 random degree-3 polynomial slices and
-    accumulates the worst violation of: non-negativity, symmetry, the
-    triangle inequality, and zero self-distance.  The trials go to the
-    sliced engine ``_TRIALS_PER_CALL`` at a time, each trial's three
-    measures on its own slice set, so the memory stays flat in
-    ``trials``.  Each pair's powers are folded by the scalar
-    ``_slice_mean``, so a trial's five distances are those of five
-    ``gswd`` calls, bit for bit.  A trial whose measures do not share
-    one dimension raises ValueError.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    worst = {"nonneg": 0.0, "sym": 0.0, "tri": 0.0, "self": 0.0}
-    for start in range(0, trials, _TRIALS_PER_CALL):
-        triples, raw = [], {}
-        for _ in range(min(_TRIALS_PER_CALL, trials - start)):
-            triple = [sampler(rng), sampler(rng), sampler(rng)]
-            # the draw of random_polynomial_slices(dim, 8, rng)
-            raw.setdefault(triple[0].dim, []).append(rng.standard_normal((8, num_monomials(3, triple[0].dim))))
-            triples.append(triple)
-        # each dimension's rows are normalised at once: a row's unit bits
-        # depend on its values alone
-        sets = {
-            dim: iter(SliceParameterSet.normalized("poly", dim, np.concatenate(rows), 3).split(8))
-            for dim, rows in raw.items()
-        }
-        measures, slices = [], []
-        for triple in triples:
-            shared = next(sets[triple[0].dim])
-            if any(m.dim != shared.dim for m in triple):
-                raise ValueError("measures and slices must share the ambient dimension")
-            measures += triple
-            slices += [shared] * 3
-        pairs = [(t + i, t + j) for t in range(0, len(measures), 3) for i, j in _TRIPLE_PAIRS]
-        distances = [_slice_mean(p, 2.0) for p in _sliced_powers(measures, slices, pairs, 2.0)]
-        for t in range(0, len(distances), 5):
-            dab, dba, dac, dcb, daa = distances[t : t + 5]
-            worst["nonneg"] = max(worst["nonneg"], -min(dab, dac, dcb))
-            worst["sym"] = max(worst["sym"], abs(dab - dba))
-            worst["tri"] = max(worst["tri"], dab - (dac + dcb))
-            worst["self"] = max(worst["self"], abs(daa))
-    return PseudoMetricReport(
-        trials=trials,
-        nonnegativity=worst["nonneg"],
-        symmetry=worst["sym"],
-        triangle=worst["tri"],
-        self_distance=worst["self"],
-    )

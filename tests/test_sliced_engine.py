@@ -9,7 +9,6 @@ that are differences of a cumulative sum; at n = 10^4 the two differ by
 about 1e-11 relative, so 1e-12 would be too tight.)
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wavopt import ot
+from wavopt import ot, verify
 from wavopt.measures import (
     DefiningFunction,
     DiscreteMeasure,
@@ -318,7 +317,7 @@ def test_split_slice_sets_are_read_only_views_of_the_rows():
 
 
 # ---------------------------------------------------------------------------
-# the pseudo-metric check's stacked trials
+# stacked trials: the engine's calls and verify's pseudo-metric check
 # ---------------------------------------------------------------------------
 
 
@@ -331,22 +330,32 @@ def _hex(values):
 
 
 def _triple_pairs(measures):
-    return [(t + i, t + j) for t in range(0, len(measures), 3) for i, j in ot._TRIPLE_PAIRS]
+    return [(t + i, t + j) for t in range(0, len(measures), 3) for i, j in verify._TRIPLE_PAIRS]
 
 
 def _spy_engine(monkeypatch) -> list:
-    """Record each engine call's measures, slice sets, pairs, order and
-    powers, until ``monkeypatch.undo()``."""
+    """Record each engine call of verify's check: its measures, slice
+    sets, pairs, order and powers, until ``monkeypatch.undo()``."""
     calls = []
-    engine = ot._sliced_powers
+    engine = verify._sliced_powers
 
     def recording(measures, slices, pairs, k):
         powers = engine(measures, slices, pairs, k)
         calls.append((measures, slices, pairs, k, powers))
         return powers
 
-    monkeypatch.setattr(ot, "_sliced_powers", recording)
+    monkeypatch.setattr(verify, "_sliced_powers", recording)
     return calls
+
+
+def _engine_call(trials, k) -> tuple:
+    """One direct engine call on ``(triple, slices)`` trials, laid out as
+    verify's check lays out its own: measures, slice sets, pairs, order
+    and powers."""
+    measures = [m for triple, _ in trials for m in triple]
+    slices = [s for _, s in trials for _ in range(3)]
+    pairs = _triple_pairs(measures)
+    return measures, slices, pairs, k, ot._sliced_powers(measures, slices, pairs, k)
 
 
 def _folded(call) -> list:
@@ -368,29 +377,33 @@ def _assert_trials_are_gswd_calls(call) -> int:
     return len(measures) // 3
 
 
-def _check_via_gswd(sampler, trials, seed) -> tuple:
-    """``check_pseudo_metric`` trial by trial with five ``gswd`` calls each:
-    every trial's distances, and the worst violations."""
+def _uniform(rng, dim=3):
+    return DiscreteMeasure(rng.normal(size=(int(rng.integers(1, 6)), dim)), None)
+
+
+def _check_via_gswd(trials, seed) -> tuple:
+    """verify's pseudo-metric check on its own draws, trial by trial with
+    five ``gswd`` calls each: every trial's distances, the worst
+    violation, the smallest triangle slack and the smallest distance."""
     rng = np.random.default_rng(seed)
     distances = []
     nonneg = sym = tri = self_distance = 0.0
+    slack = smallest = math.inf
     for _ in range(trials):
-        a, b, c = sampler(rng), sampler(rng), sampler(rng)
-        distances.append(_triple_via_gswd(a, b, c, 2.0, random_polynomial_slices(a.dim, 8, rng)))
-        dab, dba, dac, dcb, daa = distances[-1]
+        a, b, c = _uniform(rng), _uniform(rng), _uniform(rng)
+        dab, dba, dac, dcb, daa = _triple_via_gswd(a, b, c, 2.0, random_polynomial_slices(3, 8, rng))
+        distances.append(_hex([dab, dba, dac, dcb, daa]))
         nonneg = max(nonneg, -min(dab, dac, dcb))
         sym = max(sym, abs(dab - dba))
         tri = max(tri, dab - (dac + dcb))
         self_distance = max(self_distance, abs(daa))
-    return [_hex(d) for d in distances], _hex([nonneg, sym, tri, self_distance])
+        slack = min(slack, dac + dcb - dab)
+        smallest = min(smallest, dab, dba, dac, dcb)
+    return distances, float(max(nonneg, sym, tri, self_distance)).hex(), slack, smallest
 
 
 def _spied_distances(calls) -> list:
     return [_hex(d) for call in calls for d in _folded(call)]
-
-
-def _report_hex(report):
-    return _hex([report.nonnegativity, report.symmetry, report.triangle, report.self_distance])
 
 
 def _mixed_sampler(r):
@@ -406,18 +419,36 @@ def _mixed_sampler(r):
 
 
 def test_pseudo_metric_trial_distances_are_five_gswd_calls_bitwise(monkeypatch):
-    # the check's own trials, all in one engine call
+    # verify's own trials, all in one engine call
     calls = _spy_engine(monkeypatch)
-    report = ot.check_pseudo_metric(_mixed_sampler, trials=60, seed=4)
+    result = verify.check_pseudo_metric_suite(60, 4)
     monkeypatch.undo()
     assert len(calls) == 1
     assert _assert_trials_are_gswd_calls(calls[0]) == 60
-    distances, worst = _check_via_gswd(_mixed_sampler, 60, 4)
+    distances, worst, _, _ = _check_via_gswd(60, 4)
     assert _spied_distances(calls) == distances
-    assert _report_hex(report) == worst
+    assert float(result.max_violation).hex() == worst
 
 
-@pytest.mark.parametrize("k", [1.0, 3.5, math.inf])
+@pytest.mark.parametrize(
+    "trials, seed, slack, smallest",
+    [(60, 7, "3.59e-01", "2.00e-01"), (500, 0, "7.29e-02", "1.43e-01")],
+    ids=["quick-seed-7", "full-seed-0"],
+)
+def test_pseudo_metric_margins_are_those_of_five_gswd_calls(trials, seed, slack, smallest):
+    result = verify.check_pseudo_metric_suite(trials, seed)
+    _, _, want_slack, want_smallest = _check_via_gswd(trials, seed)
+    assert (f"{want_slack:.2e}", f"{want_smallest:.2e}") == (slack, smallest)
+    assert result.detail == f"{trials} triples, triangle slack {slack}, smallest distance {smallest}"
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_pseudo_metric_check_refuses_no_trials(trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        verify.check_pseudo_metric_suite(trials)
+
+
+@pytest.mark.parametrize("k", [1.0, 2.0, 3.5, math.inf])
 def test_triple_distances_are_five_gswd_calls_bitwise(k):
     # the trials of one slice count share one engine call: 8 slices are
     # one block, 11 are two
@@ -429,57 +460,32 @@ def test_triple_distances_are_five_gswd_calls_bitwise(k):
         c = _cloud(rng, 5 if trial % 2 else int(rng.integers(1, 9)), 3, bool(trial % 3 == 0))
         count = 8 if trial % 2 else 11
         trials[count].append(([a, b, c], random_polynomial_slices(3, count, rng)))
-    for count, stacked in trials.items():
-        measures = [m for triple, _ in stacked for m in triple]
-        slices = [s for _, s in stacked for _ in range(3)]
-        pairs = _triple_pairs(measures)
-        powers = ot._sliced_powers(measures, slices, pairs, k)
-        assert _assert_trials_are_gswd_calls((measures, slices, pairs, k, powers)) == 15
+    for stacked in trials.values():
+        assert _assert_trials_are_gswd_calls(_engine_call(stacked, k)) == 15
+    rng = np.random.default_rng(4)
+    mixed = [([_mixed_sampler(rng) for _ in range(3)], random_polynomial_slices(3, 8, rng)) for _ in range(60)]
+    assert _assert_trials_are_gswd_calls(_engine_call(mixed, k)) == 60
 
 
-def _alternating_sampler():
-    """Uniform measures whose trials alternate dimension 2 and 3."""
-    drawn = itertools.count()
-
-    def sampler(r):
-        dim = 2 + next(drawn) // 3 % 2
-        return DiscreteMeasure(r.normal(size=(int(r.integers(1, 6)), dim)), None)
-
-    return sampler
-
-
-def test_pseudo_metric_trials_of_alternating_dimensions_match_gswd(monkeypatch):
-    calls = _spy_engine(monkeypatch)
-    report = ot.check_pseudo_metric(_alternating_sampler(), trials=40, seed=9)
-    monkeypatch.undo()
-    assert [m.dim for m in calls[0][0][::3]] == [2, 3] * 20
-    assert _assert_trials_are_gswd_calls(calls[0]) == 40
-    distances, worst = _check_via_gswd(_alternating_sampler(), 40, 9)
-    assert _spied_distances(calls) == distances
-    assert _report_hex(report) == worst
+def test_pseudo_metric_trials_of_alternating_dimensions_match_gswd():
+    rng = np.random.default_rng(9)
+    trials = []
+    for t in range(40):
+        dim = 2 + t % 2
+        trials.append(([_uniform(rng, dim) for _ in range(3)], random_polynomial_slices(dim, 8, rng)))
+    call = _engine_call(trials, 2.0)
+    assert [m.dim for m in call[0][::3]] == [2, 3] * 20
+    assert _assert_trials_are_gswd_calls(call) == 40
 
 
 def test_pseudo_metric_check_beyond_one_engine_call_matches_gswd(monkeypatch):
     # 300 trials go to the engine 128 at a time
-    assert ot._TRIALS_PER_CALL == 128
+    assert verify._TRIALS_PER_CALL == 128
     calls = _spy_engine(monkeypatch)
-    report = ot.check_pseudo_metric(_mixed_sampler, trials=300, seed=12)
+    result = verify.check_pseudo_metric_suite(300, 12)
     monkeypatch.undo()
     assert [_assert_trials_are_gswd_calls(call) for call in calls] == [128, 128, 44]
-    assert report.trials == 300
-    distances, worst = _check_via_gswd(_mixed_sampler, 300, 12)
+    assert result.detail.startswith("300 triples,")
+    distances, worst, _, _ = _check_via_gswd(300, 12)
     assert _spied_distances(calls) == distances
-    assert _report_hex(report) == worst
-
-
-@pytest.mark.parametrize("mixed_trial", [0, 7])
-def test_pseudo_metric_trial_of_mixed_dimensions_is_refused(mixed_trial):
-    drawn = itertools.count()
-
-    def sampler(r):
-        i = next(drawn)
-        dim = 3 if i == 3 * mixed_trial + 2 else 2
-        return DiscreteMeasure(r.normal(size=(3, dim)), None)
-
-    with pytest.raises(ValueError, match="measures and slices must share the ambient dimension"):
-        ot.check_pseudo_metric(sampler, trials=10, seed=0)
+    assert float(result.max_violation).hex() == worst

@@ -193,3 +193,39 @@ def test_stacked_forward_at_theta_is_forward_batch(sizes, batch):
         assert all(out.tobytes() == want[0] for out in shared)
         assert [out.tobytes() for out in per_row] == want
         assert [out.tobytes() for out in broadcast] == want
+
+
+def test_tolerances_are_pinned_and_every_check_reports_its_own():
+    # a looser tolerance has to be written here too
+    assert verify.TOLERANCES == {
+        "transport_vs_oracle": 1e-9,
+        "pseudo_metric": 1e-9,
+        "operator_contraction": 1e-12,
+        "fixed_point": 1e-8,
+        "projection_minimality": 1e-12,
+        "gradient_checks": 1e-4,
+        "exact_improvement": 1e-6,
+        "optimum_gap": 1e-3,
+        "ratio_reconstruction": 1e-15,
+    }
+    results = verify.run_all(full=False, seed=0)
+    assert len(results) == 7
+    for result in results:
+        assert result.tolerance == verify.TOLERANCES[result.name], result.name
+
+
+def test_gates_read_the_table(monkeypatch):
+    # gradient_checks passes only strictly below its tolerance, the
+    # others at it too
+    worst = verify.check_gradients(3).max_violation
+    monkeypatch.setitem(verify.TOLERANCES, "gradient_checks", worst)
+    assert not verify.check_gradients(3).passed
+    worst = verify.check_transport_vs_oracle(30).max_violation
+    monkeypatch.setitem(verify.TOLERANCES, "transport_vs_oracle", worst)
+    assert verify.check_transport_vs_oracle(30).passed
+    # the second gates, which no report line shows
+    assert verify.check_contraction(2).passed and verify.check_improvement(0, n_runs=1).passed
+    monkeypatch.setitem(verify.TOLERANCES, "fixed_point", -1.0)
+    monkeypatch.setitem(verify.TOLERANCES, "optimum_gap", -1.0)
+    assert not verify.check_contraction(2).passed
+    assert not verify.check_improvement(0, n_runs=1).passed
