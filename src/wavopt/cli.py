@@ -144,10 +144,11 @@ def _cmd_rate(args) -> int:
     path = Path(args.curve)
     try:
         curve = read_curve(path)
-        returns = curve["cum_return"]
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"not a curve file: {path} ({exc})") from exc
-    fit = fit_rate(returns, burn_in_frac=args.burn_in)
+    if "cum_return" not in curve:
+        raise ConfigError(f"not a curve file: {path} (no cum_return column)")
+    fit = fit_rate(curve["cum_return"], burn_in_frac=args.burn_in)
     if fit.skipped:
         print(f"rate fit skipped: {fit.notice}")
         return 0

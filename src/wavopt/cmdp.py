@@ -26,11 +26,12 @@ __all__ = [
 ]
 
 _ROW_TOL = 1e-12
+_VI_TOL, _VI_MAX_ITER = 1e-12, 1_000_000
 
 
 @dataclass(eq=False)
 class TabularCmdp:
-    """Finite CMDP: transitions (nS, nA, nS), reward (nS, nA), utilities (p, nS, nA)."""
+    """Finite CMDP: transitions (nS, nA, nS), rewards in [0, 1] (nS, nA), utilities (p, nS, nA)."""
 
     transitions: np.ndarray
     rewards: np.ndarray
@@ -38,7 +39,6 @@ class TabularCmdp:
     bounds: np.ndarray
     gamma: float
     initial_dist: np.ndarray = None
-    reward_range: tuple = (0.0, 1.0)
 
     def __post_init__(self) -> None:
         self.transitions = np.asarray(self.transitions, dtype=float)
@@ -61,9 +61,8 @@ class TabularCmdp:
             raise ValueError("transition rows must sum to 1")
         if np.any(self.transitions < 0):
             raise ValueError("transition probabilities must be non-negative")
-        lo, hi = self.reward_range
-        if np.any(self.rewards < lo - _ROW_TOL) or np.any(self.rewards > hi + _ROW_TOL):
-            raise ValueError(f"rewards must lie within declared range [{lo}, {hi}]")
+        if np.any(self.rewards < -_ROW_TOL) or np.any(self.rewards > 1.0 + _ROW_TOL):
+            raise ValueError("rewards must lie within [0, 1]")
         if self.initial_dist is None:
             self.initial_dist = np.full(ns, 1.0 / ns)
         else:
@@ -128,13 +127,16 @@ def exact_objective(cmdp: TabularCmdp, policy, signal: int = 0) -> float:
     return float(cmdp.initial_dist @ exact_state_values(cmdp, policy, signal))
 
 
-def value_iteration(cmdp: TabularCmdp, tol: float = 1e-12, max_iter: int = 1_000_000):
-    """Optimal (unconstrained) V*, Q* for the reward signal; oracle routine."""
+def value_iteration(cmdp: TabularCmdp):
+    """Optimal (unconstrained) V*, Q* for the reward signal; oracle routine.
+
+    Sweeps until no value moves by more than ``_VI_TOL`` = 1e-12, at most ``_VI_MAX_ITER`` = 1e6 times.
+    """
     v = np.zeros(cmdp.n_states)
-    for _ in range(max_iter):
+    for _ in range(_VI_MAX_ITER):
         q = cmdp.rewards + cmdp.gamma * cmdp.transitions @ v
         v_next = q.max(axis=1)
-        if np.max(np.abs(v_next - v)) <= tol:
+        if np.max(np.abs(v_next - v)) <= _VI_TOL:
             v = v_next
             break
         v = v_next

@@ -333,10 +333,7 @@ def random_tabular_cmdp(n_states: int, n_actions: int, n_constraints: int, seed,
     trans /= trans.sum(axis=2, keepdims=True)
     rewards = rng.uniform(0.0, 1.0, size=(n_states, n_actions))
     utils = rng.integers(0, 2, size=(n_constraints, n_states, n_actions)).astype(float)
-    cmdp = TabularCmdp(
-        trans, rewards, utils, np.zeros(n_constraints), gamma,
-        initial_dist=np.full(n_states, 1.0 / n_states),
-    )
+    cmdp = TabularCmdp(trans, rewards, utils, np.zeros(n_constraints), gamma)
     uni = uniform_policy(cmdp)
     bounds = np.array(
         [1.1 * exact_objective(cmdp, uni, signal=i + 1) + 0.01 for i in range(n_constraints)]

@@ -542,12 +542,12 @@ def _update_from_store(update, draws, rows, where, replay, nets, gamma, value_cl
         update(replay.gather(idx), np.take(store, positions, axis=0, out=workspace.targets, mode="clip"))
 
 
-def behaviour_step(nets: PolicyNets, family, horizon_value: float, cand_inputs, state, noise_scale: float, rng):
+def behaviour_step(nets: PolicyNets, family, cand_inputs, state, noise_scale: float, rng):
     """One behaviour action, drawn from a posterior over three candidates.
 
     The candidates are full push left, full push right and the actor's
     mu.  One operator serves every signal: ``family``, the log map over
-    the bracket [0, ``horizon_value``] of discounted per-step reward,
+    the bracket [0, ``family.r_max``] of discounted per-step reward,
     gives value differences multiplicative weight, so selection sharpens
     as the critic spreads the candidates apart.  A constraint enters by
     its margin, horizon value minus utility-to-go (low utility-to-go is
@@ -576,7 +576,7 @@ def behaviour_step(nets: PolicyNets, family, horizon_value: float, cand_inputs, 
     np.multiply(state, critic.feature_scale, out=cand_inputs[:, :-1])
     head_w, head_b = critic.mean_head()
     means = nn.hidden_forward(critic.params, cand_inputs) @ head_w.T + head_b
-    means[:, 1:] = horizon_value - means[:, 1:]
+    means[:, 1:] = family.r_max - means[:, 1:]
     lik, clipped = optimality_likelihood(family, means)
     joint = lik[:, 0] * lik[:, 1:].prod(axis=1)
     pos, weights = cands.tolist(), (joint / joint.sum()).tolist()
@@ -750,7 +750,7 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
         updates_before = updates
 
         while not done:
-            action, _, _ = behaviour_step(nets, family, horizon_value, cand_inputs, state, noise_scale, noise_rng)
+            action, _, _ = behaviour_step(nets, family, cand_inputs, state, noise_scale, noise_rng)
             next_state, r, g, done = env.step(action)
             replay.add(state, action, r, g, next_state, 1.0 if done else 0.0)
             ep_return += r
@@ -828,22 +828,21 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
 class RateFit:
     exponent: float
     stderr: float
-    slope: float
-    intercept: float
     n_points: int
     skipped: bool
     notice: str
 
 
 def _skipped(notice: str, n_points: int = 0) -> RateFit:
-    return RateFit(math.nan, math.nan, math.nan, math.nan, n_points, True, notice)
+    return RateFit(math.nan, math.nan, n_points, True, notice)
 
 
 # largest curve magnitude fitted: gaps, logs and squares stay finite below it
 _FIT_LIMIT = 1e300
+_FIT_WINDOW, _FIT_MIN_POINTS = 20, 50
 
 
-def fit_rate(values, window: int = 20, burn_in_frac: float = 0.2, min_points: int = 50) -> RateFit:
+def fit_rate(values, burn_in_frac: float = 0.2) -> RateFit:
     """Power-law convergence exponent of a learning curve.
 
     The curve is smoothed with a trailing moving average; gaps to the
@@ -851,37 +850,38 @@ def fit_rate(values, window: int = 20, burn_in_frac: float = 0.2, min_points: in
     episode.  The fit domain starts after the burn-in and ends one full
     window before the first argmax of the smoothed curve: beyond that
     point the gap is dominated by the plateau and would drag the slope
-    toward zero.
+    toward zero.  A window is ``_FIT_WINDOW`` = 20 episodes and a fit
+    needs ``_FIT_MIN_POINTS`` = 50 points, so a curve needs 70 episodes.
     """
     y = np.asarray(values, dtype=float)
     if y.ndim != 1:
         raise ValueError("expected a 1-D series")
     t_total = y.size
-    if t_total < window + min_points:
-        return _skipped(f"need at least {window + min_points} episodes, got {t_total}")
+    if t_total < _FIT_WINDOW + _FIT_MIN_POINTS:
+        return _skipped(f"need at least {_FIT_WINDOW + _FIT_MIN_POINTS} episodes, got {t_total}")
     if not np.abs(y).max() <= _FIT_LIMIT:  # refuses nan too
         return _skipped(f"curve values beyond {_FIT_LIMIT:g} would overflow the fit")
 
-    kernel = np.full(window, 1.0 / window)
+    kernel = np.full(_FIT_WINDOW, 1.0 / _FIT_WINDOW)
     sm = np.convolve(y, kernel, mode="valid")  # sm[j] covers episodes j+1 .. j+window
     best = float(sm.max())
     peak_j = int(np.argmax(sm))  # first argmax
 
     # episodes are 1-based; smoothed index j corresponds to window end
     # episode e = j + window
-    burn_in_e = max(window, int(math.ceil(burn_in_frac * t_total)))
-    start_j = burn_in_e - window
-    end_j = peak_j - window  # one window before the first argmax
+    burn_in_e = max(_FIT_WINDOW, int(math.ceil(burn_in_frac * t_total)))
+    start_j = burn_in_e - _FIT_WINDOW
+    end_j = peak_j - _FIT_WINDOW  # one window before the first argmax
     if end_j < start_j:
         return _skipped("smoothed optimum is reached too early to fit a rate")
 
     js = np.arange(start_j, end_j + 1)
-    centers = js + window - (window - 1) / 2.0  # window-center episode
+    centers = js + _FIT_WINDOW - (_FIT_WINDOW - 1) / 2.0  # window-center episode
     gaps = best - sm[js]
     keep = gaps > 0.0
     js, centers, gaps = js[keep], centers[keep], gaps[keep]
-    if js.size < min_points:
-        return _skipped(f"only {js.size} usable fit points (need {min_points})", js.size)
+    if js.size < _FIT_MIN_POINTS:
+        return _skipped(f"only {js.size} usable fit points (need {_FIT_MIN_POINTS})", js.size)
 
     x = np.log(centers)
     z = np.log(gaps)
@@ -896,5 +896,5 @@ def fit_rate(values, window: int = 20, burn_in_frac: float = 0.2, min_points: in
     exponent = -slope
 
     if exponent <= 0.0:
-        return RateFit(exponent, stderr, slope, intercept, n, True, "fitted exponent is non-positive")
-    return RateFit(exponent, stderr, slope, intercept, n, False, "")
+        return RateFit(exponent, stderr, n, True, "fitted exponent is non-positive")
+    return RateFit(exponent, stderr, n, False, "")

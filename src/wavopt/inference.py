@@ -6,7 +6,7 @@ A *reward operator family* F_r maps an optimality probability p in
 
 * ``affine_family``  - F(p) = r_min + (r_max - r_min) p
 * ``log_family``     - F(p) = r_max + c log p with c chosen so that
-  F(eps) = r_min at the probability floor eps = 1e-6 (the classical
+  F(PROBABILITY_FLOOR) = r_min, the floor being 1e-6 (the classical
   exponential-of-reward model, inverted)
 
 An admissible family is strictly increasing on the probability domain,
@@ -53,7 +53,8 @@ class RewardOperatorFamily:
     ``fn`` maps probabilities to rewards and ``inv`` is its closed-form
     inverse; both must accept numpy arrays.  ``inv`` may be left out for
     a family that is only evaluated, never inverted (the non-monotone
-    control of ``verify.check_improvement``).
+    control of ``verify.check_improvement``).  The exact improvement
+    oracle evaluates every family on [``PROBABILITY_FLOOR``, 1].
     """
 
     name: str
@@ -61,13 +62,10 @@ class RewardOperatorFamily:
     r_max: float
     fn: Callable[[np.ndarray], np.ndarray]
     inv: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    p_floor: float = PROBABILITY_FLOOR
 
     def __post_init__(self) -> None:
         if not self.r_max > self.r_min:
             raise ValueError("reward range must have r_max > r_min")
-        if not 0.0 < self.p_floor < 1.0:
-            raise ValueError("probability floor must lie in (0, 1)")
 
     def __call__(self, p) -> np.ndarray:
         return self.fn(np.asarray(p, dtype=float))
@@ -95,17 +93,16 @@ def affine_family(r_min: float, r_max: float) -> RewardOperatorFamily:
     )
 
 
-def log_family(r_min: float, r_max: float, eps: float = PROBABILITY_FLOOR) -> RewardOperatorFamily:
-    # F(1) = r_max and F(eps) = r_min: c = span / (-log eps)
+def log_family(r_min: float, r_max: float) -> RewardOperatorFamily:
+    # F(1) = r_max and F(floor) = r_min: c = span / (-log floor)
     span = r_max - r_min
-    c = span / (-math.log(eps))
+    c = span / (-math.log(PROBABILITY_FLOOR))
     return RewardOperatorFamily(
         name="log",
         r_min=r_min,
         r_max=r_max,
         fn=lambda p: r_max + c * np.log(np.asarray(p, dtype=float)),
         inv=lambda r: np.exp((np.asarray(r, dtype=float) - r_max) / c),
-        p_floor=eps,
     )
 
 
@@ -153,15 +150,14 @@ def decompose_interpretation(
     p_trajectory: float,
     factor_probabilities,
     names: Optional[Sequence[str]] = None,
-    cap: float = RATIO_CAP,
 ) -> list[InterpretationFactor]:
     """Per-factor likelihood ratios p(traj) / p(factor).
 
     The raw ratio reconstructs the trajectory probability exactly
     (``ratio * probability == p_trajectory`` up to one rounding).
     The quotient of two estimated probabilities can exceed 1; the
-    displayed value is capped there with a flag rather than silently
-    clipped, since p(traj|factor) is itself a probability.  Every input
+    displayed value is capped there (``RATIO_CAP``) with a flag rather than
+    silently clipped, since p(traj|factor) is itself a probability.  Every input
     must be a finite probability: p_trajectory in [0, 1] and each factor
     probability in (0, 1].
     """
@@ -180,6 +176,6 @@ def decompose_interpretation(
     for name, pi in zip(names, probs):
         pi = float(pi)
         ratio = p_trajectory / pi
-        capped = ratio > cap
-        out.append(InterpretationFactor(name, pi, ratio, min(ratio, cap), capped))
+        capped = ratio > RATIO_CAP
+        out.append(InterpretationFactor(name, pi, ratio, min(ratio, RATIO_CAP), capped))
     return out

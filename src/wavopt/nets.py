@@ -104,9 +104,8 @@ class PolicyNets:
         self.target_actor = self.actor.copy()
 
     def sync_target(self) -> None:
-        """Copy the live parameters into the existing target vectors."""
+        """Copy the live parameters into the target vectors; no one reads the target critic's mean head."""
         np.copyto(self.target_critic.params.flat, self.critic.params.flat)
-        self.target_critic.drop_head()
         np.copyto(self.target_actor.params.flat, self.actor.params.flat)
 
 

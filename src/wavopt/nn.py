@@ -209,10 +209,12 @@ class AdamState:
 
     One state object belongs to one parameter set.  ``step`` always
     descends (callers that want ascent negate the gradient first).
+    ``beta1``, ``beta2`` and ``eps`` are Kingma & Ba's defaults.
     """
 
-    def __init__(self, params: MlpParams, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: MlpParams):
         self.t = 0
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)

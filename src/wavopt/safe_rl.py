@@ -35,7 +35,7 @@ import numpy as np
 from . import nn
 from .cmdp import TabularCmdp, exact_objective, exact_q_values, value_iteration
 from .dist_rl import TransitionBatch, UpdateWorkspace, actor_gradient, critic_gradient_all
-from .inference import RewardOperatorFamily
+from .inference import PROBABILITY_FLOOR, RewardOperatorFamily
 from .nets import PolicyNets
 
 __all__ = [
@@ -223,8 +223,8 @@ def policy_update_step(
 # -- exact desk-scale improvement oracle ------------------------------------------
 
 
-def optimality_probabilities(cmdp: TabularCmdp, q_values: np.ndarray, p_floor: float = 1e-6) -> np.ndarray:
-    """Map exact Q values into optimality probabilities in [p_floor, 1].
+def optimality_probabilities(cmdp: TabularCmdp, q_values: np.ndarray) -> np.ndarray:
+    """Map exact Q values into optimality probabilities in [``PROBABILITY_FLOOR``, 1].
 
     Rewards live in [0, 1], so Q is bracketed by [0, 1/(1-gamma)]; the
     affine rescaling of that bracket is clipped into the operator
@@ -232,7 +232,7 @@ def optimality_probabilities(cmdp: TabularCmdp, q_values: np.ndarray, p_floor: f
     """
     lo, hi = 0.0, 1.0 / (1.0 - cmdp.gamma)
     p = (np.asarray(q_values, dtype=float) - lo) / (hi - lo)
-    return np.clip(p, p_floor, 1.0)
+    return np.clip(p, PROBABILITY_FLOOR, 1.0)
 
 
 @dataclass
@@ -283,7 +283,7 @@ def exact_improvement_report(
 
     for _ in range(max_iters):
         iterations += 1
-        probs = optimality_probabilities(cmdp, q_prev, family.p_floor)
+        probs = optimality_probabilities(cmdp, q_prev)
         scores = family(probs)
         new_policy = np.argmax(scores, axis=1).astype(int)
         if np.array_equal(new_policy, policy):

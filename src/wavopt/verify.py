@@ -345,6 +345,8 @@ def _rel_gap(a, b):
 # instances are resampled (bounded retries) until all of them clear this
 # margin.
 _KINK_MARGIN = 1e-3
+# the MLP check's layer widths and the policy checks' batch size
+_FD_MLP_SIZES, _FD_BATCH = (4, 8, 8, 3), 4
 
 
 def _clears_kinks(params, x) -> bool:
@@ -357,11 +359,11 @@ def _atoms_apart(atoms) -> bool:
     return np.diff(np.sort(atoms), axis=-1).min() > _KINK_MARGIN
 
 
-def _kink_safe_mlp(seed, sizes=(4, 8, 8, 3)):
+def _kink_safe_mlp(seed):
     for attempt in range(200):
         rng = np.random.default_rng(seed * 1000 + attempt)
-        params = nn.init_mlp(list(sizes), rng)
-        x = rng.normal(size=(3, sizes[0]))
+        params = nn.init_mlp(_FD_MLP_SIZES, rng)
+        x = rng.normal(size=(3, _FD_MLP_SIZES[0]))
         if _clears_kinks(params, x):
             return params, x, rng
     raise RuntimeError("no kink-safe instance found")
@@ -398,14 +400,14 @@ def _small_nets(seed):
     )
 
 
-def _random_batch(rng, b=4):
+def _random_batch(rng):
     return TransitionBatch(
-        states=rng.normal(size=(b, 3)),
-        actions=rng.uniform(-1, 1, size=(b, 1)),
-        rewards=rng.uniform(0, 1, size=b),
-        utilities=rng.integers(0, 2, size=(b, 1)).astype(float),
-        next_states=rng.normal(size=(b, 3)),
-        done=rng.integers(0, 2, size=b).astype(float),
+        states=rng.normal(size=(_FD_BATCH, 3)),
+        actions=rng.uniform(-1, 1, size=(_FD_BATCH, 1)),
+        rewards=rng.uniform(0, 1, size=_FD_BATCH),
+        utilities=rng.integers(0, 2, size=(_FD_BATCH, 1)).astype(float),
+        next_states=rng.normal(size=(_FD_BATCH, 3)),
+        done=rng.integers(0, 2, size=_FD_BATCH).astype(float),
     )
 
 

@@ -390,11 +390,30 @@ def test_rate_short_curve_reports_skip(tmp_path, capsys):
     assert "skipped" in capsys.readouterr().out
 
 
+def _write_rising_curve(path, episodes):
+    rows = [CurveRow(i + 1, -250.0 + i, np.array([0.0]), 0, 0.0, 0.0) for i in range(episodes)]
+    write_curve(path, rows, 1)
+
+
+def test_rate_needs_seventy_episodes(tmp_path, capsys):
+    # a 20-episode smoothing window plus 50 fit points
+    path = tmp_path / "curve.csv"
+    _write_rising_curve(path, 69)
+    assert main(["rate", str(path)]) == 0
+    assert capsys.readouterr().out == "rate fit skipped: need at least 70 episodes, got 69\n"
+    _write_rising_curve(path, 70)
+    assert main(["rate", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and "need at least" not in out
+
+
 def test_rate_missing_or_malformed_file_exits_2(tmp_path, capsys):
     assert main(["rate", str(tmp_path / "none.csv")]) == 2
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n")
+    capsys.readouterr()
     assert main(["rate", str(bad)]) == 2
+    assert capsys.readouterr().err == f"configuration error: not a curve file: {bad} (no cum_return column)\n"
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     assert main(["rate", str(empty)]) == 2

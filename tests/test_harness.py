@@ -850,7 +850,7 @@ def test_behaviour_step_weights_match_an_independent_recomputation(tmp_path, mon
 
     def behaviour_spy(*args):
         action, lik, clipped = behaviour_step(*args)
-        steps.append((action, args[5], lik.copy(), clipped.copy()))
+        steps.append((action, args[4], lik.copy(), clipped.copy()))
         return action, lik, clipped
 
     def step_spy(self, action):
@@ -910,7 +910,7 @@ def test_behaviour_step_weights_match_an_independent_recomputation(tmp_path, mon
     cand_inputs = np.empty((3, env.state_dim + 1))
     cand_inputs[:2, -1] = (-1.0, 1.0)
     _, lik, clipped = harness.behaviour_step(
-        nets, log_family(0.0, hv), hv, cand_inputs, visited[0], 0.0, np.random.default_rng(0)
+        nets, log_family(0.0, hv), cand_inputs, visited[0], 0.0, np.random.default_rng(0)
     )
     factors, flags = likelihoods(visited[0], cand_inputs[:, -1].copy())
     assert lik.tobytes() == factors.tobytes()
@@ -930,10 +930,10 @@ def test_behaviour_steps_read_the_critic_as_it_stands(tmp_path, monkeypatch):
     events = []
     behaviour_step = harness.behaviour_step
 
-    def behaviour_spy(nets, family, horizon_value, cand_inputs, state, noise_scale, rng):
+    def behaviour_spy(nets, family, cand_inputs, state, noise_scale, rng):
         mu = nets.actor.act_batch(state[None, :])[0, 0]
         expect, flags = _closed_form_likelihoods(nets.critic, hv, state, np.array([-1.0, 1.0, mu]))
-        result = behaviour_step(nets, family, horizon_value, cand_inputs, state, noise_scale, rng)
+        result = behaviour_step(nets, family, cand_inputs, state, noise_scale, rng)
         assert result[1].tobytes() == expect.tobytes(), len(events)
         npt.assert_array_equal(result[2], flags)
         events.append("act")
@@ -975,13 +975,13 @@ class _FixedUniform:
 
 
 def _behaviour_inputs(seed, mu_bias):
-    """Random nets whose actor output is shifted by ``mu_bias``, with the step's bracket."""
+    """Random nets whose actor output is shifted by ``mu_bias``, with the step's operator."""
     nets = _tiny_nets(seed)
     nets.actor.params.biases[-1] += mu_bias
     cand_inputs = np.empty((3, 5))
     cand_inputs[:2, -1] = (-1.0, 1.0)
     # a narrow bracket spreads the candidates' likelihoods apart
-    return nets, log_family(0.0, 2.0), 2.0, cand_inputs
+    return nets, log_family(0.0, 2.0), cand_inputs
 
 
 @pytest.mark.parametrize("noise_scale", [0.0, 0.3])
@@ -989,11 +989,11 @@ def _behaviour_inputs(seed, mu_bias):
 def test_behaviour_step_draws_as_the_one_d_measure_route(mu_bias, mu, noise_scale):
     picked = set()
     for seed in range(20):
-        nets, family, hv, cand_inputs = _behaviour_inputs(seed, mu_bias)
+        nets, family, cand_inputs = _behaviour_inputs(seed, mu_bias)
         states = np.random.default_rng(100 + seed).normal(size=(25, 4))
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for state in states:
-            action, lik, _ = harness.behaviour_step(nets, family, hv, cand_inputs, state, noise_scale, rng)
+            action, lik, _ = harness.behaviour_step(nets, family, cand_inputs, state, noise_scale, rng)
             cands = cand_inputs[:, -1].copy()
             if mu is not None:
                 assert cands[2] == mu  # saturated: mu sits on a fixed candidate
@@ -1012,37 +1012,37 @@ def test_behaviour_step_picks_at_the_cumulative_weights_exactly():
     # uniforms on and just below each cumulative weight: the first
     # candidate in position order whose cumulative weight exceeds u
     for seed in range(30):
-        nets, family, hv, cand_inputs = _behaviour_inputs(seed, 0.0)
+        nets, family, cand_inputs = _behaviour_inputs(seed, 0.0)
         state = np.random.default_rng(seed).normal(size=4)
-        _, lik, _ = harness.behaviour_step(nets, family, hv, cand_inputs, state, 0.0, np.random.default_rng(0))
+        _, lik, _ = harness.behaviour_step(nets, family, cand_inputs, state, 0.0, np.random.default_rng(0))
         cands = cand_inputs[:, -1].copy()
         joint = lik[:, 0] * lik[:, 1:].prod(axis=1)
         weights = joint / joint.sum()
         c0, c1, _ = one_d_measure(cands, weights).cumulative()
         for u in (0.0, np.nextafter(c0, 0.0), c0, np.nextafter(c1, 0.0), c1, np.nextafter(1.0, 0.0)):
-            action, _, _ = harness.behaviour_step(nets, family, hv, cand_inputs, state, 0.0, _FixedUniform(float(u)))
+            action, _, _ = harness.behaviour_step(nets, family, cand_inputs, state, 0.0, _FixedUniform(float(u)))
             assert action == _one_d_measure_sampler(cands, weights, 1, _FixedUniform(float(u)))[0], (seed, u)
 
 
 def test_behaviour_step_refuses_non_finite_weights():
-    nets, family, hv, cand_inputs = _behaviour_inputs(0, 0.0)
+    nets, family, cand_inputs = _behaviour_inputs(0, 0.0)
     nets.critic.params.biases[-1][0] = np.nan
     with pytest.raises(TrainingError, match="candidate weights are not finite"):
-        harness.behaviour_step(nets, family, hv, cand_inputs, np.zeros(4), 0.0, np.random.default_rng(0))
+        harness.behaviour_step(nets, family, cand_inputs, np.zeros(4), 0.0, np.random.default_rng(0))
 
 
 def test_behaviour_step_reads_the_mean_head_not_the_output_layer():
     # the head's means and the full forward's agree to round-off, which
     # the likelihood pins cannot tell apart; with the head read first,
     # NaN written over the output layer must not reach the step
-    nets, family, hv, cand_inputs = _behaviour_inputs(0, 0.0)
+    nets, family, cand_inputs = _behaviour_inputs(0, 0.0)
     states = np.random.default_rng(1).normal(size=(5, 4))
     nets.critic.mean_head()
-    before = [harness.behaviour_step(nets, family, hv, cand_inputs, s, 0.3, np.random.default_rng(0)) for s in states]
+    before = [harness.behaviour_step(nets, family, cand_inputs, s, 0.3, np.random.default_rng(0)) for s in states]
     nets.critic.params.weights[-1].fill(np.nan)
     nets.critic.params.biases[-1].fill(np.nan)
     for state, (action, lik, _) in zip(states, before):
-        got, got_lik, _ = harness.behaviour_step(nets, family, hv, cand_inputs, state, 0.3, np.random.default_rng(0))
+        got, got_lik, _ = harness.behaviour_step(nets, family, cand_inputs, state, 0.3, np.random.default_rng(0))
         assert got == action
         assert got_lik.tobytes() == lik.tobytes()
 

@@ -449,6 +449,17 @@ def test_optimality_probabilities_bracket():
     assert p[0, 0] == 1e-6  # floor
 
 
+@pytest.mark.parametrize("reward", [1.5, -0.5])
+def test_tabular_cmdp_refuses_rewards_outside_the_unit_interval(reward):
+    with pytest.raises(ValueError, match=r"^rewards must lie within \[0, 1\]$"):
+        TabularCmdp(np.ones((1, 1, 1)), np.array([[reward]]), np.zeros((1, 1, 1)), np.zeros(1), 0.9)
+
+
+def test_tabular_cmdp_accepts_rewards_within_the_row_tolerance():
+    cmdp = TabularCmdp(np.ones((1, 1, 1)), np.array([[1.0 + 5e-13]]), np.zeros((1, 1, 1)), np.zeros(1), 0.9)
+    assert cmdp.rewards[0, 0] == 1.0 + 5e-13
+
+
 def test_exact_improvement_monotone_and_optimal():
     for seed in (0, 1, 2, 3):
         cmdp = random_tabular_cmdp(6, 3, 1, seed=seed, gamma=0.9)
