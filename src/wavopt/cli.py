@@ -21,17 +21,7 @@ import sys
 from pathlib import Path
 
 from . import verify as verify_mod
-from .harness import (
-    ConfigError,
-    _check_header,
-    _g9,
-    _read_text,
-    _stripped_lines,
-    fit_rate,
-    load_config,
-    read_curve,
-    run_training,
-)
+from .harness import ConfigError, _g9, fit_rate, load_config, read_curve, read_trace, run_training
 from .inference import decompose_interpretation
 from .nn import TrainingError
 
@@ -144,7 +134,9 @@ def _cmd_rate(args) -> int:
     path = Path(args.curve)
     try:
         curve = read_curve(path)
-    except ValueError as exc:
+    except ConfigError as exc:
+        if isinstance(exc.__cause__, UnicodeDecodeError):
+            raise  # names the file already, as for a config or a trace
         raise ConfigError(f"not a curve file: {path} ({exc})") from exc
     if "cum_return" not in curve:
         raise ConfigError(f"not a curve file: {path} (no cum_return column)")
@@ -156,33 +148,8 @@ def _cmd_rate(args) -> int:
     return 0
 
 
-def _read_trace(path: Path):
-    """Trace CSV: header with p_trajectory first, then one factor per column.
-
-    Returns the factor names and each row as (file line number, values).
-    """
-    lines, first = _stripped_lines(_read_text(path))
-    if not lines:
-        raise ConfigError(f"empty trace file: {path}")
-    header = [h.strip() for h in lines[0].split(",")]
-    if header[0] != "p_trajectory" or len(header) < 2:
-        raise ConfigError("trace header must be: p_trajectory,<factor>,<factor>,...")
-    _check_header(header, first)
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=first + 1):
-        toks = line.split(",")
-        if len(toks) != len(header):
-            raise ConfigError(f"line {lineno}: expected {len(header)} columns")
-        try:
-            rows.append((lineno, [float(t) for t in toks]))
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: non-numeric value") from exc
-    return header[1:], rows
-
-
 def _cmd_interpret(args) -> int:
-    path = Path(args.trace)
-    factor_names, rows = _read_trace(path)
+    factor_names, rows = read_trace(Path(args.trace))
     out_lines = ["step,factor,probability,conditional,capped"]
     for step, (lineno, row) in enumerate(rows):
         try:

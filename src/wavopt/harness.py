@@ -9,11 +9,16 @@ reproducibility):
   floats rendered with %.9g; ``sim_seconds`` is simulated time
   (cumulative steps times dt), never wall-clock, so identical runs
   produce identical bytes;
+* trace (input to ``wavopt interpret``): CSV with header
+  ``p_trajectory,<factor>,...``, one row per step;
 * checkpoint: a small meta header plus one ``mlp-text`` section per
   network;
 * summary: ``key=value`` lines with the final noise-free objective
   estimates, then ``shipped`` naming the gate pass whose nominee was
   written (``margined`` or ``boundary``) or ``final`` when none passed.
+
+Each text format has one reader: ``_read_table`` reads curves and
+traces, ``_key_values`` configs and summaries.
 
 The run loop is the adaptive constrained learner.  Each episode acts
 (``behaviour_step``), steps the environment, stores the transition and
@@ -69,6 +74,7 @@ __all__ = [
     "CurveRow",
     "write_curve",
     "read_curve",
+    "read_trace",
     "write_checkpoint",
     "read_checkpoint",
     "write_summary",
@@ -182,9 +188,10 @@ class TrainConfig:
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 
 
-def parse_config(text: str) -> TrainConfig:
-    """Parse ``key = value`` lines; '#' starts a comment, unknown or repeated keys fail."""
-    values, first_line = {}, {}
+def _key_values(text: str):
+    """(file line number, key, value) per ``key = value`` line; '#' starts a
+    comment, and a line without '=' or a key given twice names its line."""
+    first_line = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -192,11 +199,18 @@ def parse_config(text: str) -> TrainConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in first_line:
             raise ConfigError(f"line {lineno}: {key} is given twice (first on line {first_line[key]})")
         first_line[key] = lineno
+        yield lineno, key, val
+
+
+def parse_config(text: str) -> TrainConfig:
+    """Parse ``key = value`` lines (see ``_key_values``); an unknown key fails."""
+    values = {}
+    for lineno, key, val in _key_values(text):
+        if key not in _FIELD_TYPES:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         kind = _FIELD_TYPES[key]
         try:
             if kind in ("int", int):
@@ -304,16 +318,11 @@ class CurveRow:
     sim_seconds: float
 
 
-def curve_header(n_constraints: int) -> str:
-    cols = ["episode", "cum_return"]
-    cols += [f"J_g{i + 1}" for i in range(n_constraints)]
-    cols += ["branch", "td_delta", "sim_seconds"]
-    return ",".join(cols)
-
-
 def write_curve(path, rows, n_constraints: int) -> None:
+    header = ["episode", "cum_return", *(f"J_g{i + 1}" for i in range(n_constraints))]
+    header += ["branch", "td_delta", "sim_seconds"]
     with open(path, "w", newline="\n") as f:
-        f.write(curve_header(n_constraints) + "\n")
+        f.write(",".join(header) + "\n")
         for row in rows:
             parts = [str(row.episode), _g9(row.cum_return)]
             parts += [_g9(v) for v in row.estimates]
@@ -325,46 +334,66 @@ _INT_COLUMNS = ("episode", "branch")
 _INT64_LIMIT = 2**63
 
 
-def _stripped_lines(text: str):
-    """The lines of ``text.strip()`` and the file line number of the first one."""
+def _read_table(path, int_columns):
+    """Header and (file line number, values) rows of a CSV file.
+
+    Header names are stripped and each given once; every row has the
+    header's width; every field is a finite number, or in ``int_columns``
+    a 64-bit integer.  Line numbers count blank lines before the header;
+    an empty file has no header.  Each error is a one-line ``ConfigError``.
+    """
+    text = _read_text(path)
     skipped = text[: len(text) - len(text.lstrip())]
-    return text.strip().splitlines(), len((skipped + ".").splitlines())
-
-
-def _check_header(header, lineno: int) -> None:
-    """Refuse a CSV header, on file line ``lineno``, that names a column twice, naming its first column."""
+    first = len((skipped + ".").splitlines())
+    lines = text.strip().splitlines()
+    if not lines:
+        return [], []
+    header = [name.strip() for name in lines[0].split(",")]
     first_column = {}
     for column, name in enumerate(header, start=1):
-        if name in first_column:
-            raise ConfigError(f"line {lineno}: column {name!r} is given twice (first in column {first_column[name]})")
-        first_column[name] = column
-
-
-def read_curve(path) -> dict:
-    """Columns of a curve file; a header that names a column twice, or a
-    field that is not a finite number (in an integer column, an integer
-    that fits 64 bits), names its line in the file."""
-    lines, first = _stripped_lines(Path(path).read_text())
-    if not lines:
-        raise ValueError("empty curve file")
-    header = lines[0].split(",")
-    _check_header(header, first)
-    data = {name: [] for name in header}
+        if first_column.setdefault(name, column) != column:
+            raise ConfigError(f"line {first}: column {name!r} is given twice (first in column {first_column[name]})")
+    integer = [name in int_columns for name in header]
+    rows = []
     for lineno, line in enumerate(lines[1:], start=first + 1):
         toks = line.split(",")
         if len(toks) != len(header):
-            raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(toks)}")
-        for name, tok in zip(header, toks):
-            integer = name in _INT_COLUMNS
+            raise ConfigError(f"line {lineno}: expected {len(header)} fields, got {len(toks)}")
+        values = []
+        for name, tok, is_int in zip(header, toks, integer):
             try:
-                value = int(tok) if integer else float(tok)
+                value = int(tok) if is_int else float(tok)
             except ValueError:
                 value = math.nan
-            if not (-_INT64_LIMIT <= value < _INT64_LIMIT if integer else math.isfinite(value)):
-                kind = "a 64-bit integer" if integer else "a finite number"
-                raise ValueError(f"line {lineno}: {name} is not {kind}: {tok!r}")
-            data[name].append(value)
-    return {name: np.array(vals, dtype=int if name in _INT_COLUMNS else float) for name, vals in data.items()}
+            if not (-_INT64_LIMIT <= value < _INT64_LIMIT if is_int else math.isfinite(value)):
+                kind = "a 64-bit integer" if is_int else "a finite number"
+                raise ConfigError(f"line {lineno}: {name} is not {kind}: {tok!r}")
+            values.append(value)
+        rows.append((lineno, values))
+    return header, rows
+
+
+def read_curve(path) -> dict:
+    """Columns of a curve file, read by ``_read_table`` with ``episode``
+    and ``branch`` as integer columns."""
+    header, rows = _read_table(path, _INT_COLUMNS)
+    if not header:
+        raise ConfigError("empty curve file")
+    return {
+        name: np.array([values[j] for _, values in rows], dtype=int if name in _INT_COLUMNS else float)
+        for j, name in enumerate(header)
+    }
+
+
+def read_trace(path):
+    """Factor names and (file line number, [p_trajectory, factors...]) rows
+    of a trace file, whose header is ``p_trajectory,<factor>,...``."""
+    header, rows = _read_table(path, ())
+    if not header:
+        raise ConfigError(f"empty trace file: {path}")
+    if header[0] != "p_trajectory" or len(header) < 2:
+        raise ConfigError("trace header must be: p_trajectory,<factor>,<factor>,...")
+    return header[1:], rows
 
 
 def write_checkpoint(path, nets: PolicyNets, env_name: str) -> None:
@@ -469,12 +498,8 @@ def write_summary(path, items: dict) -> None:
 
 
 def read_summary(path) -> dict:
-    out = {}
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            key, val = line.split("=", 1)
-            out[key] = val
-    return out
+    """The pairs of a summary file, read by the config's ``_key_values``."""
+    return {key: val for _, key, val in _key_values(_read_text(path))}
 
 
 # -- training loop -------------------------------------------------------------------

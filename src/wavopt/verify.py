@@ -211,7 +211,8 @@ def check_contraction(pairs: int = 200, seed: int = 0) -> CheckResult:
         n_a = int(rng.integers(1, 4))
         n_at = int(rng.integers(2, 6))
         gamma = float(rng.uniform(0.5, 0.99))
-        cmdp = random_tabular_cmdp(n_s, n_a, 1, seed=int(rng.integers(1 << 31)), gamma=gamma)
+        # no constraint: only the transitions and rewards are read
+        cmdp = random_tabular_cmdp(n_s, n_a, 0, seed=int(rng.integers(1 << 31)), gamma=gamma)
         z1 = QuantileMap(np.sort(rng.normal(size=(n_s, n_a, n_at)), axis=2))
         z2 = QuantileMap(np.sort(rng.normal(size=(n_s, n_a, n_at)), axis=2))
         before = dbar(z1, z2)
@@ -526,7 +527,8 @@ def check_improvement(seed: int = 0, n_runs: int = 4) -> CheckResult:
     from .safe_rl import exact_improvement_report
 
     def instance(i):
-        cmdp = random_tabular_cmdp(6, 3, 1, seed=seed + i, gamma=0.9)
+        # no constraint: only the transitions and rewards are read
+        cmdp = random_tabular_cmdp(6, 3, 0, seed=seed + i, gamma=0.9)
         return cmdp, value_iteration(cmdp)[0]
 
     worst_drop = 0.0

@@ -215,6 +215,7 @@ def test_a_name_given_twice_exits_2_naming_its_first_place(tmp_path, capsys, com
         ["interpret", "{dir}"],
         ["train", "--config", "{binary}"],
         ["interpret", "{binary}"],
+        ["rate", "{binary}"],
         ["train", "--config", "{config}", "--out", "{file}"],
         ["verify", "--quick", "--out", "{file}"],
     ],
@@ -224,6 +225,7 @@ def test_a_name_given_twice_exits_2_naming_its_first_place(tmp_path, capsys, com
         "interpret-dir",
         "train-config-binary",
         "interpret-binary",
+        "rate-binary",
         "train-out-file",
         "verify-out-file",
     ],
@@ -241,6 +243,9 @@ def test_unreadable_input_or_unwritable_output_exits_2(tmp_path, fast_config, ca
     assert len(err.strip().splitlines()) == 1
     # the message names the file at fault, the last path on the line
     assert str(paths[argv[-1].strip("{}")]) in err
+    if argv[-1] == "{binary}":
+        # the same words for a config, a curve and a trace
+        assert err.startswith(f"configuration error: {binary}: not readable as text (")
     # and an unusable output fails before any check runs
     assert "PASS" not in captured.out and "FAIL" not in captured.out
 
@@ -380,6 +385,19 @@ def test_rate_on_synthetic_curve_prints_exponent(tmp_path, capsys):
     write_curve(path, rows, 1)
     assert main(["rate", str(path)]) == 0
     assert "exponent 0.50" in capsys.readouterr().out
+
+
+def test_rate_reads_a_hand_written_curve_with_a_space_after_each_comma(tmp_path, capsys):
+    y = synthetic_recovery_curve(0.5)
+    lines = ["episode,cum_return"] + [f"{i + 1},{float(v)!r}" for i, v in enumerate(y)]
+    written, spaced = tmp_path / "written.csv", tmp_path / "spaced.csv"
+    written.write_text("\n".join(lines) + "\n")
+    spaced.write_text("\n".join(line.replace(",", ", ") for line in lines) + "\n")
+    assert main(["rate", str(written)]) == 0
+    expected = capsys.readouterr().out
+    assert expected.startswith("exponent 0.50 ")
+    assert main(["rate", str(spaced)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_rate_short_curve_reports_skip(tmp_path, capsys):
@@ -532,12 +550,14 @@ def test_interpret_rejects_impossible_probabilities(tmp_path, capsys, row):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("\np_trajectory,wind\n0.3,x\n", "line 3: non-numeric value"),
-        ("\n\np_trajectory,wind\n0.3,0.6\n0.5,0.5,0.5\n", "line 5: expected 2 columns"),
+        ("\np_trajectory,wind\n0.3,x\n", "line 3: wind is not a finite number: 'x'"),
+        ("\n\np_trajectory,wind\n0.3,0.6\n0.5,0.5,0.5\n", "line 5: expected 2 fields, got 3"),
         ("\np_trajectory,wind,wind\n0.3,0.6,0.6\n", "line 2: column 'wind' is given twice (first in column 2)"),
         ("\n\np_trajectory,wind\n0.3,0.6\n-1,0.5\n", "line 5: "),
+        ("\np_trajectory,wind\n0.3,0.6\nnan,0.5\n", "line 4: p_trajectory is not a finite number: 'nan'\n"),
+        ("\n\np_trajectory, wind\n0.3, inf\n", "line 4: wind is not a finite number: ' inf'\n"),
     ],
-    ids=["value", "width", "header", "probability"],
+    ids=["value", "width", "header", "probability", "nan", "inf"],
 )
 def test_interpret_errors_name_the_files_own_line(tmp_path, capsys, text, message):
     # the blank lines before the header count

@@ -436,6 +436,36 @@ def test_summary_round_trip(tmp_path):
     assert int(out["episodes"]) == 3
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("env=cartpole\n\noops\n", "line 3: expected key = value, got 'oops'"),
+        ("env=cartpole\nepisodes=3\nenv=acrobot\n", "line 3: env is given twice (first on line 1)"),
+    ],
+    ids=["no-equals", "twice"],
+)
+def test_read_summary_errors_name_the_files_own_line(tmp_path, text, message):
+    path = tmp_path / "summary.txt"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        read_summary(path)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(_CONFIG_LINES, max_size=8).map("\n".join))
+def test_read_summary_returns_a_dict_or_raises_one_line_config_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "summary.txt"
+        path.write_bytes(text.encode())
+        try:
+            out = read_summary(path)
+        except ConfigError as exc:
+            assert "\n" not in str(exc)
+            return
+    for key, val in out.items():
+        assert "=" not in key and "#" not in key + val and key == key.strip() and val == val.strip()
+
+
 # -- rate fitting --------------------------------------------------------------
 
 
