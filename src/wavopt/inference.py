@@ -159,22 +159,25 @@ def decompose_interpretation(
     displayed value is capped there (``RATIO_CAP``) with a flag rather than
     silently clipped, since p(traj|factor) is itself a probability.  Every input
     must be a finite probability: p_trajectory in [0, 1] and each factor
-    probability in (0, 1].
+    probability in (0, 1], given as a non-empty 1-D list.
     """
     probs = np.asarray(factor_probabilities, dtype=float)
+    if probs.ndim != 1 or probs.size == 0:
+        raise ValueError(f"factor probabilities must be a non-empty 1-D list, got shape {probs.shape}")
+    # a few factors: Python floats check faster than numpy reductions
+    probs = probs.tolist()
     if names is None:
-        names = [f"factor_{i}" for i in range(probs.size)]
-    if len(names) != probs.size:
+        names = [f"factor_{i}" for i in range(len(probs))]
+    if len(names) != len(probs):
         raise ValueError("one name per factor required")
-    if not (math.isfinite(p_trajectory) and np.isfinite(probs).all()):
+    if not (math.isfinite(p_trajectory) and all(map(math.isfinite, probs))):
         raise ValueError("probabilities must be finite")
     if not 0.0 <= p_trajectory <= 1.0:
         raise ValueError(f"p_trajectory {p_trajectory!r} is outside [0, 1]")
-    if np.any(probs <= 0.0) or np.any(probs > 1.0):
+    if not all(0.0 < pi <= 1.0 for pi in probs):
         raise ValueError("factor probabilities must lie in (0, 1]")
     out = []
     for name, pi in zip(names, probs):
-        pi = float(pi)
         ratio = p_trajectory / pi
         capped = ratio > RATIO_CAP
         out.append(InterpretationFactor(name, pi, ratio, min(ratio, RATIO_CAP), capped))

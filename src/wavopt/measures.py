@@ -48,11 +48,17 @@ WEIGHT_SUM_TOL = 1e-12
 
 
 def _as_weights(weights, n: int) -> np.ndarray:
+    """The weights of n >= 1 atoms as a float vector, uniform when None;
+    a ValueError names what a rejected vector breaks."""
     if weights is None:
         return np.full(n, 1.0 / n)
     w = np.asarray(weights, dtype=float)
     if w.shape != (n,):
         raise ValueError(f"weights must have shape ({n},), got {w.shape}")
+    # two reductions accept every valid vector: a nan or -inf makes the
+    # minimum fail, a +inf the sum; the checks below only name a rejection
+    if w.min() >= 0.0 and abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL:
+        return w
     if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
     if (w < 0.0).any():
@@ -64,7 +70,16 @@ def _as_weights(weights, n: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class DiscreteMeasure:
-    """Empirical probability measure on R^d: atoms (n, d) and weights (n,)."""
+    """Empirical probability measure on R^d: atoms (n, d) and weights (n,).
+
+    The constructor checks its input: finite atoms with n >= 1 and
+    d >= 1, and non-negative weights summing to one within
+    ``WEIGHT_SUM_TOL`` (uniform when None).  ``_unchecked`` wraps
+    float arrays without a check, and is only for atoms and weights the
+    caller drew valid itself: its two callers are the samplers of
+    ``verify.check_transport_vs_oracle`` (the oracle's inputs) and
+    ``verify.check_pseudo_metric_suite``.
+    """
 
     atoms: np.ndarray
     weights: np.ndarray
@@ -75,9 +90,18 @@ class DiscreteMeasure:
             self.atoms = self.atoms[:, None]
         if self.atoms.ndim != 2 or self.atoms.shape[0] == 0:
             raise ValueError("atoms must be a non-empty (n, d) array")
+        if self.atoms.shape[1] == 0:
+            raise ValueError(f"atoms must have at least one coordinate, got shape {self.atoms.shape}")
         if not np.all(np.isfinite(self.atoms)):
             raise ValueError("atoms must be finite")
         self.weights = _as_weights(self.weights, self.atoms.shape[0])
+
+    @classmethod
+    def _unchecked(cls, atoms: np.ndarray, weights: np.ndarray) -> "DiscreteMeasure":
+        """Wrap float atoms (n, d) and weights (n,) known valid, skipping the checks."""
+        m = cls.__new__(cls)
+        m.atoms, m.weights = atoms, weights
+        return m
 
     @property
     def dim(self) -> int:
@@ -130,7 +154,8 @@ class OneDMeasure:
     def quantile(self, u) -> np.ndarray:
         """Left-continuous generalized inverse CDF, F^{-1}(u) = inf{x : F(x) >= u}."""
         u = np.asarray(u, dtype=float)
-        if np.any(u <= 0.0) or np.any(u > 1.0):
+        # a nan level fails both comparisons
+        if not (np.all(u > 0.0) and np.all(u <= 1.0)):
             raise ValueError("quantile levels must lie in (0, 1]")
         idx = np.searchsorted(self.cumulative(), u, side="left")
         return self.positions[idx]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,35 @@ def test_decompose_interpretation_zero_denominator():
 def test_decompose_interpretation_name_mismatch():
     with pytest.raises(ValueError):
         decompose_interpretation(0.5, [0.1, 0.2], names=["only_one"])
+
+
+@pytest.mark.parametrize("probs", [0.5, [], [[0.5]]], ids=["scalar", "empty", "2-D"])
+def test_decompose_interpretation_needs_a_non_empty_factor_list(probs):
+    # a scalar once raised TypeError (iteration over a 0-d array), an
+    # empty list returned no factors, and a 2-D list read its rows
+    with pytest.raises(ValueError, match="factor probabilities must be a non-empty 1-D list"):
+        decompose_interpretation(0.5, probs)
+
+
+@pytest.mark.parametrize(
+    "p_traj, probs, message",
+    [
+        (0.5, [math.nan, 2.0], "probabilities must be finite"),
+        (math.inf, [0.5], "probabilities must be finite"),
+        (2.0, [-math.inf], "probabilities must be finite"),
+        (2.0, [1.5], "p_trajectory 2.0 is outside [0, 1]"),
+        (-0.5, [0.5], "p_trajectory -0.5 is outside [0, 1]"),
+        (0.5, [0.5, float(np.nextafter(1.0, 2.0))], "factor probabilities must lie in (0, 1]"),
+        (0.5, [-0.0], "factor probabilities must lie in (0, 1]"),
+    ],
+)
+def test_decompose_interpretation_names_the_first_broken_rule(p_traj, probs, message):
+    with pytest.raises(ValueError) as info:
+        decompose_interpretation(p_traj, probs)
+    assert str(info.value) == message
+
+
+def test_decompose_interpretation_accepts_the_range_edges():
+    factors = decompose_interpretation(0.0, [1.0, 5e-324])
+    assert [f.ratio for f in factors] == [0.0, 0.0]
+    assert decompose_interpretation(1.0, [1.0])[0].ratio == 1.0

@@ -15,6 +15,8 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavopt.measures import (
     DefiningFunction,
@@ -89,6 +91,69 @@ def _spy_routes(monkeypatch):
     return routes
 
 
+def _weights_by_condition(weights, n):
+    """``measures._as_weights`` as it read before its one-pass acceptance:
+    each condition checked in turn."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (n,):
+        raise ValueError(f"weights must have shape ({n},), got {w.shape}")
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
+    if (w < 0.0).any():
+        raise ValueError("weights must be non-negative")
+    if abs(w.sum() - 1.0) > measures.WEIGHT_SUM_TOL:
+        raise ValueError(f"weights must sum to 1 within {measures.WEIGHT_SUM_TOL}, got {w.sum()!r}")
+    return w
+
+
+def _weight_outcome(check, w):
+    """The bytes of an accepted vector, or the message of its rejection."""
+    try:
+        return "accepted", check(w, w.size).tobytes()
+    except ValueError as exc:
+        return "refused", str(exc)
+
+
+# entries at the edges of the weight checks
+_ODD_WEIGHTS = [math.nan, math.inf, -math.inf, -0.0, 0.0, -1e-300, 1e-300, -5e-324, 5e-324]
+# sums of 1 +- 1e-12, each nudged by one ulp either way; a sum t is
+# split as (t - 0.25) + 0.25, both exact
+_EDGE_SUMS = [
+    float(np.nextafter(t, t + step)) if step else t
+    for t in (1.0 + 1e-12, 1.0 - 1e-12)
+    for step in (-1.0, 0.0, 1.0)
+]
+
+
+@st.composite
+def _weight_vectors(draw):
+    """Normalised vectors with odd entries mixed in, and vectors whose sum
+    sits at the edge of the sum tolerance, with or without odd entries."""
+    odd = st.lists(st.sampled_from(_ODD_WEIGHTS), max_size=3)
+    if draw(st.booleans()):
+        raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5)))
+        body = list(raw / raw.sum()) if raw.sum() > 0.0 else list(raw)
+    else:
+        t = draw(st.sampled_from(_EDGE_SUMS))
+        body = [t - 0.25, 0.25]
+    w = body + draw(odd)
+    return np.array(draw(st.permutations(w)))
+
+
+class TestWeightCheck:
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(_weight_vectors())
+    def test_one_pass_acceptance_keeps_every_verdict_and_message(self, w):
+        assert _weight_outcome(measures._as_weights, w) == _weight_outcome(_weights_by_condition, w)
+
+    @pytest.mark.parametrize("pad", [[], [-0.0], [-1e-300], [math.nan], [math.inf], [-math.inf]])
+    @pytest.mark.parametrize("t", _EDGE_SUMS)
+    def test_edge_sums(self, t, pad):
+        w = np.array([t - 0.25, 0.25] + pad)
+        assert w[:2].sum() == t
+        assert _weight_outcome(measures._as_weights, w) == _weight_outcome(_weights_by_condition, w)
+
+
 # ---------------------------------------------------------------------------
 # measure canonicalization and projection
 # ---------------------------------------------------------------------------
@@ -124,6 +189,24 @@ class TestMeasures:
     def test_quantile_is_left_continuous_inverse(self):
         m = _measure_1d([0.0, 1.0], [0.5, 0.5])
         npt.assert_allclose(m.quantile([0.25, 0.5, 0.75, 1.0]), [0.0, 0.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("u", [math.nan, [0.5, math.nan]], ids=["scalar", "array"])
+    def test_quantile_refuses_a_nan_level(self, u):
+        # a nan level passed both range comparisons, and searchsorted put
+        # it past the last atom: IndexError
+        with pytest.raises(ValueError, match=r"quantile levels must lie in \(0, 1\]"):
+            _measure_1d([0.0, 1.0], [0.5, 0.5]).quantile(u)
+
+    @pytest.mark.parametrize(
+        "route",
+        [lambda m: swd(m, m), lambda m: wasserstein_oracles([(m, m, 1.0)])],
+        ids=["swd", "oracle"],
+    )
+    def test_zero_width_atoms_rejected(self, route):
+        # measures on R^0 once reached swd (IndexError in the slice
+        # normaliser) and the oracle (distance 0.0)
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            route(DiscreteMeasure(np.zeros((2, 0)), None))
 
     def test_projection_preserves_weights(self):
         rng = np.random.default_rng(3)

@@ -10,6 +10,7 @@ from wavopt import nn, safe_rl, verify
 from wavopt.cmdp import TabularCmdp, value_iteration
 from wavopt.dist_rl import QuantileMap, bellman_operator, td_targets
 from wavopt.envs import random_tabular_cmdp
+from wavopt.measures import DiscreteMeasure
 from wavopt.verify import check_gradients, check_transport_vs_oracle
 
 
@@ -34,6 +35,30 @@ def test_transport_check_is_not_limited_by_the_lp_tolerance():
     # 1e-7 feasibility tolerance one LP value was off by 7.3e-9 (> 1e-9)
     result = check_transport_vs_oracle(120, 272042)
     assert result.passed, result.line()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_unchecked_measures_are_the_checked_ones(monkeypatch, seed):
+    # the transport oracle's inputs and the pseudo-metric sampler's
+    # measures skip the constructor's checks; each must be a measure the
+    # checked constructor builds, field for field
+    built = []
+    unchecked = DiscreteMeasure._unchecked
+
+    def spy(atoms, weights):
+        built.append(unchecked(atoms, weights))
+        return built[-1]
+
+    monkeypatch.setattr(DiscreteMeasure, "_unchecked", staticmethod(spy))
+    verify.check_transport_vs_oracle(120, seed)
+    verify.check_pseudo_metric_suite(60, seed)
+    assert len(built) == 2 * 120 + 3 * 60
+    for m in built:
+        checked = DiscreteMeasure(m.atoms, m.weights)
+        assert vars(m).keys() == vars(checked).keys()
+        for name, value in vars(checked).items():
+            got = getattr(m, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (value.dtype, value.shape, value.tobytes()), name
 
 
 @pytest.mark.parametrize("instances", [1, 2, 12, 100])
