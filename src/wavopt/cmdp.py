@@ -3,7 +3,10 @@
 A ``TabularCmdp`` bundles transition kernel, reward, utility (constraint
 cost) matrices, constraint bounds, discount, and an initial-state
 distribution.  Signals are indexed the same way everywhere in the
-package: index 0 is the reward, index i in [1, p] is utility i.
+package: index 0 is the reward, index i in [1, p] is utility i.  One rule
+per input kind: transition rows, ``initial_dist`` and stochastic policy rows
+are probability vectors (``measures._as_weights``), and a deterministic
+policy is one whole action in [0, nA) per state (``_deterministic_actions``).
 
 Exact routines (linear solves, value iteration) serve two roles: they
 drive the desk-scale policy-improvement runs and they act as independent
@@ -12,9 +15,11 @@ oracles for the sampled estimators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .measures import WEIGHT_SUM_TOL, _as_weights
 
 __all__ = [
     "TabularCmdp",
@@ -25,7 +30,6 @@ __all__ = [
     "value_iteration",
 ]
 
-_ROW_TOL = 1e-12
 _VI_TOL, _VI_MAX_ITER = 1e-12, 1_000_000
 
 
@@ -45,9 +49,10 @@ class TabularCmdp:
         self.rewards = np.asarray(self.rewards, dtype=float)
         self.utilities = np.asarray(self.utilities, dtype=float)
         self.bounds = np.atleast_1d(np.asarray(self.bounds, dtype=float))
-        if self.transitions.ndim != 3 or self.transitions.shape[0] != self.transitions.shape[2]:
-            raise ValueError("transitions must have shape (nS, nA, nS)")
-        ns, na, _ = self.transitions.shape
+        shape = self.transitions.shape
+        if len(shape) != 3 or shape[0] != shape[2] or 0 in shape:
+            raise ValueError("transitions must have shape (nS, nA, nS) with nS, nA >= 1")
+        ns, na, _ = shape
         if self.rewards.shape != (ns, na):
             raise ValueError("rewards must have shape (nS, nA)")
         if self.utilities.ndim != 3 or self.utilities.shape[1:] != (ns, na):
@@ -56,19 +61,13 @@ class TabularCmdp:
             raise ValueError("one bound per utility required")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
-        row_sums = self.transitions.sum(axis=2)
-        if np.max(np.abs(row_sums - 1.0)) > _ROW_TOL:
-            raise ValueError("transition rows must sum to 1")
-        if np.any(self.transitions < 0):
-            raise ValueError("transition probabilities must be non-negative")
-        if np.any(self.rewards < -_ROW_TOL) or np.any(self.rewards > 1.0 + _ROW_TOL):
+        self.transitions = _as_weights(self.transitions, shape, "transition rows")
+        if not ((self.rewards >= -WEIGHT_SUM_TOL).all() and (self.rewards <= 1.0 + WEIGHT_SUM_TOL).all()):
             raise ValueError("rewards must lie within [0, 1]")
-        if self.initial_dist is None:
-            self.initial_dist = np.full(ns, 1.0 / ns)
-        else:
-            self.initial_dist = np.asarray(self.initial_dist, dtype=float)
-            if self.initial_dist.shape != (ns,) or abs(self.initial_dist.sum() - 1.0) > _ROW_TOL:
-                raise ValueError("initial_dist must be a distribution over states")
+        for name, values in (("utilities", self.utilities), ("bounds", self.bounds)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
+        self.initial_dist = _as_weights(self.initial_dist, (ns,), "initial_dist")
 
     @property
     def n_states(self) -> int:
@@ -95,16 +94,23 @@ def uniform_policy(cmdp: TabularCmdp) -> np.ndarray:
     return np.full((cmdp.n_states, cmdp.n_actions), 1.0 / cmdp.n_actions)
 
 
+def _deterministic_actions(cmdp: TabularCmdp, policy) -> np.ndarray:
+    """A deterministic policy's int actions: one whole action in [0, nA) per state (nan is not whole)."""
+    pol = np.asarray(policy)
+    if pol.shape != (cmdp.n_states,):
+        raise ValueError("policy must be a deterministic action per state")
+    whole = pol.dtype.kind in "biu" or np.array_equal(pol, np.trunc(pol))
+    if not (whole and 0 <= pol.min() and pol.max() < cmdp.n_actions):
+        raise ValueError(f"policy actions must be whole numbers in [0, {cmdp.n_actions})")
+    return pol.astype(int)
+
+
 def _policy_matrix(cmdp: TabularCmdp, policy) -> np.ndarray:
-    """Accept a deterministic action vector (nS,) or a stochastic (nS, nA) matrix."""
+    """Deterministic actions (nS,) as a 0/1 matrix, or checked stochastic rows (nS, nA)."""
     pol = np.asarray(policy)
     if pol.ndim == 1:
-        mat = np.zeros((cmdp.n_states, cmdp.n_actions))
-        mat[np.arange(cmdp.n_states), pol.astype(int)] = 1.0
-        return mat
-    if pol.shape != (cmdp.n_states, cmdp.n_actions):
-        raise ValueError("policy must be (nS,) actions or (nS, nA) probabilities")
-    return pol
+        return np.eye(cmdp.n_actions)[_deterministic_actions(cmdp, pol)]
+    return _as_weights(pol, (cmdp.n_states, cmdp.n_actions), "policy rows")
 
 
 def exact_state_values(cmdp: TabularCmdp, policy, signal: int = 0) -> np.ndarray:
@@ -130,15 +136,15 @@ def exact_objective(cmdp: TabularCmdp, policy, signal: int = 0) -> float:
 def value_iteration(cmdp: TabularCmdp):
     """Optimal (unconstrained) V*, Q* for the reward signal; oracle routine.
 
-    Sweeps until no value moves by more than ``_VI_TOL`` = 1e-12, at most ``_VI_MAX_ITER`` = 1e6 times.
+    Sweeps until no value moves by more than ``_VI_TOL`` = 1e-12, or raises after ``_VI_MAX_ITER`` = 1e6.
     """
     v = np.zeros(cmdp.n_states)
     for _ in range(_VI_MAX_ITER):
         q = cmdp.rewards + cmdp.gamma * cmdp.transitions @ v
-        v_next = q.max(axis=1)
-        if np.max(np.abs(v_next - v)) <= _VI_TOL:
-            v = v_next
+        v, v_prev = q.max(axis=1), v
+        if np.max(np.abs(v - v_prev)) <= _VI_TOL:
             break
-        v = v_next
+    else:
+        raise RuntimeError(f"value iteration did not converge within {_VI_MAX_ITER} sweeps at gamma={cmdp.gamma}")
     q = cmdp.rewards + cmdp.gamma * cmdp.transitions @ v
     return v, q

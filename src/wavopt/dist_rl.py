@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .cmdp import TabularCmdp
+from .cmdp import TabularCmdp, _deterministic_actions
 from .measures import OneDMeasure
 from .nets import PolicyNets
 
@@ -97,8 +97,8 @@ class QuantileMap:
         self.atoms = np.asarray(self.atoms, dtype=float)
         if self.atoms.ndim != 3:
             raise ValueError("atoms must have shape (nS, nA, N)")
-        if np.any(np.diff(self.atoms, axis=2) < 0):
-            raise ValueError("atoms must be sorted along the last axis")
+        if not (np.isfinite(self.atoms).all() and (np.diff(self.atoms, axis=2) >= 0.0).all()):
+            raise ValueError("atoms must be finite and sorted along the last axis")
 
     @classmethod
     def _sorted(cls, atoms: np.ndarray) -> "QuantileMap":
@@ -164,17 +164,12 @@ def bellman_operator(
     association.
     """
     ns, na = cmdp.n_states, cmdp.n_actions
-    pol = np.asarray(policy)
-    if pol.shape != (ns,):
-        raise ValueError("policy must be a deterministic action per state")
-    whole = pol.dtype.kind in "biu" or np.array_equal(pol, np.trunc(pol))
-    if not (whole and 0 <= pol.min() and pol.max() < na):
-        raise ValueError(f"policy actions must be whole numbers in [0, {na})")
+    actions = _deterministic_actions(cmdp, policy)
     h = cmdp.signal_matrix(signal).reshape(-1, 1)
     levels = midpoint_levels(n)
     gamma = cmdp.gamma
     # flat indices of the atoms of (s, policy(s)), s = 0..nS-1, in order
-    select = ((np.arange(ns) * na + pol.astype(int))[:, None] * n + np.arange(n)).ravel()
+    select = ((np.arange(ns) * na + actions)[:, None] * n + np.arange(n)).ravel()
 
     weights = np.repeat(cmdp.transitions.reshape(ns * na, ns), n, axis=1) / n
     # dividing by a sum within the CMDP's row tolerance of 1 makes no

@@ -1,8 +1,9 @@
 """Weighted atom clouds and the slices that project them to one dimension.
 
 The optimal-transport layer works on empirical (discrete) probability
-measures: finitely many support points with non-negative weights summing
-to one.  Two representations are used:
+measures: finitely many support points whose weights obey the package's
+one rule for a probability vector, ``_as_weights`` (finite, non-negative,
+summing to 1 within ``WEIGHT_SUM_TOL``).  Two representations are used:
 
 * ``DiscreteMeasure`` holds points in R^d and is the input format for
   every sliced distance.
@@ -47,25 +48,35 @@ __all__ = [
 WEIGHT_SUM_TOL = 1e-12
 
 
-def _as_weights(weights, n: int) -> np.ndarray:
-    """The weights of n >= 1 atoms as a float vector, uniform when None;
-    a ValueError names what a rejected vector breaks."""
+def _as_weights(weights, shape: tuple, name: str) -> np.ndarray:
+    """Probability vectors of n >= 1 entries along the last axis of ``shape``, uniform
+    when None; a ValueError names ``name`` and the part of the rule it breaks."""
     if weights is None:
-        return np.full(n, 1.0 / n)
+        return np.full(shape, 1.0 / shape[-1])
     w = np.asarray(weights, dtype=float)
-    if w.shape != (n,):
-        raise ValueError(f"weights must have shape ({n},), got {w.shape}")
-    # two reductions accept every valid vector: a nan or -inf makes the
-    # minimum fail, a +inf the sum; the checks below only name a rejection
-    if w.min() >= 0.0 and abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL:
+    if w.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {w.shape}")
+    # a minimum and a sum per row accept every valid array: a nan or -inf fails the
+    # minimum, a +inf or an overflow its row's sum; the checks below only name a rejection
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is a nan sum
+        sums = w.sum(axis=-1)
+    within = abs(sums - 1.0) <= WEIGHT_SUM_TOL
+    if w.min() >= 0.0 and (within if w.ndim == 1 else within.all()):
         return w
     if not np.isfinite(w).all():
-        raise ValueError("weights must be finite")
+        raise ValueError(f"{name} must be finite")
     if (w < 0.0).any():
-        raise ValueError("weights must be non-negative")
-    if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
-        raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {w.sum()!r}")
-    return w
+        raise ValueError(f"{name} must be non-negative")
+    off = float(np.extract(~within, sums)[0])  # the first row that fails its sum
+    raise ValueError(f"{name} must sum to 1 within {WEIGHT_SUM_TOL}, got {off!r}")
+
+
+def _as_positions(positions) -> np.ndarray:
+    """Atom positions on R: a finite, non-empty 1-D float array."""
+    pos = np.asarray(positions, dtype=float)
+    if pos.ndim != 1 or pos.shape[0] == 0 or not np.isfinite(pos).all():
+        raise ValueError("positions must be a finite, non-empty 1-D array")
+    return pos
 
 
 @dataclass(eq=False)
@@ -73,8 +84,7 @@ class DiscreteMeasure:
     """Empirical probability measure on R^d: atoms (n, d) and weights (n,).
 
     The constructor checks its input: finite atoms with n >= 1 and
-    d >= 1, and non-negative weights summing to one within
-    ``WEIGHT_SUM_TOL`` (uniform when None).  ``_unchecked`` wraps
+    d >= 1, and weights by ``_as_weights`` (uniform when None).  ``_unchecked`` wraps
     float arrays without a check, and is only for atoms and weights the
     caller drew valid itself: its two callers are the samplers of
     ``verify.check_transport_vs_oracle`` (the oracle's inputs) and
@@ -88,13 +98,11 @@ class DiscreteMeasure:
         self.atoms = np.asarray(self.atoms, dtype=float)
         if self.atoms.ndim == 1:
             self.atoms = self.atoms[:, None]
-        if self.atoms.ndim != 2 or self.atoms.shape[0] == 0:
-            raise ValueError("atoms must be a non-empty (n, d) array")
-        if self.atoms.shape[1] == 0:
-            raise ValueError(f"atoms must have at least one coordinate, got shape {self.atoms.shape}")
+        if self.atoms.ndim != 2 or 0 in self.atoms.shape:
+            raise ValueError(f"atoms must be a non-empty (n, d) array with at least one coordinate, got {self.atoms.shape}")
         if not np.all(np.isfinite(self.atoms)):
             raise ValueError("atoms must be finite")
-        self.weights = _as_weights(self.weights, self.atoms.shape[0])
+        self.weights = _as_weights(self.weights, self.atoms.shape[:1], "weights")
 
     @classmethod
     def _unchecked(cls, atoms: np.ndarray, weights: np.ndarray) -> "DiscreteMeasure":
@@ -125,18 +133,12 @@ class OneDMeasure:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        self.positions = np.asarray(self.positions, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.positions.ndim != 1 or self.positions.shape[0] == 0:
-            raise ValueError("positions must be a non-empty 1-D array")
-        if self.weights.shape != self.positions.shape:
-            raise ValueError("positions and weights must have matching shape")
+        self.positions = _as_positions(self.positions)
+        self.weights = _as_weights(self.weights, self.positions.shape, "weights")
         if (self.positions[1:] < self.positions[:-1]).any():
             raise ValueError("positions must be sorted ascending (use one_d_measure)")
         if (self.weights <= 0).any():
             raise ValueError("canonical weights must be strictly positive")
-        if abs(self.weights.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError("weights must sum to 1")
 
     @classmethod
     def _canonical(cls, positions: np.ndarray, weights: np.ndarray) -> "OneDMeasure":
@@ -163,12 +165,8 @@ class OneDMeasure:
 
 def one_d_measure(positions, weights=None) -> OneDMeasure:
     """Canonicalize raw 1-D support: stable sort, zero weights dropped, renormalized."""
-    pos = np.asarray(positions, dtype=float).ravel()
-    if pos.size == 0:
-        raise ValueError("measure needs at least one atom")
-    if not np.isfinite(pos).all():
-        raise ValueError("positions must be finite")
-    w = _as_weights(weights, pos.size)
+    pos = _as_positions(positions)
+    w = _as_weights(weights, pos.shape, "weights")
 
     order = np.argsort(pos, kind="stable")
     kept = order[w[order] > 0.0]  # the sum check leaves at least one positive weight

@@ -111,6 +111,13 @@ def _random_measure(rng, max_atoms=8, weighted=True):
     return pos, w
 
 
+def _require_sizes(**sizes) -> None:
+    """Refuse a check size below 1, naming it: an empty check would read PASS."""
+    for name, size in sizes.items():
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1")
+
+
 # pairs per batched oracle call; keeps the held measures flat in ``pairs``
 _ORACLE_CHUNK = 128
 
@@ -121,6 +128,7 @@ def check_transport_vs_oracle(pairs: int = 1000, seed: int = 0) -> CheckResult:
     Pairs are drawn in order and checked ``_ORACLE_CHUNK`` at a time:
     the fast route per pair, then one batched oracle call per chunk.
     """
+    _require_sizes(pairs=pairs)
     rng = np.random.default_rng(seed)
     orders = [1.0, 2.0, math.inf]
     worst = 0.0
@@ -165,8 +173,7 @@ def check_pseudo_metric_suite(trials: int = 500, seed: int = 0) -> CheckResult:
     scalar ``_slice_mean``, so a trial's five distances are those of
     five ``gswd`` calls, bit for bit.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _require_sizes(trials=trials)
     rng = np.random.default_rng(seed)
     nonneg = sym = tri = self_distance = 0.0
     slack = smallest = math.inf
@@ -207,6 +214,7 @@ def check_contraction(pairs: int = 200, seed: int = 0) -> CheckResult:
     Also verifies the degenerate fixed point: a single-state MDP with
     constant reward must converge to the point mass at r / (1 - gamma).
     """
+    _require_sizes(pairs=pairs)
     rng = np.random.default_rng(seed)
     worst = 0.0
     t0 = time.perf_counter()
@@ -265,6 +273,7 @@ def check_projection_minimality(measures: int = 100, candidates: int = 10000, se
     W1 is a single weighted absolute-difference contraction per
     candidate batch.  Projections and candidates have 8 atoms.
     """
+    _require_sizes(measures=measures, candidates=candidates)
     n_atoms = 8
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -507,6 +516,7 @@ def check_gradients(instances: int = 100, seed: int = 0) -> CheckResult:
     signals, and the folded actor objective (constraint descent plus the
     raw-output penalty).
     """
+    _require_sizes(instances=instances)
     worst = 0.0
     t0 = time.perf_counter()
     for j, check in enumerate((_fd_mlp_check, _fd_critic_check, _fd_actor_check)):
@@ -529,6 +539,8 @@ def check_improvement(seed: int = 0, n_runs: int = 4) -> CheckResult:
     optimum.
     """
     from .safe_rl import exact_improvement_report
+
+    _require_sizes(n_runs=n_runs)
 
     def instance(i):
         # no constraint: only the transitions and rewards are read
@@ -567,6 +579,7 @@ def check_improvement(seed: int = 0, n_runs: int = 4) -> CheckResult:
 
 def check_reconstruction(trials: int = 1000, seed: int = 0) -> CheckResult:
     """Likelihood-ratio decomposition reconstructs the joint probability."""
+    _require_sizes(trials=trials)
     rng = np.random.default_rng(seed)
     worst = 0.0
     t0 = time.perf_counter()

@@ -8,7 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from wavopt import nn
-from wavopt.cmdp import TabularCmdp
+from wavopt.cmdp import TabularCmdp, exact_objective, exact_q_values, exact_state_values
 from wavopt.dist_rl import (
     QuantileMap,
     TransitionBatch,
@@ -34,6 +34,19 @@ def _random_cmdp(rng, ns=3, na=2, p=1, gamma=0.9):
     rewards = rng.uniform(0.0, 1.0, size=(ns, na))
     utils = rng.integers(0, 2, size=(p, ns, na)).astype(float)
     return TabularCmdp(trans, rewards, utils, np.full(p, 10.0), gamma)
+
+
+# deterministic policies for a 3-state, 2-action CMDP that break the one
+# policy rule (``cmdp._deterministic_actions``), with their messages
+_BAD_POLICIES = [
+    ([-1, -1, -1], "whole numbers in"),
+    ([0.7, 0, 0], "whole numbers in"),
+    ([0, 2, 0], "whole numbers in"),
+    ([0, 1], "deterministic action per state"),
+    ([math.nan, 0, 0], "whole numbers in"),
+    ([5, 0, 0], "whole numbers in"),
+    ([0, math.inf, 0], "whole numbers in"),
+]
 
 
 def _random_map(rng, ns, na, n):
@@ -136,15 +149,7 @@ class TestBellmanOperators:
         out = bellman_operator(policy, cmdp, 3, signal=2)(z)
         npt.assert_allclose(out.atoms[:, :, 0], cmdp.utilities[1], atol=1e-12)
 
-    @pytest.mark.parametrize(
-        "policy, match",
-        [
-            ([-1, -1, -1], "whole numbers in"),
-            ([0.7, 0, 0], "whole numbers in"),
-            ([0, 2, 0], "whole numbers in"),
-            ([0, 1], "deterministic action per state"),
-        ],
-    )
+    @pytest.mark.parametrize("policy, match", _BAD_POLICIES)
     def test_policy_outside_the_action_set_is_refused(self, policy, match):
         cmdp = _random_cmdp(np.random.default_rng(8), ns=3, na=2)
         with pytest.raises(ValueError, match=match):
@@ -262,19 +267,19 @@ class TestPreparedBellmanOperator:
         operator(_random_map(rng, 3, 2, 4))
         assert operator(z).atoms.tobytes() == first
 
-    @pytest.mark.parametrize(
-        "policy, match",
-        [
-            ([-1, -1, -1], "whole numbers in"),
-            ([0.7, 0, 0], "whole numbers in"),
-            ([0, 2, 0], "whole numbers in"),
-            ([0, 1], "deterministic action per state"),
-        ],
-    )
+    @pytest.mark.parametrize("policy, match", _BAD_POLICIES)
     def test_policy_errors_are_raised_when_it_is_built(self, policy, match):
         cmdp = _random_cmdp(np.random.default_rng(8), ns=3, na=2)
         with pytest.raises(ValueError, match=match):
             bellman_operator(policy, cmdp, 4)
+
+    @pytest.mark.parametrize("policy, match", _BAD_POLICIES)
+    @pytest.mark.parametrize("route", [exact_objective, exact_q_values, exact_state_values])
+    def test_the_exact_routines_refuse_the_same_policies(self, route, policy, match):
+        # a float action was truncated, -1 read action nA - 1, and 5 an IndexError
+        cmdp = _random_cmdp(np.random.default_rng(8), ns=3, na=2)
+        with pytest.raises(ValueError, match=match):
+            route(cmdp, policy)
 
     @pytest.mark.parametrize(
         "shape, match",

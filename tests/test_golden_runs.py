@@ -89,6 +89,7 @@ def test_full_verify_report_matches_golden_bytes(tmp_path):
 
 
 def _one_thread_env() -> dict:
-    env = dict(os.environ, OMP_NUM_THREADS="1")
+    # a numpy warning on a command path fails the run, as in tier-1
+    env = dict(os.environ, OMP_NUM_THREADS="1", PYTHONWARNINGS="error")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env

@@ -102,8 +102,13 @@ def _weights_by_condition(weights, n):
     if (w < 0.0).any():
         raise ValueError("weights must be non-negative")
     if abs(w.sum() - 1.0) > measures.WEIGHT_SUM_TOL:
-        raise ValueError(f"weights must sum to 1 within {measures.WEIGHT_SUM_TOL}, got {w.sum()!r}")
+        raise ValueError(f"weights must sum to 1 within {measures.WEIGHT_SUM_TOL}, got {float(w.sum())!r}")
     return w
+
+
+def _one_vector(weights, n):
+    """``measures._as_weights`` on one vector of n weights."""
+    return measures._as_weights(weights, (n,), "weights")
 
 
 def _weight_outcome(check, w):
@@ -144,14 +149,14 @@ class TestWeightCheck:
     @settings(max_examples=600, deadline=None, derandomize=True, database=None)
     @given(_weight_vectors())
     def test_one_pass_acceptance_keeps_every_verdict_and_message(self, w):
-        assert _weight_outcome(measures._as_weights, w) == _weight_outcome(_weights_by_condition, w)
+        assert _weight_outcome(_one_vector, w) == _weight_outcome(_weights_by_condition, w)
 
     @pytest.mark.parametrize("pad", [[], [-0.0], [-1e-300], [math.nan], [math.inf], [-math.inf]])
     @pytest.mark.parametrize("t", _EDGE_SUMS)
     def test_edge_sums(self, t, pad):
         w = np.array([t - 0.25, 0.25] + pad)
         assert w[:2].sum() == t
-        assert _weight_outcome(measures._as_weights, w) == _weight_outcome(_weights_by_condition, w)
+        assert _weight_outcome(_one_vector, w) == _weight_outcome(_weights_by_condition, w)
 
 
 # ---------------------------------------------------------------------------

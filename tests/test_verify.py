@@ -114,6 +114,27 @@ def test_early_stopped_fixed_point_equals_500_iterations(monkeypatch, z, policy,
     assert 0 < len(calls) < 500
 
 
+@pytest.mark.parametrize(
+    "check, sizes",
+    [
+        (verify.check_transport_vs_oracle, {"pairs": 0}),
+        (verify.check_pseudo_metric_suite, {"trials": 0}),
+        (verify.check_contraction, {"pairs": -1}),
+        (verify.check_projection_minimality, {"measures": 0}),
+        (verify.check_projection_minimality, {"measures": 3, "candidates": 0}),
+        (verify.check_gradients, {"instances": 0}),
+        (verify.check_improvement, {"n_runs": 0}),
+        (verify.check_reconstruction, {"trials": -2}),
+    ],
+    ids=lambda value: getattr(value, "__name__", None) or ",".join(value),
+)
+def test_every_check_refuses_a_size_below_one(check, sizes):
+    # six of them read PASS on nothing, or raised numpy's zero-size error
+    name = next(name for name, size in sizes.items() if size < 1)
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+        check(**sizes)
+
+
 @pytest.mark.parametrize("n_runs", [1, 2, 4])
 def test_improvement_check_runs_value_iteration_once_per_cmdp(monkeypatch, n_runs):
     calls = []
