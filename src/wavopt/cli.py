@@ -24,6 +24,7 @@ from . import verify as verify_mod
 from .harness import ConfigError, _g9, fit_rate, load_config, read_curve, read_trace, run_training
 from .inference import decompose_interpretation
 from .nn import TrainingError
+from .safe_rl import within_bounds
 
 __all__ = ["main"]
 
@@ -89,11 +90,12 @@ def _cmd_train(args) -> int:
     if result.shipped == "final":
         # no gate nominee passed: the last actor shipped unchecked, and
         # the exit code stays 0, so a broken bound is said here
-        limit = config.bound + config.tolerance_fixed
+        inside = within_bounds(final.constraints, config.bound, config.tolerance_fixed, 0.0)
+        limit = _g9(config.bound + config.tolerance_fixed)  # printed only; within_bounds decides
         broken = [
-            f"final_constraint_{i + 1}={_g9(v)} > {_g9(limit)}"
-            for i, v in enumerate(final.constraints)
-            if v > limit
+            f"final_constraint_{i}={_g9(v)} > {limit}"
+            for i, (v, ok) in enumerate(zip(final.constraints, inside), start=1)
+            if not ok
         ]
         if broken:
             print(

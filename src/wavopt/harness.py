@@ -14,7 +14,7 @@ reproducibility):
 * checkpoint: a small meta header plus one ``mlp-text`` section per
   network;
 * summary: ``key=value`` lines with the final noise-free objective
-  estimates, then ``shipped`` naming the gate pass whose nominee was
+  estimates, then ``shipped`` naming the gate tier of the nominee
   written (``margined`` or ``boundary``) or ``final`` when none passed.
 
 Each text format has one reader: ``_read_table`` reads curves and
@@ -63,7 +63,7 @@ from .envs import ENVS, RETURN_START, make_env
 from .inference import log_family, optimality_likelihood
 from .nets import ActorNet, CriticNet, PolicyNets, init_policy_nets
 from .dist_rl import TransitionBatch, UpdateWorkspace, td_delta, td_targets
-from .safe_rl import ObjectiveEstimate, estimate_objectives, policy_update_step, tolerance_schedule
+from .safe_rl import ObjectiveEstimate, estimate_objectives, policy_update_step, tolerance_schedule, within_bounds
 
 __all__ = [
     "ConfigError",
@@ -140,51 +140,38 @@ class TrainConfig:
         for f in dataclasses.fields(self):
             if f.type in ("float", float) and not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite")
-        if self.episodes < 0:
-            raise ConfigError("episodes must be >= 0")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ConfigError("gamma must lie in [0, 1)")
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.n_quantiles < 1:
-            raise ConfigError("learning_rate, batch_size, n_quantiles must be positive")
-        if self.actor_learning_rate != -1.0 and self.actor_learning_rate <= 0:
-            raise ConfigError("actor_learning_rate must be -1 (same as learning_rate) or > 0")
-        if self.warmup_steps < 0:
-            raise ConfigError("warmup_steps must be >= 0")
-        if self.hidden_width < 1 or self.hidden_layers < 0:
-            raise ConfigError("hidden_width must be >= 1 and hidden_layers >= 0")
+        for keys, accepts, rule in _RANGES:
+            for key in keys:
+                if not accepts(getattr(self, key)):
+                    raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)!r}")
         if self.buffer_capacity < self.batch_size:
-            raise ConfigError("buffer_capacity must be >= batch_size")
-        if self.update_every < 1 or self.target_sync_updates < 1:
-            raise ConfigError("update_every and target_sync_updates must be >= 1")
-        if self.updates_per_episode < 0:
-            raise ConfigError("updates_per_episode must be >= 0")
-        if self.noise_start < 0 or self.noise_end < 0:
-            raise ConfigError("noise_start and noise_end must be >= 0")
-        if not 0.0 <= self.noise_decay_frac <= 1.0:
-            raise ConfigError("noise_decay_frac must lie in [0, 1]")
-        if self.raw_penalty < 0:
-            raise ConfigError("raw_penalty must be >= 0 (0 disables the penalty)")
-        if self.tolerance_mode not in ("fixed", "scheduled"):
-            raise ConfigError("tolerance_mode must be 'fixed' or 'scheduled'")
-        if self.tolerance_fixed < 0:
-            raise ConfigError("tolerance_fixed must be >= 0")
-        if self.snapshot_margin < 0:
-            raise ConfigError("snapshot_margin must be >= 0")
-        if self.gate_margin < 0:
-            raise ConfigError("gate_margin must be >= 0")
-        if self.gate_episodes < 1:
-            raise ConfigError("gate_episodes must be >= 1")
-        if self.eval_episodes < 1 or self.probe_episodes < 1:
-            raise ConfigError("eval_episodes and probe_episodes must be >= 1")
-        if self.dt <= 0:
-            raise ConfigError("dt must be > 0")
-        if self.eval_every < 0:
-            raise ConfigError("eval_every must be >= 0 (0 disables periodic evaluation)")
+            raise ConfigError(f"buffer_capacity must be at least the batch size, {self.batch_size}")
+        if self.tolerance_mode == "scheduled":
+            try:  # t = 1 gives the schedule's largest tolerance
+                tau = tolerance_schedule(1, self.batch_size, self.horizon_scale, self.gamma)
+            except (OverflowError, ZeroDivisionError):
+                tau = math.inf
+            if not math.isfinite(tau):
+                raise ConfigError(
+                    f"horizon_scale must keep the scheduled tolerance finite, got {self.horizon_scale!r}"
+                )
         return self
 
 
+# (keys, whether a value is accepted, the rule a refused key's message states)
+_RANGES = (
+    (("episodes", "seed", "warmup_steps", "hidden_layers", "updates_per_episode"), lambda v: v >= 0, ">= 0"),
+    (("noise_start", "noise_end", "tolerance_fixed", "snapshot_margin", "gate_margin"), lambda v: v >= 0, ">= 0"),
+    (("batch_size", "n_quantiles", "hidden_width", "update_every", "target_sync_updates"), lambda v: v >= 1, ">= 1"),
+    (("gate_episodes", "eval_episodes", "probe_episodes"), lambda v: v >= 1, ">= 1"),
+    (("learning_rate", "dt"), lambda v: v > 0, "> 0"),
+    (("gamma",), lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    (("noise_decay_frac",), lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    (("actor_learning_rate",), lambda v: v == -1.0 or v > 0, "-1 (the critic's rate) or > 0"),
+    (("raw_penalty",), lambda v: v >= 0, ">= 0 (0 disables the penalty)"),
+    (("eval_every",), lambda v: v >= 0, ">= 0 (0 disables periodic evaluation)"),
+    (("tolerance_mode",), lambda v: v in ("fixed", "scheduled"), "'fixed' or 'scheduled'"),
+)
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 
 
@@ -621,6 +608,14 @@ def probe(actor: ActorNet, config: TrainConfig, episodes: int, seed) -> Objectiv
     return estimate_objectives(make_env(config.env, dt=config.dt), actor, episodes, config.gamma, seed)
 
 
+def _tier(constraints, config: TrainConfig, margin: float):
+    """0 if ``constraints`` keep ``margin`` below bound + ``tolerance_fixed``, 1 if they only meet it, else None."""
+    for tier, needed in enumerate((margin, 0.0)):
+        if within_bounds(constraints, config.bound, config.tolerance_fixed, needed).all():
+            return tier
+    return None
+
+
 def ship_gate(tiers, config: TrainConfig, s_eval):
     """Re-measure the nominated checkpoints and pick the one that ships.
 
@@ -628,13 +623,14 @@ def ship_gate(tiers, config: TrainConfig, s_eval):
     (reward, actor, critic).  Probes are cheap and noisy; this gate is
     what the written checkpoint has passed.  Each nominee is re-measured
     once, for ``gate_episodes`` on its own child of ``s_eval``, best probe
-    reward first and margined first at equal reward.  Pass one ships the
-    first whose constraints keep ``gate_margin`` of slack below bound +
-    ``tolerance_fixed``, so it survives evaluation variance near the
-    bound; only when none does, pass two settles for bare feasibility.
-    Returns the pass's label (``final`` if none shipped: the last actor
-    ships unchecked), the shipped (actor, critic) or None, and each
-    nominee's (reward, tier, re-measured constraints) in gate order.
+    reward first and margined first at equal reward.  Its tier is
+    ``margined`` if its constraints keep ``gate_margin`` of slack below
+    bound + ``tolerance_fixed``, so it survives evaluation variance near
+    the bound, else ``boundary`` if they meet that bound; the first
+    nominee of the lowest tier ships.  Returns the tier's label (``final``
+    if none shipped: the last actor ships unchecked), the shipped (actor,
+    critic) or None, and each nominee's (reward, tier, re-measured
+    constraints) in gate order.
     """
     nominees = sorted(
         ((r, tier, a, c) for tier, kept in enumerate(tiers) for r, a, c in kept),
@@ -644,11 +640,11 @@ def ship_gate(tiers, config: TrainConfig, s_eval):
         (r, tier, probe(a, config, config.gate_episodes, s_eval.spawn(1)[0]).constraints)
         for r, tier, a, _ in nominees
     ]
-    for label, needed in (("margined", config.gate_margin), ("boundary", 0.0)):
-        for (_, _, a, c), (_, _, cons) in zip(nominees, report):
-            if np.all(cons <= config.bound + config.tolerance_fixed - needed):
-                return label, (a, c), report
-    return "final", None, report
+    passed = [_tier(cons, config, config.gate_margin) for _, _, cons in report]
+    best = min((t for t in passed if t is not None), default=None)
+    if best is None:
+        return "final", None, report
+    return ("margined", "boundary")[best], nominees[passed.index(best)][2:], report
 
 
 @dataclass
@@ -720,6 +716,9 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
     value_clip = (0.0, horizon_value)
 
     constraint_est = np.zeros(p)
+    # updates start past the warm-up with a batch in replay, which keeps
+    # every step up to a capacity of at least a batch
+    first_update = max(config.warmup_steps + 1, config.batch_size)
 
     rows = []
     steps_total = 0
@@ -743,18 +742,8 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
         else:
             tau = tolerance_schedule(updates, config.batch_size, config.horizon_scale, config.gamma)
         last_branch = policy_update_step(
-            nets,
-            batch,
-            targets,
-            bounds,
-            constraint_est,
-            tau,
-            config.learning_rate,
-            config.actor_lr,
-            raw_penalty=config.raw_penalty,
-            critic_opt=critic_opt,
-            actor_opt=actor_opt,
-            workspace=workspace,
+            nets, batch, targets, bounds, constraint_est, tau, config.learning_rate, config.actor_lr,
+            raw_penalty=config.raw_penalty, critic_opt=critic_opt, actor_opt=actor_opt, workspace=workspace,
         )
 
     def run_updates(count: int) -> None:
@@ -767,7 +756,6 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
         noise_scale = config.noise_start + (config.noise_end - config.noise_start) * min(
             1.0, (ep - 1) / decay_span
         )
-        est_used = constraint_est.copy()
         state = env.reset(rng=env_rng)
         ep_return = RETURN_START
         done = False
@@ -782,12 +770,8 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
             state = next_state
             steps_total += 1
 
-            if (
-                steps_total > config.warmup_steps
-                and replay.size >= config.batch_size
-                and steps_total % config.update_every == 0
-                and ep_updates < config.updates_per_episode
-            ):
+            due = steps_total >= first_update and steps_total % config.update_every == 0
+            if due and ep_updates < config.updates_per_episode:
                 run_updates(1)
                 ep_updates += 1
 
@@ -795,7 +779,7 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
         # replay at the boundary (same constraint estimates as the
         # in-episode updates), so training volume does not depend on how
         # long the behavior policy happens to survive
-        if steps_total > config.warmup_steps and replay.size >= config.batch_size:
+        if steps_total >= first_update:
             run_updates(config.updates_per_episode - ep_updates)
 
         # the workspace holds the episode's last critic step until the
@@ -803,7 +787,7 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
         if updates > updates_before:
             last_delta = td_delta(workspace)
         rows.append(
-            CurveRow(ep, ep_return, est_used, last_branch, last_delta, steps_total * config.dt)
+            CurveRow(ep, ep_return, constraint_est, last_branch, last_delta, steps_total * config.dt)
         )
 
         # periodic noise-free rollouts of the deterministic actor supply
@@ -812,14 +796,12 @@ def run_training(config: TrainConfig, out_dir) -> TrainResult:
         # (+ tau_c slack) for the gate
         if config.eval_every and (ep % config.eval_every == 0 or ep == config.episodes):
             est = probe(nets.actor, config, config.probe_episodes, s_eval.spawn(1)[0])
-            constraint_est = est.constraints.copy()
-            slack = bounds + config.tolerance_fixed - est.constraints
-            for kept, needed in zip(tiers, (config.snapshot_margin, 0.0)):
-                if np.all(slack >= needed):
-                    kept.append((est.reward, nets.actor.copy(), nets.critic.copy()))
-                    kept.sort(key=lambda item: -item[0])
-                    del kept[4:]
-                    break
+            constraint_est = est.constraints
+            tier = _tier(est.constraints, config, config.snapshot_margin)
+            if tier is not None:
+                tiers[tier].append((est.reward, nets.actor.copy(), nets.critic.copy()))
+                tiers[tier].sort(key=lambda item: -item[0])
+                del tiers[tier][4:]
 
     shipped_from, shipped, _ = ship_gate(tiers, config, s_eval)
     if shipped is not None:

@@ -4,9 +4,13 @@ The per-update rule is primal and switch-based.  Every update first
 descends the quantile-matching critic loss for all signals (reward plus
 each constraint utility).  Then exactly one actor direction is taken:
 
-* if every estimated constraint objective J_g^i is within its bound
-  plus the tolerance (non-strict), ascend the reward objective;
+* if every estimated constraint objective J_g^i is ``within_bounds``,
+  J_g^i <= (b_i + tolerance) - margin at margin 0, ascend the reward;
 * otherwise descend the *lowest-indexed* violated constraint.
+
+``within_bounds`` is the one feasibility rule of a run (the probe's
+nomination, the shipping gate and the CLI's warning call it too); a nan
+estimate is outside.
 
 ``tolerance_schedule`` shrinks the feasibility slack as training
 progresses; its two calibration constants are equal and pinned so the
@@ -44,6 +48,7 @@ __all__ = [
     "ObjectiveEstimate",
     "ACTION_GUARD",
     "estimate_objectives",
+    "within_bounds",
     "choose_branch",
     "policy_update_step",
     "ImprovementReport",
@@ -150,13 +155,18 @@ def estimate_objectives(env, actor, episodes: int, gamma: float, seed=0) -> Obje
 # -- one optimization step -------------------------------------------------------
 
 
+def within_bounds(estimates, bounds, tolerance: float, margin: float) -> np.ndarray:
+    """Per constraint, estimate <= (bound + tolerance) - margin, in that order; nan is outside."""
+    return np.asarray(estimates) <= (bounds + tolerance) - margin
+
+
 def choose_branch(estimates: np.ndarray, bounds: np.ndarray, tolerance: float) -> tuple[int, int]:
     """The update's actor direction: (0, +1) ascends the reward, (i, -1) descends constraint i.
 
-    Feasible is the non-strict J_g^i <= b_i + tolerance for every i;
-    otherwise the lowest-indexed violated constraint is descended.
+    Feasible is ``within_bounds`` at margin 0 for every i; otherwise the
+    lowest-indexed violated constraint, a nan one too, is descended.
     """
-    violated = np.flatnonzero(estimates > bounds + tolerance)
+    violated = np.flatnonzero(~within_bounds(estimates, bounds, tolerance, 0.0))
     if violated.size == 0:
         return 0, 1
     return int(violated[0]) + 1, -1

@@ -309,6 +309,41 @@ def test_train_warns_when_the_final_actor_ships_over_a_bound(tmp_path, capsys):
         assert f"final_constraint_{i}={summary[f'final_constraint_{i}']} > -0.5" in err[0]
 
 
+def test_train_warns_when_the_final_actor_ships_a_nan_constraint(fast_config, tmp_path, capsys, monkeypatch):
+    # every probe measures nan: nothing is nominated, and the final actor
+    # ships with nan constraints, which break every bound
+    def nan_probe(actor, config, episodes, seed):
+        return harness.ObjectiveEstimate(0.0, np.full(2, np.nan), episodes, 1.0)
+
+    monkeypatch.setattr(harness, "probe", nan_probe)
+    assert main(["train", "--config", str(fast_config), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "summary.txt").read_text().splitlines()[-1] == "shipped=final"
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: shipped the unchecked final actor (no gate nominee passed) and it breaks "
+        "bound + tolerance_fixed: final_constraint_1=nan > 60.5, final_constraint_2=nan > 60.5"
+    ]
+
+
+_NOT_FINITE = "horizon_scale must keep the scheduled tolerance finite, got "
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("tolerance_mode = scheduled\nhorizon_scale = 1e308\n", _NOT_FINITE + "1e+308"),
+        ("tolerance_mode = scheduled\nhorizon_scale = -1e308\n", _NOT_FINITE + "-1e+308"),
+        ("learning_rate = 0\n", "learning_rate must be > 0, got 0.0"),
+    ],
+    ids=["overflow", "zero-division", "one-key"],
+)
+def test_train_refuses_a_config_in_one_line_naming_one_key(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_diverging_acrobot_exits_1_without_a_checkpoint(tmp_path, capsys):
     # dt = 2 overflows the acrobot's RK4 within a few steps
     cfg = tmp_path / "diverge.cfg"

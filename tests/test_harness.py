@@ -116,17 +116,28 @@ def test_parse_config_rejects_bad_value_and_missing_equals():
 @pytest.mark.parametrize(
     "field,value",
     [
+        ("env", "pendulum"),
         ("episodes", -1),
         ("seed", -1),
         ("gamma", 1.0),
         ("gamma", -0.1),
+        ("gamma", math.nan),
         ("learning_rate", 0.0),
         ("actor_learning_rate", 0.0),
         ("actor_learning_rate", -0.5),
         ("warmup_steps", -7),
         ("batch_size", 0),
+        ("n_quantiles", 0),
+        ("hidden_width", 0),
+        ("hidden_layers", -1),
+        ("buffer_capacity", 100),
         ("update_every", 0),
+        ("target_sync_updates", 0),
         ("updates_per_episode", -1),
+        ("noise_start", -0.5),
+        ("noise_end", -0.5),
+        ("noise_decay_frac", 1.5),
+        ("raw_penalty", -0.1),
         ("tolerance_mode", "sometimes"),
         ("tolerance_fixed", -0.5),
         ("snapshot_margin", -1.0),
@@ -134,12 +145,34 @@ def test_parse_config_rejects_bad_value_and_missing_equals():
         ("gate_episodes", 0),
         ("eval_episodes", 0),
         ("probe_episodes", 0),
+        ("dt", 0.0),
         ("eval_every", -1),
     ],
 )
 def test_validate_rejects_out_of_range(field, value):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=f"^{field} ") as info:
         dataclasses.replace(TrainConfig(), **{field: value}).validate()
+    # the message names the refused key and no other
+    others = [f.name for f in dataclasses.fields(TrainConfig) if f.name != field]
+    assert not [name for name in others if re.search(rf"\b{name}\b", str(info.value))]
+
+
+# at batch 128 the t = 1 tolerance overflows from H ~ 585.14 and is inf
+# (from H ~ -582.87) or divides by zero (from H ~ -614) below
+@pytest.mark.parametrize("horizon_scale", [1e308, -1e308, 586.0, -600.0, -614.0])
+def test_validate_refuses_a_horizon_scale_without_a_finite_schedule(horizon_scale):
+    config = TrainConfig(tolerance_mode="scheduled", horizon_scale=horizon_scale)
+    with pytest.raises(ConfigError, match=r"^horizon_scale must keep the scheduled tolerance finite, got "):
+        config.validate()
+    # the fixed tolerance never reads it
+    dataclasses.replace(config, tolerance_mode="fixed").validate()
+
+
+def test_validate_accepts_a_horizon_scale_with_a_finite_schedule():
+    for horizon_scale in (585.0, -582.0, 2.0):
+        TrainConfig(tolerance_mode="scheduled", horizon_scale=horizon_scale).validate()
+    # at batch 1 the second term does not depend on H
+    TrainConfig(tolerance_mode="scheduled", horizon_scale=1e308, batch_size=1).validate()
 
 
 def test_actor_lr_falls_back_to_shared_rate():
@@ -620,6 +653,22 @@ def test_ship_gate_remeasures_each_nominee_once_in_gate_order(monkeypatch, const
     ]
     assert harness.ship_gate([[], []], config, np.random.SeedSequence(4)) == ("final", None, [])
     assert len(calls) == 4
+
+
+def test_ship_gate_treats_a_nan_constraint_as_a_breach(monkeypatch):
+    # b7 and m5 re-measure nan: m3 is the first nominee inside the bound
+    config = TrainConfig(bound=10.0, tolerance_fixed=0.5, gate_margin=2.0, gate_episodes=3)
+    constraints = {"b7": math.nan, "m5": math.nan, "b5": 10.5, "m3": 1.0}
+
+    def probe(actor, cfg, episodes, seed):
+        return ObjectiveEstimate(0.0, np.array([0.0, constraints[actor]]), episodes, 0.0)
+
+    monkeypatch.setattr(harness, "probe", probe)
+    assert harness.ship_gate(_TIERS, config, np.random.SeedSequence(4))[:2] == ("margined", ("m3", "cm3"))
+    constraints["m3"] = math.nan
+    assert harness.ship_gate(_TIERS, config, np.random.SeedSequence(4))[:2] == ("boundary", ("b5", "cb5"))
+    constraints["b5"] = math.nan
+    assert harness.ship_gate(_TIERS, config, np.random.SeedSequence(4))[:2] == ("final", None)
 
 
 def test_run_training_zero_episodes_writes_header_and_initial_checkpoint(tmp_path):

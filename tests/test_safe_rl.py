@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavopt import nn
 from wavopt.cmdp import TabularCmdp, exact_objective, value_iteration
@@ -20,6 +22,7 @@ from wavopt.safe_rl import (
     optimality_probabilities,
     policy_update_step,
     tolerance_schedule,
+    within_bounds,
 )
 
 TRIANGLE = RewardOperatorFamily(
@@ -279,6 +282,39 @@ def test_choose_branch_descends_the_lowest_violated_index():
 def test_choose_branch_ascends_the_reward_when_all_are_feasible():
     assert choose_branch(np.array([-5.0, 0.0, 0.25]), np.array([0.0, 0.0, 0.0]), 0.25) == (0, 1)
     assert choose_branch(np.zeros(0), np.zeros(0), 0.0) == (0, 1)
+
+
+def test_a_nan_estimate_is_a_violated_constraint():
+    assert within_bounds(np.array([math.nan, 0.0]), np.array([60.0, 60.0]), 0.5, 0.0).tolist() == [False, True]
+    assert choose_branch(np.array([math.nan]), np.array([60.0]), 0.5) == (1, -1)
+    assert choose_branch(np.array([0.0, math.nan]), np.array([60.0, 60.0]), 0.5) == (2, -1)
+
+
+def test_update_descends_a_nan_constraint():
+    nets = _nets(seed=7)
+    branch = _update(
+        nets, _batch(np.random.default_rng(8)), np.full(2, 60.0), np.array([math.nan, 0.0]),
+        0.5, 1e-3, 1e-3, 0.99, **_opts(nets),
+    )
+    assert branch == 1
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=4), _FINITE, _FINITE, _FINITE)
+def test_within_bounds_is_the_old_branch_and_gate_formulas_bit_for_bit(pairs, bound, tolerance, margin):
+    estimates, bounds = (np.array(column) for column in zip(*pairs))
+    with np.errstate(over="ignore"):  # bound + tolerance may round to inf
+        # the branch rule: feasible unless estimates > bounds + tolerance
+        np.testing.assert_array_equal(
+            within_bounds(estimates, bounds, tolerance, 0.0), ~(estimates > bounds + tolerance)
+        )
+        # the gate rule on a scalar bound: estimates <= bound + tolerance - margin
+        np.testing.assert_array_equal(
+            within_bounds(estimates, bound, tolerance, margin), estimates <= bound + tolerance - margin
+        )
 
 
 def test_update_moves_both_networks():
