@@ -185,7 +185,8 @@ def bellman_operator(
             raise ValueError(f"quantile map has (nS, nA) = {z.atoms.shape[:2]}, the CMDP {(ns, na)}")
         if z.n_quantiles != n:
             raise ValueError(f"quantile map has {z.n_quantiles} atoms per entry, the operator {n}")
-        positions = h + gamma * z.atoms.take(select)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, in one line
+            positions = h + gamma * z.atoms.take(select)
         if not np.isfinite(positions).all():
             raise ValueError("mixture positions must be finite")
         flat = positions.argsort(axis=1, kind="stable")

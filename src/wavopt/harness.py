@@ -148,13 +148,9 @@ class TrainConfig:
             raise ConfigError(f"buffer_capacity must be at least the batch size, {self.batch_size}")
         if self.tolerance_mode == "scheduled":
             try:  # t = 1 gives the schedule's largest tolerance
-                tau = tolerance_schedule(1, self.batch_size, self.horizon_scale, self.gamma)
-            except (OverflowError, ZeroDivisionError):
-                tau = math.inf
-            if not math.isfinite(tau):
-                raise ConfigError(
-                    f"horizon_scale must keep the scheduled tolerance finite, got {self.horizon_scale!r}"
-                )
+                tolerance_schedule(1, self.batch_size, self.horizon_scale, self.gamma)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         return self
 
 
@@ -860,6 +856,8 @@ def fit_rate(values, burn_in_frac: float = 0.2) -> RateFit:
     toward zero.  A window is ``_FIT_WINDOW`` = 20 episodes and a fit
     needs ``_FIT_MIN_POINTS`` = 50 points, so a curve needs 70 episodes.
     """
+    if not 0.0 <= burn_in_frac < 1.0:  # refuses nan too
+        raise ValueError(f"burn_in_frac must be in [0, 1), got {burn_in_frac!r}")
     y = np.asarray(values, dtype=float)
     if y.ndim != 1:
         raise ValueError("expected a 1-D series")

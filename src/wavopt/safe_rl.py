@@ -68,10 +68,22 @@ C_CAL = 0.5 / _tolerance(1.0, **_ANCHOR)
 
 
 def tolerance_schedule(t: int, batch: int = 128, horizon_scale: float = 2.0, gamma: float = 0.998) -> float:
-    """Feasibility slack after t updates: C/((1-g) sqrt(t)) + C/((1-g) t m^(H/4)), C = ``C_CAL``."""
-    if t < 1:
+    """Feasibility slack after t updates: C/((1-g) sqrt(t)) + C/((1-g) t m^(H/4)), C = ``C_CAL``.
+
+    A slack that is not a finite float is refused: at m = 128 that is H
+    outside about (-582.87, 585.14).
+    """
+    if not t >= 1:
         raise ValueError("update count t must be >= 1")
-    return _tolerance(C_CAL, t, batch, horizon_scale, gamma)
+    if not batch >= 1:  # a negative m^(H/4) is complex
+        raise ValueError("batch must be >= 1")
+    try:
+        tau = _tolerance(C_CAL, t, batch, horizon_scale, gamma)
+    except (OverflowError, ZeroDivisionError):
+        tau = math.inf
+    if not math.isfinite(tau):
+        raise ValueError(f"horizon_scale must keep the scheduled tolerance finite, got {horizon_scale!r}")
+    return tau
 
 
 # -- Monte-Carlo objective estimation -------------------------------------------
@@ -270,8 +282,8 @@ def exact_improvement_report(
     to the lowest action index.  All evaluation is by linear solves.
     The report records the worst one-iteration decrease of any
     state-action value (zero up to round-off for strictly monotone
-    operators), the gap to the value-iteration optimum, and the full
-    policy/objective trace.
+    operators, nan once a compared value is nan), the gap to the
+    value-iteration optimum, and the full policy/objective trace.
 
     The optimum is V* of ``value_iteration(cmdp)``.  A caller that
     reports on one CMDP several times (``verify.check_improvement``
@@ -287,7 +299,7 @@ def exact_improvement_report(
     policies = [policy.copy()]
     objectives = [exact_objective(cmdp, policy, signal=0)]
     q_prev = exact_q_values(cmdp, policy, signal=0)
-    worst_drop = 0.0
+    worst_drop = 0.0  # np.maximum below carries a nan drop, where Python's max would drop it
     converged = False
     iterations = 0
 
@@ -301,7 +313,7 @@ def exact_improvement_report(
             break
         policy = new_policy
         q_new = exact_q_values(cmdp, policy, signal=0)
-        worst_drop = max(worst_drop, float(np.max(q_prev - q_new)))
+        worst_drop = float(np.maximum(worst_drop, np.max(q_prev - q_new)))
         q_prev = q_new
         policies.append(policy.copy())
         objectives.append(exact_objective(cmdp, policy, signal=0))

@@ -3,10 +3,13 @@
 Every check compares the production implementation against an
 independent route (brute-force search, linear program, linear algebra,
 finite differences) or, for the sliced distances, against the
-pseudo-metric axioms, and reports the worst observed violation against
-its tolerance in ``TOLERANCES``; no check takes a tolerance.  The
-sizes are parameters so the command line can run a quick pass while
-the acceptance tests run the full-size versions.
+pseudo-metric axioms.  No check takes a tolerance; each ends in one
+pass rule, ``_verdict``: for each gated quantity (the check's own, and
+``fixed_point`` and ``optimum_gap`` for the contraction and improvement
+checks) the largest gap, floored at 0 and nan if any gap is nan, passes
+iff it is ``<=`` its entry in ``TOLERANCES``.  The report shows the
+check's own quantity.  The sizes are parameters so the command line can
+run a quick pass while the acceptance tests run the full-size versions.
 
 The finite-difference route evaluates each objective on stacks of
 perturbed parameter vectors, one row per coordinate, through its own
@@ -100,6 +103,26 @@ class CheckResult:
         return f"{self.name} max_violation={self.max_violation:.3e} {status}"
 
 
+def _largest(gaps) -> float:
+    """The largest of ``gaps``, floored at +0.0; nan if any gap is nan."""
+    # np.max keeps a nan where Python's max(0.0, nan) drops it; + 0.0 turns -0.0 into +0.0
+    return float(np.max(gaps, initial=0.0)) + 0.0
+
+
+def _verdict(name: str, gaps, detail: str, started: float, **gated) -> CheckResult:
+    """The one pass rule of every check.
+
+    ``gaps`` are the check's own, reported as ``name``; each keyword of
+    ``gated`` holds the gaps of a second quantity, named by its
+    ``TOLERANCES`` key.  The check passes iff every quantity's
+    ``_largest`` gap is ``<=`` its tolerance (a nan gap fails), and its
+    seconds run from ``started``.
+    """
+    largest = {key: _largest(g) for key, g in {name: gaps, **gated}.items()}
+    passed = all(value <= TOLERANCES[key] for key, value in largest.items())
+    return CheckResult(name, passed, largest[name], TOLERANCES[name], detail, time.perf_counter() - started)
+
+
 def _random_measure(rng, max_atoms=8, weighted=True):
     n = int(rng.integers(1, max_atoms + 1))
     pos = rng.normal(scale=2.0, size=n)
@@ -131,8 +154,8 @@ def check_transport_vs_oracle(pairs: int = 1000, seed: int = 0) -> CheckResult:
     _require_sizes(pairs=pairs)
     rng = np.random.default_rng(seed)
     orders = [1.0, 2.0, math.inf]
-    worst = 0.0
-    t0 = time.perf_counter()
+    gaps = []
+    started = time.perf_counter()
     for start in range(0, pairs, _ORACLE_CHUNK):
         fast, problems = [], []
         for i in range(start, min(start + _ORACLE_CHUNK, pairs)):
@@ -144,11 +167,8 @@ def check_transport_vs_oracle(pairs: int = 1000, seed: int = 0) -> CheckResult:
             # drawn valid above, so the oracle's inputs skip the constructor's checks
             mu, nu = DiscreteMeasure._unchecked(pa[:, None], wa), DiscreteMeasure._unchecked(pb[:, None], wb)
             problems.append((mu, nu, k))
-        for f, slow in zip(fast, wasserstein_oracles(problems)):
-            worst = max(worst, abs(f - slow))
-    dt = time.perf_counter() - t0
-    tol = TOLERANCES["transport_vs_oracle"]
-    return CheckResult("transport_vs_oracle", worst <= tol, worst, tol, f"{pairs} pairs", dt)
+        gaps += [abs(f - slow) for f, slow in zip(fast, wasserstein_oracles(problems))]
+    return _verdict("transport_vs_oracle", gaps, f"{pairs} pairs", started)
 
 
 # the distances of a triple (a, b, c) that the axioms read: ab, ba, ac, cb, aa
@@ -175,9 +195,9 @@ def check_pseudo_metric_suite(trials: int = 500, seed: int = 0) -> CheckResult:
     """
     _require_sizes(trials=trials)
     rng = np.random.default_rng(seed)
-    nonneg = sym = tri = self_distance = 0.0
+    gaps = []
     slack = smallest = math.inf
-    t0 = time.perf_counter()
+    started = time.perf_counter()
     for start in range(0, trials, _TRIALS_PER_CALL):
         measures, rows = [], []
         for _ in range(min(_TRIALS_PER_CALL, trials - start)):
@@ -191,17 +211,12 @@ def check_pseudo_metric_suite(trials: int = 500, seed: int = 0) -> CheckResult:
         distances = [_slice_mean(p, 2.0) for p in _sliced_powers(measures, slices, pairs, 2.0)]
         for t in range(0, len(distances), 5):
             dab, dba, dac, dcb, daa = distances[t : t + 5]
-            nonneg = max(nonneg, -min(dab, dac, dcb))
-            sym = max(sym, abs(dab - dba))
-            tri = max(tri, dab - (dac + dcb))
-            self_distance = max(self_distance, abs(daa))
+            # non-negativity, symmetry, the triangle inequality, zero self-distance
+            gaps += (-min(dab, dac, dcb), abs(dab - dba), dab - (dac + dcb), abs(daa))
             slack = min(slack, dac + dcb - dab)
             smallest = min(smallest, dab, dba, dac, dcb)
-    dt = time.perf_counter() - t0
-    worst = max(nonneg, sym, tri, self_distance)
-    tol = TOLERANCES["pseudo_metric"]
     detail = f"{trials} triples, triangle slack {slack:.2e}, smallest distance {smallest:.2e}"
-    return CheckResult("pseudo_metric", worst <= tol, worst, tol, detail, dt)
+    return _verdict("pseudo_metric", gaps, detail, started)
 
 
 def check_contraction(pairs: int = 200, seed: int = 0) -> CheckResult:
@@ -216,8 +231,8 @@ def check_contraction(pairs: int = 200, seed: int = 0) -> CheckResult:
     """
     _require_sizes(pairs=pairs)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    t0 = time.perf_counter()
+    gaps = []
+    started = time.perf_counter()
     for _ in range(pairs):
         n_s = int(rng.integers(2, 5))
         n_a = int(rng.integers(1, 4))
@@ -231,7 +246,7 @@ def check_contraction(pairs: int = 200, seed: int = 0) -> CheckResult:
         policy = rng.integers(0, n_a, size=n_s)
         operator = bellman_operator(policy, cmdp, n_at)
         after = dbar(operator(z1), operator(z2))
-        worst = max(worst, after - gamma * before)
+        gaps.append(after - gamma * before)
 
     # single-state fixed point
     trans = np.ones((1, 1, 1))
@@ -239,17 +254,8 @@ def check_contraction(pairs: int = 200, seed: int = 0) -> CheckResult:
     cmdp1 = TabularCmdp(trans, rewards, np.zeros((1, 1, 1)), np.zeros(1), 0.9)
     z = _iterate_bellman(QuantileMap.zeros(1, 1, 8), np.zeros(1, dtype=int), cmdp1, 500)
     fp_err = float(np.max(np.abs(z.atoms - 0.7 / 0.1)))
-    dt = time.perf_counter() - t0
-    tol = TOLERANCES["operator_contraction"]
-    passed = worst <= tol and fp_err <= TOLERANCES["fixed_point"]
-    return CheckResult(
-        "operator_contraction",
-        passed,
-        max(worst, 0.0),
-        tol,
-        f"{pairs} pairs, fixed-point err {fp_err:.2e}",
-        dt,
-    )
+    detail = f"{pairs} pairs, fixed-point err {fp_err:.2e}"
+    return _verdict("operator_contraction", gaps, detail, started, fixed_point=fp_err)
 
 
 def _iterate_bellman(z: QuantileMap, policy, cmdp: TabularCmdp, iterations: int) -> QuantileMap:
@@ -276,8 +282,8 @@ def check_projection_minimality(measures: int = 100, candidates: int = 10000, se
     _require_sizes(measures=measures, candidates=candidates)
     n_atoms = 8
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    t0 = time.perf_counter()
+    gaps = []
+    started = time.perf_counter()
     grid = midpoint_levels(n_atoms)
     for _ in range(measures):
         pos, w = _random_measure(rng, max_atoms=12)
@@ -295,17 +301,8 @@ def check_projection_minimality(measures: int = 100, candidates: int = 10000, se
 
         cand = np.sort(rng.normal(scale=2.5, size=(candidates, n_atoms)), axis=1)
         costs = np.abs(cand[:, band] - y) @ seg
-        worst = max(worst, proj_cost - float(costs.min()))
-    dt = time.perf_counter() - t0
-    tol = TOLERANCES["projection_minimality"]
-    return CheckResult(
-        "projection_minimality",
-        worst <= tol,
-        max(worst, 0.0),
-        tol,
-        f"{measures} measures x {candidates} candidates",
-        dt,
-    )
+        gaps.append(proj_cost - float(costs.min()))
+    return _verdict("projection_minimality", gaps, f"{measures} measures x {candidates} candidates", started)
 
 
 def central_differences(theta, objective, eps: float = 1e-5) -> np.ndarray:
@@ -517,14 +514,13 @@ def check_gradients(instances: int = 100, seed: int = 0) -> CheckResult:
     raw-output penalty).
     """
     _require_sizes(instances=instances)
-    worst = 0.0
-    t0 = time.perf_counter()
-    for j, check in enumerate((_fd_mlp_check, _fd_critic_check, _fd_actor_check)):
-        for i in range(instances // 3 + (j < instances % 3)):
-            worst = max(worst, check(seed + 100 * j + i))
-    dt = time.perf_counter() - t0
-    tol = TOLERANCES["gradient_checks"]
-    return CheckResult("gradient_checks", worst < tol, worst, tol, f"{instances} instances", dt)
+    started = time.perf_counter()
+    gaps = [
+        check(seed + 100 * j + i)
+        for j, check in enumerate((_fd_mlp_check, _fd_critic_check, _fd_actor_check))
+        for i in range(instances // 3 + (j < instances % 3))
+    ]
+    return _verdict("gradient_checks", gaps, f"{instances} instances", started)
 
 
 def check_improvement(seed: int = 0, n_runs: int = 4) -> CheckResult:
@@ -547,50 +543,40 @@ def check_improvement(seed: int = 0, n_runs: int = 4) -> CheckResult:
         cmdp = random_tabular_cmdp(6, 3, 0, seed=seed + i, gamma=0.9)
         return cmdp, value_iteration(cmdp)[0]
 
-    worst_drop = 0.0
-    worst_gap = 0.0
-    t0 = time.perf_counter()
+    drops, optimum_gaps = [], []
+    started = time.perf_counter()
     first = instance(0)
     for i in range(n_runs):
         cmdp, v_star = instance(i) if i else first
         for fam in (affine_family(0.0, 1.0), log_family(0.0, 1.0)):
             rep = exact_improvement_report(cmdp, fam, v_star=v_star)
-            worst_drop = max(worst_drop, rep.q_monotone_violation)
-            worst_gap = max(worst_gap, abs(rep.final_gap))
+            drops.append(rep.q_monotone_violation)
+            optimum_gaps.append(abs(rep.final_gap))
 
     control = RewardOperatorFamily(
         "triangle", 0.0, 1.0, fn=lambda p: 1.0 - np.abs(2.0 * np.asarray(p, dtype=float) - 1.0)
     )
     cmdp, v_star = first
     control_rep = exact_improvement_report(cmdp, control, max_iters=30, v_star=v_star)
-    dt = time.perf_counter() - t0
-    tol = TOLERANCES["exact_improvement"]
-    passed = worst_drop <= tol and worst_gap <= TOLERANCES["optimum_gap"]
-    return CheckResult(
-        "exact_improvement",
-        passed,
-        worst_drop,
-        tol,
+    worst_gap = _largest(optimum_gaps)
+    detail = (
         f"optimum gap {worst_gap:.2e}; non-monotone control violation "
-        f"{control_rep.q_monotone_violation:.3g} (expected > 0, reported only)",
-        dt,
+        f"{control_rep.q_monotone_violation:.3g} (expected > 0, reported only)"
     )
+    return _verdict("exact_improvement", drops, detail, started, optimum_gap=worst_gap)
 
 
 def check_reconstruction(trials: int = 1000, seed: int = 0) -> CheckResult:
     """Likelihood-ratio decomposition reconstructs the joint probability."""
     _require_sizes(trials=trials)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    t0 = time.perf_counter()
+    gaps = []
+    started = time.perf_counter()
     for _ in range(trials):
         p_traj = float(rng.uniform(1e-12, 1.0))
         probs = rng.uniform(1e-12, 1.0, size=int(rng.integers(1, 6)))
-        for factor in decompose_interpretation(p_traj, probs):
-            worst = max(worst, abs(factor.reconstruct() - p_traj))
-    dt = time.perf_counter() - t0
-    tol = TOLERANCES["ratio_reconstruction"]
-    return CheckResult("ratio_reconstruction", worst <= tol, worst, tol, f"{trials} trials", dt)
+        gaps += [abs(factor.reconstruct() - p_traj) for factor in decompose_interpretation(p_traj, probs)]
+    return _verdict("ratio_reconstruction", gaps, f"{trials} trials", started)
 
 
 def run_all(full: bool = False, seed: int = 0) -> list:

@@ -2,6 +2,7 @@
 TD targets, and network gradients vs. finite differences."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -300,6 +301,16 @@ class TestPreparedBellmanOperator:
         atoms[1, 0, 2] = np.inf
         with pytest.raises(ValueError, match="finite"):
             operator(QuantileMap(atoms))
+
+    def test_positions_that_overflow_are_refused_without_a_warning(self):
+        # finite utilities and atoms whose mixture positions overflow:
+        # the refusal, not numpy's overflow warning, reaches the caller
+        cmdp = TabularCmdp(np.full((2, 1, 2), 0.5), np.zeros((2, 1)), np.full((1, 2, 1), 1e308), np.zeros(1), 0.9)
+        operator = bellman_operator([0, 0], cmdp, 3, signal=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^mixture positions must be finite$"):
+                operator(QuantileMap(np.full((2, 1, 3), 1e308)))
 
 
 # ---------------------------------------------------------------------------

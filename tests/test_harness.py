@@ -528,6 +528,12 @@ def test_fit_rate_early_peak_skips():
     assert fit.skipped
 
 
+@pytest.mark.parametrize("burn_in_frac", [1.5, 1.0, -0.1, math.nan])
+def test_fit_rate_refuses_a_burn_in_outside_the_unit_interval(burn_in_frac):
+    with pytest.raises(ValueError, match=r"^burn_in_frac must be in \[0, 1\), got "):
+        fit_rate(synthetic_recovery_curve(0.5), burn_in_frac=burn_in_frac)
+
+
 # -- training loop --------------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavopt import nn
+from wavopt import nn, safe_rl
 from wavopt.cmdp import TabularCmdp, exact_objective, value_iteration
 from wavopt.dist_rl import TransitionBatch, UpdateWorkspace, td_targets
 from wavopt.envs import CartpoleEnv, make_env, random_tabular_cmdp
@@ -75,9 +75,21 @@ def test_tolerance_monotone_decreasing():
     taus = [tolerance_schedule(t) for t in (1, 10, 100, 1000, 10000)]
     assert all(a > b for a, b in zip(taus, taus[1:]))
     assert tolerance_schedule(1000, batch=512) < tolerance_schedule(1000, batch=32)
-    with pytest.raises(ValueError):
-        tolerance_schedule(0)
+    for t in (0, math.nan):
+        with pytest.raises(ValueError, match="update count t must be >= 1"):
+            tolerance_schedule(t)
+    for batch in (0, -128, math.nan):
+        with pytest.raises(ValueError, match="batch must be >= 1"):
+            tolerance_schedule(1, batch)
     assert C_CAL > 0
+
+
+# at batch 128 the t = 1 tolerance overflows from H ~ 585.14 and is inf
+# (from H ~ -582.87) or divides by zero (from H ~ -614) below
+@pytest.mark.parametrize("horizon_scale", [586.0, -600.0, -614.0, 1e308, math.nan])
+def test_tolerance_schedule_refuses_a_tolerance_that_is_not_a_finite_float(horizon_scale):
+    with pytest.raises(ValueError, match=r"^horizon_scale must keep the scheduled tolerance finite, got "):
+        tolerance_schedule(1, 128, horizon_scale)
 
 
 # -- objective estimation ---------------------------------------------------------
@@ -507,6 +519,23 @@ def test_exact_improvement_monotone_and_optimal():
             # objectives never decrease along the trace
             objs = rep.objectives
             assert all(b >= a - 1e-9 for a, b in zip(objs, objs[1:]))
+
+
+def test_exact_improvement_carries_a_nan_q_value(monkeypatch):
+    # the first improved policy's Q holds one nan, later ones are exact
+    exact, calls = safe_rl.exact_q_values, []
+
+    def q_values(cmdp, policy, signal):
+        calls.append(policy)
+        q = exact(cmdp, policy, signal=signal)
+        if len(calls) == 2:
+            q[0, 0] = np.nan
+        return q
+
+    monkeypatch.setattr(safe_rl, "exact_q_values", q_values)
+    rep = exact_improvement_report(random_tabular_cmdp(6, 3, 1, seed=0, gamma=0.9), affine_family(0.0, 1.0))
+    assert len(calls) > 2
+    assert math.isnan(rep.q_monotone_violation)
 
 
 def test_exact_improvement_operator_invariance():

@@ -1,6 +1,10 @@
 """Dual-route checks on instances that once failed on correct code, the
-gradient check's instance count and its stacked central differences, and
-the contraction check's fixed-point loop."""
+gradient check's instance count and its stacked central differences, the
+contraction check's fixed-point loop, and the pass rule on nan gaps."""
+
+import dataclasses
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -261,11 +265,10 @@ def test_tolerances_are_pinned_and_every_check_reports_its_own():
 
 
 def test_gates_read_the_table(monkeypatch):
-    # gradient_checks passes only strictly below its tolerance, the
-    # others at it too
+    # every gate passes at its tolerance exactly
     worst = verify.check_gradients(3).max_violation
     monkeypatch.setitem(verify.TOLERANCES, "gradient_checks", worst)
-    assert not verify.check_gradients(3).passed
+    assert verify.check_gradients(3).passed
     worst = verify.check_transport_vs_oracle(30).max_violation
     monkeypatch.setitem(verify.TOLERANCES, "transport_vs_oracle", worst)
     assert verify.check_transport_vs_oracle(30).passed
@@ -275,3 +278,59 @@ def test_gates_read_the_table(monkeypatch):
     monkeypatch.setitem(verify.TOLERANCES, "optimum_gap", -1.0)
     assert not verify.check_contraction(2).passed
     assert not verify.check_improvement(0, n_runs=1).passed
+
+
+def _returns_nan(*args, **kwargs):
+    return math.nan
+
+
+def _nan_report(exact):
+    def report(*args, **kwargs):
+        return dataclasses.replace(exact(*args, **kwargs), q_monotone_violation=math.nan)
+
+    return report
+
+
+# each check at a small size, the production route it reads, and that route returning nan
+_NAN_ROUTES = {
+    "transport_vs_oracle": (lambda: verify.check_transport_vs_oracle(6), "wavopt.verify.wasserstein_1d", _returns_nan),
+    "pseudo_metric": (lambda: verify.check_pseudo_metric_suite(4), "wavopt.verify._slice_mean", _returns_nan),
+    "operator_contraction": (lambda: verify.check_contraction(3), "wavopt.verify.dbar", _returns_nan),
+    "projection_minimality": (
+        lambda: verify.check_projection_minimality(3, 50),
+        "wavopt.verify.wasserstein_1d",
+        _returns_nan,
+    ),
+    "gradient_checks": (lambda: verify.check_gradients(3), "wavopt.verify.critic_gradient_all", _returns_nan),
+    "exact_improvement": (
+        lambda: verify.check_improvement(0, n_runs=1),
+        # imported by the check when it runs
+        "wavopt.safe_rl.exact_improvement_report",
+        _nan_report(safe_rl.exact_improvement_report),
+    ),
+    "ratio_reconstruction": (
+        lambda: verify.check_reconstruction(5),
+        "wavopt.verify.decompose_interpretation",
+        lambda *args: [SimpleNamespace(reconstruct=_returns_nan)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _NAN_ROUTES)
+def test_a_nan_gap_fails_its_check(monkeypatch, name):
+    # Python's max(0.0, nan) is 0.0, so a nan gap must not pass through it
+    check, route, patched = _NAN_ROUTES[name]
+    monkeypatch.setattr(route, patched)
+    result = check()
+    assert result.name == name
+    assert result.passed is False
+    assert result.report_line().endswith("max_violation=nan FAIL")
+
+
+def test_a_negative_zero_gap_reads_zero(monkeypatch):
+    # the largest gap is floored at +0.0; numpy's max of -0.0 and its
+    # 0.0 floor is -0.0, which would print as -0.000e+00
+    for path in ("_fd_mlp_check", "_fd_critic_check", "_fd_actor_check"):
+        monkeypatch.setattr(verify, path, lambda seed: -0.0)
+    result = verify.check_gradients(3)
+    assert result.report_line() == "gradient_checks max_violation=0.000e+00 PASS"
